@@ -25,6 +25,7 @@ from .linalg import (
     eye,
     frob,
     kron,
+    null_space,
     orthonormalize_span,
     subspace_residual,
     vec,
@@ -157,21 +158,14 @@ def commutant(alg: AlgebraBasis, tol: float = TOL_RANK) -> AlgebraBasis:
         for k in range(d * d):
             full[k][k // d, k % d] = 1.0
         return AlgebraBasis(d, full, contains_identity=True)
-    blocks = []
+    stacked = np.empty((alg.dim * d * d, d * d), dtype=np.complex128)
     ident = eye(d)
-    for b in alg.basis:
-        blocks.append(kron(b, ident) - kron(ident, b.T))
-    stacked = np.vstack(blocks)
-    _, s, vh = np.linalg.svd(stacked)
-    smax = s[0] if s.size else 0.0
-    # the cutoff must not be relative to smax alone: for a central basis the
-    # stacked commutators are pure rounding noise and smax itself is ~eps
-    bscale = max(frob(b) for b in alg.basis)
-    cut = tol * max(smax, bscale)
-    rank = int(np.count_nonzero(s > cut)) if smax > 0 else 0
-    null_rows = vh[rank:, :]
-    mats = [np.conj(null_rows[k]).reshape(d, d) for k in range(null_rows.shape[0])]
-    return AlgebraBasis(d, mats, contains_identity=True)
+    for k, b in enumerate(alg.basis):
+        stacked[k * d * d : (k + 1) * d * d] = kron(b, ident) - kron(ident, b.T)
+    # for a central basis the stacked commutators are pure rounding noise, so
+    # the cutoff is anchored to the basis scale as well
+    null_rows = null_space(stacked, tol, max(frob(b) for b in alg.basis))
+    return AlgebraBasis(d, list(null_rows.reshape(-1, d, d)), contains_identity=True)
 
 
 def closure_residuals(alg: AlgebraBasis) -> tuple[float, float]:
@@ -378,21 +372,15 @@ def _cluster_eigenvalues(w: np.ndarray, gap_tol: float) -> list[np.ndarray] | No
 
 
 def _center_coefficients(basis: list[np.ndarray], tol: float) -> np.ndarray:
-    """Coefficient vectors c with Σ c_k b_k commuting with every b_j."""
+    """Coefficient vectors c, one per row, with Σ c_k b_k commuting with every b_j."""
     m = len(basis)
     ds = basis[0].shape[0]
     rows = np.zeros((m * ds * ds, m), dtype=np.complex128)
     for j, bj in enumerate(basis):
         for k, bk in enumerate(basis):
             rows[j * ds * ds : (j + 1) * ds * ds, k] = vec(bk @ bj - bj @ bk)
-    _, s, vh = np.linalg.svd(rows)
-    smax = s[0] if s.size else 0.0
-    # guard against counting rounding noise: for an abelian basis every
-    # commutator is ~eps and a cutoff relative to smax would keep noise
-    bscale = max(frob(b) for b in basis)
-    cut = tol * max(smax, bscale)
-    rank = int(np.count_nonzero(s > cut)) if smax > 0 else 0
-    return np.conj(vh[rank:, :])  # each row: coefficients of one center element
+    # for an abelian basis every commutator is ~eps: anchor to the basis scale
+    return null_space(rows, tol, max(frob(b) for b in basis))
 
 
 def _fingerprint(block: np.ndarray) -> tuple:

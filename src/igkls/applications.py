@@ -54,7 +54,7 @@ from .errors import (
     NotTracePreserving,
 )
 from .gkls import GKLSRep, atomic_normal_form, generator_superoperator, gkls_apply, reduce_normal_form_minimal
-from .linalg import TOL_RANK, asmatrix, dag, eye, frob, herm, im_part, kron, orthonormalize_span, subspace_residual, svd_rank, unvec, vec
+from .linalg import TOL_RANK, asmatrix, dag, eye, frob, herm, im_part, kron, null_space, orthonormalize_span, subspace_residual, unvec, vec
 
 __all__ = [
     "SemicausalReport",
@@ -500,20 +500,20 @@ def _fixed_space(ops: list[np.ndarray], d: int, tol: float) -> tuple[int, list[n
     for op in ops:
         s += kron(op, np.conj(op))
     s -= eye(d * d)
-    _, sv, vh = np.linalg.svd(s)
-    smax = float(sv[0]) if sv.size else 0.0
-    # anchor the cutoff to the Kraus scale as well: when the channel fixes
-    # everything, the whole matrix is rounding noise and smax itself is ~eps
-    kscale = max(1.0, sum(float(frob(op)) ** 2 for op in ops))
-    rank = int(np.count_nonzero(sv > max(tol, 1e-12) * max(smax, kscale)))
-    null_cols = dag(vh[rank:])  # (d², m)
+    null_rows = null_space(s, max(tol, 1e-12), _kraus_scale(ops))
     hs: list[np.ndarray] = []
-    for col in null_cols.T:
-        x = unvec(col, d, d)
+    for row in null_rows:
+        x = unvec(row, d, d)
         for h in (herm(x), im_part(x)):
             if frob(h) > 1e-12:
                 hs.append(h)
-    return null_cols.shape[1], hs
+    return null_rows.shape[0], hs
+
+
+def _kraus_scale(ops: list[np.ndarray]) -> float:
+    # noise floor of a transfer matrix: when the channel fixes everything, the
+    # whole matrix is rounding noise and σ_max itself is ~eps
+    return max(1.0, sum(float(frob(op)) ** 2 for op in ops))
 
 
 def _abs_part(h: np.ndarray) -> np.ndarray:
@@ -635,14 +635,8 @@ def koashi_imoto_decompose(
     for op in comp:
         s_dual += kron(dag(op), op.T)
     s_dual -= eye(r * r)
-    _, sv, vh = np.linalg.svd(s_dual)
-    smax = float(sv[0]) if sv.size else 0.0
-    # same noise-floor guard as in _fixed_space: a unital dual map that fixes
-    # everything leaves only rounding noise here
-    kscale = max(1.0, sum(float(frob(op)) ** 2 for op in comp))
-    rank = int(np.count_nonzero(sv > max(tol, 1e-12) * max(smax, kscale)))
-    m_dual = r * r - rank
-    ys = [unvec(col, r, r) for col in dag(vh[rank:]).T]
+    ys = list(null_space(s_dual, max(tol, 1e-12), _kraus_scale(comp)).reshape(-1, r, r))
+    m_dual = len(ys)
     if m_fixed != m_dual:
         raise AlgebraClosureFailed(
             f"fixed-space dimensions disagree: {m_fixed} (channel) vs {m_dual} (dual)"

@@ -615,7 +615,9 @@ def run_report(command: str, bundles: list[InstanceBundle], flags: dict) -> tupl
     try:
         out_bundle = _BODIES[command](bundles, flags, rep)
         code = 0 if rep.doc["ok"] else 1
-    except IgklsError as exc:
+    except (IgklsError, MemoryError) as exc:
+        # a dense stack beyond the machine's memory is a structured failure
+        # of this input, not a crash
         rep.doc["ok"] = False
         rep.doc["error"] = {
             "type": type(exc).__name__,

@@ -437,7 +437,11 @@ def reassemble_factorization(
             lhs = kron(a_ij, eye(dd)).reshape(da, dfij * dd, dc * dd)
             v_ij = np.concatenate([u_ij @ lhs[a] for a in range(da)], axis=0)
             v += kron(dag(p_i), eye(e)) @ v_ij @ p_j
-    assert v.shape == (d_in * e, d_out)
+    if v.shape != (d_in * e, d_out):
+        raise FactorizationResidual(
+            f"reassembled Stinespring matrix has shape {v.shape}, "
+            f"expected {(d_in * e, d_out)}"
+        )
     return v
 
 

@@ -243,9 +243,6 @@ def _superop_distance(g1: GKLSRep, g2: GKLSRep) -> float:
 # minimality (commutator-span machinery)
 # ---------------------------------------------------------------------------
 
-def _env_slices(v: np.ndarray, d: int, e: int) -> np.ndarray:
-    return v.reshape(d, e, d)
-
 def _commutator_env_family(v: np.ndarray, d: int, e: int) -> list[np.ndarray]:
     """Vectors spanning the environment components of {(X⊗1_E)v − vX}|ψ⟩.
 
@@ -253,7 +250,7 @@ def _commutator_env_family(v: np.ndarray, d: int, e: int) -> list[np.ndarray]:
     δ_ab·slice(c,d) − δ_cd·slice(a,b), so the span is generated by the
     off-diagonal slices together with differences of diagonal slices.
     """
-    sl = _env_slices(v, d, e)
+    sl = v.reshape(d, e, d)
     fam = []
     for c in range(d):
         for dd in range(d):
@@ -266,7 +263,7 @@ def _commutator_env_family(v: np.ndarray, d: int, e: int) -> list[np.ndarray]:
 
 def _commutator_full_family(v: np.ndarray, d: int, e: int, tol: float) -> list[np.ndarray]:
     """Reduced generating set of span{((X⊗1_E)v − vX)|ψ⟩} in C^d ⊗ C^e."""
-    sl = _env_slices(v, d, e)
+    sl = v.reshape(d, e, d)
     off = [sl[c, :, dd] for c in range(d) for dd in range(d) if c != dd]
     off_basis = orthonormalize_span(off, tol=tol, ambient_dim=e) if off else None
     fam = []
@@ -306,7 +303,7 @@ def gkls_minimalize(g: GKLSRep, tol: float = TOL_RANK) -> MinimalizeResult:
     rank = sb.count
     v_min = kron(eye(d), p) @ g.v
     resid = g.v - kron(eye(d), dag(p) @ p) @ g.v
-    rs = _env_slices(resid, d, e)
+    rs = resid.reshape(d, e, d)
     phi = np.einsum("aea->e", rs) / d
     pure = np.zeros_like(rs)
     for a in range(d):
@@ -367,7 +364,7 @@ def gkls_gauge(g1: GKLSRep, g2: GKLSRep, tol: float = TOL_RANK) -> GklsGauge:
         if iso_res <= 10 * max(tol, 1e-10) * scale:
             w = nearest_isometry(w)
     resid = g2.v - kron(eye(d), w) @ g1.v
-    rs = _env_slices(resid, d, g2.d_env)
+    rs = resid.reshape(d, g2.d_env, d)
     psi = np.einsum("aea->e", rs) / d
     pure = np.zeros_like(rs)
     for a in range(d):
@@ -452,8 +449,13 @@ def invariant_split(
         )
     v_back = kron(dag(p0), eye(e)) @ v0 + a + b
     k_back = dag(b) @ a + 0.5 * dag(b) @ b + k_alg + 1j * h_comm + dag(p0) @ k0
-    assert frob(v_back - g.v) <= 1e-10 * scale + 1e-12
-    assert frob(k_back - g.k) <= 1e-10 * scale**2 + 1e-12
+    # written as `not <=` so that a NaN residual fails too
+    v_gap = frob(v_back - g.v)
+    if not v_gap <= 1e-10 * scale + 1e-12:
+        raise FactorizationResidual("split blocks do not reassemble V", residual=v_gap)
+    k_gap = frob(k_back - g.k)
+    if not k_gap <= 1e-10 * scale**2 + 1e-12:
+        raise FactorizationResidual("split blocks do not reassemble K", residual=k_gap)
     return InvariantSplit(v0=v0, a=a, b=b, k_alg=k_alg, h_comm=h_comm, k0=k0)
 
 

@@ -79,14 +79,6 @@ class CpMapRecord:
     stine: StinespringRep
     picture: str = "heisenberg"
 
-    def kraus(self) -> KrausSet:
-        slices = self.stine.env_slices()
-        return KrausSet(
-            d_in=self.stine.d_in,
-            d_out=self.stine.d_out,
-            ops=[slices[:, n, :] for n in range(self.stine.d_env)],
-        )
-
 
 @dataclass
 class InstanceBundle:

@@ -6,7 +6,8 @@ Conventions used throughout the package:
 * tensor products put the system factor first and the environment last, and
   ``kron`` follows the row-major index convention ``(i·r_b + k, j·c_b + l)``;
 * ``vec``/``unvec`` are row-major (C order), so ``vec(A X B) = (A ⊗ B^T) vec(X)``;
-* all rank decisions go through one SVD-based helper with a relative cutoff.
+* all rank decisions go through one SVD-based helper with a relative cutoff,
+  and all null spaces through :func:`null_space`.
 """
 
 from __future__ import annotations
@@ -121,6 +122,24 @@ def svd_rank(m: np.ndarray, tol: float = TOL_RANK) -> int:
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.count_nonzero(s > tol * s[0]))
+
+
+def null_space(a: np.ndarray, tol: float, scale: float) -> np.ndarray:
+    """Orthonormal basis of ker a, one basis vector per row.
+
+    Singular values above ``tol·max(σ_max, scale)`` count towards the rank;
+    ``scale`` is a noise floor for inputs that may be pure rounding noise, where
+    a cutoff relative to σ_max alone would keep noise.  A tall input is first
+    reduced to its R factor, which has the same singular values and right
+    singular vectors, so the tall U is never formed.
+    """
+    a = asmatrix(a)
+    if a.shape[0] > a.shape[1]:
+        a = np.linalg.qr(a, mode="r")
+    _, s, vh = np.linalg.svd(a)
+    smax = s[0] if s.size else 0.0
+    rank = int(np.count_nonzero(s > tol * max(smax, scale))) if smax > 0 else 0
+    return np.conj(vh[rank:])
 
 
 def orthonormalize_span(vectors, tol: float = TOL_RANK, ambient_dim: int | None = None) -> SubspaceBasis:

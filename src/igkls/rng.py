@@ -66,13 +66,6 @@ class CounterRng:
 
     # --- matrix-valued draws (row-major fill order) -------------------------
 
-    def real_matrix(self, rows: int, cols: int) -> np.ndarray:
-        out = np.empty((rows, cols), dtype=np.float64)
-        for i in range(rows):
-            for j in range(cols):
-                out[i, j] = self.gauss()
-        return out
-
     def complex_matrix(self, rows: int, cols: int) -> np.ndarray:
         """Standard complex Gaussian entries (re then im per entry)."""
         out = np.empty((rows, cols), dtype=np.complex128)

@@ -14,6 +14,7 @@ import pytest
 from igkls import (
     AtomicDecomposition,
     AtomicNormalForm,
+    FactorizationResidual,
     GKLSRep,
     NotEquivalent,
     NotInvariant,
@@ -269,6 +270,18 @@ def test_invariant_split_pure_intertwiner_generator():
     assert frob(split.b - v) <= 1e-9 * scale
     assert frob(split.k_alg) <= 1e-9 * scale
     assert frob(split.h_comm - kron(eye(da), hb)) <= 1e-9 * scale
+
+
+def test_invariant_split_reassembly_check_is_typed_and_fails_on_nan():
+    # a NaN in K slips past the structural checks (every comparison with NaN
+    # is false) and must be caught by the reassembly check, also under -O
+    rng = rng_for(420)
+    d, e = 3, 2
+    dec = AtomicDecomposition(d=d, u_alg=eye(d), d0=0, factors=[(d, 1)])
+    k = crandn(rng, d, d)
+    k[0, 1] = np.nan
+    with pytest.raises(FactorizationResidual, match="reassemble K"):
+        invariant_split(make_gkls(crandn(rng, d * e, d), k), dec)
 
 
 def test_invariant_split_full_matrix_algebra():

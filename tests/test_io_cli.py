@@ -401,3 +401,47 @@ def test_cli_algebra_commands(tmp_path, capsys):
     doc = json.loads(out)
     expected_dim = dec.d0 ** 2 + sum(db * db for _, db in dec.factors)
     assert doc["result"]["dimension"] == expected_dim
+
+
+def test_cli_memory_error_is_a_structured_failure(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "alg.json"
+    assert run_cli(capsys, ["random", "--kind", "algebra", "--seed", "13",
+                            "--out", str(path)])[0] == 0
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 16.0 GiB for the commutator stack")
+
+    monkeypatch.setattr("igkls.cli.commutant", out_of_memory)
+    code, out, err = run_cli(capsys, ["commutant", "--in", str(path)])
+    assert code == 1
+    assert err == ""
+    doc = json.loads(out)
+    assert doc["ok"] is False and doc["exit_code"] == 1
+    assert doc["error"]["type"] == "MemoryError"
+    assert "16.0 GiB" in doc["error"]["message"]
+
+
+def _random_algebra(capsys, tmp_path, params):
+    path = tmp_path / "alg.json"
+    assert run_cli(capsys, ["random", "--kind", "algebra", "--params",
+                            json.dumps(params), "--out", str(path)])[0] == 0
+    return path
+
+
+def test_cli_algebra_decompose_at_the_dimension_cap(tmp_path, capsys):
+    factors = [[4, 4], [3, 3], [2, 2]]
+    path = _random_algebra(capsys, tmp_path, {"factors": factors, "d0": 3})
+    code, out, _ = run_cli(capsys, ["algebra-decompose", "--in", str(path)])
+    assert code == 0
+    recovered = json.loads(out)["result"]["recovered"]
+    assert recovered["d0"] == 3
+    assert sorted(recovered["factors"]) == sorted(factors)
+
+
+def test_cli_commutant_at_d24(tmp_path, capsys):
+    factors = [[3, 3], [2, 4], [2, 3]]
+    path = _random_algebra(capsys, tmp_path, {"factors": factors, "d0": 1})
+    code, out, _ = run_cli(capsys, ["commutant", "--in", str(path)])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["result"]["dimension"] == 1 + sum(db * db for _, db in factors)

@@ -5,6 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from igkls import (
+    AlgebraBasis,
+    AtomicDecomposition,
+    algebra_from_decomposition,
+    commutant,
     dag,
     embed_support,
     eye,
@@ -20,6 +24,7 @@ from igkls import (
     unvec,
     vec,
 )
+from igkls.linalg import null_space
 from conftest import crandn, haar_isometry, haar_unitary, kron_oracle, ptrace_oracle, rng_for
 
 
@@ -214,3 +219,106 @@ def test_dag_is_involutive_antihomomorphism(seed):
     b = crandn(rng, n, n)
     assert np.array_equal(dag(dag(a)), a)
     assert frob(dag(a @ b) - dag(b) @ dag(a)) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# null space kernel
+# ---------------------------------------------------------------------------
+
+
+def _null_space_reference(a, tol, scale):
+    """Full-U SVD with the cutoff tol·max(σ_max, scale): (rank, null rows)."""
+    _, s, vh = np.linalg.svd(a, full_matrices=True)
+    smax = s[0] if s.size else 0.0
+    rank = int(np.count_nonzero(s > tol * max(smax, scale))) if smax > 0 else 0
+    return rank, np.conj(vh[rank:])
+
+
+def _assert_null_space_matches_reference(a, tol, scale):
+    rank, want = _null_space_reference(a, tol, scale)
+    got = null_space(a, tol, scale)
+    assert got.shape == (a.shape[1] - rank, a.shape[1])
+    assert frob(got @ dag(got) - eye(got.shape[0])) <= 1e-10
+    # rows are conjugated right singular vectors, so a·rowᵀ vanishes
+    assert frob(a @ got.T) <= 1e-9 * max(frob(a), scale, 1.0)
+    assert frob(got.T @ np.conj(got) - want.T @ np.conj(want)) <= 1e-10
+    return got
+
+
+def _planted_algebra(rng, d0, factors):
+    d = d0 + sum(a * b for a, b in factors)
+    dec = AtomicDecomposition(d=d, u_alg=haar_unitary(rng, d), d0=d0, factors=factors)
+    return algebra_from_decomposition(dec)
+
+
+def _commutator_stack(basis):
+    d = basis[0].shape[0]
+    return np.vstack([kron_oracle(b, eye(d)) - kron_oracle(eye(d), b.T) for b in basis])
+
+
+def test_null_space_matches_full_svd_on_planted_commutant_stacks():
+    rng = rng_for(113)
+    shapes = [
+        (0, [(2, 1), (1, 2)]),
+        (1, [(2, 2), (1, 1)]),
+        (2, [(2, 3)]),
+        (1, [(2, 2), (3, 1), (1, 2)]),
+        (0, [(3, 2), (2, 3)]),
+    ]
+    for d0, factors in shapes:
+        alg = _planted_algebra(rng, d0, factors)
+        stacked = _commutator_stack(alg.basis)
+        assert stacked.shape[0] > stacked.shape[1]  # the QR branch
+        bscale = max(frob(b) for b in alg.basis)
+        got = _assert_null_space_matches_reference(stacked, 1e-9, bscale)
+        assert got.shape[0] == d0 ** 2 + sum(db * db for _, db in factors)
+        comm = commutant(alg)
+        assert comm.dim == got.shape[0]
+
+
+def test_null_space_noise_floor_on_central_and_abelian_bases():
+    rng = rng_for(114)
+    d = 6
+    u = haar_unitary(rng, d)
+    # a central basis: its commutator stack is pure rounding noise
+    central = [u @ (eye(d) / np.sqrt(d)) @ dag(u)]
+    stacked = _commutator_stack(central)
+    got = _assert_null_space_matches_reference(stacked, 1e-9, 1.0)
+    assert got.shape[0] == d * d
+    assert commutant(AlgebraBasis(d, central)).dim == d * d
+    # an abelian basis: every pairwise commutator is rounding noise, so the
+    # centre-coefficient matrix must have a full null space
+    abelian = _planted_algebra(rng, 0, [(1, 1)] * d).basis
+    rows = np.stack(
+        [np.concatenate([vec(bk @ bj - bj @ bk) for bj in abelian]) for bk in abelian],
+        axis=1,
+    )
+    assert 0.0 < frob(rows) <= 1e-12
+    got = _assert_null_space_matches_reference(rows, 1e-9, 1.0)
+    assert got.shape[0] == d
+    # negative control: without the floor, rounding noise counts as rank
+    assert null_space(rows, 1e-9, 0.0).shape[0] < d
+
+
+def test_null_space_noise_floor_on_a_channel_that_fixes_everything():
+    rng = rng_for(115)
+    d = 4
+    c = crandn(rng, 3, 1).reshape(-1)
+    c /= np.linalg.norm(c)
+    u = haar_unitary(rng, d)
+    ops = [ck * (u @ dag(u)) for ck in c]
+    transfer = sum(kron_oracle(op, np.conj(op)) for op in ops) - eye(d * d)
+    assert frob(transfer) <= 1e-12
+    kscale = max(1.0, sum(frob(op) ** 2 for op in ops))
+    got = _assert_null_space_matches_reference(transfer, 1e-12, kscale)
+    assert got.shape[0] == d * d
+
+
+def test_null_space_of_wide_and_square_inputs():
+    rng = rng_for(116)
+    wide = crandn(rng, 3, 7)
+    assert _assert_null_space_matches_reference(wide, 1e-9, 0.0).shape[0] == 4
+    square = crandn(rng, 6, 3) @ crandn(rng, 3, 6)
+    assert _assert_null_space_matches_reference(square, 1e-9, 0.0).shape[0] == 3
+    assert null_space(np.zeros((2, 5)), 1e-9, 0.0).shape == (5, 5)
+    assert null_space(eye(4), 1e-9, 0.0).shape == (0, 4)
