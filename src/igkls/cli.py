@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -669,6 +670,18 @@ def _json_default(obj):
     raise TypeError(f"not JSON-serializable: {type(obj).__name__}")
 
 
+def _positive_tolerance(text: str) -> float:
+    """argparse type for tolerance flags: a finite float > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number > 0, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="igkls",
@@ -684,8 +697,10 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="where to write the produced bundle (or the report "
                             "for verify-only commands)")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol-rank", type=float, default=None, dest="tol_rank")
-        p.add_argument("--tol-verify", type=float, default=None, dest="tol_verify")
+        p.add_argument("--tol-rank", type=_positive_tolerance, default=None,
+                       dest="tol_rank")
+        p.add_argument("--tol-verify", type=_positive_tolerance, default=None,
+                       dest="tol_verify")
         p.add_argument("--text", action="store_true",
                        help="human-readable report instead of JSON")
         if name == "random":

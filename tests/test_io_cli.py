@@ -8,6 +8,11 @@ argv lists and assert on exit codes, report structure, and produced bundles.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -244,6 +249,21 @@ def test_cli_usage_errors_exit_2(tmp_path, capsys):
     assert "exceeds" in err
 
 
+@pytest.mark.parametrize("flag", ["--tol-rank", "--tol-verify"])
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+def test_cli_rejects_non_positive_or_non_finite_tolerances(tmp_path, capsys,
+                                                          flag, value):
+    path = tmp_path / "g.json"
+    assert run_cli(capsys, ["random", "--kind", "gkls", "--seed", "1",
+                            "--out", str(path)])[0] == 0
+    code, out, err = run_cli(capsys, ["gkls-normal-form", "--in", str(path),
+                                      f"{flag}={value}"])
+    assert code == 2
+    assert out == ""
+    assert "usage:" in err and "error:" in err and flag in err
+    assert "Traceback" not in err
+
+
 def test_cli_text_rendering(capsys):
     code, out, _ = run_cli(capsys, ["random", "--kind", "algebra", "--seed", "1",
                                     "--text"])
@@ -385,6 +405,49 @@ def test_cli_probe_command(tmp_path, capsys):
     doc = json.loads(out)
     names = [c["name"] for c in doc["checks"]]
     assert names == ["probe_t=0.1", "probe_t=1", "probe_t=10"]
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _run_python(args, cwd):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_import_loads_no_scipy_until_the_probe_runs(tmp_path):
+    script = textwrap.dedent("""
+        import sys
+        import igkls, igkls.cli
+        loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
+        assert not loaded, loaded
+        from igkls.io import _decode_algebra, random_instance
+        bundle = random_instance("gkls", seed=540)
+        dec = _decode_algebra(bundle.meta["algebra"], 1e-9, "meta.algebra")
+        rep = igkls.semigroup_invariance_probe(bundle.payload, dec, [0.1, 1.0])
+        assert rep.passed, rep.max_residuals
+        assert "scipy.linalg" in sys.modules
+        print("ok")
+    """)
+    proc = _run_python(["-c", script], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"
+
+
+def test_cli_probe_subprocess_on_a_d8_bundle(tmp_path):
+    params = '{"factors":[[2,2],[1,3]],"d0":1,"d_env":2}'
+    proc = _run_python(["-m", "igkls.cli", "random", "--kind", "gkls", "--seed",
+                        "1", "--params", params, "--out", "g.json"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert decode(tmp_path / "g.json").payload.d == 8
+    proc = _run_python(["-m", "igkls.cli", "probe", "--in", "g.json"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    checks = json.loads(proc.stdout)["checks"]
+    assert [c["name"] for c in checks] == ["probe_t=0.1", "probe_t=1", "probe_t=10"]
+    assert all(c["passed"] for c in checks)
 
 
 def test_cli_algebra_commands(tmp_path, capsys):
