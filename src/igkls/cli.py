@@ -56,8 +56,9 @@ from .cpmaps import (
 from .errors import IgklsError, InvariantError, NotInvariant, ParseError, SchemaError
 from .gkls import (
     GKLSRep,
+    _superop_distance,
+    _superop_norm,
     atomic_normal_form,
-    generator_superoperator,
     gkls_apply,
     gkls_gauge,
     gkls_minimalize,
@@ -200,9 +201,7 @@ def _schrodinger_kraus(rec: CpMapRecord):
 
 
 def _superop_rel_distance(g1: GKLSRep, g2: GKLSRep) -> float:
-    l1 = generator_superoperator(g1)
-    l2 = generator_superoperator(g2)
-    return frob(l1 - l2) / max(1.0, frob(l1))
+    return _superop_distance(g1, g2) / max(1.0, _superop_norm(g1))
 
 
 def _generator_scale(g: GKLSRep) -> float:

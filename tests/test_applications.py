@@ -33,6 +33,9 @@ from igkls import (
     semicausal_check,
     semigroup_invariance_probe,
 )
+from igkls import applications
+from igkls.algebra import algebra_pattern_basis, pattern_residual
+from igkls.applications import _hermitian_frame
 from igkls.io import _decode_algebra
 from igkls.linalg import dag, eye, frob, kron
 
@@ -44,6 +47,7 @@ from conftest import (
     random_density,
     random_hermitian,
     rng_for,
+    superop_oracle,
 )
 
 
@@ -470,3 +474,84 @@ def test_probe_leakage_scales_linearly_in_time():
     assert r1 > 1e-8  # well above floating noise
     assert 1.9 <= r2 / r1 <= 2.1  # first-order leakage
     assert not semigroup_invariance_probe(g, dec, [1.0]).passed
+
+
+def dense_probe_reference(g, dec, times, tol=1e-6):
+    """The probe as a dense complex expm of L in the matrix-unit basis."""
+    import scipy.linalg
+
+    l_super = superop_oracle(lambda x: gkls_apply(g, x), g.d)
+    out = []
+    for t in times:
+        prop = scipy.linalg.expm(t * l_super)
+        worst = 0.0
+        for x in algebra_pattern_basis(dec):
+            y = (prop @ x.reshape(-1)).reshape(g.d, g.d)
+            worst = max(worst, pattern_residual(y, dec) / max(1.0, frob(y)))
+        out.append(worst)
+    return out, all(r <= tol for r in out)
+
+
+def test_hermitian_frame_is_a_unitary_change_to_hermitian_matrices():
+    for d in (1, 2, 5):
+        w1, w2, perm = _hermitian_frame(d)
+        t = np.diag(w1) + np.eye(d * d)[:, perm] @ np.diag(w2)
+        assert frob(dag(t) @ t - eye(d * d)) <= 1e-14
+        for r in range(d * d):
+            h = t[:, r].reshape(d, d)
+            assert frob(h - dag(h)) == 0.0
+
+
+_PROBE_SHAPES = [
+    {"factors": [[1, 2], [1, 1]], "d0": 1, "d_env": 2},          # d = 4
+    {"factors": [[2, 2], [1, 2]], "d0": 0, "d_env": 2},          # d = 6
+    {"factors": [[2, 2], [1, 3]], "d0": 1, "d_env": 2},          # d = 8
+    {"factors": [[2, 3], [2, 2]], "d0": 0, "d_env": 1},          # d = 10
+    {"factors": [[2, 2], [2, 2], [1, 4]], "d0": 0, "d_env": 2},  # d = 12
+]
+
+
+@pytest.mark.parametrize("shape", _PROBE_SHAPES)
+def test_probe_matches_dense_complex_expm_reference(shape):
+    # invariant and perturbed generators, each as sampled (strongly damped)
+    # and with K shifted so that tr L = 0 (images of norm ~1 at every t)
+    bundle = random_instance("gkls", shape, seed=550)
+    g = bundle.payload
+    d = g.d
+    dec = _decode_algebra(bundle.meta["algebra"], 1e-9, "meta.algebra")
+    rng = rng_for(551 + d)
+    v_pert = g.v + 0.05 * crandn(rng, *g.v.shape)
+    times = [0.1, 1.0, 10.0]
+    for v in (g.v, v_pert):
+        g_raw = make_gkls(v, g.k)
+        mu = np.trace(superop_oracle(lambda x: gkls_apply(g_raw, x), d)).real / d**2
+        for k in (g.k, g.k + 0.5 * mu * eye(d)):
+            gg = make_gkls(v, k)
+            want, verdict = dense_probe_reference(gg, dec, times)
+            rep = semigroup_invariance_probe(gg, dec, times)
+            assert rep.passed == verdict
+            np.testing.assert_allclose(rep.max_residuals, want, rtol=1e-6, atol=1e-12)
+    assert max(want) > 1e-3  # the centred perturbed case leaks visibly
+
+
+def test_probe_survives_a_large_scalar_shift_of_k():
+    # K − 100·1 multiplies e^{tL} by e^{200t}: a dense expm overflows at
+    # t = 10 and its NaN residual used to vanish inside max(); the centred
+    # probe sees the same images up to the scalar
+    bundle = random_instance(
+        "gkls", {"factors": [[2, 2], [1, 3]], "d0": 1, "d_env": 2}, seed=7)
+    g = bundle.payload
+    dec = _decode_algebra(bundle.meta["algebra"], 1e-9, "meta.algebra")
+    shifted = make_gkls(g.v, g.k - 100 * eye(g.d))
+    rep = semigroup_invariance_probe(shifted, dec, [0.1, 1.0, 10.0])
+    assert rep.passed
+    assert all(np.isfinite(r) and r <= 1e-12 for r in rep.max_residuals)
+
+
+def test_probe_fails_on_a_nan_residual(monkeypatch):
+    bundle = random_instance("gkls", seed=540)
+    dec = _decode_algebra(bundle.meta["algebra"], 1e-9, "meta.algebra")
+    monkeypatch.setattr(applications, "pattern_residual", lambda x, dec: float("nan"))
+    rep = semigroup_invariance_probe(bundle.payload, dec, [0.1, 10.0])
+    assert not rep.passed
+    assert all(np.isnan(r) for r in rep.max_residuals)

@@ -39,6 +39,7 @@ from igkls import (
     reduce_normal_form_minimal,
     twirl_to_commutant,
 )
+from igkls.gkls import _superop_distance, _superop_norm
 from igkls.io import _decode_algebra
 from igkls.linalg import dag, eye, frob, kron
 
@@ -100,6 +101,35 @@ def test_gkls_apply_matches_kraus_oracle():
     sup = generator_superoperator(g)
     oracle = superop_oracle(lambda y: gkls_kraus_oracle(v, k, y), d)
     assert frob(sup - oracle) <= 1e-11
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+@pytest.mark.parametrize("e", [0, 1, 3])
+def test_generator_superoperator_matches_dense_oracle(d, e):
+    rng = rng_for(430 + 10 * d + e)
+    v = crandn(rng, d * e, d)
+    k = crandn(rng, d, d)
+    g = make_gkls(v, k)
+    oracle = superop_oracle(lambda y: gkls_kraus_oracle(v, k, y), d)
+    assert frob(generator_superoperator(g) - oracle) <= 1e-12 * max(1.0, frob(oracle))
+    assert abs(_superop_norm(g) - frob(oracle)) <= 1e-12 * max(1.0, frob(oracle))
+
+
+def test_superop_distance_matches_dense_oracle():
+    rng = rng_for(445)
+    for d, e1, e2 in [(2, 0, 1), (3, 1, 3), (4, 2, 2), (5, 3, 0)]:
+        v1, k1 = crandn(rng, d * e1, d), crandn(rng, d, d)
+        v2, k2 = crandn(rng, d * e2, d), crandn(rng, d, d)
+        want = frob(superop_oracle(lambda y: gkls_kraus_oracle(v1, k1, y), d)
+                    - superop_oracle(lambda y: gkls_kraus_oracle(v2, k2, y), d))
+        got = _superop_distance(make_gkls(v1, k1), make_gkls(v2, k2))
+        assert abs(got - want) <= 1e-12 * want
+    # a gauge-equivalent pair with a larger environment defines the same L
+    d, e = 3, 2
+    v, k = crandn(rng, d * e, d), crandn(rng, d, d)
+    g1 = make_gkls(v, k)
+    g2 = gauge_transform(g1, haar_isometry(rng, e + 2, e), crandn(rng, e + 2, 1)[:, 0], 0.3)
+    assert _superop_distance(g1, g2) <= 1e-12 * _superop_norm(g1)
 
 
 def test_gkls_apply_annihilates_identity_for_balanced_k():
@@ -246,6 +276,24 @@ def test_gauge_rejects_different_generator_and_nonminimal_input():
     g_flat = make_gkls(kron(eye(d), chi), k)
     with pytest.raises(NotMinimal):
         gkls_gauge(g_flat, g_flat)
+
+
+def test_same_generator_certificates_fail_on_nan():
+    # with one NaN in K the superoperator gap is NaN; a check written
+    # `gap > bound` let it through, so minimalize returned a NaN K_min and
+    # gauge a finite μ
+    bundle = random_instance(
+        "gkls", {"factors": [[2, 2], [1, 3]], "d0": 1, "d_env": 2}, seed=7)
+    g = gkls_minimalize(bundle.payload).g_min
+    k = g.k.copy()
+    k[0, 1] = np.nan
+    g_nan = GKLSRep(d=g.d, stine=g.stine, k=k)
+    with pytest.raises(FactorizationResidual, match="changed the generator"):
+        gkls_minimalize(g_nan)
+    with pytest.raises(NotSameGenerator, match="different generators"):
+        gkls_gauge(g, g_nan)
+    with pytest.raises(NotSameGenerator, match="different generators"):
+        gkls_gauge(g_nan, g)
 
 
 # ---------------------------------------------------------------------------
