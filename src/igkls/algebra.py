@@ -6,6 +6,15 @@ a unitary ``u_alg`` together with ``(d0, [(d_A_i, d_B_i)])`` such that every
 algebra element, conjugated by ``u_alg†``, is zero on the first ``d0``
 coordinates and of the form ``X_{A_i} ⊗ 1_{B_i}`` on the i-th diagonal block.
 
+Every block construction in the package is one move in that frame:
+conjugate by U = ``u_alg`` (``_to_frame``/``_from_frame``, with optional
+environment slots, the last tensor slot), take factor block i
+(``_blocks``, ``_factor_block``), reduce it by Tr_A/d_A or Tr_B/d_B
+(``_trace_a``/``_trace_b``) or write 1_A⊗Y or X⊗1_B into it
+(``_embed_a``/``_embed_b``, through the trace's index string read as a
+writable diagonal view), and conjugate back (``_lift``).  All modules share
+these private helpers, and the pattern-basis loop :func:`invariance_residuals`.
+
 The two exact averaging operations (`twirl_to_commutant`,
 `twirl_intertwiner`) replace group integrals by closed-form partial traces,
 which is exact in finite dimension.
@@ -67,12 +76,7 @@ class AtomicDecomposition:
 
     def offsets(self) -> list[int]:
         """Start offset of each factor block (after the d0 null block)."""
-        offs = []
-        pos = self.d0
-        for da, db in self.factors:
-            offs.append(pos)
-            pos += da * db
-        return offs
+        return [s.start for _, _, s in _blocks(self)]
 
     def p_null(self) -> np.ndarray:
         """P₀ ∈ L(H; H₀): the first d0 rows of u_alg†."""
@@ -80,9 +84,87 @@ class AtomicDecomposition:
 
     def p_factor(self, i: int) -> np.ndarray:
         """P_i ∈ L(H; H_{A_i}⊗H_{B_i}): the rows of u_alg† for factor i."""
-        off = self.offsets()[i]
-        da, db = self.factors[i]
-        return dag(self.u_alg)[off : off + da * db, :]
+        _, _, s = list(_blocks(self))[i]
+        return dag(self.u_alg)[s, :]
+
+
+# ---------------------------------------------------------------------------
+# the block frame (see the module docstring)
+# ---------------------------------------------------------------------------
+
+def _blocks(dec: AtomicDecomposition):
+    """(d_A, d_B, slice) of each factor block, in factor order."""
+    pos = dec.d0
+    for da, db in dec.factors:
+        yield da, db, slice(pos, pos + da * db)
+        pos += da * db
+
+
+def _on_system(p: np.ndarray, x: np.ndarray, e: int = 1) -> np.ndarray:
+    """(p ⊗ 1_E)·x for x whose rows are indexed (system, environment)."""
+    m = x.shape[1]
+    return (p @ x.reshape(p.shape[1], e * m)).reshape(p.shape[0] * e, m)
+
+
+def _to_frame(x: np.ndarray, dec: AtomicDecomposition, e_out: int = 1, e_in: int = 1,
+              dec_in: AtomicDecomposition | None = None) -> np.ndarray:
+    """(U†⊗1_{E_out})·x·(U_in⊗1_{E_in}) as a (d, e_out, d_in, e_in) array;
+    U_in is the frame of ``dec_in``, default ``dec``."""
+    u_in = (dec if dec_in is None else dec_in).u_alg
+    rows = _on_system(dag(dec.u_alg), x, e_out)
+    t = _on_system(u_in.T, rows.T, e_in).T
+    return t.reshape(dec.d, e_out, u_in.shape[0], e_in)
+
+
+def _from_frame(t: np.ndarray, dec: AtomicDecomposition,
+                dec_in: AtomicDecomposition | None = None) -> np.ndarray:
+    """Inverse of :func:`_to_frame`: the (d·e_out) × (d_in·e_in) matrix."""
+    u_in = (dec if dec_in is None else dec_in).u_alg
+    d, e_out, d_in, e_in = t.shape
+    rows = _on_system(dec.u_alg, t.reshape(d * e_out, d_in * e_in), e_out)
+    return _on_system(np.conj(u_in), rows.T, e_in).T
+
+
+def _factor_block(t: np.ndarray, da: int, db: int, s: slice) -> np.ndarray:
+    """Diagonal block ``s`` of a frame array as a (d_A, d_B·e_out, d_A, d_B·e_in)
+    view of ``t``."""
+    return t[s, :, s, :].reshape(da, db * t.shape[1], da, db * t.shape[3])
+
+
+def _trace_a(blk: np.ndarray) -> np.ndarray:
+    """Tr_A(blk)/d_A."""
+    return np.einsum("abac->bc", blk) / blk.shape[0]
+
+
+def _trace_b(blk: np.ndarray) -> np.ndarray:
+    """Tr_B(blk)/d_B, for a block without environment slots."""
+    return np.einsum("abcb->ac", blk) / blk.shape[1]
+
+
+def _embed_a(blk: np.ndarray, y: np.ndarray) -> None:
+    """Write 1_A⊗y into the zero block view ``blk``."""
+    np.einsum("abac->abc", blk)[...] = y
+
+
+def _embed_b(blk: np.ndarray, x: np.ndarray) -> None:
+    """Write x⊗1_B into the zero block view ``blk`` (x may be rectangular)."""
+    np.einsum("abcb->acb", blk)[...] = x[:, :, None]
+
+
+def _factor_traces(t: np.ndarray, dec: AtomicDecomposition, trace) -> list[np.ndarray]:
+    """``trace`` of every factor block of the frame array ``t``."""
+    return [trace(_factor_block(t, da, db, s)) for da, db, s in _blocks(dec)]
+
+
+def _lift(dec: AtomicDecomposition, parts, embed, e_out: int = 1, e_in: int = 1,
+          null: np.ndarray | None = None) -> np.ndarray:
+    """Σ_i (P_i†⊗1)·embed(parts[i])·(P_i⊗1), plus the frame null block ``null``."""
+    t = np.zeros((dec.d, e_out, dec.d, e_in), dtype=np.complex128)
+    if null is not None:
+        t[: dec.d0, :, : dec.d0, :] = null
+    for (da, db, s), part in zip(_blocks(dec), parts):
+        embed(_factor_block(t, da, db, s), part)
+    return _from_frame(t, dec)
 
 
 # ---------------------------------------------------------------------------
@@ -183,60 +265,59 @@ def closure_residuals(alg: AlgebraBasis) -> tuple[float, float]:
 # pattern helpers for a known decomposition
 # ---------------------------------------------------------------------------
 
+def _unit_images(dec: AtomicDecomposition, mids) -> list[np.ndarray]:
+    """U(0 ⊕ … E_ac⊗M_i …)U† for each factor i (M_i = ``mids[i]``) and each
+    matrix unit E_ac on A_i, in factor order and (a, c) row-major."""
+    out = []
+    for (da, db, s), m in zip(_blocks(dec), mids):
+        w = dec.u_alg[:, s].reshape(dec.d, da, db)
+        units = np.einsum("xab,ycb->acxy", w @ m, np.conj(w))
+        out.extend(units.reshape(da * da, dec.d, dec.d))
+    return out
+
+
 def algebra_pattern_basis(dec: AtomicDecomposition, normalized: bool = True) -> list[np.ndarray]:
     """HS-orthonormal basis of the algebra determined by ``dec``.
 
     One element per matrix unit on each A-factor: U(0 ⊕ … E_ab⊗1_B …)U†/√d_B.
     """
-    u = dec.u_alg
-    out = []
-    for i, (da, db) in enumerate(dec.factors):
-        off = dec.offsets()[i]
-        for a in range(da):
-            for b in range(da):
-                m = np.zeros((dec.d, dec.d), dtype=np.complex128)
-                blk = np.zeros((da, da), dtype=np.complex128)
-                blk[a, b] = 1.0
-                m[off : off + da * db, off : off + da * db] = kron(blk, eye(db))
-                if normalized:
-                    m /= np.sqrt(db)
-                out.append(u @ m @ dag(u))
-    return out
+    return _unit_images(dec, [eye(db) / np.sqrt(db) if normalized else eye(db)
+                              for _, db in dec.factors])
 
 
 def algebra_project(x: np.ndarray, dec: AtomicDecomposition) -> np.ndarray:
     """HS-orthogonal projection of x onto the algebra of ``dec``."""
-    u = dec.u_alg
-    xt = dag(u) @ asmatrix(x) @ u
-    out = np.zeros_like(xt)
-    for i, (da, db) in enumerate(dec.factors):
-        off = dec.offsets()[i]
-        blk = xt[off : off + da * db, off : off + da * db]
-        xa = np.einsum("abcb->ac", blk.reshape(da, db, da, db)) / db
-        out[off : off + da * db, off : off + da * db] = kron(xa, eye(db))
-    return u @ out @ dag(u)
+    return _lift(dec, _factor_traces(_to_frame(asmatrix(x), dec), dec, _trace_b), _embed_b)
 
 
 def commutant_project(x: np.ndarray, dec: AtomicDecomposition) -> np.ndarray:
     """HS-orthogonal projection of x onto the commutant 𝒜′ of ``dec``.
 
-    The commutant keeps the full null block: 𝒜′ = U(L(H₀) ⊕ ⊕ 1_{A_i}⊗L(H_{B_i}))U†.
+    The commutant keeps the full null block: 𝒜′ = U(L(H₀) ⊕ ⊕ 1_{A_i}⊗L(H_{B_i}))U†,
+    so this is :func:`twirl_to_commutant` plus P₀†P₀·x·P₀†P₀.
     """
-    u = dec.u_alg
-    xt = dag(u) @ asmatrix(x) @ u
-    out = np.zeros_like(xt)
-    out[: dec.d0, : dec.d0] = xt[: dec.d0, : dec.d0]
-    for i, (da, db) in enumerate(dec.factors):
-        off = dec.offsets()[i]
-        blk = xt[off : off + da * db, off : off + da * db]
-        xb = np.einsum("abac->bc", blk.reshape(da, db, da, db)) / da
-        out[off : off + da * db, off : off + da * db] = kron(eye(da), xb)
-    return u @ out @ dag(u)
+    p0 = dec.p_null()
+    return twirl_to_commutant(x, dec) + dag(p0) @ (p0 @ asmatrix(x) @ dag(p0)) @ p0
 
 
 def pattern_residual(x: np.ndarray, dec: AtomicDecomposition) -> float:
     """Frobenius distance of x from the algebra of ``dec``."""
     return frob(asmatrix(x) - algebra_project(x, dec))
+
+
+def invariance_residuals(apply, dec_in: AtomicDecomposition,
+                         dec_out: AtomicDecomposition | None = None) -> list[float]:
+    """pattern_residual(apply(X̂), dec_out) for each X̂ of
+    ``algebra_pattern_basis(dec_in)``, in that order (``dec_out`` defaults
+    to ``dec_in``)."""
+    dec_out = dec_in if dec_out is None else dec_out
+    return [pattern_residual(apply(x), dec_out) for x in algebra_pattern_basis(dec_in)]
+
+
+def _worst(residuals) -> float:
+    """Largest residual, 0.0 for none; NaN if any residual is NaN, so that a
+    check written ``not worst <= limit`` fails on it."""
+    return float(np.max(residuals, initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -253,15 +334,7 @@ def twirl_to_commutant(x: np.ndarray, dec: AtomicDecomposition) -> np.ndarray:
     x = asmatrix(x)
     if x.shape != (dec.d, dec.d):
         raise ValueError("dimension mismatch")
-    u = dec.u_alg
-    xt = dag(u) @ x @ u
-    out = np.zeros_like(xt)
-    for i, (da, db) in enumerate(dec.factors):
-        off = dec.offsets()[i]
-        blk = xt[off : off + da * db, off : off + da * db]
-        xb = np.einsum("abac->bc", blk.reshape(da, db, da, db)) / da
-        out[off : off + da * db, off : off + da * db] = kron(eye(da), xb)
-    return u @ out @ dag(u)
+    return _lift(dec, _factor_traces(_to_frame(x, dec), dec, _trace_a), _embed_a)
 
 
 def twirl_intertwiner(v: np.ndarray, dec: AtomicDecomposition, e: int) -> np.ndarray:
@@ -275,19 +348,7 @@ def twirl_intertwiner(v: np.ndarray, dec: AtomicDecomposition, e: int) -> np.nda
     d = dec.d
     if v.shape != (d * e, d):
         raise ValueError(f"expected shape {(d * e, d)}, got {v.shape}")
-    u = dec.u_alg
-    vt = (kron(dag(u), eye(e)) @ v @ u).reshape(d, e, d)
-    out = np.zeros_like(vt)
-    for i, (da, db) in enumerate(dec.factors):
-        off = dec.offsets()[i]
-        blk = vt[off : off + da * db, :, off : off + da * db]
-        blk = blk.reshape(da, db, e, da, db)
-        b_i = np.einsum("abeac->bec", blk) / da
-        rebuilt = np.zeros((da, db, e, da, db), dtype=np.complex128)
-        for a in range(da):
-            rebuilt[a, :, :, a, :] = b_i
-        out[off : off + da * db, :, off : off + da * db] = rebuilt.reshape(da * db, e, da * db)
-    return kron(u, eye(e)) @ out.reshape(d * e, d) @ dag(u)
+    return _lift(dec, _factor_traces(_to_frame(v, dec, e), dec, _trace_a), _embed_a, e)
 
 
 @dataclass
@@ -308,44 +369,28 @@ def intertwiner_decompose(
     """Extract {B₀, B_i} from an intertwiner b ∈ L(H⊗H_Ẽ; H⊗H_E).
 
     Raises :class:`NotIntertwiner` if b does not satisfy the half-commutation
-    relation, or if the extracted blocks fail to reassemble b.
+    relation, or if the extracted blocks fail to reassemble b (also when b
+    holds a NaN).
     """
     b = asmatrix(b)
     d = dec.d
     if b.shape != (d * e_out, d * e_in):
         raise ValueError(f"expected shape {(d * e_out, d * e_in)}, got {b.shape}")
     scale = max(1.0, frob(b))
-    worst = 0.0
-    for xhat in algebra_pattern_basis(dec):
-        res = frob(kron(xhat, eye(e_out)) @ b - b @ kron(xhat, eye(e_in)))
-        worst = max(worst, res)
-    if worst > tol * scale * 10:
+    worst = _worst([
+        frob(kron(xhat, eye(e_out)) @ b - b @ kron(xhat, eye(e_in)))
+        for xhat in algebra_pattern_basis(dec)
+    ])
+    if not worst <= tol * scale * 10:
         raise NotIntertwiner("input does not intertwine the algebra action", residual=worst)
 
-    u = dec.u_alg
-    bt = (kron(dag(u), eye(e_out)) @ b @ kron(u, eye(e_in))).reshape(d, e_out, d, e_in)
-    d0 = dec.d0
-    b0 = bt[:d0, :, :d0, :].reshape(d0 * e_out, d0 * e_in)
-    parts = []
-    rebuilt = np.zeros_like(bt)
-    rebuilt[:d0, :, :d0, :] = bt[:d0, :, :d0, :]
-    for i, (da, db) in enumerate(dec.factors):
-        off = dec.offsets()[i]
-        blk = bt[off : off + da * db, :, off : off + da * db, :]
-        blk = blk.reshape(da, db, e_out, da, db, e_in)
-        b_i = np.einsum("abeacf->becf", blk) / da
-        parts.append(b_i.reshape(db * e_out, db * e_in))
-        re_blk = np.zeros((da, db, e_out, da, db, e_in), dtype=np.complex128)
-        for a in range(da):
-            re_blk[a, :, :, a, :, :] = b_i
-        rebuilt[off : off + da * db, :, off : off + da * db, :] = re_blk.reshape(
-            da * db, e_out, da * db, e_in
-        )
-    back = kron(u, eye(e_out)) @ rebuilt.reshape(d * e_out, d * e_in) @ kron(dag(u), eye(e_in))
-    res = frob(back - b)
-    if res > 1e-9 * scale * 10:
+    t = _to_frame(b, dec, e_out, e_in)
+    null = t[: dec.d0, :, : dec.d0, :]
+    parts = _factor_traces(t, dec, _trace_a)
+    res = frob(_lift(dec, parts, _embed_a, e_out, e_in, null=null) - b)
+    if not res <= 1e-9 * scale * 10:
         raise NotIntertwiner("block reassembly does not reproduce the input", residual=res)
-    return IntertwinerParts(b0=b0, b_i=parts)
+    return IntertwinerParts(b0=null.reshape(dec.d0 * e_out, dec.d0 * e_in), b_i=parts)
 
 
 # ---------------------------------------------------------------------------

@@ -35,10 +35,17 @@ import numpy as np
 
 from .algebra import (
     AtomicDecomposition,
+    _embed_a,
+    _embed_b,
+    _lift,
+    _to_frame,
+    _unit_images,
+    _worst,
     algebra_pattern_basis,
     atomic_decompose,
     close_star_algebra,
     closure_residuals,
+    invariance_residuals,
     pattern_residual,
 )
 from .cpmaps import KrausSet, StinespringRep, atomic_block_factorize, cp_invariance_check, kraus_to_stinespring
@@ -224,10 +231,7 @@ def semicausal_check(
     if d_a * d_b != g.d:
         raise ValueError(f"d_a·d_b = {d_a * d_b} does not match d = {g.d}")
     dec_sc = AtomicDecomposition(d=g.d, u_alg=eye(g.d), d0=0, factors=[(d_a, d_b)])
-    alg_res = [
-        float(pattern_residual(gkls_apply(g, x), dec_sc))
-        for x in algebra_pattern_basis(dec_sc)
-    ]
+    alg_res = invariance_residuals(lambda x: gkls_apply(g, x), dec_sc)
 
     direct_res = []
     unit = np.zeros((d_a, d_a), dtype=np.complex128)
@@ -241,7 +245,7 @@ def semicausal_check(
 
     lscale = max(1.0, frob(g.v) ** 2, frob(g.k))
     limit = max(tol, 1e-10) * lscale * 10
-    worst = max(alg_res + direct_res)
+    worst = _worst(alg_res + direct_res)
     return SemicausalReport(
         passed=bool(worst <= limit),
         max_residual=float(worst),
@@ -277,14 +281,12 @@ def dfs_verify_normal_form(
         raise ValueError("the algebra must be unital (no null block) here")
     lscale = max(1.0, frob(g.v) ** 2, frob(g.k))
     limit = max(tol, 1e-10) * lscale * 10
-    basis = algebra_pattern_basis(dec)
-    inv = max(
-        (float(pattern_residual(gkls_apply(g, x), dec)) for x in basis), default=0.0
-    )
-    if inv > limit:
+    inv = _worst(invariance_residuals(lambda x: gkls_apply(g, x), dec))
+    if not inv <= limit:
         raise NotInvariant("generator does not leave the algebra invariant",
                            residual=inv)
 
+    basis = algebra_pattern_basis(dec)
     l_one = gkls_apply(g, eye(g.d))
     diss = 0.0
     for x in basis:
@@ -328,33 +330,22 @@ def dfs_verify_normal_form(
         psi.append(np.array([c], dtype=np.complex128))
 
     beta: list[list[np.ndarray]] = []
+    couplings: list[np.ndarray] = []
     kappa_a: list[np.ndarray] = []
     kappa_b: list[np.ndarray] = []
-    h_tilde = np.zeros((g.d, g.d), dtype=np.complex128)
     for i, (da, db) in enumerate(dec.factors):
         coupling = nf.u[i][i] @ kron(psi[i][:, None], eye(db))  # (db·e) × db
         m_i = coupling + nf.b[i]
+        couplings.append(m_i)
         beta.append([m_i.reshape(db, e, db)[:, idx, :] for idx in range(e)])
         kappa_a.append(im_part(nf.k_a[i]))
         kappa_b.append(nf.h_b[i] + im_part(dag(nf.b[i]) @ coupling))
-        p_i = dec.p_factor(i)
-        h_tilde += dag(p_i) @ kron(kappa_a[i], eye(db)) @ p_i
+    h_tilde = _lift(dec, kappa_a, _embed_b)
 
     # re-verify the extracted data against the input representation
-    slices = g.v.reshape(g.d, e, g.d)
-    kraus_res = 0.0
-    for idx in range(e):
-        pred = np.zeros((g.d, g.d), dtype=np.complex128)
-        for i, (da, db) in enumerate(dec.factors):
-            p_i = dec.p_factor(i)
-            pred += dag(p_i) @ kron(eye(da), beta[i][idx]) @ p_i
-        kraus_res = max(kraus_res, frob(slices[:, idx, :] - pred))
-    imk_pred = np.zeros((g.d, g.d), dtype=np.complex128)
-    for i, (da, db) in enumerate(dec.factors):
-        p_i = dec.p_factor(i)
-        imk_pred += dag(p_i) @ (
-            kron(kappa_a[i], eye(db)) + kron(eye(da), kappa_b[i])
-        ) @ p_i
+    pred = (g.v - _lift(dec, couplings, _embed_a, e)).reshape(g.d, e, g.d)
+    kraus_res = float(np.max(np.linalg.norm(pred, axis=(0, 2)), initial=0.0))
+    imk_pred = h_tilde + _lift(dec, kappa_b, _embed_a)
     imk_res = frob(im_part(g.k) - imk_pred)
     check_limit = 1e-8 * lscale * 10
     if max(kraus_res, imk_res) > check_limit:
@@ -404,7 +395,7 @@ def maximal_abelian_coefficients(
     if c.shape != (dec.d, dec.d):
         raise ValueError("c has the wrong shape")
     d = dec.d
-    c_hat = dag(dec.u_alg) @ c @ dec.u_alg
+    c_hat = _to_frame(c, dec)[:, 0, :, 0]
     off = frob(c_hat - np.diag(np.diag(c_hat)))
     if off > max(tol, 1e-9) * max(1.0, frob(c)) * 10:
         raise NotDiagonal("c is not diagonal in the decomposition frame",
@@ -421,14 +412,8 @@ def maximal_abelian_coefficients(
                            residual=inv.max_residual)
 
     e = rep.d_env
-    psi: list[list[np.ndarray]] = []
-    for i in range(d):
-        p_i = dec.p_factor(i)
-        row = []
-        for j in range(d):
-            p_j = dec.p_factor(j)
-            row.append(kron(p_i, eye(e)) @ rep.v @ dag(p_j))  # (e, 1)
-        psi.append(row)
+    t = _to_frame(rep.v, dec, e)  # factor i is frame index i
+    psi = [[t[i, :, j, :] for j in range(d)] for i in range(d)]
 
     cut = max(tol, 1e-12) * vscale
     coeff = np.zeros((e, e, d), dtype=np.complex128)       # C_i stack
@@ -444,15 +429,9 @@ def maximal_abelian_coefficients(
             coeff[:, :, i] += s * outer
             coeff_adj[:, :, i] += np.conj(s) * outer
 
-    projs = [dag(dec.p_factor(i)) @ dec.p_factor(i) for i in range(d)]
-    c_mn = [
-        [sum(coeff[m, n, i] * projs[i] for i in range(d)) for n in range(e)]
-        for m in range(e)
-    ]
-    c_mn_adj = [
-        [sum(coeff_adj[m, n, i] * projs[i] for i in range(d)) for n in range(e)]
-        for m in range(e)
-    ]
+    u = dec.u_alg
+    c_mn = [[(u * coeff[m, n]) @ dag(u) for n in range(e)] for m in range(e)]
+    c_mn_adj = [[(u * coeff_adj[m, n]) @ dag(u) for n in range(e)] for m in range(e)]
 
     cscale = max(1.0, frob(c))
     comm_res = 0.0
@@ -686,10 +665,7 @@ def koashi_imoto_decompose(
             )
         v_blocks.append((c / abs(c)) * bf.u[i][i])
 
-    v_pat = np.zeros_like(w_st.v)
-    for i, (da, db) in enumerate(dec.factors):
-        p_i = dec.p_factor(i)
-        v_pat += kron(dag(p_i), eye(e)) @ kron(eye(da), v_blocks[i]) @ p_i
+    v_pat = _lift(dec, v_blocks, _embed_a, e)
     pat_res = frob(w_st.v - v_pat)
     if pat_res > 1e-8 * max(1.0, frob(w_st.v)):
         raise FactorizationResidual(
@@ -703,20 +679,10 @@ def koashi_imoto_decompose(
         ki = KrausSet(d_in=db, d_out=db, ops=[slices[:, idx, :] for idx in range(e)])
         sigma.append(fixed_point_state(ki, tol=max(tol, 1e-9)))
 
-    fam_res = 0.0
-    for i, (da, db) in enumerate(dec.factors):
-        off = dec.offsets()[i]
-        unit = np.zeros((da, da), dtype=np.complex128)
-        for p in range(da):
-            for s in range(da):
-                unit[p, s] = 1.0
-                z = np.zeros((r, r), dtype=np.complex128)
-                z[off : off + da * db, off : off + da * db] = kron(unit, sigma[i])
-                cand = dag(q) @ (dec.u_alg @ z @ dag(dec.u_alg)) @ q
-                fam_res = max(
-                    fam_res, frob(_schrodinger_apply(ops, cand) - cand)
-                )
-                unit[p, s] = 0.0
+    fam_res = max(
+        frob(_schrodinger_apply(ops, cand) - cand)
+        for cand in (dag(q) @ z @ q for z in _unit_images(dec, sigma))
+    )
     if fam_res > 1e-8 * 10:
         raise FactorizationResidual(
             "claimed fixed-point family is not fixed by the channel",

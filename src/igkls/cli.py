@@ -27,12 +27,12 @@ import numpy as np
 
 from .algebra import (
     AtomicDecomposition,
+    _worst,
     algebra_from_decomposition,
-    algebra_pattern_basis,
     atomic_decompose,
     closure_residuals,
     commutant,
-    pattern_residual,
+    invariance_residuals,
 )
 from .applications import (
     dfs_verify_normal_form,
@@ -226,10 +226,8 @@ def _cmd_algebra_decompose(bundles, flags, rep: _Report):
         detail=f"declared {sorted(dec.factors)} d0={dec.d0}, "
                f"recovered {sorted(dec2.factors)} d0={dec2.d0}",
     )
-    worst = 0.0
-    for xhat in algebra_pattern_basis(dec):
-        worst = max(worst, pattern_residual(xhat, dec2))
-    rep.check("declared_basis_in_recovered_algebra", worst, 100 * flags["tol_verify"])
+    rep.check("declared_basis_in_recovered_algebra",
+              _worst(invariance_residuals(lambda x: x, dec, dec2)), 100 * flags["tol_verify"])
     rep.info("d", dec.d)
     rep.info("declared", {"d0": dec.d0, "factors": [list(f) for f in dec.factors]})
     rep.info("recovered", {"d0": dec2.d0, "factors": [list(f) for f in dec2.factors]})
@@ -273,13 +271,9 @@ def _cmd_check_invariance(bundles, flags, rep: _Report):
         dec = _algebra_for(bundles, gb, tol)
         scale = _generator_scale(g)
         limit = max(tol, 1e-10) * scale * 10
-        residuals = [
-            pattern_residual(gkls_apply(g, xhat), dec)
-            for xhat in algebra_pattern_basis(dec)
-        ]
-        worst = max(residuals, default=0.0)
-        rep.info("per_element_residuals", [float(r) for r in residuals])
-        rep.check("generator_invariance", worst, limit)
+        residuals = invariance_residuals(lambda x: gkls_apply(g, x), dec)
+        rep.info("per_element_residuals", residuals)
+        rep.check("generator_invariance", _worst(residuals), limit)
         return None
     mb = _pick(bundles, "cp_map", required=False)
     if mb is not None:
@@ -546,11 +540,7 @@ def _cmd_random(bundles, flags, rep: _Report):
     if kind == "gkls":
         g = bundle.payload
         dec = _decode_algebra(bundle.meta["algebra"], tol, "meta.algebra")
-        worst = max(
-            (pattern_residual(gkls_apply(g, xhat), dec)
-             for xhat in algebra_pattern_basis(dec)),
-            default=0.0,
-        )
+        worst = _worst(invariance_residuals(lambda x: gkls_apply(g, x), dec))
         rep.check("generated_invariance", worst,
                   max(tol, 1e-10) * _generator_scale(g) * 10)
     elif kind == "cp_map":

@@ -15,7 +15,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import AtomicDecomposition, algebra_pattern_basis, pattern_residual
+from .algebra import (
+    AtomicDecomposition,
+    _blocks,
+    _embed_b,
+    _from_frame,
+    _on_system,
+    _to_frame,
+    invariance_residuals,
+)
 from .errors import FactorizationResidual, NotInvariant, NotMinimal, NotSameMap
 from .linalg import (
     TOL_RANK,
@@ -295,22 +303,12 @@ def cp_invariance_check(
     d_out = rep.d_out
     if dec_a.d != d_in or dec_c.d != d_out:
         raise ValueError("decomposition dimensions do not match the map")
-    residuals = []
-    for xhat in algebra_pattern_basis(dec_a):
-        residuals.append(pattern_residual(cp_apply(rep, xhat), dec_c))
+    residuals = invariance_residuals(lambda x: cp_apply(rep, x), dec_a, dec_c)
     if not residuals:
         return InvarianceReport(True, 0.0, tol, [], -1)
     worst = int(np.argmax(residuals))
     max_res = float(residuals[worst])
-    return InvarianceReport(max_res <= tol, max_res, tol, [float(r) for r in residuals],
-                            worst)
-
-
-def _pair_block(v: np.ndarray, dec_a: AtomicDecomposition, dec_c: AtomicDecomposition,
-                e: int, i: int, j: int) -> np.ndarray:
-    p_i = dec_a.p_factor(i)
-    p_j = dec_c.p_factor(j)
-    return kron(p_i, eye(e)) @ v @ dag(p_j)
+    return InvarianceReport(max_res <= tol, max_res, tol, residuals, worst)
 
 
 def atomic_block_factorize(
@@ -335,28 +333,27 @@ def atomic_block_factorize(
     scale = max(1.0, frob(v))
 
     # rows in factor i of the input algebra must not reach the output null part
-    p0_c = dec_c.p_null()
-    for i in range(len(dec_a.factors)):
-        p_i = dec_a.p_factor(i)
-        blk_i0 = kron(p_i, eye(e)) @ v @ dag(p0_c)
-        if frob(blk_i0) > tol * scale * 10:
+    t = _to_frame(v, dec_a, e, 1, dec_in=dec_c)  # (d_in, e, d_out, 1)
+    for i, (_, _, si) in enumerate(_blocks(dec_a)):
+        res_i0 = frob(t[si, :, : dec_c.d0])
+        if res_i0 > tol * scale * 10:
             raise FactorizationResidual(
-                f"factor-{i} rows reach the null output block", residual=frob(blk_i0)
+                f"factor-{i} rows reach the null output block", residual=res_i0
             )
 
-    v0 = kron(dec_a.p_null(), eye(e)) @ v
+    v0 = _on_system(dec_a.p_null(), v, e)
 
     d_f: list[list[int]] = []
     a_blocks: list[list[np.ndarray]] = []
     u_blocks: list[list[np.ndarray]] = []
     worst_pair = None
     worst_res = 0.0
-    for i, (da, db) in enumerate(dec_a.factors):
+    for i, (da, db, si) in enumerate(_blocks(dec_a)):
         d_f.append([])
         a_blocks.append([])
         u_blocks.append([])
-        for j, (dc, dd) in enumerate(dec_c.factors):
-            v_ij = _pair_block(v, dec_a, dec_c, e, i, j)
+        for j, (dc, dd, sj) in enumerate(_blocks(dec_c)):
+            v_ij = t[si, :, sj, 0].reshape(da * db * e, dc * dd)
             if frob(v_ij) <= max(tol, 1e-12) * scale * 10:
                 # below the noise floor of the parent matrix: empty pair
                 d_f[i].append(0)
@@ -364,9 +361,7 @@ def atomic_block_factorize(
                 u_blocks[i].append(np.zeros((db * e, 0), dtype=np.complex128))
                 continue
             # reference vector: first basis vector of H_{D_j}
-            psi = np.zeros((dd, 1), dtype=np.complex128)
-            psi[0, 0] = 1.0
-            g = v_ij @ kron(eye(dc), psi)  # (da·db·e) × dc, env = B_i⊗E
+            g = v_ij.reshape(da * db * e, dc, dd)[:, :, 0]  # env = B_i⊗E
             g_rep = StinespringRep(d_in=da, d_out=dc, d_env=db * e, v=g)
             a_min, _ = minimal_stinespring(g_rep, tol=tol)
             dfij = a_min.d_env
@@ -382,7 +377,9 @@ def atomic_block_factorize(
                 )
 
             # solve (1_A ⊗ U)(A ⊗ 1_D) = V_ij for U by stacked least squares
-            lhs = kron(a_ij, eye(dd)).reshape(da, dfij * dd, dc * dd)
+            lhs = np.zeros((da * dfij, dd, dc, dd), dtype=np.complex128)
+            _embed_b(lhs, a_ij)
+            lhs = lhs.reshape(da, dfij * dd, dc * dd)
             rhs = v_ij.reshape(da, db * e, dc * dd)
             m1 = np.concatenate(list(lhs), axis=1)  # (df·dd) × (da·dc·dd)
             m2 = np.concatenate(list(rhs), axis=1)  # (db·e) × (da·dc·dd)
@@ -424,25 +421,14 @@ def reassemble_factorization(
 ) -> np.ndarray:
     """Rebuild the Stinespring matrix from its block factorization."""
     e = bf.d_env
-    d_in = dec_a.d
-    d_out = dec_c.d
-    v = kron(dag(dec_a.p_null()), eye(e)) @ bf.v0
-    for i, (da, db) in enumerate(dec_a.factors):
-        p_i = dec_a.p_factor(i)
-        for j, (dc, dd) in enumerate(dec_c.factors):
-            p_j = dec_c.p_factor(j)
-            dfij = bf.d_f[i][j]
-            a_ij = bf.a[i][j]
-            u_ij = bf.u[i][j]
-            lhs = kron(a_ij, eye(dd)).reshape(da, dfij * dd, dc * dd)
-            v_ij = np.concatenate([u_ij @ lhs[a] for a in range(da)], axis=0)
-            v += kron(dag(p_i), eye(e)) @ v_ij @ p_j
-    if v.shape != (d_in * e, d_out):
-        raise FactorizationResidual(
-            f"reassembled Stinespring matrix has shape {v.shape}, "
-            f"expected {(d_in * e, d_out)}"
-        )
-    return v
+    t = np.zeros((dec_a.d, e, dec_c.d, 1), dtype=np.complex128)
+    for (da, db, si), df_row, a_row, u_row in zip(_blocks(dec_a), bf.d_f, bf.a, bf.u):
+        for (dc, dd, sj), dfij, a_ij, u_ij in zip(_blocks(dec_c), df_row, a_row, u_row):
+            # (1_A⊗U)(A⊗1_D): rows (a, b, ε), columns (c, δ)
+            v_ij = np.einsum("afc,bfd->abcd", a_ij.reshape(da, dfij, dc),
+                             u_ij.reshape(db * e, dfij, dd))
+            t[si, :, sj, 0] = v_ij.reshape(da * db, e, dc * dd)
+    return _on_system(dag(dec_a.p_null()), bf.v0, e) + _from_frame(t, dec_a, dec_in=dec_c)
 
 
 def orthogonality_check(bf: BlockFactorization, tol: float = 1e-9) -> OrthogonalityReport:

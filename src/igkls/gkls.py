@@ -27,16 +27,28 @@ import numpy as np
 
 from .algebra import (
     AtomicDecomposition,
+    _embed_a,
+    _embed_b,
+    _factor_traces,
+    _lift,
+    _on_system,
+    _to_frame,
+    _trace_a,
+    _trace_b,
+    _worst,
     algebra_pattern_basis,
     intertwiner_decompose,
+    invariance_residuals,
     pattern_residual,
     twirl_intertwiner,
     twirl_to_commutant,
 )
 from .cpmaps import (
+    BlockFactorization,
     StinespringRep,
     atomic_block_factorize,
     minimal_stinespring,
+    reassemble_factorization,
     stinespring_gauge,
     stinespring_minimal_rank,
 )
@@ -421,13 +433,6 @@ def gkls_gauge(g1: GKLSRep, g2: GKLSRep, tol: float = TOL_RANK) -> GklsGauge:
 # invariant algebra: three-part split
 # ---------------------------------------------------------------------------
 
-def _invariance_residuals(g: GKLSRep, dec: AtomicDecomposition) -> list[float]:
-    return [
-        pattern_residual(gkls_apply(g, xhat), dec)
-        for xhat in algebra_pattern_basis(dec)
-    ]
-
-
 def invariant_split(
     g: GKLSRep, dec: AtomicDecomposition, tol: float = 1e-9
 ) -> InvariantSplit:
@@ -441,67 +446,66 @@ def invariant_split(
     """
     if dec.d != g.d:
         raise ValueError("decomposition dimension does not match the generator")
-    res = _invariance_residuals(g, dec)
     scale = max(1.0, frob(g.v), frob(g.k))
-    limit = max(tol, 1e-10) * scale**2 * 10
-    if res and max(res) > limit:
-        raise NotInvariant(
-            f"generator moves algebra basis element {int(np.argmax(res))} "
-            f"out of the algebra",
-            residual=max(res),
-        )
     e = g.d_env
     p0 = dec.p_null()
-    v0 = kron(p0, eye(e)) @ g.v
+    v0 = _on_system(p0, g.v, e)
+    v_null = _on_system(dag(p0), v0, e)
     b = twirl_intertwiner(g.v, dec, e)
-    a = g.v - kron(dag(p0), eye(e)) @ v0 - b
+    a = g.v - v_null - b
     kappa = g.k - dag(b) @ a - 0.5 * dag(b) @ b
     kc = twirl_to_commutant(kappa, dec)
     h_comm = im_part(kc)
     k_alg = kappa - dag(p0) @ (p0 @ kappa) - 1j * h_comm
     k0 = p0 @ kappa
 
+    # the split identities hold for any finite input, so these checks come
+    # first and catch non-finite data; each check is written `not <=` so that
+    # a NaN residual fails
+    v_gap = frob(v_null + a + b - g.v)
+    if not v_gap <= 1e-10 * scale + 1e-12:
+        raise FactorizationResidual("split blocks do not reassemble V", residual=v_gap)
+    k_back = dag(b) @ a + 0.5 * dag(b) @ b + k_alg + 1j * h_comm + dag(p0) @ k0
+    k_gap = frob(k_back - g.k)
+    if not k_gap <= 1e-10 * scale**2 + 1e-12:
+        raise FactorizationResidual("split blocks do not reassemble K", residual=k_gap)
+
+    res = invariance_residuals(lambda x: gkls_apply(g, x), dec)
+    worst = _worst(res)
+    if not worst <= max(tol, 1e-10) * scale**2 * 10:
+        raise NotInvariant(
+            f"generator moves algebra basis element {int(np.argmax(res))} "
+            f"out of the algebra",
+            residual=worst,
+        )
     check = max(1e-8, 10 * tol) * scale**2
-    worst_a = 0.0
-    worst_b = 0.0
-    for xhat in algebra_pattern_basis(dec):
-        worst_a = max(worst_a, pattern_residual(dag(a) @ kron(xhat, eye(e)) @ a, dec))
-        worst_b = max(worst_b, frob(kron(xhat, eye(e)) @ b - b @ xhat))
-    if worst_a > check or worst_b > check:
+    worst_a = _worst(invariance_residuals(lambda x: dag(a) @ kron(x, eye(e)) @ a, dec))
+    worst_b = _worst([frob(kron(x, eye(e)) @ b - b @ x) for x in algebra_pattern_basis(dec)])
+    if not (worst_a <= check and worst_b <= check):
         raise NotInvariant(
             "split blocks fail their structural conditions",
             residual=max(worst_a, worst_b),
         )
-    if pattern_residual(k_alg, dec) > check:
-        raise NotInvariant(
-            "algebra part of K is not an algebra element",
-            residual=pattern_residual(k_alg, dec),
-        )
-    v_back = kron(dag(p0), eye(e)) @ v0 + a + b
-    k_back = dag(b) @ a + 0.5 * dag(b) @ b + k_alg + 1j * h_comm + dag(p0) @ k0
-    # written as `not <=` so that a NaN residual fails too
-    v_gap = frob(v_back - g.v)
-    if not v_gap <= 1e-10 * scale + 1e-12:
-        raise FactorizationResidual("split blocks do not reassemble V", residual=v_gap)
-    k_gap = frob(k_back - g.k)
-    if not k_gap <= 1e-10 * scale**2 + 1e-12:
-        raise FactorizationResidual("split blocks do not reassemble K", residual=k_gap)
+    k_res = pattern_residual(k_alg, dec)
+    if not k_res <= check:
+        raise NotInvariant("algebra part of K is not an algebra element", residual=k_res)
     return InvariantSplit(v0=v0, a=a, b=b, k_alg=k_alg, h_comm=h_comm, k0=k0)
 
 
 def k_only_split(
     k: np.ndarray, dec: AtomicDecomposition, tol: float = 1e-9
 ) -> KOnlySplit:
-    """Split of K for the anticommutator generator L(X) = −K†X − XK."""
+    """Split of K for the anticommutator generator L(X) = −K†X − XK.
+
+    Raises :class:`NotInvariant` when K does not preserve the algebra, also
+    when K holds a NaN.
+    """
     k = asmatrix(k)
     if k.shape != (dec.d, dec.d):
         raise ValueError("dimension mismatch")
     scale = max(1.0, frob(k))
-    limit = max(tol, 1e-10) * scale * 10
-    worst = 0.0
-    for xhat in algebra_pattern_basis(dec):
-        worst = max(worst, pattern_residual(-dag(k) @ xhat - xhat @ k, dec))
-    if worst > limit:
+    worst = _worst(invariance_residuals(lambda x: -dag(k) @ x - x @ k, dec))
+    if not worst <= max(tol, 1e-10) * scale * 10:
         raise NotInvariant("anticommutator generator does not preserve the algebra",
                            residual=worst)
     p0 = dec.p_null()
@@ -509,9 +513,9 @@ def k_only_split(
     h_comm = im_part(kc)
     k_alg = k - dag(p0) @ (p0 @ k) - 1j * h_comm
     k0 = p0 @ k
-    if pattern_residual(k_alg, dec) > max(1e-8, 10 * tol) * scale:
-        raise NotInvariant("algebra part of K is not an algebra element",
-                           residual=pattern_residual(k_alg, dec))
+    k_res = pattern_residual(k_alg, dec)
+    if not k_res <= max(1e-8, 10 * tol) * scale:
+        raise NotInvariant("algebra part of K is not an algebra element", residual=k_res)
     return KOnlySplit(k_alg=k_alg, h_comm=h_comm, k0=k0)
 
 
@@ -519,48 +523,22 @@ def k_only_split(
 # atomic normal form
 # ---------------------------------------------------------------------------
 
-def _v_sc_block(a_ij: np.ndarray, u_ij: np.ndarray, da_i: int, db_j: int) -> np.ndarray:
-    """V_ij^sc = (1_{A_i}⊗u_ij)(a_ij⊗1_{B_j}), rows ordered (a, b, ε)."""
-    cols = a_ij.shape[1] * db_j
-    lhs = kron(a_ij, eye(db_j)).reshape(da_i, -1, cols)
-    return np.concatenate([u_ij @ lhs[x] for x in range(da_i)], axis=0)
-
-
-def _assemble_a_b(nf: AtomicNormalForm) -> tuple[np.ndarray, np.ndarray]:
-    dec = nf.dec
-    e = nf.d_env
-    d = dec.d
-    a_full = np.zeros((d * e, d), dtype=np.complex128)
-    b_full = np.zeros((d * e, d), dtype=np.complex128)
-    for i, (dai, dbi) in enumerate(dec.factors):
-        p_i = dec.p_factor(i)
-        lift_i = kron(dag(p_i), eye(e))
-        b_full += lift_i @ kron(eye(dai), nf.b[i]) @ p_i
-        for j, (_, dbj) in enumerate(dec.factors):
-            v_sc = _v_sc_block(nf.a[i][j], nf.u[i][j], dai, dbj)
-            a_full += lift_i @ v_sc @ dec.p_factor(j)
-    return a_full, b_full
-
-
 def reconstruct_from_normal_form(nf: AtomicNormalForm) -> GKLSRep:
     """Rebuild (V, K) from normal-form blocks via the exact split identity."""
     dec = nf.dec
     d = dec.d
     e = nf.d_env
     p0 = dec.p_null()
-    a_full, b_full = _assemble_a_b(nf)
-    v = kron(dag(p0), eye(e)) @ nf.v0 + a_full + b_full
-    k_alg = np.zeros((d, d), dtype=np.complex128)
-    h_comm = np.zeros((d, d), dtype=np.complex128)
-    for i, (dai, dbi) in enumerate(dec.factors):
-        p_i = dec.p_factor(i)
-        k_alg += dag(p_i) @ kron(nf.k_a[i], eye(dbi)) @ p_i
-        h_comm += dag(p_i) @ kron(eye(dai), nf.h_b[i]) @ p_i
+    a_full = reassemble_factorization(
+        BlockFactorization(v0=np.zeros_like(nf.v0), d_f=nf.d_f, a=nf.a, u=nf.u, d_env=e),
+        dec, dec)
+    b_full = _lift(dec, nf.b, _embed_a, e)
+    v = _on_system(dag(p0), nf.v0, e) + a_full + b_full
     k = (
         dag(b_full) @ a_full
         + 0.5 * dag(b_full) @ b_full
-        + k_alg
-        + 1j * h_comm
+        + _lift(dec, nf.k_a, _embed_b)
+        + 1j * _lift(dec, nf.h_b, _embed_a)
         + dag(p0) @ nf.k0
     )
     return GKLSRep(d=d, stine=StinespringRep(d, d, e, v), k=k)
@@ -583,19 +561,10 @@ def atomic_normal_form(
     bf = atomic_block_factorize(s_a, dec, dec, tol=max(tol, 1e-9))
     parts = intertwiner_decompose(split.b, dec, e, 1, tol=max(tol, 1e-9))
 
-    u = dec.u_alg
-    ht = dag(u) @ split.h_comm @ u
-    kt = dag(u) @ split.k_alg @ u
-    h0 = ht[:d0, :d0]
-    k_a = []
-    h_b = []
-    for i, (da, db) in enumerate(dec.factors):
-        off = dec.offsets()[i]
-        blk_h = ht[off : off + da * db, off : off + da * db].reshape(da, db, da, db)
-        blk_k = kt[off : off + da * db, off : off + da * db].reshape(da, db, da, db)
-        h_i = np.einsum("abac->bc", blk_h) / da
-        h_b.append(0.5 * (h_i + dag(h_i)))
-        k_a.append(np.einsum("abcb->ac", blk_k) / db)
+    ht = _to_frame(split.h_comm, dec)
+    h0 = ht[:d0, 0, :d0, 0]
+    h_b = [0.5 * (h + dag(h)) for h in _factor_traces(ht, dec, _trace_a)]
+    k_a = _factor_traces(_to_frame(split.k_alg, dec), dec, _trace_b)
 
     p0 = dec.p_null()
     b0 = parts.b0

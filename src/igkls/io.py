@@ -44,7 +44,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .algebra import AtomicDecomposition
+from .algebra import AtomicDecomposition, _embed_a, _lift
 from .applications import KoashiImotoResult, koashi_imoto_decompose
 from .cpmaps import KrausSet, StinespringRep, kraus_to_stinespring, reassemble_factorization, BlockFactorization
 from .errors import InvariantError, ParseError, SchemaError
@@ -654,14 +654,8 @@ def random_instance(kind: str, params: dict | None = None, seed: int = 0) -> Ins
     draw = rng.derive(3)
     blocks = [draw.isometry(db * e, db) for (_, db) in dec.factors]
     d = dec.d
-    ops = []
-    for idx in range(e):
-        z = np.zeros((d, d), dtype=np.complex128)
-        for i, ((da, db), vi) in enumerate(zip(dec.factors, blocks)):
-            off = dec.offsets()[i]
-            slice_n = vi.reshape(db, e, db)[:, idx, :]
-            z[off : off + da * db, off : off + da * db] = np.kron(eye(da), slice_n)
-        ops.append(dec.u_alg @ z @ dag(dec.u_alg))
+    slices = _lift(dec, blocks, _embed_a, e).reshape(d, e, d)
+    ops = [slices[:, idx, :] for idx in range(e)]
     channel = KrausSet(d_in=d, d_out=d, ops=ops)
     result = koashi_imoto_decompose(channel, tol=1e-9, seed=seed)
     used.setdefault("d_env", e)

@@ -14,6 +14,7 @@ from igkls import (
     close_star_algebra,
     closure_residuals,
     commutant,
+    commutant_project,
     dag,
     eye,
     frob,
@@ -28,6 +29,7 @@ from conftest import (
     PAULI,
     block_algebra_projector_oracle,
     crandn,
+    frob_oracle,
     haar_unitary,
     kron_oracle,
     rng_for,
@@ -244,6 +246,19 @@ def test_intertwiner_decompose_round_trip():
         assert frob(got - want) <= 1e-10
 
 
+def test_intertwiner_decompose_fails_on_nan():
+    # one NaN entry makes every residual NaN, which `worst > limit` passes
+    rng = rng_for(208)
+    dec = AtomicDecomposition(
+        d=7, u_alg=haar_unitary(rng, 7), d0=1, factors=[(2, 1), (2, 2)]
+    )
+    b = twirl_intertwiner(crandn(rng, 7 * 2, 7), dec, 2)
+    intertwiner_decompose(b, dec, 2, 1)
+    b[3, 2] = np.nan
+    with pytest.raises(NotIntertwiner):
+        intertwiner_decompose(b, dec, 2, 1)
+
+
 def test_intertwiner_decompose_rejects_non_intertwiners():
     rng = rng_for(207)
     dec = AtomicDecomposition(d=4, u_alg=eye(4), d0=0, factors=[(2, 2)])
@@ -327,3 +342,52 @@ def test_algebra_pattern_basis_is_orthonormal_and_spans_the_algebra():
             want = 1.0 if i == j else 0.0
             assert abs(ip - want) <= 1e-12
         assert pattern_residual(x, dec) <= 1e-12
+
+
+_PLANTED = [(0, [(2, 3), (1, 2)]), (2, [(3, 1), (2, 2)]), (1, [(2, 2), (1, 3), (1, 1)])]
+
+
+def test_algebra_pattern_basis_order_is_factor_then_row_major_units():
+    # element k is U(0 ⊕ E_ab⊗1)U†/√d_B, factors in order, (a, b) row-major;
+    # per_element_residuals and InvarianceReport.worst_index follow it
+    rng = rng_for(210)
+    for d0, factors in _PLANTED:
+        d = d0 + sum(da * db for da, db in factors)
+        u = haar_unitary(rng, d)
+        dec = AtomicDecomposition(d=d, u_alg=u, d0=d0, factors=factors)
+        want = []
+        pos = d0
+        for da, db in factors:
+            for a in range(da):
+                for b in range(da):
+                    m = np.zeros((d, d), dtype=np.complex128)
+                    m[pos: pos + da * db, pos: pos + da * db] = kron_oracle(
+                        _unit(da, a, b), np.eye(db, dtype=np.complex128))
+                    want.append(u @ m @ u.conj().T / np.sqrt(db))
+            pos += da * db
+        got = algebra_pattern_basis(dec)
+        assert len(got) == len(want)
+        for x, y in zip(got, want):
+            assert frob_oracle(x - y) <= 1e-13
+
+
+def test_commutant_project_is_the_orthogonal_projection_onto_the_commutant():
+    # reference: the commutant from the null-space route, which shares no
+    # code with the block frame
+    rng = rng_for(211)
+    for d0, factors in _PLANTED:
+        d = d0 + sum(da * db for da, db in factors)
+        dec = AtomicDecomposition(d=d, u_alg=haar_unitary(rng, d), d0=d0,
+                                  factors=factors)
+        comm = commutant(algebra_from_decomposition(dec))
+        assert comm.dim == d0 ** 2 + sum(db * db for _, db in factors)
+        rows = np.stack([c.reshape(-1) for c in comm.basis])  # orthonormal
+        x = crandn(rng, d, d)
+        want = (rows.T @ (rows.conj() @ x.reshape(-1))).reshape(d, d)
+        got = commutant_project(x, dec)
+        assert frob_oracle(got - want) <= 1e-10
+        # the projection differs from the twirl by exactly the null block
+        p0 = dec.u_alg[:, :d0]
+        null = p0 @ (p0.conj().T @ x @ p0) @ p0.conj().T
+        assert frob_oracle(got - twirl_to_commutant(x, dec) - null) <= 1e-13
+        assert (frob_oracle(null) > 0.1) == (d0 > 0)

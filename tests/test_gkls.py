@@ -39,6 +39,7 @@ from igkls import (
     reduce_normal_form_minimal,
     twirl_to_commutant,
 )
+from igkls import algebra
 from igkls.gkls import _superop_distance, _superop_norm
 from igkls.io import _decode_algebra
 from igkls.linalg import dag, eye, frob, kron
@@ -456,6 +457,37 @@ def test_k_only_split_rejects_noninvariant_k():
     k = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=np.complex128)
     with pytest.raises(NotInvariant):
         k_only_split(k, dec)
+
+
+def test_k_only_split_fails_on_nan():
+    # one NaN entry makes the residuals NaN; Python's max(0.0, nan) drops it
+    # and `worst > limit` passes it, so the check must be NaN-propagating
+    dec = random_instance("algebra", params={"factors": [[2, 1], [1, 2]], "d0": 1},
+                          seed=425).payload
+    k = 1j * eye(dec.d)
+    k_only_split(k, dec)
+    k[0, 1] = np.nan
+    with pytest.raises(NotInvariant):
+        k_only_split(k, dec)
+
+
+def test_invariance_checks_fail_on_one_nan_residual(monkeypatch):
+    # a NaN that is not the first residual is dropped by Python's max, so the
+    # worst residual must be taken NaN-propagating
+    g, dec = decode_instance(426, {"factors": [[2, 2], [1, 3]], "d0": 1, "d_env": 2})
+    real = algebra.pattern_residual
+    calls = []
+
+    def second_is_nan(x, d):
+        calls.append(None)
+        return float("nan") if len(calls) == 2 else real(x, d)
+
+    monkeypatch.setattr(algebra, "pattern_residual", second_is_nan)
+    with pytest.raises(NotInvariant, match="basis element 1"):
+        invariant_split(g, dec)
+    calls.clear()
+    with pytest.raises(NotInvariant):
+        k_only_split(1j * eye(dec.d), dec)
 
 
 # ---------------------------------------------------------------------------
