@@ -251,13 +251,11 @@ def commutant(alg: AlgebraBasis, tol: float = TOL_RANK) -> AlgebraBasis:
 
 
 def closure_residuals(alg: AlgebraBasis) -> tuple[float, float]:
-    """(adjoint, product) closure residuals of the basis; both ~0 for algebras."""
-    adj = 0.0
-    prod = 0.0
-    for a in alg.basis:
-        adj = max(adj, _span_residual(dag(a), alg.basis))
-        for b in alg.basis:
-            prod = max(prod, _span_residual(a @ b, alg.basis))
+    """(adjoint, product) closure residuals of the basis; both ~0 for algebras,
+    NaN if any residual is NaN."""
+    adj = _worst([_span_residual(dag(a), alg.basis) for a in alg.basis])
+    prod = _worst([_span_residual(a @ b, alg.basis)
+                   for a in alg.basis for b in alg.basis])
     return adj, prod
 
 
@@ -450,10 +448,9 @@ def atomic_decompose(
     genericity failure.
     """
     d = alg.ambient_dim
-    adj_res, prod_res = closure_residuals(alg)
-    if max(adj_res, prod_res) > max(tol * 100, 1e-8):
-        raise NotClosed("basis is not closed under adjoint/product",
-                        residual=max(adj_res, prod_res))
+    closure = _worst(closure_residuals(alg))
+    if not closure <= max(tol * 100, 1e-8):
+        raise NotClosed("basis is not closed under adjoint/product", residual=closure)
 
     # support / null split (shared by all attempts; eigh is deterministic)
     if alg.dim == 0:

@@ -60,7 +60,7 @@ from .errors import (
     NotTracePreserving,
 )
 from .gkls import GKLSRep, atomic_normal_form, generator_superoperator, gkls_apply, reduce_normal_form_minimal
-from .linalg import TOL_RANK, asmatrix, dag, eye, frob, herm, im_part, kron, null_space, orthonormalize_span, subspace_residual, unvec, vec
+from .linalg import TOL_RANK, asmatrix, dag, expm, eye, frob, herm, im_part, kron, null_space, orthonormalize_span, subspace_residual, unvec, vec
 
 __all__ = [
     "SemicausalReport",
@@ -143,7 +143,8 @@ class KoashiImotoResult:
 
 @dataclass
 class ProbeReport:
-    """Residuals of e^{tL}(X) against the algebra for each probed time."""
+    """Residuals of e^{tL}(X) against the algebra for each probed time,
+    relative to ‖e^{tL}‖_F (see :func:`semigroup_invariance_probe`)."""
 
     times: list[float]
     max_residuals: list[float]
@@ -200,10 +201,10 @@ def semicausal_build(
         raise ValueError(f"a must have shape (dA·dF, dA) = {(da * d_f, da)}")
     if u.size:
         iso = frob(dag(u) @ u - eye(d_f * db))
-        if iso > 1e-9 * max(1.0, frob(u)) * 10:
+        if not iso <= 1e-9 * max(1.0, frob(u)) * 10:
             raise ValueError(f"u is not an isometry (residual {iso:.3e})")
     sa = frob(h_b - dag(h_b))
-    if sa > 1e-9 * max(1.0, frob(h_b)) * 10:
+    if not sa <= 1e-9 * max(1.0, frob(h_b)) * 10:
         raise ValueError(f"h_b is not self-adjoint (residual {sa:.3e})")
 
     v = kron(eye(da), u) @ kron(a, eye(db)) + kron(eye(da), b)
@@ -727,17 +728,30 @@ def _hermitian_frame(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return w1, w2, perm
 
 
-def _shifted_ratio(res: float, norm: float, log_scale: float) -> float:
-    """res·s / max(1, norm·s) for s = e^{log_scale}, without forming s.
+def _centred_real_generator(g: GKLSRep) -> np.ndarray:
+    """L_r − μ: the superoperator in the frame of :func:`_hermitian_frame`,
+    which is real because L preserves Hermiticity, minus μ = tr(L_r)/d²."""
+    d = g.d
+    w1, w2, perm = _hermitian_frame(d)
+    l_t = generator_superoperator(g)
+    l_t = l_t * w1 + l_t[:, perm] * w2  # L·T
+    l_r = (np.conj(w1)[:, None] * l_t + np.conj(w2)[:, None] * l_t[perm]).real
+    l_r[np.diag_indices(d * d)] -= np.trace(l_r) / (d * d)
+    return l_r
 
-    s can over- or underflow on its own; the branch taken is the one the
-    true max picks, and in the second res·s ≤ norm·s < 1.  NaN in either
-    input gives NaN.
+
+def _earlier_power(t: float, done: list[tuple[float, np.ndarray]]):
+    """(k, E(t₀)) for the least k with t = k·t₀ to rounding, 2 ≤ k ≤ 128, or None.
+
+    k ≤ 128 keeps the power E(t₀)^k to at most 12 matrix products, about
+    what one direct exponential costs.
     """
-    with np.errstate(divide="ignore"):
-        if log_scale + np.log(norm) >= 0:
-            return res / norm
-        return float(np.exp(log_scale + np.log(res)))
+    best = None
+    for t0, e0 in done:
+        k = np.rint(t / t0) if t0 > 0 else 0.0
+        if 2 <= k <= 128 and abs(t - k * t0) <= 1e-12 * t and (best is None or k < best[0]):
+            best = (int(k), e0)
+    return best
 
 
 def semigroup_invariance_probe(
@@ -752,44 +766,43 @@ def semigroup_invariance_probe(
     so this measures invariance of the *semigroup* rather than of L itself.
     L preserves Hermiticity, so in an orthonormal Hermitian basis
     (:func:`_hermitian_frame`) it is a real matrix L_r.  The probe
-    exponentiates the trace-centred t·(L_r − μ), μ = tr(L_r)/d², applies it
-    to the algebra's pattern basis and maps the images Y′ back; the true
-    image is Y = e^{tμ}Y′, and the scalar is only put back in the log
-    domain (:func:`_shifted_ratio`), so nothing overflows or underflows.
-    For each orthonormal pattern basis element X the residual of
-    Y = e^{tL}(X) is divided by max(1, ‖Y‖_F), so it is relative only when
-    ‖Y‖_F ≥ 1.  For strongly damped generators the images at t ≥ 1 are
-    tiny, and their residuals pass almost whatever L does (ROADMAP item 3).
-    A NaN residual fails the probe.
+    exponentiates the trace-centred t·(L_r − μ), μ = tr(L_r)/d²
+    (:func:`_centred_real_generator`), with the numpy scaling-and-squaring
+    Padé kernel :func:`~igkls.linalg.expm`.  A time that is an integer
+    multiple k ≥ 2 of an earlier one (to 1e-12 relative, k ≤ 128) reuses
+    its propagator as E(t) = E(t₀)^k by repeated squaring
+    (:func:`_earlier_power`), so the times 0.1, 1, 10 cost one Padé
+    evaluation and eight matrix products.
 
-    scipy is imported on the first call, so the rest of the package loads
-    without it.
+    The propagator E = e^{t(L_r − μ)} is applied to the algebra's
+    orthonormal pattern basis, and the reported residual at time t is
+    max_X dist(E(X), 𝒜) / ‖E‖_F.  The factor e^{tμ} that turns E into
+    e^{tL} cancels from this ratio, and ‖E‖_F = ‖e^{t(L − μ)}‖_F in any
+    orthonormal basis, so the ratio is the leak of e^{tL} relative to the
+    size of e^{tL} itself: it stays at rounding level for invariant
+    generators and does not vanish for damped ones that leak.  A NaN
+    residual fails the probe.
     """
-    import scipy.linalg
-
     d = g.d
     w1, w2, perm = _hermitian_frame(d)
-    l_t = generator_superoperator(g)
-    l_t = l_t * w1 + l_t[:, perm] * w2  # L·T
-    l_r = (np.conj(w1)[:, None] * l_t + np.conj(w2)[:, None] * l_t[perm]).real
-    mu = float(np.trace(l_r)) / (d * d)
-    l_r[np.diag_indices(d * d)] -= mu
+    l_r = _centred_real_generator(g)
     basis = algebra_pattern_basis(dec)
     x = np.zeros((d * d, len(basis)), dtype=np.complex128)
     for k, xhat in enumerate(basis):
         x[:, k] = vec(xhat)
     coords = np.conj(w1)[:, None] * x + np.conj(w2)[:, None] * x[perm]  # T†·x
+    done: list[tuple[float, np.ndarray]] = []
     max_res = []
-    for t in times:
-        propagator = scipy.linalg.expm(float(t) * l_r)
+    for t in map(float, times):
+        power = _earlier_power(t, done)
+        propagator = (np.linalg.matrix_power(power[1], power[0]) if power
+                      else expm(t * l_r))
+        done.append((t, propagator))
         yc = propagator @ coords.real + 1j * (propagator @ coords.imag)
         y = w1[:, None] * yc + (w2[:, None] * yc)[perm]  # T·yc
-        ratios = [
-            _shifted_ratio(pattern_residual(unvec(y[:, k], d, d), dec),
-                           frob(y[:, k]), float(t) * mu)
-            for k in range(len(basis))
-        ]
-        max_res.append(float(np.max(ratios, initial=0.0)))
+        worst = _worst([pattern_residual(unvec(y[:, k], d, d), dec)
+                        for k in range(len(basis))])
+        max_res.append(worst / frob(propagator))
     passed = bool(all(res <= tol for res in max_res))
     return ProbeReport(times=[float(t) for t in times], max_residuals=max_res,
                        tol=tol, passed=passed)

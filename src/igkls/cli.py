@@ -515,6 +515,8 @@ def _cmd_probe(bundles, flags, rep: _Report):
     report = semigroup_invariance_probe(g, dec, times=PROBE_TIMES, tol=tol)
     for t, r in zip(report.times, report.max_residuals):
         rep.check(f"probe_t={t:g}", r, report.tol)
+    rep.info("probe_residual", "max over the orthonormal pattern basis X of "
+             "dist(e^{tL}(X), algebra) / ||e^{tL}||_F")
     return None
 
 

@@ -585,8 +585,8 @@ def atomic_normal_form(
     )
     back = reconstruct_from_normal_form(nf)
     scale = max(1.0, frob(g.v), frob(g.k))
-    gap = max(frob(back.v - g.v), frob(back.k - g.k))
-    if gap > 1e-8 * scale**2:
+    gap = _worst([frob(back.v - g.v), frob(back.k - g.k)])
+    if not gap <= 1e-8 * scale**2:
         raise FactorizationResidual(
             "normal form does not reconstruct the generator", residual=gap
         )
@@ -595,21 +595,13 @@ def atomic_normal_form(
 
 def normal_form_residuals(nf: AtomicNormalForm) -> dict:
     """Residuals of the normal-form invariants (all ≈ 0 for valid forms)."""
-    herm_res = 0.0
-    for h in nf.h_b:
-        herm_res = max(herm_res, frob(h - dag(h)))
-    iso_res = 0.0
-    ortho_res = 0.0
-    for i, row in enumerate(nf.u):
-        for k, u_ik in enumerate(row):
-            iso_res = max(iso_res, frob(dag(u_ik) @ u_ik - eye(u_ik.shape[1])))
-            for l, u_il in enumerate(row):
-                if k != l:
-                    ortho_res = max(ortho_res, frob(dag(u_ik) @ u_il))
     return {
-        "h_selfadjoint": herm_res,
-        "u_isometry": iso_res,
-        "u_orthogonality": ortho_res,
+        "h_selfadjoint": _worst([frob(h - dag(h)) for h in nf.h_b]),
+        "u_isometry": _worst([frob(dag(u_ik) @ u_ik - eye(u_ik.shape[1]))
+                              for row in nf.u for u_ik in row]),
+        "u_orthogonality": _worst([frob(dag(u_ik) @ u_il) for row in nf.u
+                                   for k, u_ik in enumerate(row)
+                                   for l, u_il in enumerate(row) if k != l]),
     }
 
 
@@ -698,8 +690,8 @@ def reduce_normal_form_minimal(
     g_old = reconstruct_from_normal_form(nf)
     g_new = reconstruct_from_normal_form(out)
     scale = max(1.0, frob(g_old.v), frob(g_old.k))
-    gap = max(frob(g_old.v - g_new.v), frob(g_old.k - g_new.k))
-    if gap > 1e-8 * scale**2:
+    gap = _worst([frob(g_old.v - g_new.v), frob(g_old.k - g_new.k)])
+    if not gap <= 1e-8 * scale**2:
         raise FactorizationResidual("minimality reduction changed the generator",
                                     residual=gap)
     cert = normal_form_minimality(out, tol=tol)

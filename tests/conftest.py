@@ -162,6 +162,36 @@ def frob_oracle(a: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
+# the probed GKLS instances of the benchmark's cli_chain workload
+# ---------------------------------------------------------------------------
+
+# perfbench/workloads.py GKLS_SHAPES[0:3] (d = 8, 16, 24) with the seeds
+# derive_seed(s, "cli", 0, k) for s = 1, 2, 3.  They are strongly damped:
+# tr L/d² runs from −28 to −111, so ‖e^{tL}‖ falls to e^{−1100} at t = 10.
+CLI_CHAIN_GKLS = (
+    ({"factors": [[2, 2], [1, 3]], "d0": 1, "d_env": 2,
+      "d_f": [[2, 0], [1, 0]]}, (442319043, 691311366, 883578599)),
+    ({"factors": [[2, 3], [3, 2], [2, 2]], "d0": 0, "d_env": 2,
+      "d_f": [[1, 1, 0], [0, 1, 1], [1, 0, 0]]}, (3609265109, 2185952749, 610667569)),
+    ({"factors": [[3, 3], [2, 4], [2, 3]], "d0": 1, "d_env": 2,
+      "d_f": [[1, 0, 1], [1, 1, 0], [0, 0, 2]]}, (220216629, 2563451837, 1663797051)),
+)
+CLI_CHAIN_CASES = [
+    pytest.param(shape, seed, id=f"d{shape['d0'] + sum(a * b for a, b in shape['factors'])}-{seed}")
+    for shape, seeds in CLI_CHAIN_GKLS for seed in seeds
+]
+
+
+def cli_chain_instance(shape: dict, seed: int):
+    """(generator, algebra decomposition) of one cli_chain instance."""
+    from igkls import random_instance
+    from igkls.io import _decode_algebra
+
+    bundle = random_instance("gkls", shape, seed=seed)
+    return bundle.payload, _decode_algebra(bundle.meta["algebra"], 1e-9, "meta.algebra")
+
+
+# ---------------------------------------------------------------------------
 # (nothing below needs pytest hooks; kept as a placeholder for collection)
 # ---------------------------------------------------------------------------
 

@@ -85,6 +85,16 @@ def test_closure_residuals_certify_product_and_adjoint_closure():
     assert prod_res <= 1e-10
 
 
+def test_closure_check_fails_on_one_nan():
+    alg = close_star_algebra([np.diag([1.0, 2.0, 3.0])], unital=True)
+    basis = [b.copy() for b in alg.basis]
+    basis[-1][0, 0] = np.nan
+    bad = AlgebraBasis(ambient_dim=3, basis=basis, contains_identity=True)
+    assert all(np.isnan(r) for r in closure_residuals(bad))
+    with pytest.raises(NotClosed):
+        atomic_decompose(bad)
+
+
 def test_membership_residual_matches_projection_oracle():
     alg = close_star_algebra([PAULI["Z"]], unital=True)  # diagonal 2×2 matrices
     x = _unit(2, 0, 1)

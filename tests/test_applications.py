@@ -35,12 +35,14 @@ from igkls import (
 )
 from igkls import applications
 from igkls.algebra import algebra_pattern_basis, pattern_residual
-from igkls.applications import _hermitian_frame
+from igkls.applications import _earlier_power, _hermitian_frame
 from igkls.io import _decode_algebra
 from igkls.linalg import dag, eye, frob, kron
 
 from conftest import (
+    CLI_CHAIN_CASES,
     PAULI,
+    cli_chain_instance,
     crandn,
     haar_isometry,
     haar_unitary,
@@ -116,6 +118,13 @@ def test_semicausal_build_validates_inputs():
                          np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValueError):
         semicausal_build(np.zeros((3, 2)), good_u, zero_b, zero_a, zero)
+    nan_u = good_u.copy()
+    nan_u[0, 0] = np.nan
+    with pytest.raises(ValueError):
+        semicausal_build(zero_a, nan_u, zero_b, zero_a, zero)
+    with pytest.raises(ValueError):
+        semicausal_build(zero_a, good_u, zero_b, zero_a,
+                         np.diag([np.nan, 0.0]))
 
 
 def test_semicausal_check_passes_built_generators():
@@ -484,11 +493,9 @@ def dense_probe_reference(g, dec, times, tol=1e-6):
     out = []
     for t in times:
         prop = scipy.linalg.expm(t * l_super)
-        worst = 0.0
-        for x in algebra_pattern_basis(dec):
-            y = (prop @ x.reshape(-1)).reshape(g.d, g.d)
-            worst = max(worst, pattern_residual(y, dec) / max(1.0, frob(y)))
-        out.append(worst)
+        res = max(pattern_residual((prop @ x.reshape(-1)).reshape(g.d, g.d), dec)
+                  for x in algebra_pattern_basis(dec))
+        out.append(res / np.linalg.norm(prop))
     return out, all(r <= tol for r in out)
 
 
@@ -532,6 +539,37 @@ def test_probe_matches_dense_complex_expm_reference(shape):
             assert rep.passed == verdict
             np.testing.assert_allclose(rep.max_residuals, want, rtol=1e-6, atol=1e-12)
     assert max(want) > 1e-3  # the centred perturbed case leaks visibly
+
+
+@pytest.mark.parametrize("shape, seed", CLI_CHAIN_CASES)
+def test_probe_on_cli_chain_instances_fails_when_perturbed_and_matches_scipy(
+        shape, seed, monkeypatch):
+    # invariant: rounding level at every t.  K + 1e-2·‖K‖·G/‖G‖ (G complex
+    # Gaussian) leaks, so the probe must fail at t = 0.1 and t = 1; with power
+    # reuse it must match one scipy expm per time under the same normaliser.
+    import scipy.linalg
+
+    g, dec = cli_chain_instance(shape, seed)
+    times = [0.1, 1.0, 10.0]
+    assert max(semigroup_invariance_probe(g, dec, times).max_residuals) <= 1e-13
+    gauss = crandn(rng_for(seed), g.d, g.d)
+    leaky = make_gkls(g.v, g.k + 1e-2 * frob(g.k) * gauss / frob(gauss))
+    rep = semigroup_invariance_probe(leaky, dec, times)
+    assert not rep.passed
+    assert min(rep.max_residuals[:2]) > rep.tol
+    monkeypatch.setattr(applications, "expm", scipy.linalg.expm)
+    monkeypatch.setattr(applications, "_earlier_power", lambda t, done: None)
+    ref = semigroup_invariance_probe(leaky, dec, times)
+    np.testing.assert_allclose(rep.max_residuals, ref.max_residuals, rtol=1e-12, atol=0)
+
+
+def test_probe_reuses_a_propagator_only_for_an_integer_multiple_of_its_time():
+    done = [(0.1, "E(0.1)"), (1.0, "E(1)")]
+    assert _earlier_power(10.0, done) == (10, "E(1)")  # the least k
+    assert _earlier_power(0.3, done[:1]) == (3, "E(0.1)")
+    for t in (0.35, 1.0 + 1e-9, 0.1 * 129, float("nan"), float("inf")):
+        assert _earlier_power(t, done[:1]) is None
+    assert _earlier_power(5.0, [(0.0, "E(0)"), (-1.0, "E(-1)")]) is None
 
 
 def test_probe_survives_a_large_scalar_shift_of_k():

@@ -526,6 +526,20 @@ def test_atomic_normal_form_round_trips_sampled_instances():
         assert res["u_orthogonality"] <= 1e-9
 
 
+def test_normal_form_checks_fail_on_one_nan():
+    g, dec = decode_instance(3, {"factors": [[2, 2], [1, 3]], "d0": 1, "d_env": 2})
+    nf = atomic_normal_form(g, dec)
+    h_b = [h.copy() for h in nf.h_b]
+    h_b[0][0, 0] = np.nan
+    bad = AtomicNormalForm(
+        dec=nf.dec, v0=nf.v0, k0=nf.k0, k_a=nf.k_a, h_b=h_b, b=nf.b,
+        d_f=nf.d_f, a=nf.a, u=nf.u, d_env=nf.d_env,
+    )
+    assert np.isnan(normal_form_residuals(bad)["h_selfadjoint"])
+    with pytest.raises(FactorizationResidual):
+        reduce_normal_form_minimal(bad)
+
+
 def test_reconstruct_with_corrupted_block_isometry_is_not_invariant():
     # find an instance whose leading diagonal block has at least two columns
     # so that a generic mixing matrix genuinely breaks the isometry pattern

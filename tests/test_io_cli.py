@@ -418,23 +418,38 @@ def _run_python(args, cwd):
                           capture_output=True, text=True, timeout=120)
 
 
-def test_import_loads_no_scipy_until_the_probe_runs(tmp_path):
+def test_import_and_probe_load_no_scipy(tmp_path):
     script = textwrap.dedent("""
         import sys
         import igkls, igkls.cli
-        loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
-        assert not loaded, loaded
         from igkls.io import _decode_algebra, random_instance
         bundle = random_instance("gkls", seed=540)
         dec = _decode_algebra(bundle.meta["algebra"], 1e-9, "meta.algebra")
         rep = igkls.semigroup_invariance_probe(bundle.payload, dec, [0.1, 1.0])
         assert rep.passed, rep.max_residuals
-        assert "scipy.linalg" in sys.modules
+        loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
+        assert not loaded, loaded
         print("ok")
     """)
     proc = _run_python(["-c", script], tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "ok"
+
+
+def test_cli_random_and_probe_run_with_scipy_blocked(tmp_path):
+    # sys.modules["scipy"] = None makes every `import scipy...` raise
+    blocked = ("import runpy, sys; sys.modules['scipy'] = None; "
+               "sys.argv = ['igkls'] + sys.argv[1:]; "
+               "runpy.run_module('igkls.cli', run_name='__main__')")
+    params = '{"factors":[[2,2],[1,3]],"d0":1,"d_env":2}'
+    proc = _run_python(["-c", blocked, "random", "--kind", "gkls", "--seed", "1",
+                        "--params", params, "--out", "g.json"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    proc = _run_python(["-c", blocked, "probe", "--in", "g.json"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    checks = json.loads(proc.stdout)["checks"]
+    assert [c["name"] for c in checks] == ["probe_t=0.1", "probe_t=1", "probe_t=10"]
+    assert all(c["passed"] for c in checks)
 
 
 def test_cli_probe_subprocess_on_a_d8_bundle(tmp_path):

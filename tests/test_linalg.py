@@ -24,8 +24,18 @@ from igkls import (
     unvec,
     vec,
 )
-from igkls.linalg import null_space
-from conftest import crandn, haar_isometry, haar_unitary, kron_oracle, ptrace_oracle, rng_for
+from igkls.applications import _centred_real_generator
+from igkls.linalg import _PADE_THETA, _THETA_13, expm, null_space
+from conftest import (
+    CLI_CHAIN_CASES,
+    cli_chain_instance,
+    crandn,
+    haar_isometry,
+    haar_unitary,
+    kron_oracle,
+    ptrace_oracle,
+    rng_for,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -322,3 +332,70 @@ def test_null_space_of_wide_and_square_inputs():
     assert _assert_null_space_matches_reference(square, 1e-9, 0.0).shape[0] == 3
     assert null_space(np.zeros((2, 5)), 1e-9, 0.0).shape == (5, 5)
     assert null_space(eye(4), 1e-9, 0.0).shape == (0, 4)
+
+
+# ---------------------------------------------------------------------------
+# expm, against scipy.linalg.expm as the oracle
+# ---------------------------------------------------------------------------
+
+
+def _rel(a, b) -> float:
+    """‖a − b‖_F/‖b‖_F, scaled first so that a tiny b does not underflow."""
+    s = np.abs(b).max()
+    return float(np.linalg.norm((a - b) / s) / np.linalg.norm(b / s))
+
+
+# 1-norms near the top of each Padé-degree band (a threshold set too high
+# hands a band to a degree that is too low there), at the bottom of the
+# first one, and above θ_13, where the argument is scaled by 2^s, s = 2, 7
+_BAND_NORMS = ([1e-3] + [0.95 * theta for _, theta in _PADE_THETA]
+               + [0.95 * _THETA_13, 3 * _THETA_13, 100 * _THETA_13])
+
+
+@pytest.mark.parametrize("norm", _BAND_NORMS)
+def test_expm_matches_scipy_in_every_pade_band(norm):
+    import scipy.linalg
+
+    rng = rng_for(120)
+    for n in (1, 3, 12):
+        real = rng.standard_normal((n, n))
+        for a in (real, crandn(rng, n, n)):
+            a = a * (norm / np.linalg.norm(a, 1))
+            got = expm(a)
+            assert got.dtype == a.dtype
+            assert _rel(got, scipy.linalg.expm(a)) <= 1e-12
+
+
+def test_expm_of_zero_is_the_identity_and_of_a_scalar_is_exp():
+    for dtype in (np.float64, np.complex128):
+        got = expm(np.zeros((5, 5), dtype=dtype))
+        assert got.dtype == dtype
+        assert np.array_equal(got, np.eye(5))
+    # the Padé denominator at ‖a‖₁ ≈ θ_13 costs digits: 3.7e-14 at z = 40
+    for z in (-50.0, -1.0, 1e-8, 0.3, 2.0, 40.0, 1 + 2j, -3 + 30j):
+        np.testing.assert_allclose(expm(np.array([[z]]))[0, 0], np.exp(z), rtol=1e-13)
+    assert expm(np.zeros((0, 0))).shape == (0, 0)
+
+
+def test_expm_gives_nan_on_non_finite_input_and_rejects_non_square():
+    a = np.eye(3)
+    a[1, 2] = np.inf
+    assert np.isnan(expm(a)).all()
+    with pytest.raises(ValueError):
+        expm(np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("shape, seed", CLI_CHAIN_CASES)
+def test_expm_and_its_powers_on_the_cli_chain_generators(shape, seed):
+    # the probe's t·(L_r − μ) at d = 8, 16, 24: 1-norms 2.4 to 1200
+    import scipy.linalg
+
+    g, _ = cli_chain_instance(shape, seed)
+    l_r = _centred_real_generator(g)
+    direct = {}
+    for t in (0.1, 1.0, 10.0):
+        direct[t] = expm(t * l_r)
+        assert _rel(direct[t], scipy.linalg.expm(t * l_r)) <= 1e-12
+    # the probe reuses E(t₀)^k for t = k·t₀
+    assert _rel(np.linalg.matrix_power(direct[0.1], 10), direct[1.0]) <= 1e-12
+    assert _rel(np.linalg.matrix_power(direct[1.0], 10), direct[10.0]) <= 1e-12
