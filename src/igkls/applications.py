@@ -740,18 +740,14 @@ def _centred_real_generator(g: GKLSRep) -> np.ndarray:
     return l_r
 
 
-def _earlier_power(t: float, done: list[tuple[float, np.ndarray]]):
-    """(k, E(t₀)) for the least k with t = k·t₀ to rounding, 2 ≤ k ≤ 128, or None.
+def _integer_ratio(t: float, t0: float) -> int | None:
+    """k if t = k·t₀ to rounding (|t − k·t₀| ≤ 1e-12·t) with 2 ≤ k ≤ 128, else None.
 
     k ≤ 128 keeps the power E(t₀)^k to at most 12 matrix products, about
     what one direct exponential costs.
     """
-    best = None
-    for t0, e0 in done:
-        k = np.rint(t / t0) if t0 > 0 else 0.0
-        if 2 <= k <= 128 and abs(t - k * t0) <= 1e-12 * t and (best is None or k < best[0]):
-            best = (int(k), e0)
-    return best
+    k = np.rint(t / t0) if t0 > 0 else 0.0
+    return int(k) if 2 <= k <= 128 and abs(t - k * t0) <= 1e-12 * t else None
 
 
 def semigroup_invariance_probe(
@@ -769,10 +765,11 @@ def semigroup_invariance_probe(
     exponentiates the trace-centred t·(L_r − μ), μ = tr(L_r)/d²
     (:func:`_centred_real_generator`), with the numpy scaling-and-squaring
     Padé kernel :func:`~igkls.linalg.expm`.  A time that is an integer
-    multiple k ≥ 2 of an earlier one (to 1e-12 relative, k ≤ 128) reuses
-    its propagator as E(t) = E(t₀)^k by repeated squaring
-    (:func:`_earlier_power`), so the times 0.1, 1, 10 cost one Padé
-    evaluation and eight matrix products.
+    multiple k ≥ 2 of the time before it (to 1e-12 relative, k ≤ 128)
+    reuses that propagator as E(t) = E(t₀)^k by repeated squaring
+    (:func:`_integer_ratio`), so the times 0.1, 1, 10 cost one Padé
+    evaluation and eight matrix products, and at most two propagators are
+    held at once.
 
     The propagator E = e^{t(L_r − μ)} is applied to the algebra's
     orthonormal pattern basis, and the reported residual at time t is
@@ -780,8 +777,10 @@ def semigroup_invariance_probe(
     e^{tL} cancels from this ratio, and ‖E‖_F = ‖e^{t(L − μ)}‖_F in any
     orthonormal basis, so the ratio is the leak of e^{tL} relative to the
     size of e^{tL} itself: it stays at rounding level for invariant
-    generators and does not vanish for damped ones that leak.  A NaN
-    residual fails the probe.
+    generators and does not vanish for damped ones that leak.  ‖E‖_F lies
+    between ‖E‖₂ and d·‖E‖₂ and equals d at t = 0, so near t = 0 the same
+    ``tol`` is up to d times weaker than against ‖E‖₂, and weaker at
+    larger d.  A NaN residual fails the probe.
     """
     d = g.d
     w1, w2, perm = _hermitian_frame(d)
@@ -791,13 +790,12 @@ def semigroup_invariance_probe(
     for k, xhat in enumerate(basis):
         x[:, k] = vec(xhat)
     coords = np.conj(w1)[:, None] * x + np.conj(w2)[:, None] * x[perm]  # T†·x
-    done: list[tuple[float, np.ndarray]] = []
+    prev = None  # (t₀, E(t₀)) of the previous time
     max_res = []
     for t in map(float, times):
-        power = _earlier_power(t, done)
-        propagator = (np.linalg.matrix_power(power[1], power[0]) if power
-                      else expm(t * l_r))
-        done.append((t, propagator))
+        k = _integer_ratio(t, prev[0]) if prev else None
+        propagator = np.linalg.matrix_power(prev[1], k) if k else expm(t * l_r)
+        prev = (t, propagator)
         yc = propagator @ coords.real + 1j * (propagator @ coords.imag)
         y = w1[:, None] * yc + (w2[:, None] * yc)[perm]  # T·yc
         worst = _worst([pattern_residual(unvec(y[:, k], d, d), dec)

@@ -144,35 +144,27 @@ def null_space(a: np.ndarray, tol: float, scale: float) -> np.ndarray:
     return np.conj(vh[rank:])
 
 
-# Higham (2005), Table 2.3: the largest ‖A‖₁ for which the degree-m Padé
-# approximant of e^A has backward error at most 2⁻⁵³ (unit roundoff).
-_PADE_THETA = ((3, 1.495585217958292e-2), (5, 2.539398330063230e-1),
-               (7, 9.504178996162932e-1), (9, 2.097847961257068e0))
+# Higham (2005): the largest ‖A‖₁ for which the degree-13 Padé approximant
+# of e^A has backward error at most 2⁻⁵³ (unit roundoff), and its numerator
+# coefficients b_0..b_13
 _THETA_13 = 5.371920351148152e0
-# numerator coefficients b_0..b_m of the degree-m diagonal Padé approximant
-_PADE_B = {
-    3: (120.0, 60.0, 12.0, 1.0),
-    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
-    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
-    9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
-        2162160.0, 110880.0, 3960.0, 90.0, 1.0),
-    13: (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-         1187353796428800.0, 129060195264000.0, 10559470521600.0,
-         670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
-         16380.0, 182.0, 1.0),
-}
+_PADE_B13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+             1187353796428800.0, 129060195264000.0, 10559470521600.0,
+             670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
+             16380.0, 182.0, 1.0)
 
 
 def expm(a: np.ndarray) -> np.ndarray:
     """Matrix exponential e^a by scaling and squaring, real or complex.
 
     Higham, "The scaling and squaring method for the matrix exponential
-    revisited" (SIAM J. Matrix Anal. Appl. 26, 2005), Algorithm 2.3: the
-    1-norm picks the lowest Padé degree m ∈ {3, 5, 7, 9} whose θ_m bounds
-    it; above θ_9 the degree-13 approximant is taken of a/2^s, with s the
-    least such that ‖a/2^s‖₁ ≤ θ_13, and squared s times.  A real input
-    gives a real result.  A non-finite input gives all NaN, so that checks
-    written ``not r <= limit`` fail on it.
+    revisited" (SIAM J. Matrix Anal. Appl. 26, 2005): the degree-13 Padé
+    approximant is taken of a/2^s, with s ≥ 0 the least such that
+    ‖a/2^s‖₁ ≤ θ_13, and squared s times.  Its backward-error bound holds
+    for every norm up to θ_13, so the lower degrees of Higham's
+    Algorithm 2.3, which only save products on small norms, are left out.
+    A real input gives a real result.  A non-finite input gives all NaN, so
+    that checks written ``not r <= limit`` fail on it.
     """
     a = np.asarray(a)
     a = a.astype(np.result_type(a.dtype, np.float64), copy=False)
@@ -182,22 +174,14 @@ def expm(a: np.ndarray) -> np.ndarray:
     if not np.isfinite(norm):
         return np.full_like(a, np.nan)
     ident = np.eye(a.shape[0], dtype=a.dtype)
-    a2 = a @ a
-    for m, theta in _PADE_THETA:
-        if norm <= theta:
-            b = _PADE_B[m]
-            powers = [ident, a2]
-            while len(powers) <= m // 2:
-                powers.append(powers[-1] @ a2)
-            u = a @ sum(b[2 * j + 1] * p for j, p in enumerate(powers))
-            v = sum(b[2 * j] * p for j, p in enumerate(powers))
-            return np.linalg.solve(v - u, v + u)
-    s = max(0, math.ceil(math.log2(norm / _THETA_13)))
+    if norm == 0:
+        return ident  # exactly; the solve below rounds b_0/b_0
+    s = math.ceil(math.log2(norm / _THETA_13)) if norm > _THETA_13 else 0
     a = a * 2.0**-s
-    a2 = a2 * 4.0**-s
+    a2 = a @ a
     a4 = a2 @ a2
     a6 = a4 @ a2
-    b = _PADE_B[13]
+    b = _PADE_B13
     u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
              + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
     v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)

@@ -35,7 +35,7 @@ from igkls import (
 )
 from igkls import applications
 from igkls.algebra import algebra_pattern_basis, pattern_residual
-from igkls.applications import _earlier_power, _hermitian_frame
+from igkls.applications import _hermitian_frame, _integer_ratio
 from igkls.io import _decode_algebra
 from igkls.linalg import dag, eye, frob, kron
 
@@ -558,18 +558,18 @@ def test_probe_on_cli_chain_instances_fails_when_perturbed_and_matches_scipy(
     assert not rep.passed
     assert min(rep.max_residuals[:2]) > rep.tol
     monkeypatch.setattr(applications, "expm", scipy.linalg.expm)
-    monkeypatch.setattr(applications, "_earlier_power", lambda t, done: None)
+    monkeypatch.setattr(applications, "_integer_ratio", lambda t, t0: None)
     ref = semigroup_invariance_probe(leaky, dec, times)
     np.testing.assert_allclose(rep.max_residuals, ref.max_residuals, rtol=1e-12, atol=0)
 
 
 def test_probe_reuses_a_propagator_only_for_an_integer_multiple_of_its_time():
-    done = [(0.1, "E(0.1)"), (1.0, "E(1)")]
-    assert _earlier_power(10.0, done) == (10, "E(1)")  # the least k
-    assert _earlier_power(0.3, done[:1]) == (3, "E(0.1)")
-    for t in (0.35, 1.0 + 1e-9, 0.1 * 129, float("nan"), float("inf")):
-        assert _earlier_power(t, done[:1]) is None
-    assert _earlier_power(5.0, [(0.0, "E(0)"), (-1.0, "E(-1)")]) is None
+    assert _integer_ratio(10.0, 1.0) == 10
+    assert _integer_ratio(0.3, 0.1) == 3
+    for t in (0.35, 0.1, 1.0 + 1e-9, 0.1 * 129, float("nan"), float("inf")):
+        assert _integer_ratio(t, 0.1) is None
+    assert _integer_ratio(5.0, 0.0) is None
+    assert _integer_ratio(5.0, -1.0) is None
 
 
 def test_probe_survives_a_large_scalar_shift_of_k():

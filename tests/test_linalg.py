@@ -25,7 +25,7 @@ from igkls import (
     vec,
 )
 from igkls.applications import _centred_real_generator
-from igkls.linalg import _PADE_THETA, _THETA_13, expm, null_space
+from igkls.linalg import _THETA_13, expm, null_space
 from conftest import (
     CLI_CHAIN_CASES,
     cli_chain_instance,
@@ -345,15 +345,15 @@ def _rel(a, b) -> float:
     return float(np.linalg.norm((a - b) / s) / np.linalg.norm(b / s))
 
 
-# 1-norms near the top of each Padé-degree band (a threshold set too high
-# hands a band to a degree that is too low there), at the bottom of the
-# first one, and above θ_13, where the argument is scaled by 2^s, s = 2, 7
-_BAND_NORMS = ([1e-3] + [0.95 * theta for _, theta in _PADE_THETA]
-               + [0.95 * _THETA_13, 3 * _THETA_13, 100 * _THETA_13])
+# 1-norms from small up to θ_13, where s = 0 (a θ_13 set too high leaves
+# the approximant unscaled where it is not accurate), and above it, where
+# the argument is scaled by 2^s, s = 2, 7
+_NORMS = (1e-3, 1.5e-2, 0.25, 0.95, 2.1, 0.95 * _THETA_13, 3 * _THETA_13,
+          100 * _THETA_13)
 
 
-@pytest.mark.parametrize("norm", _BAND_NORMS)
-def test_expm_matches_scipy_in_every_pade_band(norm):
+@pytest.mark.parametrize("norm", _NORMS)
+def test_expm_matches_scipy_below_and_above_theta_13(norm):
     import scipy.linalg
 
     rng = rng_for(120)
