@@ -29,6 +29,7 @@ import numpy as np
 from .errors import DecompositionFailed, NotClosed, NotIntertwiner
 from .linalg import (
     TOL_RANK,
+    _on_system,
     asmatrix,
     dag,
     eye,
@@ -98,12 +99,6 @@ def _blocks(dec: AtomicDecomposition):
     for da, db in dec.factors:
         yield da, db, slice(pos, pos + da * db)
         pos += da * db
-
-
-def _on_system(p: np.ndarray, x: np.ndarray, e: int = 1) -> np.ndarray:
-    """(p ⊗ 1_E)·x for x whose rows are indexed (system, environment)."""
-    m = x.shape[1]
-    return (p @ x.reshape(p.shape[1], e * m)).reshape(p.shape[0] * e, m)
 
 
 def _to_frame(x: np.ndarray, dec: AtomicDecomposition, e_out: int = 1, e_in: int = 1,
@@ -376,7 +371,7 @@ def intertwiner_decompose(
         raise ValueError(f"expected shape {(d * e_out, d * e_in)}, got {b.shape}")
     scale = max(1.0, frob(b))
     worst = _worst([
-        frob(kron(xhat, eye(e_out)) @ b - b @ kron(xhat, eye(e_in)))
+        frob(_on_system(xhat, b, e_out) - _on_system(xhat.T, b.T, e_in).T)
         for xhat in algebra_pattern_basis(dec)
     ])
     if not worst <= tol * scale * 10:

@@ -48,7 +48,7 @@ from .algebra import (
     invariance_residuals,
     pattern_residual,
 )
-from .cpmaps import KrausSet, StinespringRep, atomic_block_factorize, cp_invariance_check, kraus_to_stinespring
+from .cpmaps import KrausSet, atomic_block_factorize, cp_invariance_check, kraus_to_stinespring
 from .errors import (
     AlgebraClosureFailed,
     FactorizationResidual,
@@ -59,8 +59,8 @@ from .errors import (
     NotMaximalAbelian,
     NotTracePreserving,
 )
-from .gkls import GKLSRep, atomic_normal_form, generator_superoperator, gkls_apply, reduce_normal_form_minimal
-from .linalg import TOL_RANK, asmatrix, dag, expm, eye, frob, herm, im_part, kron, null_space, orthonormalize_span, subspace_residual, unvec, vec
+from .gkls import AtomicNormalForm, GKLSRep, atomic_normal_form, generator_superoperator, gkls_apply, reconstruct_from_normal_form, reduce_normal_form_minimal
+from .linalg import TOL_RANK, _on_system, asmatrix, dag, expm, eye, frob, herm, im_part, kron, null_space, orthonormalize_span, subspace_residual, unvec, vec
 
 __all__ = [
     "SemicausalReport",
@@ -176,7 +176,9 @@ def semicausal_build(
     ``V = (1_A⊗U)(A⊗1_B) + 1_A⊗B`` and
     ``K = (1_A⊗B†U)(A⊗1_B) + ½·1_A⊗B†B + K_A⊗1_B + i·1_A⊗H_B``,
     with A: C^dA → C^dA⊗C^dF, U an isometry C^dF⊗C^dB → C^dB⊗C^dE,
-    B: C^dB → C^dB⊗C^dE, and H_B self-adjoint.
+    B: C^dB → C^dB⊗C^dE, and H_B self-adjoint.  This is the one-factor
+    normal form over L(C^dA)⊗1_B in the identity frame, so it is rebuilt by
+    :func:`~igkls.gkls.reconstruct_from_normal_form`.
     """
     a = asmatrix(a)
     u = asmatrix(u)
@@ -207,15 +209,12 @@ def semicausal_build(
     if not sa <= 1e-9 * max(1.0, frob(h_b)) * 10:
         raise ValueError(f"h_b is not self-adjoint (residual {sa:.3e})")
 
-    v = kron(eye(da), u) @ kron(a, eye(db)) + kron(eye(da), b)
-    k = (
-        kron(eye(da), dag(b) @ u) @ kron(a, eye(db))
-        + 0.5 * kron(eye(da), dag(b) @ b)
-        + kron(k_a, eye(db))
-        + 1j * kron(eye(da), h_b)
-    )
     d = da * db
-    return GKLSRep(d=d, stine=StinespringRep(d, d, e, v), k=k)
+    dec = AtomicDecomposition(d=d, u_alg=eye(d), d0=0, factors=[(da, db)])
+    empty = np.zeros((0, d), dtype=np.complex128)
+    return reconstruct_from_normal_form(AtomicNormalForm(
+        dec=dec, v0=empty, k0=empty, k_a=[k_a], h_b=[h_b], b=[b],
+        d_f=[[d_f]], a=[[a]], u=[[u]], d_env=e))
 
 
 def semicausal_check(
@@ -335,7 +334,7 @@ def dfs_verify_normal_form(
     kappa_a: list[np.ndarray] = []
     kappa_b: list[np.ndarray] = []
     for i, (da, db) in enumerate(dec.factors):
-        coupling = nf.u[i][i] @ kron(psi[i][:, None], eye(db))  # (db·e) × db
+        coupling = _on_system(psi[i][None, :], nf.u[i][i].T, db).T  # u·(ψ⊗1_B), (db·e) × db
         m_i = coupling + nf.b[i]
         couplings.append(m_i)
         beta.append([m_i.reshape(db, e, db)[:, idx, :] for idx in range(e)])

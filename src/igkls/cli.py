@@ -83,7 +83,7 @@ from .io import (
     random_instance,
     write_bundle,
 )
-from .linalg import dag, eye, frob, kron
+from .linalg import _on_env, dag, eye, frob
 
 __all__ = ["main", "run_report", "COMMANDS"]
 
@@ -401,7 +401,7 @@ def _cmd_gauge_compare(bundles, flags, rep: _Report):
         s1_min, _ = minimal_stinespring(s1, tol=flags["tol_rank"])
         w = stinespring_gauge(s1_min, s2, tol=flags["tol_rank"])
         scale = max(1.0, frob(s2.v))
-        rep.check("gauge_transport", frob(kron(eye(s1.d_in), w) @ s1_min.v - s2.v),
+        rep.check("gauge_transport", frob(_on_env(w, s1_min.v, s1.d_in) - s2.v),
                   10 * tol * scale)
         rep.check("gauge_isometry", frob(dag(w) @ w - eye(w.shape[1])), 10 * tol)
         rep.info("w", encode_cmatrix(w))
@@ -421,10 +421,10 @@ def _cmd_gauge_compare(bundles, flags, rep: _Report):
     nf1 = b1.payload
     nf2 = b2.payload
     gauge = normal_form_gauge(nf1, nf2, tol=flags["tol_rank"])
+    g1 = reconstruct_from_normal_form(nf1)
     rep.check("same_generator",
-              _superop_rel_distance(reconstruct_from_normal_form(nf1),
-                                    reconstruct_from_normal_form(nf2)),
-              10 * tol * _generator_scale(reconstruct_from_normal_form(nf1)))
+              _superop_rel_distance(g1, reconstruct_from_normal_form(nf2)),
+              10 * tol * _generator_scale(g1))
     rep.info("w_ii", [encode_cmatrix(w) for w in gauge.w_ii])
     rep.info("psi_i", [encode_cmatrix(p.reshape(-1, 1)) for p in gauge.psi_i])
     rep.info("mu_i", [float(m) for m in gauge.mu_i])

@@ -20,19 +20,20 @@ from .algebra import (
     _blocks,
     _embed_b,
     _from_frame,
-    _on_system,
     _to_frame,
+    _worst,
     invariance_residuals,
 )
 from .errors import FactorizationResidual, NotInvariant, NotMinimal, NotSameMap
 from .linalg import (
     TOL_RANK,
+    _isometry_lstsq,
+    _on_env,
+    _on_system,
     asmatrix,
     dag,
     eye,
     frob,
-    kron,
-    nearest_isometry,
     svd_rank,
 )
 
@@ -186,22 +187,27 @@ def cp_apply(rep, x: np.ndarray) -> np.ndarray:
     if isinstance(rep, StinespringRep):
         if x.shape != (rep.d_in, rep.d_in):
             raise ValueError("input dimension mismatch")
-        return dag(rep.v) @ kron(x, eye(rep.d_env)) @ rep.v
+        return dag(rep.v) @ _on_system(x, rep.v, rep.d_env)
     raise TypeError(f"unsupported representation: {type(rep).__name__}")
+
+
+def _unit_image_tensor(rep) -> np.ndarray:
+    """Φ(E_kl)[p, q] = Σ_n φ_n[k, p]^* φ_n[l, q] for all matrix units E_kl,
+    as an array indexed (k, l, p, q)."""
+    if isinstance(rep, KrausSet):
+        ops = np.asarray(rep.ops, dtype=np.complex128).reshape(
+            len(rep.ops), rep.d_in, rep.d_out)
+    elif isinstance(rep, StinespringRep):
+        ops = rep.env_slices().transpose(1, 0, 2)
+    else:
+        raise TypeError(f"unsupported representation: {type(rep).__name__}")
+    return np.einsum("nkp,nlq->klpq", np.conj(ops), ops)
 
 
 def choi(rep) -> np.ndarray:
     """Choi matrix Σ_kl E_kl ⊗ Φ(E_kl); PSD exactly when Φ is CP."""
-    d_in = rep.d_in
-    d_out = rep.d_out
-    c = np.zeros((d_in * d_out, d_in * d_out), dtype=np.complex128)
-    unit = np.zeros((d_in, d_in), dtype=np.complex128)
-    for k in range(d_in):
-        for l in range(d_in):
-            unit[k, l] = 1.0
-            c += kron(unit, cp_apply(rep, unit))
-            unit[k, l] = 0.0
-    return c
+    n = rep.d_in * rep.d_out
+    return _unit_image_tensor(rep).transpose(0, 2, 1, 3).reshape(n, n)
 
 
 # ---------------------------------------------------------------------------
@@ -238,20 +244,15 @@ def minimal_stinespring(
     rank = int(np.count_nonzero(sv > tol * sv[0]))
     w = u[:, :rank]  # d_env × rank, isometry onto the reached span
     p = dag(w)
-    v_min = kron(eye(s.d_in), p) @ s.v
+    v_min = _on_env(p, s.v, s.d_in)
     s_min = StinespringRep(s.d_in, s.d_out, rank, v_min)
     return s_min, w
 
 
 def _same_map_residual(s1: StinespringRep, s2: StinespringRep) -> float:
-    worst = 0.0
-    unit = np.zeros((s1.d_in, s1.d_in), dtype=np.complex128)
-    for k in range(s1.d_in):
-        for l in range(s1.d_in):
-            unit[k, l] = 1.0
-            worst = max(worst, frob(cp_apply(s1, unit) - cp_apply(s2, unit)))
-            unit[k, l] = 0.0
-    return worst
+    """max_kl ‖Φ₁(E_kl) − Φ₂(E_kl)‖_F, NaN if either map holds a NaN."""
+    diff = _unit_image_tensor(s1) - _unit_image_tensor(s2)
+    return _worst(np.linalg.norm(diff.reshape(s1.d_in**2, s1.d_out**2), axis=1))
 
 
 def stinespring_gauge(
@@ -269,16 +270,11 @@ def stinespring_gauge(
     if svd_rank(m1, tol=tol) < s1.d_env:
         raise NotMinimal("first representation has a compressible environment")
     res_map = _same_map_residual(s1, s2)
-    if res_map > max(tol, 1e-10) * scale * 10:
+    if not res_map <= max(tol, 1e-10) * scale * 10:
         raise NotSameMap("representations define different maps", residual=res_map)
-    m2 = _env_slice_matrix(s2)
-    w = m2 @ np.linalg.pinv(m1)
-    if w.size:
-        iso_res = frob(dag(w) @ w - eye(s1.d_env))
-        if iso_res <= 10 * max(tol, 1e-10) * scale:
-            w = nearest_isometry(w)
-    recon = frob(kron(eye(s1.d_in), w) @ s1.v - s2.v)
-    if recon > 1e-9 * scale * 10:
+    w = _isometry_lstsq(m1, _env_slice_matrix(s2), 10 * max(tol, 1e-10) * scale)
+    recon = frob(_on_env(w, s1.v, s1.d_in) - s2.v)
+    if not recon <= 1e-9 * scale * 10:
         raise NotSameMap("gauge isometry does not connect the representations",
                          residual=recon)
     return w
@@ -383,13 +379,7 @@ def atomic_block_factorize(
             rhs = v_ij.reshape(da, db * e, dc * dd)
             m1 = np.concatenate(list(lhs), axis=1)  # (df·dd) × (da·dc·dd)
             m2 = np.concatenate(list(rhs), axis=1)  # (db·e) × (da·dc·dd)
-            u_ij = m2 @ np.linalg.pinv(m1) if m1.size else np.zeros(
-                (db * e, dfij * dd), dtype=np.complex128
-            )
-            if u_ij.size:
-                iso_res = frob(dag(u_ij) @ u_ij - eye(dfij * dd))
-                if iso_res <= 10 * max(tol, 1e-10) * scale:
-                    u_ij = nearest_isometry(u_ij)
+            u_ij = _isometry_lstsq(m1, m2, 10 * max(tol, 1e-10) * scale)
             res = frob(u_ij @ m1 - m2) if m1.size else frob(m2)
             if res > worst_res:
                 worst_res, worst_pair = res, (i, j)
@@ -432,15 +422,18 @@ def reassemble_factorization(
 
 
 def orthogonality_check(bf: BlockFactorization, tol: float = 1e-9) -> OrthogonalityReport:
-    """Check u_ik†u_il = δ_kl·1 across all row-sharing pairs (includes isometry)."""
-    worst = 0.0
-    worst_triple = None
+    """Check u_ik†u_il = δ_kl·1 across all row-sharing pairs (includes isometry).
+
+    A NaN residual fails the check and is reported as the worst triple.
+    """
+    residuals = {}
     for i, row in enumerate(bf.u):
         for k, u_ik in enumerate(row):
             for l, u_il in enumerate(row):
                 prod = dag(u_ik) @ u_il
                 target = eye(prod.shape[0]) if k == l else np.zeros_like(prod)
-                res = frob(prod - target)
-                if res > worst:
-                    worst, worst_triple = res, (i, k, l)
-    return OrthogonalityReport(worst <= tol, float(worst), tol, worst_triple)
+                residuals[(i, k, l)] = frob(prod - target)
+    values = list(residuals.values())
+    worst = _worst(values)
+    worst_triple = list(residuals)[int(np.argmax(values))] if worst != 0.0 else None
+    return OrthogonalityReport(worst <= tol, worst, tol, worst_triple)

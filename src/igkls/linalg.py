@@ -5,6 +5,9 @@ Conventions used throughout the package:
 * every operator is a 2-D ``numpy.ndarray`` of ``complex128``;
 * tensor products put the system factor first and the environment last, and
   ``kron`` follows the row-major index convention ``(i·r_b + k, j·c_b + l)``;
+* that (system, environment) row layout has one home: :func:`_on_system`
+  applies p⊗1_E and :func:`_on_env` applies 1_d⊗w, both by reshape, in
+  place of a ``kron`` with an identity factor;
 * ``vec``/``unvec`` are row-major (C order), so ``vec(A X B) = (A ⊗ B^T) vec(X)``;
 * all rank decisions go through one SVD-based helper with a relative cutoff,
   and all null spaces through :func:`null_space`;
@@ -65,6 +68,21 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     results, which keeps block-reconstruction code uniform.
     """
     return np.kron(asmatrix(a), asmatrix(b))
+
+
+def _on_system(p: np.ndarray, x: np.ndarray, e: int = 1) -> np.ndarray:
+    """(p ⊗ 1_E)·x for x whose rows are indexed (system, environment).
+
+    x·(w⊗1_E) is ``_on_system(w.T, x.T, E).T``.
+    """
+    m = x.shape[1]
+    return (p @ x.reshape(p.shape[1], e * m)).reshape(p.shape[0] * e, m)
+
+
+def _on_env(w: np.ndarray, x: np.ndarray, d: int) -> np.ndarray:
+    """(1_d ⊗ w)·x for x whose rows are indexed (system, environment)."""
+    m = x.shape[1]
+    return (w @ x.reshape(d, w.shape[1], m)).reshape(d * w.shape[0], m)
 
 
 def partial_trace(m: np.ndarray, dim_a: int, dim_b: int, over: str) -> np.ndarray:
@@ -247,6 +265,18 @@ def nearest_isometry(m: np.ndarray) -> np.ndarray:
         return m.copy()
     u, _, vh = np.linalg.svd(m, full_matrices=False)
     return u @ vh
+
+
+def _isometry_lstsq(m1: np.ndarray, m2: np.ndarray, limit: float) -> np.ndarray:
+    """The least-squares w of w·m1 = m2 (by pseudo-inverse), replaced by its
+    :func:`nearest_isometry` when ‖w†w − 1‖_F ≤ ``limit``."""
+    if m1.size:
+        w = m2 @ np.linalg.pinv(m1)
+    else:
+        w = np.zeros((m2.shape[0], m1.shape[0]), dtype=np.complex128)
+    if w.size and frob(dag(w) @ w - eye(w.shape[1])) <= limit:
+        w = nearest_isometry(w)
+    return w
 
 
 def herm(a: np.ndarray) -> np.ndarray:

@@ -34,6 +34,7 @@ from conftest import (
     haar_isometry,
     haar_unitary,
     heisenberg_apply_oracle,
+    kron_oracle,
     rng_for,
     superop_oracle,
 )
@@ -154,6 +155,22 @@ def test_minimal_stinespring_keeps_already_minimal_inputs():
     assert frob(kron(eye(2), w) @ s_min.v - s.v) <= 1e-12
 
 
+@pytest.mark.parametrize("stinespring", [False, True], ids=["kraus", "stinespring"])
+def test_choi_of_rectangular_map_matches_unit_loop_oracle(stinespring):
+    # d_in ≠ d_out pins the (k, p), (l, q) index order of the unit-image tensor
+    rng = rng_for(315)
+    d_in, d_out = 2, 3
+    k = KrausSet(d_in=d_in, d_out=d_out, ops=[crandn(rng, d_in, d_out) for _ in range(3)])
+    want = np.zeros((d_in * d_out, d_in * d_out), dtype=np.complex128)
+    for a in range(d_in):
+        for b in range(d_in):
+            unit = np.zeros((d_in, d_in), dtype=np.complex128)
+            unit[a, b] = 1.0
+            want += kron_oracle(unit, heisenberg_apply_oracle(k.ops, unit))
+    rep = kraus_to_stinespring(k) if stinespring else k
+    assert frob(choi(rep) - want) <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # dilation gauge
 # ---------------------------------------------------------------------------
@@ -199,6 +216,15 @@ def test_stinespring_gauge_rejects_different_maps():
     rng = rng_for(309)
     s1 = kraus_to_stinespring(_random_kraus(rng, 2, 2))
     s2 = kraus_to_stinespring(_random_kraus(rng, 2, 2))
+    with pytest.raises(NotSameMap):
+        stinespring_gauge(s1, s2)
+
+
+def test_stinespring_gauge_rejects_a_nan_entry():
+    rng = rng_for(309)
+    s1 = kraus_to_stinespring(_random_kraus(rng, 2, 2))
+    s2 = StinespringRep(2, 2, 2, s1.v.copy())
+    s2.v[1, 0] = np.nan
     with pytest.raises(NotSameMap):
         stinespring_gauge(s1, s2)
 
@@ -311,3 +337,16 @@ def test_orthogonality_check_flags_corrupted_isometries():
     rep = orthogonality_check(bf)
     assert not rep.passed
     assert rep.worst_triple is not None
+
+
+def test_orthogonality_check_fails_on_a_nan_entry():
+    bundle = random_instance("cp_map", {"factors": [[2, 2], [1, 3]], "d0": 1, "d_env": 2,
+                                        "d_f": [[2, 0], [1, 0]]}, seed=1)
+    dec = _decode_algebra(bundle.meta["algebra"], 1e-9, "meta.algebra")
+    bf = atomic_block_factorize(bundle.payload.stine, dec, dec)
+    assert orthogonality_check(bf).passed
+    bf.u[1][0][0, 0] = np.nan
+    rep = orthogonality_check(bf)
+    assert not rep.passed
+    assert np.isnan(rep.max_residual)
+    assert rep.worst_triple[0] == 1

@@ -8,6 +8,9 @@ forward-constructed pairs whose gauge data is known by construction.
 
 from __future__ import annotations
 
+import collections
+import sys
+
 import numpy as np
 import pytest
 
@@ -37,10 +40,16 @@ from igkls import (
     random_instance,
     reconstruct_from_normal_form,
     reduce_normal_form_minimal,
+    svd_rank,
     twirl_to_commutant,
 )
-from igkls import algebra
-from igkls.gkls import _superop_distance, _superop_norm
+from igkls import algebra, linalg
+from igkls.gkls import (
+    _commutator_env_family,
+    _commutator_full_family,
+    _superop_distance,
+    _superop_norm,
+)
 from igkls.io import _decode_algebra
 from igkls.linalg import dag, eye, frob, kron
 
@@ -48,6 +57,7 @@ from conftest import (
     crandn,
     haar_isometry,
     haar_unitary,
+    kron_oracle,
     random_hermitian,
     rng_for,
     superop_oracle,
@@ -165,6 +175,31 @@ def test_minimal_rank_generic_and_scalar_cases():
     chi = crandn(rng, e, 1)
     v_pure = kron(eye(d), chi)
     assert gkls_minimal_rank(StinespringRep(d, d, e, v_pure)) == 0
+
+
+@pytest.mark.parametrize("d,e,reach", [(3, 2, 2), (3, 3, 1), (1, 2, 2)])
+def test_commutator_families_match_loop_references(d, e, reach):
+    rng = rng_for(404)
+    # environment slices confined to `reach` directions, plus a 1⊗|χ⟩ part
+    v = (kron_oracle(np.eye(d), crandn(rng, e, reach)) @ crandn(rng, d * reach, d)
+         + kron_oracle(np.eye(d), crandn(rng, e, 1)))
+    sl = v.reshape(d, e, d)
+    env = [sl[c, :, dd] for c in range(d) for dd in range(d) if c != dd]
+    env += [sl[c, :, c] - sl[0, :, 0] for c in range(1, d)]
+    want_env = np.stack(env, axis=1) if env else np.zeros((e, 0))
+    assert np.array_equal(_commutator_env_family(v, d, e), want_env)
+    # the full family spans {((X⊗1_E)v − vX)|ψ⟩} over matrix units X and basis ψ
+    direct = []
+    for b in range(d):
+        for c in range(d):
+            unit = np.zeros((d, d), dtype=np.complex128)
+            unit[b, c] = 1.0
+            direct += list((kron_oracle(unit, np.eye(e)) @ v - v @ unit).T)
+    direct = np.stack(direct, axis=1)
+    full = _commutator_full_family(v, d, e, 1e-9)
+    rank = svd_rank(direct)
+    assert svd_rank(full) == rank == svd_rank(np.concatenate([full, direct], axis=1))
+    assert rank == d * reach if d > 1 else rank == 0
 
 
 def test_minimalize_pure_environment_vector():
@@ -746,3 +781,55 @@ def test_normal_form_gauge_rejects_different_generators():
     )
     with pytest.raises(NotEquivalent):
         normal_form_gauge(nf1, nf2, mode="full")
+
+
+@pytest.mark.parametrize("field", ["k0", "h_b"])
+def test_normal_form_gauge_rejects_a_nan_entry(field):
+    params = {"factors": [[2, 2]], "d0": 1, "d_f": [[1]], "d_env": 2}
+    nf1 = reduce_normal_form_minimal(
+        random_instance("normal_form", params=params, seed=459).payload
+    )
+    k0 = nf1.k0.copy()
+    h_b = [h.copy() for h in nf1.h_b]
+    (k0 if field == "k0" else h_b[0])[0, 0] = np.nan
+    nf2 = AtomicNormalForm(
+        dec=nf1.dec, v0=nf1.v0, k0=k0, k_a=nf1.k_a, h_b=h_b, b=nf1.b,
+        d_f=nf1.d_f, a=nf1.a, u=nf1.u, d_env=nf1.d_env,
+    )
+    with pytest.raises(NotEquivalent):
+        normal_form_gauge(nf1, nf2, mode="full")
+
+
+# ---------------------------------------------------------------------------
+# the (system, environment) layout lives in linalg's slot helpers
+# ---------------------------------------------------------------------------
+
+def _is_identity(m) -> bool:
+    m = np.asarray(m)
+    return m.ndim == 2 and m.shape[0] == m.shape[1] and np.array_equal(m, np.eye(m.shape[0]))
+
+
+def test_normal_form_pipeline_makes_no_identity_factor_krons(monkeypatch):
+    """kron(x, 1) and kron(1, x) are reshapes (linalg._on_system/_on_env);
+    a d = 32 normal form, its reduction and its gauge make none of them."""
+    orig = linalg.kron
+    sites = collections.Counter()
+
+    def counting_kron(a, b):
+        if _is_identity(a) or _is_identity(b):
+            caller = sys._getframe(1)
+            sites[f"{caller.f_code.co_filename}:{caller.f_lineno} "
+                  f"({caller.f_code.co_name})"] += 1
+        return orig(a, b)
+
+    for name, mod in list(sys.modules.items()):
+        if (name == "igkls" or name.startswith("igkls.")) \
+                and getattr(mod, "kron", None) is orig:
+            monkeypatch.setattr(mod, "kron", counting_kron)
+    shape = {"factors": [[4, 4], [3, 3], [2, 3]], "d0": 1, "d_env": 2,
+             "d_f": [[1, 1, 0], [0, 1, 1], [1, 0, 0]]}
+    bundle = random_instance("gkls", shape, seed=1)
+    dec = _decode_algebra(bundle.meta["algebra"], 1e-9, "meta.algebra")
+    nf = reduce_normal_form_minimal(atomic_normal_form(bundle.payload, dec))
+    normal_form_gauge(nf, nf)
+    assert not sites, dict(sites)

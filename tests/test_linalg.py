@@ -25,7 +25,7 @@ from igkls import (
     vec,
 )
 from igkls.applications import _centred_real_generator
-from igkls.linalg import _THETA_13, expm, null_space
+from igkls.linalg import _THETA_13, _isometry_lstsq, _on_env, _on_system, expm, null_space
 from conftest import (
     CLI_CHAIN_CASES,
     cli_chain_instance,
@@ -74,6 +74,46 @@ def test_kron_mixed_product_rule():
 # ---------------------------------------------------------------------------
 # vec / unvec (row-major convention)
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("e", [0, 1, 3])
+def test_on_system_matches_kron_with_environment_identity(e):
+    rng = rng_for(104 + e)
+    p = crandn(rng, 2, 3)  # rectangular system operator
+    x = crandn(rng, 3 * e, 4)
+    want = kron_oracle(p, np.eye(e, dtype=np.complex128)) @ x
+    got = _on_system(p, x, e)
+    assert got.shape == want.shape == (2 * e, 4)
+    assert frob(got - want) <= 1e-13
+    # the right action x·(p⊗1_E) through transposes
+    y = crandn(rng, 5, 2 * e)
+    right = _on_system(p.T, y.T, e).T
+    assert frob(right - y @ kron_oracle(p, np.eye(e, dtype=np.complex128))) <= 1e-13
+
+
+@pytest.mark.parametrize("e", [0, 1, 3])
+def test_on_env_matches_kron_with_system_identity(e):
+    rng = rng_for(108 + e)
+    d = 3
+    for rows, cols in [(e, 2), (2, e)]:  # rectangular environment maps
+        w = crandn(rng, rows, cols)
+        x = crandn(rng, d * cols, 4)
+        want = kron_oracle(np.eye(d, dtype=np.complex128), w) @ x
+        got = _on_env(w, x, d)
+        assert got.shape == want.shape == (d * rows, 4)
+        assert frob(got - want) <= 1e-13
+
+
+def test_isometry_lstsq_solves_and_snaps_near_isometries():
+    rng = rng_for(112)
+    w0 = haar_isometry(rng, 4, 2)
+    m1 = crandn(rng, 2, 6)
+    assert frob(_isometry_lstsq(m1, w0 @ m1, 1e-8) - w0) <= 1e-12
+    # far from an isometry: the least-squares solution is kept as it is
+    a = 2.0 * w0
+    assert frob(_isometry_lstsq(m1, a @ m1, 1e-8) - a) <= 1e-12
+    # an empty system gives the zero map of the right shape
+    assert _isometry_lstsq(np.zeros((0, 6)), crandn(rng, 4, 6), 1e-8).shape == (4, 0)
 
 
 def test_vec_unvec_round_trip():
