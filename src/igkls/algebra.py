@@ -34,10 +34,8 @@ from .linalg import (
     dag,
     eye,
     frob,
-    kron,
     null_space,
     orthonormalize_span,
-    subspace_residual,
     vec,
 )
 from .rng import CounterRng
@@ -165,29 +163,95 @@ def _lift(dec: AtomicDecomposition, parts, embed, e_out: int = 1, e_in: int = 1,
 # ---------------------------------------------------------------------------
 # basis-level operations
 # ---------------------------------------------------------------------------
+#
+# Each construction that would stack one map per basis element (m = dim 𝒜 of
+# them) instead takes two generic elements x = Σ g_k b_k and y of the span
+# and checks its answer exactly against the whole basis; a failed draw
+# retries with a derived seed (Murota, Kanno, Kojima & Kojima, Japan J.
+# Indust. Appl. Math. 27, 2010).
 
-def _orthonormal_matrices(mats, d: int, tol: float) -> list[np.ndarray]:
-    sb = orthonormalize_span([vec(m) for m in mats], tol=tol, ambient_dim=d * d)
-    return [sb.vectors[k].reshape(d, d) for k in range(sb.count)]
+_STACK_BYTES = 1 << 23  # size of one batched product stack
 
 
-def _span_residual(x: np.ndarray, basis: list[np.ndarray]) -> float:
-    if not basis:
-        return frob(x)
-    v = vec(x)
-    b = np.stack([vec(m) for m in basis], axis=0)
-    coeff = np.conj(b) @ v
-    return float(np.linalg.norm(v - b.T @ coeff))
+def _stacked(mats, d: int) -> np.ndarray:
+    """The matrices as one (n, d, d) complex array."""
+    return np.asarray(mats, dtype=np.complex128).reshape(-1, d, d)
+
+
+def _span_residuals(rows: np.ndarray, basis_rows: np.ndarray) -> np.ndarray:
+    """‖r − Πr‖ for each row r of ``rows``; Π projects onto the span of the
+    orthonormal rows ``basis_rows``."""
+    return np.linalg.norm(rows - (rows @ np.conj(basis_rows.T)) @ basis_rows, axis=1)
+
+
+def _chunks(n: int, per_item: int):
+    """Slices of range(n) whose items take at most _STACK_BYTES together."""
+    step = max(1, _STACK_BYTES // max(per_item, 1))
+    return (slice(i, min(i + step, n)) for i in range(0, n, step))
+
+
+def _commutation_residual(left, right) -> float:
+    """Largest ‖[a, b]‖_F over a ∈ ``left``, b ∈ ``right`` (0.0 for none),
+    batched; NaN if any entry is NaN."""
+    if not len(left) or not len(right):
+        return 0.0
+    d = np.shape(left[0])[0]
+    a, b = _stacked(left, d), _stacked(right, d)
+    return _worst([_worst(np.linalg.norm(a[s, None] @ b - b @ a[s, None], axis=(2, 3)))
+                   for s in _chunks(len(a), 16 * len(b) * d * d)])
+
+
+def _ad_stack(xs) -> np.ndarray:
+    """[ad_x; ad_y; …]: for each x the d²×d² matrix x⊗1 − 1⊗xᵀ of
+    X ↦ xX − Xx on row-major vec(X), written without a kron."""
+    d = xs[0].shape[0]
+    t = np.zeros((len(xs), d, d, d, d), dtype=np.complex128)
+    for x, tx in zip(xs, t):
+        np.einsum("ikjk->ijk", tx)[...] = x[:, :, None]
+        np.einsum("ikil->ikl", tx)[...] -= x.T[None]
+    return t.reshape(-1, d * d)
+
+
+class _GenericityFailure(Exception):
+    def __init__(self, residual: float = float("nan")):
+        self.residual = residual
+
+
+def _generic_elements(mats: np.ndarray, rng: CounterRng, count: int) -> list[np.ndarray]:
+    """``count`` independent elements Σ g_k·mats[k] with complex Gaussian g."""
+    g = rng.complex_matrix(count, len(mats))
+    return list(np.tensordot(g, mats, axes=1))
+
+
+def _retry_generic(attempt, seed: int, what: str):
+    """``attempt(rng)`` with the derived stream of each retry in turn, until
+    it does not raise :class:`_GenericityFailure`."""
+    base_rng = CounterRng(seed)
+    last_residual = float("nan")
+    for k in range(_MAX_RETRIES):
+        try:
+            return attempt(base_rng.derive(k))
+        except _GenericityFailure as exc:
+            last_residual = exc.residual
+    raise DecompositionFailed(f"no generic {what} found in {_MAX_RETRIES} attempts",
+                              residual=last_residual)
+
+
+def _orthonormal_rows(mats, d: int, tol: float) -> np.ndarray:
+    return orthonormalize_span([vec(m) for m in mats], tol=tol, ambient_dim=d * d).vectors
 
 
 def close_star_algebra(generators, unital: bool, tol: float = TOL_RANK,
                        dim: int | None = None) -> AlgebraBasis:
     """Smallest *-closed, product-closed subspace containing the generators.
 
-    Sweeps adjoints and pairwise products into the span until the dimension
-    stabilizes.  With ``unital=True`` the identity is included up front.
-    With no generators at all, ``dim`` fixes the ambient space (the scalars
-    on C¹ when omitted).
+    The span of the words in G = span(generators ∪ adjoints), which is
+    *-closed: each sweep multiplies the directions the previous sweep added
+    by an orthonormal basis of G from the left and keeps what is new, until
+    nothing is (one sweep per word length, so a single diagonal generator
+    with d distinct eigenvalues takes d sweeps).  With ``unital=True`` the
+    identity is included up front.  With no generators at all, ``dim`` fixes
+    the ambient space (the scalars on C¹ when omitted).
     """
     gens = [asmatrix(g) for g in generators]
     dims = {g.shape for g in gens}
@@ -200,57 +264,71 @@ def close_star_algebra(generators, unital: bool, tol: float = TOL_RANK,
     if not gens and not unital:
         raise ValueError("need at least one generator or unital=True")
     d = gens[0].shape[0] if gens else (1 if dim is None else int(dim))
-    seed = list(gens)
-    if unital:
-        seed.append(eye(d))
-    basis = _orthonormal_matrices(seed, d, tol)
-    while True:
-        candidates = list(basis)
-        candidates += [dag(b) for b in basis]
-        candidates += [a @ b for a in basis for b in basis]
-        new_basis = _orthonormal_matrices(candidates, d, tol)
-        if len(new_basis) == len(basis):
-            basis = new_basis
-            break
-        basis = new_basis
-    ident = subspace_residual(
-        orthonormalize_span([vec(b) for b in basis], tol=tol), vec(eye(d))
-    )
-    return AlgebraBasis(d, basis, contains_identity=bool(ident <= tol * np.sqrt(d)))
+    letters = gens + [dag(g) for g in gens]
+    left = _stacked(_orthonormal_rows(letters, d, tol), d)[:, None]
+    basis = _orthonormal_rows(letters + ([eye(d)] if unital else []), d, tol)
+    new = basis
+    while len(new) and len(left):
+        cand = (left @ _stacked(new, d)).reshape(-1, d * d)
+        for _ in range(2):  # the second pass restores orthogonality to ~eps
+            cand -= (cand @ np.conj(basis.T)) @ basis
+        _, s, vh = np.linalg.svd(cand, full_matrices=False)
+        # the candidates are products of HS-unit matrices: norm at most 1
+        new = vh[: int(np.count_nonzero(s > tol * max(1.0, s[0])))]
+        basis = np.concatenate([basis, new])
+    ident = _span_residuals(vec(eye(d))[None], basis)[0]
+    return AlgebraBasis(d, list(_stacked(basis, d)),
+                        contains_identity=bool(ident <= tol * np.sqrt(d)))
 
 
 def membership_residual(x: np.ndarray, alg: AlgebraBasis) -> float:
     """Frobenius distance from x to span(alg)."""
     x = asmatrix(x)
-    if x.shape != (alg.ambient_dim, alg.ambient_dim):
+    d = alg.ambient_dim
+    if x.shape != (d, d):
         raise ValueError("dimension mismatch")
-    return _span_residual(x, alg.basis)
+    return float(_span_residuals(vec(x)[None], _stacked(alg.basis, d).reshape(-1, d * d))[0])
 
 
 def commutant(alg: AlgebraBasis, tol: float = TOL_RANK) -> AlgebraBasis:
-    """Commutant 𝒜′ as the nullspace of the stacked maps X ↦ b_iX − Xb_i."""
+    """Commutant 𝒜′ of span(alg): the null space of the 2d²×d² stack
+    [ad_x; ad_y] for two generic elements x, y of the span.
+
+    The null space always contains 𝒜′; it is kept once each of its elements
+    commutes with every basis element, else the draw is retried (x and y,
+    not x and x†, so that a span that is not *-closed works too).
+    """
     d = alg.ambient_dim
     if not alg.basis:
-        full = [np.zeros((d, d), dtype=np.complex128) for _ in range(d * d)]
-        for k in range(d * d):
-            full[k][k // d, k % d] = 1.0
-        return AlgebraBasis(d, full, contains_identity=True)
-    stacked = np.empty((alg.dim * d * d, d * d), dtype=np.complex128)
-    ident = eye(d)
-    for k, b in enumerate(alg.basis):
-        stacked[k * d * d : (k + 1) * d * d] = kron(b, ident) - kron(ident, b.T)
-    # for a central basis the stacked commutators are pure rounding noise, so
-    # the cutoff is anchored to the basis scale as well
-    null_rows = null_space(stacked, tol, max(frob(b) for b in alg.basis))
-    return AlgebraBasis(d, list(null_rows.reshape(-1, d, d)), contains_identity=True)
+        return AlgebraBasis(d, list(eye(d * d).reshape(d * d, d, d)), contains_identity=True)
+    mats = _stacked(alg.basis, d)
+    scale = max(frob(b) for b in mats)
+
+    def attempt(rng):
+        xy = _generic_elements(mats, rng, 2)
+        # for a central span the stack is pure rounding noise, so the cutoff
+        # is anchored to the elements' scale as well
+        rows = null_space(_ad_stack(xy), tol, max(frob(x) for x in xy))
+        comm = list(rows.reshape(-1, d, d))
+        res = _commutation_residual(comm, mats)
+        if not res <= 100 * tol * scale:
+            raise _GenericityFailure(residual=res)
+        return AlgebraBasis(d, comm, contains_identity=True)
+
+    return _retry_generic(attempt, 0, "commutant draw")
 
 
 def closure_residuals(alg: AlgebraBasis) -> tuple[float, float]:
-    """(adjoint, product) closure residuals of the basis; both ~0 for algebras,
-    NaN if any residual is NaN."""
-    adj = _worst([_span_residual(dag(a), alg.basis) for a in alg.basis])
-    prod = _worst([_span_residual(a @ b, alg.basis)
-                   for a in alg.basis for b in alg.basis])
+    """(adjoint, product) closure residuals of the orthonormal basis, the
+    largest distance of any b_j† and any product b_j·b_k from the span; both
+    ~0 for algebras, NaN if any residual is NaN.  One matmul of each left
+    factor against the stacked basis, then one projection."""
+    d = alg.ambient_dim
+    mats = _stacked(alg.basis, d)
+    rows = mats.reshape(-1, d * d)
+    adj = _worst(_span_residuals(np.conj(mats.transpose(0, 2, 1)).reshape(-1, d * d), rows))
+    prod = _worst([_worst(_span_residuals((mats[s, None] @ mats[None]).reshape(-1, d * d), rows))
+                   for s in _chunks(len(mats), 16 * len(mats) * d * d)])
     return adj, prod
 
 
@@ -409,16 +487,23 @@ def _cluster_eigenvalues(w: np.ndarray, gap_tol: float) -> list[np.ndarray] | No
     return [np.asarray(c) for c in clusters]
 
 
-def _center_coefficients(basis: list[np.ndarray], tol: float) -> np.ndarray:
-    """Coefficient vectors c, one per row, with Σ c_k b_k commuting with every b_j."""
-    m = len(basis)
-    ds = basis[0].shape[0]
-    rows = np.zeros((m * ds * ds, m), dtype=np.complex128)
-    for j, bj in enumerate(basis):
-        for k, bk in enumerate(basis):
-            rows[j * ds * ds : (j + 1) * ds * ds, k] = vec(bk @ bj - bj @ bk)
+def _center_coefficients(mats: np.ndarray, tol: float, rng: CounterRng) -> np.ndarray:
+    """Coefficient vectors c, one per row, with Σ c_k b_k central in span(mats).
+
+    The null space of the (2·ds², m) map c ↦ ([Σc_k b_k, x], [Σc_k b_k, y])
+    for two generic elements x, y always holds the centre; it is kept once
+    every returned element commutes with every b_j.
+    """
+    x, y = _generic_elements(mats, rng, 2)
+    cols = np.concatenate([mats @ x - x @ mats, mats @ y - y @ mats], axis=1)
+    scale = max(frob(b) for b in mats)
     # for an abelian basis every commutator is ~eps: anchor to the basis scale
-    return null_space(rows, tol, max(frob(b) for b in basis))
+    coeffs = null_space(cols.reshape(len(mats), -1).T, tol,
+                        scale * max(frob(x), frob(y)))
+    res = _commutation_residual(np.tensordot(coeffs, mats, axes=1), mats)
+    if not res <= 100 * tol * scale:
+        raise _GenericityFailure(residual=res)
+    return coeffs
 
 
 def _fingerprint(block: np.ndarray) -> tuple:
@@ -440,18 +525,25 @@ def atomic_decompose(
     (d_A distinct eigenvalues of multiplicity d_B), align the degenerate
     eigenframes with algebra partial isometries, and verify the block pattern
     on every input basis element.  Retries with a fresh derived seed on any
-    genericity failure.
+    genericity failure, of the centre or of the split.
     """
+    return _decompose_closed(alg, closure_residuals(alg), tol, seed)
+
+
+def _decompose_closed(alg: AlgebraBasis, closure: tuple[float, float], tol: float,
+                      seed: int) -> AtomicDecomposition:
+    """:func:`atomic_decompose` given ``closure_residuals(alg)``, for callers
+    that have already computed (and reported) them."""
     d = alg.ambient_dim
-    closure = _worst(closure_residuals(alg))
-    if not closure <= max(tol * 100, 1e-8):
-        raise NotClosed("basis is not closed under adjoint/product", residual=closure)
+    worst = _worst(closure)
+    if not worst <= max(tol * 100, 1e-8):
+        raise NotClosed("basis is not closed under adjoint/product", residual=worst)
 
     # support / null split (shared by all attempts; eigh is deterministic)
     if alg.dim == 0:
         return AtomicDecomposition(d=d, u_alg=eye(d), d0=d, factors=[])
-    s_op = sum(dag(b) @ b for b in alg.basis)
-    w, vecs = np.linalg.eigh(s_op)
+    mats = _stacked(alg.basis, d)
+    w, vecs = np.linalg.eigh(np.einsum("kji,kjl->il", np.conj(mats), mats))
     wmax = float(w[-1])
     if wmax <= 0:
         return AtomicDecomposition(d=d, u_alg=eye(d), d0=d, factors=[])
@@ -459,49 +551,27 @@ def atomic_decompose(
     d0 = int(np.count_nonzero(null_mask))
     e_null = vecs[:, null_mask]
     e_supp = vecs[:, ~null_mask]
-    ds = d - d0
-    restricted = [dag(e_supp) @ b @ e_supp for b in alg.basis]
+    restricted = dag(e_supp) @ mats @ e_supp
 
-    center_coeffs = _center_coefficients(restricted, tol)
-    n_factors_expected = center_coeffs.shape[0]
-    if n_factors_expected == 0:
-        raise DecompositionFailed("support algebra has an empty center")
+    def attempt(rng):
+        center_coeffs = _center_coefficients(restricted, tol, rng)
+        if center_coeffs.shape[0] == 0:
+            raise DecompositionFailed("support algebra has an empty center")
+        return _attempt_decompose(alg, restricted, center_coeffs, e_null, e_supp,
+                                  d, d0, tol, rng)
 
-    base_rng = CounterRng(seed)
-    last_residual = float("nan")
-    for attempt in range(_MAX_RETRIES):
-        rng = base_rng.derive(attempt)
-        try:
-            dec = _attempt_decompose(
-                alg, restricted, center_coeffs, e_null, e_supp, d, d0, ds, tol, rng
-            )
-        except _GenericityFailure as exc:
-            last_residual = exc.residual
-            continue
-        return dec
-    raise DecompositionFailed(
-        f"no generic split found in {_MAX_RETRIES} attempts", residual=last_residual
-    )
+    return _retry_generic(attempt, seed, "split")
 
 
-class _GenericityFailure(Exception):
-    def __init__(self, residual: float = float("nan")):
-        self.residual = residual
-
-
-def _generic_self_adjoint(mats: list[np.ndarray], rng: CounterRng) -> np.ndarray:
-    x = sum(rng.gauss() * m for m in mats)
+def _generic_self_adjoint(mats: np.ndarray, rng: CounterRng) -> np.ndarray:
+    x = np.tensordot([rng.gauss() for _ in range(len(mats))], mats, axes=1)
     return 0.5 * (x + dag(x))
 
 
 def _attempt_decompose(alg, restricted, center_coeffs, e_null, e_supp,
-                       d, d0, ds, tol, rng) -> AtomicDecomposition:
+                       d, d0, tol, rng) -> AtomicDecomposition:
     n_factors = center_coeffs.shape[0]
-    center_mats = [
-        sum(c[k] * restricted[k] for k in range(len(restricted)))
-        for c in center_coeffs
-    ]
-    z = _generic_self_adjoint(center_mats, rng)
+    z = _generic_self_adjoint(np.tensordot(center_coeffs, restricted, axes=1), rng)
     wz, vz = np.linalg.eigh(z)
     spread = max(float(wz[-1] - wz[0]), 1.0)
     clusters = _cluster_eigenvalues(wz, _GAP_FRACTION * spread)
@@ -513,7 +583,7 @@ def _attempt_decompose(alg, restricted, center_coeffs, e_null, e_supp,
     for cl in clusters:
         f_i = vz[:, cl]  # ds × n_i
         n_i = f_i.shape[1]
-        fac_basis = [dag(f_i) @ m @ f_i for m in restricted]
+        fac_basis = dag(f_i) @ restricted @ f_i
         x = _generic_self_adjoint(fac_basis, rng)
         wx, vx = np.linalg.eigh(x)
         spread_x = max(float(wx[-1] - wx[0]), 1.0)
@@ -530,7 +600,7 @@ def _attempt_decompose(alg, restricted, center_coeffs, e_null, e_supp,
 
         frames = [vx[:, c] for c in sub]  # each n_i × db
         if da > 1:
-            y = sum(rng.complex_matrix(1, 1)[0, 0] * m for m in fac_basis)
+            y = np.tensordot(rng.complex_matrix(len(fac_basis), 1)[:, 0], fac_basis, axes=1)
             aligned = [frames[0]]
             scale_y = max(frob(y), 1e-30)
             for a in range(1, da):
@@ -564,10 +634,8 @@ def _attempt_decompose(alg, restricted, center_coeffs, e_null, e_supp,
     u_alg = np.concatenate(columns, axis=1) if columns else eye(d)
 
     dec = AtomicDecomposition(d=d, u_alg=u_alg, d0=d0, factors=factors)
-    worst = 0.0
-    for b in alg.basis:
-        worst = max(worst, pattern_residual(b, dec))
-    if worst > max(1e-9, tol * 10):
+    worst = _worst([pattern_residual(b, dec) for b in alg.basis])
+    if not worst <= max(1e-9, tol * 10):
         raise _GenericityFailure(residual=worst)
     return dec
 

@@ -27,6 +27,8 @@ import numpy as np
 
 from .algebra import (
     AtomicDecomposition,
+    _commutation_residual,
+    _decompose_closed,
     _worst,
     algebra_from_decomposition,
     atomic_decompose,
@@ -216,10 +218,10 @@ def _generator_scale(g: GKLSRep) -> float:
 def _cmd_algebra_decompose(bundles, flags, rep: _Report):
     dec: AtomicDecomposition = _pick(bundles, "algebra").payload
     basis = algebra_from_decomposition(dec)
-    adj_res, prod_res = closure_residuals(basis)
-    rep.check("closure_adjoint", adj_res, flags["tol_verify"] * 100)
-    rep.check("closure_product", prod_res, flags["tol_verify"] * 100)
-    dec2 = atomic_decompose(basis, tol=flags["tol_rank"], seed=flags["seed"])
+    closure = closure_residuals(basis)
+    rep.check("closure_adjoint", closure[0], flags["tol_verify"] * 100)
+    rep.check("closure_product", closure[1], flags["tol_verify"] * 100)
+    dec2 = _decompose_closed(basis, closure, flags["tol_rank"], flags["seed"])
     rep.fact(
         "factor_multiset_match",
         sorted(dec2.factors) == sorted(dec.factors) and dec2.d0 == dec.d0,
@@ -243,11 +245,8 @@ def _cmd_commutant(bundles, flags, rep: _Report):
     expected_dim = dec.d0 ** 2 + sum(db * db for _, db in dec.factors)
     rep.fact("commutant_dimension", comm.dim == expected_dim,
              detail=f"expected {expected_dim}, got {comm.dim}")
-    worst = 0.0
-    for c in comm.basis:
-        for a in basis.basis:
-            worst = max(worst, frob(c @ a - a @ c))
-    rep.check("commutation", worst, 100 * flags["tol_verify"])
+    rep.check("commutation", _commutation_residual(comm.basis, basis.basis),
+              100 * flags["tol_verify"])
     dec_c = atomic_decompose(comm, tol=flags["tol_rank"], seed=flags["seed"])
     expected_factors = sorted(
         ([(dec.d0, 1)] if dec.d0 else []) + [(db, da) for da, db in dec.factors]

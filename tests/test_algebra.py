@@ -1,11 +1,15 @@
 """*-algebra closure, commutants, twirls, and the atomic decomposition."""
 
+import time
+
 import numpy as np
 import pytest
 
+import igkls.algebra as algebra_mod
 from igkls import (
     AlgebraBasis,
     AtomicDecomposition,
+    DecompositionFailed,
     NotClosed,
     NotIntertwiner,
     algebra_from_decomposition,
@@ -25,6 +29,7 @@ from igkls import (
     twirl_intertwiner,
     twirl_to_commutant,
 )
+from igkls.rng import CounterRng
 from conftest import (
     PAULI,
     block_algebra_projector_oracle,
@@ -83,6 +88,22 @@ def test_closure_residuals_certify_product_and_adjoint_closure():
     adj_res, prod_res = closure_residuals(alg)
     assert adj_res <= 1e-10
     assert prod_res <= 1e-10
+
+
+def test_closure_residuals_match_the_pairwise_loop_on_a_span_that_is_not_closed():
+    rng = rng_for(202)
+    d, m = 4, 5
+    q = np.linalg.qr(crandn(rng, d * d, m))[0]  # orthonormal columns
+    basis = [q[:, k].reshape(d, d) for k in range(m)]
+
+    def dist(x):  # distance from span(basis) by least squares
+        coeff = np.linalg.lstsq(q, x.reshape(-1), rcond=None)[0]
+        return frob_oracle((x.reshape(-1) - q @ coeff).reshape(d, d))
+
+    adj, prod = closure_residuals(AlgebraBasis(d, basis))
+    assert adj == pytest.approx(max(dist(dag(b)) for b in basis), rel=1e-12)
+    assert prod == pytest.approx(max(dist(a @ b) for a in basis for b in basis), rel=1e-12)
+    assert min(adj, prod) > 0.1
 
 
 def test_closure_check_fails_on_one_nan():
@@ -401,3 +422,193 @@ def test_commutant_project_is_the_orthogonal_projection_onto_the_commutant():
         null = p0 @ (p0.conj().T @ x @ p0) @ p0.conj().T
         assert frob_oracle(got - twirl_to_commutant(x, dec) - null) <= 1e-13
         assert (frob_oracle(null) > 0.1) == (d0 > 0)
+
+
+# ---------------------------------------------------------------------------
+# the generic-element routes: parity with the full-basis constructions,
+# negative controls, large spans
+# ---------------------------------------------------------------------------
+
+# the algebra_engine benchmark's planted shapes, (d0, factors)
+_ENGINE_SHAPES = [
+    (0, [(2, 2), (1, 2), (2, 1)]),
+    (1, [(2, 2), (1, 3)]),
+    (0, [(2, 2), (1, 2)]),
+    (0, [(3, 2), (2, 3)]),
+    (0, [(2, 2), (2, 2), (2, 2)]),
+    (0, [(2, 2), (2, 2), (2, 2), (2, 2)]),
+    (0, [(2, 4), (2, 4), (1, 8)]),
+]
+
+
+def _planted(rng, d0, factors):
+    d = d0 + sum(a * b for a, b in factors)
+    return AtomicDecomposition(d=d, u_alg=haar_unitary(rng, d), d0=d0, factors=factors)
+
+
+def _commutant_rows_oracle(basis, tol=1e-9):
+    """The full-basis commutant: null space of the (m·d², d²) stack of every
+    X ↦ b_k X − X b_k."""
+    d = basis[0].shape[0]
+    stack = np.vstack([np.kron(b, eye(d)) - np.kron(eye(d), b.T) for b in basis])
+    return algebra_mod.null_space(stack, tol, max(frob(b) for b in basis))
+
+
+def _center_rows_oracle(basis, tol=1e-9):
+    """The full-basis centre: null space of the (m·d², m) map
+    c ↦ ([Σ c_k b_k, b_j])_j."""
+    rows = np.vstack([
+        np.stack([(bk @ bj - bj @ bk).reshape(-1) for bk in basis], axis=1)
+        for bj in basis
+    ])
+    return algebra_mod.null_space(rows, tol, max(frob(b) for b in basis))
+
+
+def _projector(rows):
+    return rows.T @ np.conj(rows)
+
+
+def test_commutant_matches_the_full_basis_oracle_on_the_engine_shapes():
+    rng = rng_for(220)
+    for d0, factors in _ENGINE_SHAPES:
+        alg = algebra_from_decomposition(_planted(rng, d0, factors))
+        want = _commutant_rows_oracle(alg.basis)
+        got = np.stack([c.reshape(-1) for c in commutant(alg).basis])
+        assert got.shape[0] == want.shape[0] == d0 ** 2 + sum(b * b for _, b in factors)
+        assert frob_oracle(_projector(got) - _projector(want)) <= 1e-10
+
+
+def test_commutant_matches_the_full_basis_oracle_on_a_span_that_is_not_star_closed():
+    rng = rng_for(221)
+    d = 5
+    # upper-triangular matrices: the span is closed under neither adjoints
+    # nor products, so x† is not available, but x and y are
+    span = [np.triu(crandn(rng, d, d)) for _ in range(3)]
+    basis = [m.reshape(d, d) for m in
+             np.linalg.qr(np.stack([m.reshape(-1) for m in span], axis=1))[0].T]
+    alg = AlgebraBasis(d, basis)
+    assert closure_residuals(alg)[0] > 0.1
+    want = _commutant_rows_oracle(basis)
+    got = np.stack([c.reshape(-1) for c in commutant(alg).basis])
+    assert got.shape == want.shape
+    assert frob_oracle(_projector(got) - _projector(want)) <= 1e-10
+    # a strictly upper-triangular span has a larger commutant than the scalars
+    nil = AlgebraBasis(d, [_unit(d, 0, d - 1), _unit(d, 0, d - 2)])
+    want = _commutant_rows_oracle(nil.basis)
+    got = np.stack([c.reshape(-1) for c in commutant(nil).basis])
+    assert got.shape == want.shape and got.shape[0] > 1
+    assert frob_oracle(_projector(got) - _projector(want)) <= 1e-10
+
+
+def test_center_coefficients_match_the_full_basis_oracle_on_the_engine_shapes():
+    rng = rng_for(222)
+    for k, (d0, factors) in enumerate(_ENGINE_SHAPES):
+        alg = algebra_from_decomposition(_planted(rng, d0, factors))
+        mats = np.stack(alg.basis)
+        want = _center_rows_oracle(alg.basis)
+        got = algebra_mod._center_coefficients(mats, 1e-9, CounterRng(k))
+        assert got.shape[0] == want.shape[0] == len(factors)
+        assert frob_oracle(_projector(got) - _projector(want)) <= 1e-10
+
+
+def _scripted_draws(monkeypatch, bad):
+    """Make the first len(bad) generic draws return the given elements;
+    later draws are generic again.  Returns the list of draws made."""
+    real = algebra_mod._generic_elements
+    calls = []
+
+    def draw(mats, rng, count):
+        calls.append(count)
+        if len(calls) <= len(bad):
+            return [bad[len(calls) - 1]] * count
+        return real(mats, rng, count)
+
+    monkeypatch.setattr(algebra_mod, "_generic_elements", draw)
+    return calls
+
+
+def test_commutant_retries_a_non_generic_draw(monkeypatch):
+    rng = rng_for(223)
+    planted = _planted(rng, 1, [(2, 2), (1, 3)])
+    alg = algebra_from_decomposition(planted)
+    d = planted.d
+    # the identity commutes with everything; the planted algebra's unit is
+    # central: both give a null space far larger than 𝒜′
+    central = planted.u_alg @ np.diag([0.0] + [1.0] * 4 + [2.0] * 3) @ dag(planted.u_alg)
+    calls = _scripted_draws(monkeypatch, [eye(d), central])
+    comm = commutant(alg)
+    assert len(calls) == 3
+    assert comm.dim == 1 + 4 + 9
+    for c in comm.basis:
+        assert frob(c - commutant_project(c, planted)) <= 1e-9
+
+
+def test_commutant_with_only_non_generic_draws_raises_decomposition_failed(monkeypatch):
+    alg = close_star_algebra([_unit(3, 0, 1), _unit(3, 1, 2)], unital=True)
+    calls = _scripted_draws(monkeypatch, [eye(3)] * 100)
+    with pytest.raises(DecompositionFailed) as info:
+        commutant(alg)
+    assert len(calls) == algebra_mod._MAX_RETRIES
+    assert info.value.residual > 0.1
+
+
+def test_atomic_decompose_retries_a_non_generic_center_draw(monkeypatch):
+    rng = rng_for(224)
+    planted = _planted(rng, 0, [(2, 2), (1, 3)])
+    alg = algebra_from_decomposition(planted)
+    calls = _scripted_draws(monkeypatch, [eye(planted.d)] * 2)
+    # the identity leaves every coefficient in the null space: the centre's
+    # own commutation check rejects the draw
+    with pytest.raises(algebra_mod._GenericityFailure):
+        algebra_mod._center_coefficients(np.stack(alg.basis), 1e-9, CounterRng(0))
+    dec = atomic_decompose(alg)
+    assert len(calls) == 3
+    assert _multiset(dec) == _multiset(planted)
+
+
+def test_atomic_decompose_with_only_non_generic_center_draws_raises(monkeypatch):
+    rng = rng_for(225)
+    planted = _planted(rng, 0, [(2, 2), (1, 3)])
+    alg = algebra_from_decomposition(planted)
+    _scripted_draws(monkeypatch, [eye(planted.d)] * 100)
+    with pytest.raises(DecompositionFailed):
+        atomic_decompose(alg)
+
+
+def test_commutation_residual_is_batched_and_fails_on_nan():
+    rng = rng_for(226)
+    a = [crandn(rng, 4, 4) for _ in range(3)]
+    b = [crandn(rng, 4, 4) for _ in range(5)]
+    want = max(frob_oracle(x @ y - y @ x) for x in a for y in b)
+    assert algebra_mod._commutation_residual(a, b) == pytest.approx(want, rel=1e-12)
+    assert algebra_mod._commutation_residual([], b) == 0.0
+    b[2] = b[2].copy()
+    b[2][1, 3] = np.nan
+    assert np.isnan(algebra_mod._commutation_residual(a, b))
+
+
+def test_close_star_algebra_of_a_diagonal_generator_takes_one_sweep_per_power():
+    d = 24
+    alg = close_star_algebra([np.diag(np.arange(1.0, d + 1))], unital=False)
+    assert alg.dim == d
+    assert alg.contains_identity
+    for i in range(d):
+        assert membership_residual(_unit(d, i, i), alg) <= 1e-9
+    assert max(closure_residuals(alg)) <= 1e-10
+
+
+@pytest.mark.parametrize("d0, factors, dim", [
+    (0, [(16, 2)], 4),
+    (8, [(12, 2)], 8 * 8 + 4),
+])
+def test_commutant_at_d32_within_a_wall_bound(d0, factors, dim):
+    planted = _planted(rng_for(227), d0, factors)
+    alg = algebra_from_decomposition(planted)
+    start = time.perf_counter()
+    comm = commutant(alg)
+    elapsed = time.perf_counter() - start
+    assert comm.dim == dim
+    assert algebra_mod._commutation_residual(comm.basis, alg.basis) <= 1e-10
+    for c in comm.basis[:4]:
+        assert frob(c - commutant_project(c, planted)) <= 1e-10
+    assert elapsed <= 30.0

@@ -593,3 +593,41 @@ def test_probe_fails_on_a_nan_residual(monkeypatch):
     rep = semigroup_invariance_probe(bundle.payload, dec, [0.1, 10.0])
     assert not rep.passed
     assert all(np.isnan(r) for r in rep.max_residuals)
+
+
+def test_abelian_coefficients_reject_an_observable_with_one_nan():
+    p = 0.7
+    ops = [np.sqrt(p) * eye(2), np.sqrt(1 - p) * PAULI["Z"]]
+    k = KrausSet(d_in=2, d_out=2, ops=ops)
+    c = np.diag([1.0, -1.0]).astype(np.complex128)
+    c[1, 1] = np.nan
+    with pytest.raises(NotDiagonal):
+        maximal_abelian_coefficients(k, diag_dec(2), c)
+
+
+@pytest.mark.parametrize("pipeline", [fixed_point_state, koashi_imoto_decompose])
+def test_fixed_point_pipelines_reject_a_kraus_set_with_one_nan(pipeline):
+    op = eye(3)
+    op[2, 1] = np.nan
+    with pytest.raises(NotTracePreserving) as info:
+        pipeline(KrausSet(d_in=3, d_out=3, ops=[op]))
+    assert np.isnan(info.value.residual)
+
+
+def test_koashi_imoto_checks_closure_once(monkeypatch):
+    import igkls.algebra as algebra_mod
+
+    calls = []
+    real = algebra_mod.closure_residuals
+
+    def counted(alg):
+        calls.append(alg.dim)
+        return real(alg)
+
+    monkeypatch.setattr(algebra_mod, "closure_residuals", counted)
+    monkeypatch.setattr(applications, "closure_residuals", counted)
+    ops = [np.sqrt(0.5) * eye(2), np.sqrt(0.5) * PAULI["Z"]]
+    res = koashi_imoto_decompose(KrausSet(d_in=2, d_out=2, ops=ops))
+    assert calls == [2]
+    assert res.report["closure_adjoint_residual"] <= 1e-12
+    assert res.report["closure_product_residual"] <= 1e-12

@@ -28,6 +28,7 @@ from igkls import (
     kraus_to_stinespring,
     semicausal_build,
 )
+import igkls.cli as cli_mod
 from igkls.cli import main, run_report
 from igkls.io import (
     KINDS,
@@ -497,6 +498,47 @@ def test_cli_memory_error_is_a_structured_failure(tmp_path, capsys, monkeypatch)
     assert doc["ok"] is False and doc["exit_code"] == 1
     assert doc["error"]["type"] == "MemoryError"
     assert "16.0 GiB" in doc["error"]["message"]
+
+
+def test_cli_commutation_check_fails_on_one_nan(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "alg.json"
+    assert run_cli(capsys, ["random", "--kind", "algebra", "--seed", "13",
+                            "--out", str(path)])[0] == 0
+    real = cli_mod.commutant
+
+    def poisoned(alg, tol):
+        comm = real(alg, tol=tol)
+        comm.basis[-1] = comm.basis[-1].copy()
+        comm.basis[-1][0, 0] = np.nan
+        return comm
+
+    monkeypatch.setattr(cli_mod, "commutant", poisoned)
+    code, out, _ = run_cli(capsys, ["commutant", "--in", str(path)])
+    assert code == 1
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert checks["commutation"]["passed"] is False
+
+
+def test_cli_algebra_decompose_checks_closure_once(tmp_path, capsys, monkeypatch):
+    import igkls.algebra as algebra_mod
+
+    path = tmp_path / "alg.json"
+    assert run_cli(capsys, ["random", "--kind", "algebra", "--seed", "13",
+                            "--out", str(path)])[0] == 0
+    calls = []
+    real = algebra_mod.closure_residuals
+
+    def counted(alg):
+        calls.append(alg.dim)
+        return real(alg)
+
+    monkeypatch.setattr(algebra_mod, "closure_residuals", counted)
+    monkeypatch.setattr(cli_mod, "closure_residuals", counted)
+    code, out, _ = run_cli(capsys, ["algebra-decompose", "--in", str(path)])
+    assert code == 0
+    assert len(calls) == 1
+    names = [c["name"] for c in json.loads(out)["checks"]]
+    assert names[:2] == ["closure_adjoint", "closure_product"]
 
 
 def _random_algebra(capsys, tmp_path, params):
