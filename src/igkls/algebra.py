@@ -13,7 +13,8 @@ environment slots, the last tensor slot), take factor block i
 (``_trace_a``/``_trace_b``) or write 1_A⊗Y or X⊗1_B into it
 (``_embed_a``/``_embed_b``, through the trace's index string read as a
 writable diagonal view), and conjugate back (``_lift``).  All modules share
-these private helpers, and the pattern-basis loop :func:`invariance_residuals`.
+these private helpers, the pattern-basis loop :func:`invariance_residuals`
+and the batched pattern check ``_pattern_residuals`` behind it.
 
 The two exact averaging operations (`twirl_to_commutant`,
 `twirl_intertwiner`) replace group integrals by closed-form partial traces,
@@ -42,6 +43,9 @@ from .rng import CounterRng
 
 _MAX_RETRIES = 8
 _GAP_FRACTION = 1e-6  # minimal relative eigenvalue gap for a generic element
+# largest adjoint residual, relative to the basis scale, of a span that
+# `commutant` treats as *-closed; an orthonormalised algebra basis has ~1e-15
+_STAR_CLOSED = 1e-12
 
 
 @dataclass
@@ -201,15 +205,23 @@ def _commutation_residual(left, right) -> float:
                    for s in _chunks(len(a), 16 * len(b) * d * d)])
 
 
-def _ad_stack(xs) -> np.ndarray:
-    """[ad_x; ad_y; …]: for each x the d²×d² matrix x⊗1 − 1⊗xᵀ of
-    X ↦ xX − Xx on row-major vec(X), written without a kron."""
+def _ad_stack(xs, blocks) -> np.ndarray:
+    """[ad_x; ad_y; …] on the X that vanish outside the diagonal blocks
+    (``blocks``, slices) of the frame: for each x the d² × Σn_k² matrix of
+    X ↦ xX − Xx, rows the row-major vec(xX − Xx), columns the entries of
+    each block in turn, row-major.  With the single block [0, d) this is
+    x⊗1 − 1⊗xᵀ on vec(X), written without a kron."""
     d = xs[0].shape[0]
-    t = np.zeros((len(xs), d, d, d, d), dtype=np.complex128)
-    for x, tx in zip(xs, t):
-        np.einsum("ikjk->ijk", tx)[...] = x[:, :, None]
-        np.einsum("ikil->ikl", tx)[...] -= x.T[None]
-    return t.reshape(-1, d * d)
+    cols = []
+    for s in blocks:
+        n = s.stop - s.start
+        t = np.zeros((len(xs), d, d, n, n), dtype=np.complex128)
+        for x, tx in zip(xs, t):
+            # the unit E_lj of the block goes to x[:, l]·e_jᵀ − e_l·x[j, :]
+            np.einsum("iclc->icl", tx[:, s])[...] = x[:, s][:, None, :]
+            np.einsum("icij->icj", tx[s])[...] -= x[s].T[None]
+        cols.append(t.reshape(-1, n * n))
+    return np.concatenate(cols, axis=1)
 
 
 class _GenericityFailure(Exception):
@@ -251,7 +263,8 @@ def close_star_algebra(generators, unital: bool, tol: float = TOL_RANK,
     nothing is (one sweep per word length, so a single diagonal generator
     with d distinct eigenvalues takes d sweeps).  With ``unital=True`` the
     identity is included up front.  With no generators at all, ``dim`` fixes
-    the ambient space (the scalars on C¹ when omitted).
+    the ambient space (the scalars on C¹ when omitted).  A generator with a
+    NaN or infinite entry raises :class:`NotClosed`.
     """
     gens = [asmatrix(g) for g in generators]
     dims = {g.shape for g in gens}
@@ -263,6 +276,9 @@ def close_star_algebra(generators, unital: bool, tol: float = TOL_RANK,
         raise ValueError("dim contradicts the generators' dimension")
     if not gens and not unital:
         raise ValueError("need at least one generator or unital=True")
+    size = _worst([frob(g) for g in gens])
+    if not np.isfinite(size):
+        raise NotClosed("generators hold a non-finite entry", residual=size)
     d = gens[0].shape[0] if gens else (1 if dim is None else int(dim))
     letters = gens + [dag(g) for g in gens]
     left = _stacked(_orthonormal_rows(letters, d, tol), d)[:, None]
@@ -291,29 +307,63 @@ def membership_residual(x: np.ndarray, alg: AlgebraBasis) -> float:
 
 
 def commutant(alg: AlgebraBasis, tol: float = TOL_RANK) -> AlgebraBasis:
-    """Commutant 𝒜′ of span(alg): the null space of the 2d²×d² stack
-    [ad_x; ad_y] for two generic elements x, y of the span.
+    """Commutant 𝒜′ of span(alg): the Z with [x, Z] = [y, Z] = 0 for two
+    generic elements x, y of the span.
 
-    The null space always contains 𝒜′; it is kept once each of its elements
-    commutes with every basis element, else the draw is retried (x and y,
-    not x and x†, so that a span that is not *-closed works too).
+    For a *-closed span, h = (x + x†)/2 lies in the span, so every element
+    of 𝒜′ commutes with h and is block-diagonal on the eigenspaces of h:
+    the null space is taken over the block-diagonal Z in the eigenframe of
+    h, a 2d² × Σn_k² stack for eigenvalue clusters of sizes n_k.  A span
+    that is not *-closed (some b_j† farther than 10⁻¹² times the largest
+    ‖b_k‖_F from the span) takes the identity frame with one cluster, the
+    2d² × d² stack.
+
+    The null space always contains 𝒜′ provided no cluster splits a true
+    eigenspace of h.  With s = max(spread of the eigenvalues, 1), clusters
+    merge gaps below 10⁻⁸·s (rounding splits a degenerate eigenvalue far
+    less) and a gap between 10⁻⁸·s and 10⁻⁶·s retries the draw
+    (:func:`_cluster_eigenvalues`), so none does.  The null space is kept
+    once each of its elements commutes with every basis element, which
+    shows only that it lies inside 𝒜′; else the draw is retried.  A basis
+    with a NaN or infinite entry raises :class:`DecompositionFailed`.
     """
+    return _commutant(alg, tol)[0]
+
+
+def _commutant(alg: AlgebraBasis, tol: float) -> tuple[AlgebraBasis, float]:
+    """:func:`commutant` and the largest ‖[c, b]‖_F over its elements c and
+    the basis elements b, which it has checked."""
     d = alg.ambient_dim
     if not alg.basis:
-        return AlgebraBasis(d, list(eye(d * d).reshape(d * d, d, d)), contains_identity=True)
+        return AlgebraBasis(d, list(eye(d * d).reshape(d * d, d, d)), contains_identity=True), 0.0
     mats = _stacked(alg.basis, d)
     scale = max(frob(b) for b in mats)
+    if not np.isfinite(scale):
+        raise DecompositionFailed("basis holds a non-finite entry", residual=scale)
+    star_closed = _adjoint_residual(mats) <= _STAR_CLOSED * scale
 
     def attempt(rng):
-        xy = _generic_elements(mats, rng, 2)
+        x, y = _generic_elements(mats, rng, 2)
+        frame, clusters = _eigenspaces(0.5 * (x + dag(x))) if star_closed else (eye(d), [range(d)])
+        if clusters is None:
+            raise _GenericityFailure()
+        # eigh sorts the eigenvalues, so each cluster is a run of indices
+        blocks = [slice(int(min(c)), int(max(c)) + 1) for c in clusters]
+        xf, yf = dag(frame) @ x @ frame, dag(frame) @ y @ frame
         # for a central span the stack is pure rounding noise, so the cutoff
         # is anchored to the elements' scale as well
-        rows = null_space(_ad_stack(xy), tol, max(frob(x) for x in xy))
-        comm = list(rows.reshape(-1, d, d))
+        rows = null_space(_ad_stack([xf, yf], blocks), tol, max(frob(x), frob(y)))
+        z = np.zeros((len(rows), d, d), dtype=np.complex128)
+        pos = 0
+        for s in blocks:
+            n = s.stop - s.start
+            z[:, s, s] = rows[:, pos:pos + n * n].reshape(-1, n, n)
+            pos += n * n
+        comm = frame @ z @ dag(frame)
         res = _commutation_residual(comm, mats)
         if not res <= 100 * tol * scale:
             raise _GenericityFailure(residual=res)
-        return AlgebraBasis(d, comm, contains_identity=True)
+        return AlgebraBasis(d, list(comm), contains_identity=True), res
 
     return _retry_generic(attempt, 0, "commutant draw")
 
@@ -326,10 +376,16 @@ def closure_residuals(alg: AlgebraBasis) -> tuple[float, float]:
     d = alg.ambient_dim
     mats = _stacked(alg.basis, d)
     rows = mats.reshape(-1, d * d)
-    adj = _worst(_span_residuals(np.conj(mats.transpose(0, 2, 1)).reshape(-1, d * d), rows))
     prod = _worst([_worst(_span_residuals((mats[s, None] @ mats[None]).reshape(-1, d * d), rows))
                    for s in _chunks(len(mats), 16 * len(mats) * d * d)])
-    return adj, prod
+    return _adjoint_residual(mats), prod
+
+
+def _adjoint_residual(mats: np.ndarray) -> float:
+    """Largest distance of any b_j† from the span of the orthonormal stack
+    ``mats``; NaN if any is NaN."""
+    rows = mats.reshape(len(mats), -1)
+    return _worst(_span_residuals(np.conj(mats.transpose(0, 2, 1)).reshape(len(mats), -1), rows))
 
 
 # ---------------------------------------------------------------------------
@@ -373,16 +429,34 @@ def commutant_project(x: np.ndarray, dec: AtomicDecomposition) -> np.ndarray:
 
 def pattern_residual(x: np.ndarray, dec: AtomicDecomposition) -> float:
     """Frobenius distance of x from the algebra of ``dec``."""
-    return frob(asmatrix(x) - algebra_project(x, dec))
+    return float(_pattern_residuals(asmatrix(x)[None], dec)[0])
+
+
+def _pattern_residuals(xs, dec: AtomicDecomposition) -> np.ndarray:
+    """Frobenius distance of each matrix of ``xs`` from the algebra of
+    ``dec``.  One matmul moves the whole stack to the ``u_alg`` frame, where
+    the distance is that of t from its projection: t with each factor block
+    t_ii replaced by t_ii − Tr_B(t_ii)/d_B ⊗ 1_B (one einsum per factor)
+    and everything else kept.  A NaN in one matrix is NaN in its slot only."""
+    d = dec.d
+    xs = np.asarray(xs, dtype=np.complex128)
+    if xs.size and xs.shape[1:] != (d, d):
+        raise ValueError(f"expected {d}×{d} matrices, got {xs.shape[1:]}")
+    t = dag(dec.u_alg) @ xs.reshape(-1, d, d) @ dec.u_alg
+    for da, db, s in _blocks(dec):
+        blk = t[:, s, s].reshape(-1, da, db, da, db)
+        np.einsum("nabcb->nacb", blk)[...] -= np.einsum("nabcb->nac", blk)[..., None] / db
+    return np.linalg.norm(t.reshape(len(t), d * d), axis=1)
 
 
 def invariance_residuals(apply, dec_in: AtomicDecomposition,
                          dec_out: AtomicDecomposition | None = None) -> list[float]:
     """pattern_residual(apply(X̂), dec_out) for each X̂ of
     ``algebra_pattern_basis(dec_in)``, in that order (``dec_out`` defaults
-    to ``dec_in``)."""
+    to ``dec_in``); the images are checked as one stack."""
     dec_out = dec_in if dec_out is None else dec_out
-    return [pattern_residual(apply(x), dec_out) for x in algebra_pattern_basis(dec_in)]
+    images = [apply(x) for x in algebra_pattern_basis(dec_in)]
+    return _pattern_residuals(images, dec_out).tolist()
 
 
 def _worst(residuals) -> float:
@@ -564,17 +638,24 @@ def _decompose_closed(alg: AlgebraBasis, closure: tuple[float, float], tol: floa
 
 
 def _generic_self_adjoint(mats: np.ndarray, rng: CounterRng) -> np.ndarray:
-    x = np.tensordot([rng.gauss() for _ in range(len(mats))], mats, axes=1)
+    x = np.tensordot(rng._normals(len(mats)), mats, axes=1)
     return 0.5 * (x + dag(x))
+
+
+def _eigenspaces(h: np.ndarray):
+    """Eigenvectors of the self-adjoint ``h`` (columns, eigenvalues
+    ascending) and the index clusters of its eigenvalues at gap
+    ``_GAP_FRACTION`` of their spread (at least 1); None for the clusters
+    if a gap is ambiguous."""
+    w, v = np.linalg.eigh(h)
+    return v, _cluster_eigenvalues(w, _GAP_FRACTION * max(float(w[-1] - w[0]), 1.0))
 
 
 def _attempt_decompose(alg, restricted, center_coeffs, e_null, e_supp,
                        d, d0, tol, rng) -> AtomicDecomposition:
     n_factors = center_coeffs.shape[0]
     z = _generic_self_adjoint(np.tensordot(center_coeffs, restricted, axes=1), rng)
-    wz, vz = np.linalg.eigh(z)
-    spread = max(float(wz[-1] - wz[0]), 1.0)
-    clusters = _cluster_eigenvalues(wz, _GAP_FRACTION * spread)
+    vz, clusters = _eigenspaces(z)
     if clusters is None or len(clusters) != n_factors:
         raise _GenericityFailure()
 
@@ -584,10 +665,7 @@ def _attempt_decompose(alg, restricted, center_coeffs, e_null, e_supp,
         f_i = vz[:, cl]  # ds × n_i
         n_i = f_i.shape[1]
         fac_basis = dag(f_i) @ restricted @ f_i
-        x = _generic_self_adjoint(fac_basis, rng)
-        wx, vx = np.linalg.eigh(x)
-        spread_x = max(float(wx[-1] - wx[0]), 1.0)
-        sub = _cluster_eigenvalues(wx, _GAP_FRACTION * spread_x)
+        vx, sub = _eigenspaces(_generic_self_adjoint(fac_basis, rng))
         if sub is None:
             raise _GenericityFailure()
         sizes = {len(c) for c in sub}
@@ -604,11 +682,9 @@ def _attempt_decompose(alg, restricted, center_coeffs, e_null, e_supp,
             aligned = [frames[0]]
             scale_y = max(frob(y), 1e-30)
             for a in range(1, da):
-                m_a = dag(frames[a]) @ y @ frames[0]
-                sv = np.linalg.svd(m_a, compute_uv=False)
+                u_m, sv, vh_m = np.linalg.svd(dag(frames[a]) @ y @ frames[0])
                 if sv.size == 0 or sv[-1] < 1e-8 * scale_y:
                     raise _GenericityFailure()
-                u_m, _, vh_m = np.linalg.svd(m_a)
                 aligned.append(frames[a] @ (u_m @ vh_m))
         else:
             aligned = frames
@@ -634,7 +710,7 @@ def _attempt_decompose(alg, restricted, center_coeffs, e_null, e_supp,
     u_alg = np.concatenate(columns, axis=1) if columns else eye(d)
 
     dec = AtomicDecomposition(d=d, u_alg=u_alg, d0=d0, factors=factors)
-    worst = _worst([pattern_residual(b, dec) for b in alg.basis])
+    worst = _worst(_pattern_residuals(alg.basis, dec))
     if not worst <= max(1e-9, tol * 10):
         raise _GenericityFailure(residual=worst)
     return dec

@@ -40,13 +40,13 @@ from .algebra import (
     _embed_a,
     _embed_b,
     _lift,
+    _pattern_residuals,
     _to_frame,
     _unit_images,
     _worst,
     algebra_pattern_basis,
     closure_residuals,
     invariance_residuals,
-    pattern_residual,
 )
 from .cpmaps import KrausSet, atomic_block_factorize, cp_invariance_check, kraus_to_stinespring
 from .errors import (
@@ -788,8 +788,7 @@ def semigroup_invariance_probe(
         prev = (t, propagator)
         yc = propagator @ coords.real + 1j * (propagator @ coords.imag)
         y = w1[:, None] * yc + (w2[:, None] * yc)[perm]  # T·yc
-        worst = _worst([pattern_residual(unvec(y[:, k], d, d), dec)
-                        for k in range(len(basis))])
+        worst = _worst(_pattern_residuals(y.T.reshape(-1, d, d), dec))
         max_res.append(worst / frob(propagator))
     passed = bool(all(res <= tol for res in max_res))
     return ProbeReport(times=[float(t) for t in times], max_residuals=max_res,

@@ -27,13 +27,12 @@ import numpy as np
 
 from .algebra import (
     AtomicDecomposition,
-    _commutation_residual,
+    _commutant,
     _decompose_closed,
     _worst,
     algebra_from_decomposition,
     atomic_decompose,
     closure_residuals,
-    commutant,
     invariance_residuals,
 )
 from .applications import (
@@ -241,12 +240,11 @@ def _cmd_algebra_decompose(bundles, flags, rep: _Report):
 def _cmd_commutant(bundles, flags, rep: _Report):
     dec: AtomicDecomposition = _pick(bundles, "algebra").payload
     basis = algebra_from_decomposition(dec)
-    comm = commutant(basis, tol=flags["tol_rank"])
+    comm, commutation = _commutant(basis, flags["tol_rank"])
     expected_dim = dec.d0 ** 2 + sum(db * db for _, db in dec.factors)
     rep.fact("commutant_dimension", comm.dim == expected_dim,
              detail=f"expected {expected_dim}, got {comm.dim}")
-    rep.check("commutation", _commutation_residual(comm.basis, basis.basis),
-              100 * flags["tol_verify"])
+    rep.check("commutation", commutation, 100 * flags["tol_verify"])
     dec_c = atomic_decompose(comm, tol=flags["tol_rank"], seed=flags["seed"])
     expected_factors = sorted(
         ([(dec.d0, 1)] if dec.d0 else []) + [(db, da) for da, db in dec.factors]

@@ -10,10 +10,16 @@ reproduce instances bit-for-bit from a 64-bit seed:
 * uniforms take the top 53 bits: ``u_k = (word_k >> 11) · 2⁻⁵³``;
 * Gaussians use Box–Muller with a fixed call order: the n-th standard normal
   consumes uniforms ``2n`` and ``2n+1`` and uses only the cosine branch
-  (``z = sqrt(−2 ln u) · cos(2π u')``, with ``u = 0`` clamped to ``2⁻⁵³``).
+  (``z = sqrt(−2 ln u) · cos(2π u')``, with ``u = 0`` clamped to ``2⁻⁵³``);
+* a complex Gaussian entry is ``(z_re / √2) + i·(z_im / √2)``, its two normals
+  consecutive, and matrices fill row-major.
 
 No state is shared between instances; every draw is a pure function of
-(seed, counter).
+(seed, counter).  Gaussians are drawn a whole matrix at a time, with the
+words mixed in uint64 and the Box–Muller step in float64 numpy arithmetic.
+Each step is the operation one scalar draw makes (exact integer mixing,
+correctly rounded products and divisions, numpy's own log, cos and sqrt),
+so the stream is the same, bit for bit, however it is batched.
 """
 
 from __future__ import annotations
@@ -39,7 +45,6 @@ class CounterRng:
     def __init__(self, seed: int):
         self.seed = int(seed) & _MASK
         self._counter = 0
-        self._gauss_counter = 0
 
     def word(self) -> int:
         """Next raw 64-bit word."""
@@ -52,11 +57,18 @@ class CounterRng:
 
     def gauss(self) -> float:
         """Standard normal via Box–Muller (cosine branch only)."""
-        u1 = self.uniform()
-        u2 = self.uniform()
-        if u1 == 0.0:
-            u1 = 2.0 ** -53
-        return float(np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2))
+        return float(self._normals(1)[0])
+
+    def _normals(self, n: int) -> np.ndarray:
+        """The next ``n`` standard normals of the stream, drawn at once."""
+        k = np.arange(self._counter + 1, self._counter + 2 * n + 1, dtype=np.uint64)
+        self._counter += 2 * n
+        z = np.uint64(self.seed) + k * np.uint64(_GAMMA)  # wraps mod 2⁶⁴
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+        u = ((z ^ (z >> np.uint64(31))) >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+        u1 = np.where(u[0::2] == 0.0, 2.0 ** -53, u[0::2])
+        return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u[1::2])
 
     def integers(self, low: int, high: int) -> int:
         """Uniform integer in [low, high) (rejection-free modulo fold)."""
@@ -68,13 +80,9 @@ class CounterRng:
 
     def complex_matrix(self, rows: int, cols: int) -> np.ndarray:
         """Standard complex Gaussian entries (re then im per entry)."""
-        out = np.empty((rows, cols), dtype=np.complex128)
-        for i in range(rows):
-            for j in range(cols):
-                re = self.gauss()
-                im = self.gauss()
-                out[i, j] = complex(re, im) / np.sqrt(2.0)
-        return out
+        # each part divided on its own: a complex/real division may differ by 1 ulp
+        pairs = self._normals(2 * rows * cols) / np.sqrt(2.0)
+        return pairs.view(np.complex128).reshape(rows, cols)
 
     def hermitian(self, n: int) -> np.ndarray:
         g = self.complex_matrix(n, n)

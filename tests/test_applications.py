@@ -589,7 +589,8 @@ def test_probe_survives_a_large_scalar_shift_of_k():
 def test_probe_fails_on_a_nan_residual(monkeypatch):
     bundle = random_instance("gkls", seed=540)
     dec = _decode_algebra(bundle.meta["algebra"], 1e-9, "meta.algebra")
-    monkeypatch.setattr(applications, "pattern_residual", lambda x, dec: float("nan"))
+    monkeypatch.setattr(applications, "_pattern_residuals",
+                        lambda xs, dec: np.full(len(xs), np.nan))
     rep = semigroup_invariance_probe(bundle.payload, dec, [0.1, 10.0])
     assert not rep.passed
     assert all(np.isnan(r) for r in rep.max_residuals)

@@ -490,7 +490,7 @@ def test_cli_memory_error_is_a_structured_failure(tmp_path, capsys, monkeypatch)
     def out_of_memory(*args, **kwargs):
         raise MemoryError("Unable to allocate 16.0 GiB for the commutator stack")
 
-    monkeypatch.setattr("igkls.cli.commutant", out_of_memory)
+    monkeypatch.setattr("igkls.cli._commutant", out_of_memory)
     code, out, err = run_cli(capsys, ["commutant", "--in", str(path)])
     assert code == 1
     assert err == ""
@@ -504,19 +504,43 @@ def test_cli_commutation_check_fails_on_one_nan(tmp_path, capsys, monkeypatch):
     path = tmp_path / "alg.json"
     assert run_cli(capsys, ["random", "--kind", "algebra", "--seed", "13",
                             "--out", str(path)])[0] == 0
-    real = cli_mod.commutant
+    real = cli_mod._commutant
 
     def poisoned(alg, tol):
-        comm = real(alg, tol=tol)
-        comm.basis[-1] = comm.basis[-1].copy()
-        comm.basis[-1][0, 0] = np.nan
-        return comm
+        # the residual the commutant computed is what the CLI reports
+        return real(alg, tol)[0], float("nan")
 
-    monkeypatch.setattr(cli_mod, "commutant", poisoned)
+    monkeypatch.setattr(cli_mod, "_commutant", poisoned)
     code, out, _ = run_cli(capsys, ["commutant", "--in", str(path)])
     assert code == 1
     checks = {c["name"]: c for c in json.loads(out)["checks"]}
     assert checks["commutation"]["passed"] is False
+
+
+def test_cli_commutant_checks_commutation_once(tmp_path, capsys, monkeypatch):
+    import igkls.algebra as algebra_mod
+
+    path = tmp_path / "alg.json"
+    assert run_cli(capsys, ["random", "--kind", "algebra", "--seed", "13", "--params",
+                            '{"factors": [[2, 2], [1, 3]], "d0": 1}',
+                            "--out", str(path)])[0] == 0
+    calls = []
+    real = algebra_mod._commutation_residual
+
+    def counted(left, right):
+        calls.append((len(left), len(right)))
+        return real(left, right)
+
+    monkeypatch.setattr(algebra_mod, "_commutation_residual", counted)
+    # counted too if the CLI held its own reference to the helper
+    monkeypatch.setattr(cli_mod, "_commutation_residual", counted, raising=False)
+    code, out, _ = run_cli(capsys, ["commutant", "--in", str(path)])
+    assert code == 0
+    # the commutant (1 + 4 + 9 elements) against the algebra (4 + 1)
+    assert calls.count((14, 5)) == 1
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert checks["commutation"]["passed"] is True
+    assert checks["commutation"]["tolerance"] == pytest.approx(1e-7)
 
 
 def test_cli_algebra_decompose_checks_closure_once(tmp_path, capsys, monkeypatch):

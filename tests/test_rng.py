@@ -1,6 +1,7 @@
 """Contract of the counter-based deterministic generator."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -92,3 +93,44 @@ def test_gaussian_moments_are_sane():
     xs = np.array([rng.gauss() for _ in range(4000)])
     assert abs(xs.mean()) < 0.08
     assert abs(xs.std() - 1.0) < 0.08
+
+
+def _gauss_oracle(seed: int, n: int) -> list[float]:
+    """The first n normals of the stream, one scalar Box–Muller step each."""
+    out = []
+    for i in range(n):
+        u1, u2 = ((_splitmix64_oracle(seed, 2 * i + j) >> 11) * 2.0**-53 for j in (0, 1))
+        if u1 == 0.0:
+            u1 = 2.0**-53
+        out.append(float(np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)))
+    return out
+
+
+def _complex_oracle(normals: list[float], rows: int, cols: int) -> np.ndarray:
+    """The per-entry loop: complex(re, im)/√2, re then im, row-major."""
+    out = np.empty((rows, cols), dtype=np.complex128)
+    for i in range(rows):
+        for j in range(cols):
+            re, im = normals.pop(0), normals.pop(0)
+            out[i, j] = complex(re, im) / np.sqrt(2.0)
+    return out
+
+
+def test_vector_draws_are_bit_identical_to_the_scalar_stream():
+    draw = random.Random(58)
+    seeds = [0, 1, 7, 2**64 - 1] + [draw.getrandbits(64) for _ in range(200)]
+    for seed in seeds:
+        want = _gauss_oracle(seed, 1 + 12 + 1 + 5 + 6)
+        rng = CounterRng(seed)
+        # scalar and vector draws interleaved: each must start at the counter
+        # the previous one left
+        assert rng.gauss() == want.pop(0)
+        got = rng.complex_matrix(2, 3)
+        assert np.array_equal(got.view(np.float64), _complex_oracle(want, 2, 3).view(np.float64))
+        assert rng.gauss() == want.pop(0)
+        assert np.array_equal(rng._normals(5), want[:5])
+        del want[:5]
+        got = rng.complex_matrix(3, 1)
+        assert np.array_equal(got.view(np.float64), _complex_oracle(want, 3, 1).view(np.float64))
+        assert not want
+    assert CounterRng(3).complex_matrix(0, 4).shape == (0, 4)
