@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DecompositionFailed, NotClosed, NotIntertwiner
+from .errors import DecompositionFailed, NotClosed, NotIntertwiner, verify
 from .linalg import (
     TOL_RANK,
     _on_system,
@@ -455,8 +455,13 @@ def invariance_residuals(apply, dec_in: AtomicDecomposition,
     ``algebra_pattern_basis(dec_in)``, in that order (``dec_out`` defaults
     to ``dec_in``); the images are checked as one stack."""
     dec_out = dec_in if dec_out is None else dec_out
-    images = [apply(x) for x in algebra_pattern_basis(dec_in)]
-    return _pattern_residuals(images, dec_out).tolist()
+    return _image_residuals(apply, algebra_pattern_basis(dec_in), dec_out).tolist()
+
+
+def _image_residuals(apply, basis, dec: AtomicDecomposition) -> np.ndarray:
+    """pattern_residual(apply(X), dec) for each X of ``basis``, as one stack
+    (for callers that reuse one pattern basis)."""
+    return _pattern_residuals([apply(x) for x in basis], dec)
 
 
 def _worst(residuals) -> float:
@@ -526,15 +531,14 @@ def intertwiner_decompose(
         frob(_on_system(xhat, b, e_out) - _on_system(xhat.T, b.T, e_in).T)
         for xhat in algebra_pattern_basis(dec)
     ])
-    if not worst <= tol * scale * 10:
-        raise NotIntertwiner("input does not intertwine the algebra action", residual=worst)
+    verify("intertwiner", worst, tol * scale * 10, NotIntertwiner,
+           "input does not intertwine the algebra action")
 
     t = _to_frame(b, dec, e_out, e_in)
     null = t[: dec.d0, :, : dec.d0, :]
     parts = _factor_traces(t, dec, _trace_a)
-    res = frob(_lift(dec, parts, _embed_a, e_out, e_in, null=null) - b)
-    if not res <= 1e-9 * scale * 10:
-        raise NotIntertwiner("block reassembly does not reproduce the input", residual=res)
+    verify("intertwiner_reassembly", frob(_lift(dec, parts, _embed_a, e_out, e_in, null=null) - b),
+           1e-9 * scale * 10, NotIntertwiner, "block reassembly does not reproduce the input")
     return IntertwinerParts(b0=null.reshape(dec.d0 * e_out, dec.d0 * e_in), b_i=parts)
 
 
@@ -605,13 +609,14 @@ def atomic_decompose(
 
 
 def _decompose_closed(alg: AlgebraBasis, closure: tuple[float, float], tol: float,
-                      seed: int) -> AtomicDecomposition:
+                      seed: int, error: type = NotClosed) -> AtomicDecomposition:
     """:func:`atomic_decompose` given ``closure_residuals(alg)``, for callers
-    that have already computed (and reported) them."""
+    that have already computed them; a closure residual above its limit
+    raises ``error``."""
     d = alg.ambient_dim
-    worst = _worst(closure)
-    if not worst <= max(tol * 100, 1e-8):
-        raise NotClosed("basis is not closed under adjoint/product", residual=worst)
+    limit = max(tol * 100, 1e-8)
+    verify("closure_adjoint", closure[0], limit, error, "basis is not closed under adjoints")
+    verify("closure_product", closure[1], limit, error, "basis is not closed under products")
 
     # support / null split (shared by all attempts; eigh is deterministic)
     if alg.dim == 0:

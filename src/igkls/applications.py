@@ -58,6 +58,7 @@ from .errors import (
     NotInvariant,
     NotMaximalAbelian,
     NotTracePreserving,
+    verify,
 )
 from .gkls import AtomicNormalForm, GKLSRep, atomic_normal_form, generator_superoperator, gkls_apply, reconstruct_from_normal_form, reduce_normal_form_minimal
 from .linalg import TOL_RANK, _on_system, asmatrix, dag, expm, eye, frob, herm, im_part, kron, null_space, unvec, vec
@@ -282,20 +283,14 @@ def dfs_verify_normal_form(
     lscale = max(1.0, frob(g.v) ** 2, frob(g.k))
     limit = max(tol, 1e-10) * lscale * 10
     inv = _worst(invariance_residuals(lambda x: gkls_apply(g, x), dec))
-    if not inv <= limit:
-        raise NotInvariant("generator does not leave the algebra invariant",
-                           residual=inv)
+    verify("dfs_invariance", inv, limit, NotInvariant,
+           "generator does not leave the algebra invariant")
 
     basis = algebra_pattern_basis(dec)
     l_one = gkls_apply(g, eye(g.d))
-    diss = 0.0
-    for x in basis:
-        for y in basis:
-            diss = max(diss, frob(_dissipation_form(g, x, y, l_one)))
-    if diss > limit:
-        raise NotDecoherenceFree(
-            "dissipation form does not vanish on the algebra", residual=diss
-        )
+    diss = _worst([frob(_dissipation_form(g, x, y, l_one)) for x in basis for y in basis])
+    verify("dfs_dissipation", diss, limit, NotDecoherenceFree,
+           "dissipation form does not vanish on the algebra")
 
     nf = reduce_normal_form_minimal(
         atomic_normal_form(g, dec, tol=max(tol, 1e-9)), tol=max(tol, TOL_RANK)
@@ -321,12 +316,8 @@ def dfs_verify_normal_form(
             psi.append(np.zeros(0, dtype=np.complex128))
             continue
         c = complex(np.trace(nf.a[i][i]) / da)
-        dev = frob(nf.a[i][i] - c * eye(da))
-        if dev > max(tol, 1e-9) * scale_v * 10:
-            raise NotDecoherenceFree(
-                f"diagonal block {i} is not a multiple of the identity",
-                residual=dev,
-            )
+        verify("dfs_diagonal_block", frob(nf.a[i][i] - c * eye(da)), max(tol, 1e-9) * scale_v * 10,
+               NotDecoherenceFree, f"diagonal block {i} is not a multiple of the identity")
         psi.append(np.array([c], dtype=np.complex128))
 
     beta: list[list[np.ndarray]] = []
@@ -344,15 +335,11 @@ def dfs_verify_normal_form(
 
     # re-verify the extracted data against the input representation
     pred = (g.v - _lift(dec, couplings, _embed_a, e)).reshape(g.d, e, g.d)
-    kraus_res = float(np.max(np.linalg.norm(pred, axis=(0, 2)), initial=0.0))
-    imk_pred = h_tilde + _lift(dec, kappa_b, _embed_a)
-    imk_res = frob(im_part(g.k) - imk_pred)
-    check_limit = 1e-8 * lscale * 10
-    if max(kraus_res, imk_res) > check_limit:
-        raise FactorizationResidual(
-            "extracted couplings do not reproduce the generator",
-            residual=max(kraus_res, imk_res),
-        )
+    kraus_res = _worst(np.linalg.norm(pred, axis=(0, 2)))
+    imk_res = frob(im_part(g.k) - h_tilde - _lift(dec, kappa_b, _embed_a))
+    for name, res in (("dfs_kraus_pattern", kraus_res), ("dfs_im_k_pattern", imk_res)):
+        verify(name, res, 1e-8 * lscale * 10, FactorizationResidual,
+               "extracted couplings do not reproduce the generator")
     return DfsCertificate(
         beta=beta,
         kappa_a=kappa_a,
@@ -361,9 +348,9 @@ def dfs_verify_normal_form(
         psi=psi,
         residuals={
             "invariance": inv,
-            "dissipation": float(diss),
-            "kraus_pattern": float(kraus_res),
-            "im_k_pattern": float(imk_res),
+            "dissipation": diss,
+            "kraus_pattern": kraus_res,
+            "im_k_pattern": imk_res,
         },
     )
 
@@ -396,20 +383,16 @@ def maximal_abelian_coefficients(
         raise ValueError("c has the wrong shape")
     d = dec.d
     c_hat = _to_frame(c, dec)[:, 0, :, 0]
-    off = frob(c_hat - np.diag(np.diag(c_hat)))
-    if not off <= max(tol, 1e-9) * max(1.0, frob(c)) * 10:
-        raise NotDiagonal("c is not diagonal in the decomposition frame",
-                          residual=off)
+    verify("abelian_diagonal", frob(c_hat - np.diag(np.diag(c_hat))),
+           max(tol, 1e-9) * max(1.0, frob(c)) * 10, NotDiagonal,
+           "c is not diagonal in the decomposition frame")
     c_diag = np.diag(c_hat)
 
     rep = kraus_to_stinespring(k)
     vscale = max(1.0, frob(rep.v))
-    inv = cp_invariance_check(
-        k, dec, dec, tol=max(tol, 1e-10) * vscale**2 * 10
-    )
-    if not inv.passed:
-        raise NotInvariant("map does not leave the abelian algebra invariant",
-                           residual=inv.max_residual)
+    inv = cp_invariance_check(k, dec, dec, tol=max(tol, 1e-10) * vscale**2 * 10)
+    verify("cp_invariance", inv.max_residual, inv.tol, NotInvariant,
+           "map does not leave the abelian algebra invariant")
 
     e = rep.d_env
     t = _to_frame(rep.v, dec, e)  # factor i is frame index i
@@ -438,23 +421,17 @@ def maximal_abelian_coefficients(
         frob(c @ phi_m - phi_m @ c - sum(c_mn[m][n] @ k.ops[n] for n in range(e)))
         for m, phi_m in enumerate(k.ops)
     ])
-    if not comm_res <= limit:
-        raise NotInvariant(
-            "commutation coefficients fail to reproduce [c, φ_m]",
-            residual=comm_res,
-        )
+    verify("abelian_commutator", comm_res, limit, NotInvariant,
+           "commutation coefficients fail to reproduce [c, φ_m]")
     adj_res = _worst([
         frob(c_mn_adj[m][n] - dag(c_mn[n][m])) for m in range(e) for n in range(e)
     ])
-    if not adj_res <= limit:
-        raise NotInvariant(
-            "coefficients of c† are not the adjoints of those of c",
-            residual=adj_res,
-        )
+    verify("abelian_adjoint_symmetry", adj_res, limit, NotInvariant,
+           "coefficients of c† are not the adjoints of those of c")
     return AbelianCoefficients(
         c_mn=c_mn,
         psi=psi,
-        residuals={"commutator": float(comm_res), "adjoint_symmetry": float(adj_res)},
+        residuals={"commutator": comm_res, "adjoint_symmetry": adj_res},
     )
 
 
@@ -509,6 +486,28 @@ def _psd_projected(x: np.ndarray) -> np.ndarray:
     return (u * np.clip(w, 0.0, None)) @ dag(u)
 
 
+def _fixed_candidates(ops: list[np.ndarray], d: int, tol: float):
+    """Unit-trace PSD candidates for a fixed point of ρ ↦ Σ op·ρ·op†: the
+    spectral one, then Cesàro averages of channel powers (PSD-projected)
+    from the maximally mixed state at n = 1, 2, 4, …, 4096."""
+    _, hs = _fixed_space(ops, d, tol)
+    if hs:
+        cand = sum(_abs_part(h) for h in hs)
+        tr = float(np.real(np.trace(cand)))
+        if tr > 0:
+            yield cand / tr
+    acc = np.zeros((d, d), dtype=np.complex128)
+    cur = eye(d) / d
+    for n in range(1, 4097):
+        acc += cur
+        cur = _schrodinger_apply(ops, cur)
+        if n & (n - 1) == 0:  # checkpoints at powers of two
+            cand = _psd_projected(acc / n)
+            tr = float(np.real(np.trace(cand)))
+            if tr > 0:
+                yield cand / tr
+
+
 def fixed_point_state(k: KrausSet, tol: float = 1e-9) -> np.ndarray:
     """A density matrix ρ with T(ρ) = ρ for the Schrödinger channel T.
 
@@ -522,46 +521,19 @@ def fixed_point_state(k: KrausSet, tol: float = 1e-9) -> np.ndarray:
         raise ValueError("channel must be an endomorphism")
     d = k.d_in
     ops = k.ops
-    tp = _tp_residual(ops, d)
-    if not tp <= max(tol, 1e-9) * 10 * math.sqrt(d):
-        raise NotTracePreserving(
-            "Kraus set is not trace preserving in the Schrödinger picture",
-            residual=tp,
-        )
+    verify("tp", _tp_residual(ops, d), max(tol, 1e-9) * 10 * math.sqrt(d), NotTracePreserving,
+           "Kraus set is not trace preserving in the Schrödinger picture")
     limit = max(tol, 1e-9)
-    _, hs = _fixed_space(ops, d, tol)
-    if hs:
-        cand = np.zeros((d, d), dtype=np.complex128)
-        for h in hs:
-            cand += _abs_part(h)
-        tr = float(np.real(np.trace(cand)))
-        if tr > 0:
-            cand = cand / tr
-            if frob(_schrodinger_apply(ops, cand) - cand) <= limit:
-                return cand
-
-    # Cesàro fallback: average channel powers from the maximally mixed state
-    acc = np.zeros((d, d), dtype=np.complex128)
-    cur = eye(d) / d
-    best = None
-    best_res = float("inf")
-    for n in range(1, 4097):
-        acc += cur
-        cur = _schrodinger_apply(ops, cur)
-        if n & (n - 1) == 0:  # checkpoints at powers of two
-            cand = _psd_projected(acc / n)
-            tr = float(np.real(np.trace(cand)))
-            if tr <= 0:
-                continue
-            cand = cand / tr
-            res = frob(_schrodinger_apply(ops, cand) - cand)
-            if res < best_res:
-                best, best_res = cand, res
-            if res <= limit:
-                return cand
-    raise NoFixedState(
-        "no fixed density matrix certified at tolerance", residual=best_res
-    )
+    best, best_res = None, float("inf")
+    for cand in _fixed_candidates(ops, d, tol):
+        res = frob(_schrodinger_apply(ops, cand) - cand)
+        if res < best_res:
+            best, best_res = cand, res
+        if res <= limit:
+            break
+    verify("fixed_state", best_res, limit, NoFixedState,
+           "no fixed density matrix certified at tolerance")
+    return best
 
 
 def koashi_imoto_decompose(
@@ -582,11 +554,8 @@ def koashi_imoto_decompose(
     d = k.d_in
     ops = k.ops
     tp = _tp_residual(ops, d)
-    if not tp <= max(tol, 1e-9) * 10 * math.sqrt(d):
-        raise NotTracePreserving(
-            "Kraus set is not trace preserving in the Schrödinger picture",
-            residual=tp,
-        )
+    verify("ki_tp", tp, max(tol, 1e-9) * 10 * math.sqrt(d), NotTracePreserving,
+           "Kraus set is not trace preserving in the Schrödinger picture")
 
     m_fixed, hs = _fixed_space(ops, d, tol)
     if m_fixed == 0 or not hs:
@@ -604,10 +573,8 @@ def koashi_imoto_decompose(
     supp_res = _worst([
         frob(h - pi_supp @ h @ pi_supp) / max(frob(h), 1e-30) for h in hs
     ])
-    if not supp_res <= 1e-8:
-        raise NoFixedState(
-            "a fixed point leaks out of the candidate support", residual=supp_res
-        )
+    verify("ki_support", supp_res, 1e-8, NoFixedState,
+           "a fixed point leaks out of the candidate support")
 
     comp = [q @ op @ dag(q) for op in ops]
     comp_tp = _tp_residual(comp, r)
@@ -630,12 +597,7 @@ def koashi_imoto_decompose(
     # projectors multiply to ~0, which lies in every span).
     alg = AlgebraBasis(r, ys)
     closure = closure_residuals(alg)
-    if not _worst(closure) <= max(tol, 1e-9) * 100:
-        raise AlgebraClosureFailed(
-            "dual fixed-point set is not closed under adjoints and products",
-            residual=_worst(closure),
-        )
-    dec = _decompose_closed(alg, closure, max(tol, TOL_RANK), seed)
+    dec = _decompose_closed(alg, closure, max(tol, TOL_RANK), seed, AlgebraClosureFailed)
     if dec.d0:
         raise AlgebraClosureFailed("dual fixed-point algebra misses the identity")
 
@@ -650,7 +612,7 @@ def koashi_imoto_decompose(
                 f"diagonal block {i} has multiplicity {bf.d_f[i][i]}, expected 1"
             )
         c = complex(np.trace(bf.a[i][i]) / da)
-        if abs(c) < 0.5:
+        if not abs(c) >= 0.5:
             raise FactorizationResidual(
                 f"diagonal block {i} is far from a phase times the identity"
             )
@@ -658,11 +620,8 @@ def koashi_imoto_decompose(
 
     v_pat = _lift(dec, v_blocks, _embed_a, e)
     pat_res = frob(w_st.v - v_pat)
-    if not pat_res <= 1e-8 * max(1.0, frob(w_st.v)):
-        raise FactorizationResidual(
-            "compressed dilation is off the ⊕(1⊗V_i) block pattern",
-            residual=pat_res,
-        )
+    verify("ki_pattern", pat_res, 1e-8 * max(1.0, frob(w_st.v)), FactorizationResidual,
+           "compressed dilation is off the ⊕(1⊗V_i) block pattern")
 
     sigma: list[np.ndarray] = []
     for vi, (da, db) in zip(v_blocks, dec.factors):
@@ -674,11 +633,8 @@ def koashi_imoto_decompose(
         frob(_schrodinger_apply(ops, cand) - cand)
         for cand in (dag(q) @ z @ q for z in _unit_images(dec, sigma))
     ])
-    if not fam_res <= 1e-8 * 10:
-        raise FactorizationResidual(
-            "claimed fixed-point family is not fixed by the channel",
-            residual=fam_res,
-        )
+    verify("ki_fixed_family", fam_res, 1e-8 * 10, FactorizationResidual,
+           "claimed fixed-point family is not fixed by the channel")
 
     report = {
         "d": d,

@@ -24,7 +24,7 @@ from .algebra import (
     _worst,
     invariance_residuals,
 )
-from .errors import FactorizationResidual, NotInvariant, NotMinimal, NotSameMap
+from .errors import FactorizationResidual, NotInvariant, NotMinimal, NotSameMap, verify
 from .linalg import (
     TOL_RANK,
     _isometry_lstsq,
@@ -269,14 +269,11 @@ def stinespring_gauge(
     m1 = _env_slice_matrix(s1)
     if svd_rank(m1, tol=tol) < s1.d_env:
         raise NotMinimal("first representation has a compressible environment")
-    res_map = _same_map_residual(s1, s2)
-    if not res_map <= max(tol, 1e-10) * scale * 10:
-        raise NotSameMap("representations define different maps", residual=res_map)
+    verify("same_map", _same_map_residual(s1, s2), max(tol, 1e-10) * scale * 10, NotSameMap,
+           "representations define different maps")
     w = _isometry_lstsq(m1, _env_slice_matrix(s2), 10 * max(tol, 1e-10) * scale)
-    recon = frob(_on_env(w, s1.v, s1.d_in) - s2.v)
-    if not recon <= 1e-9 * scale * 10:
-        raise NotSameMap("gauge isometry does not connect the representations",
-                         residual=recon)
+    verify("gauge_transport", frob(_on_env(w, s1.v, s1.d_in) - s2.v), 1e-9 * scale * 10,
+           NotSameMap, "gauge isometry does not connect the representations")
     return w
 
 
@@ -319,11 +316,20 @@ def atomic_block_factorize(
     (1_{A_i}⊗U_ij)(A_ij⊗1_{D_j}) with A_ij a minimal Stinespring matrix of
     the reduced map  X ↦ (1⊗⟨ψ|)V_ij†(X⊗1⊗1_E)V_ij(1⊗|ψ⟩)  and U_ij an
     isometry solved from the overdetermined intertwining relation.
+
+    The map must leave the algebra pair invariant, to max(tol, 1e-10)·10
+    times the size max(1, ‖v‖_F)² of Φ; else :class:`NotInvariant`.
     """
-    report = cp_invariance_check(s, dec_a, dec_c, tol=tol)
-    if not report.passed:
-        raise NotInvariant("map does not leave the algebra pair invariant",
-                           residual=report.max_residual)
+    report = cp_invariance_check(s, dec_a, dec_c,
+                                 tol=max(tol, 1e-10) * max(1.0, frob(s.v)) ** 2 * 10)
+    verify("cp_invariance", report.max_residual, report.tol, NotInvariant,
+           "map does not leave the algebra pair invariant")
+    return _block_factorize(s, dec_a, dec_c, tol)
+
+
+def _block_factorize(s: StinespringRep, dec_a: AtomicDecomposition,
+                     dec_c: AtomicDecomposition, tol: float) -> BlockFactorization:
+    """:func:`atomic_block_factorize` of a map already checked invariant."""
     v = s.v
     e = s.d_env
     scale = max(1.0, frob(v))
@@ -331,11 +337,8 @@ def atomic_block_factorize(
     # rows in factor i of the input algebra must not reach the output null part
     t = _to_frame(v, dec_a, e, 1, dec_in=dec_c)  # (d_in, e, d_out, 1)
     for i, (_, _, si) in enumerate(_blocks(dec_a)):
-        res_i0 = frob(t[si, :, : dec_c.d0])
-        if res_i0 > tol * scale * 10:
-            raise FactorizationResidual(
-                f"factor-{i} rows reach the null output block", residual=res_i0
-            )
+        verify("null_block", frob(t[si, :, : dec_c.d0]), tol * scale * 10,
+               FactorizationResidual, f"factor-{i} rows reach the null output block")
 
     v0 = _on_system(dec_a.p_null(), v, e)
 
@@ -391,16 +394,10 @@ def atomic_block_factorize(
     bf = BlockFactorization(v0=v0, d_f=d_f, a=a_blocks, u=u_blocks, d_env=e)
 
     ortho = orthogonality_check(bf, tol=max(1e-9, tol))
-    if not ortho.passed:
-        raise FactorizationResidual(
-            f"isometry/orthogonality violated at {ortho.worst_triple}",
-            residual=ortho.max_residual,
-        )
-    recon = frob(reassemble_factorization(bf, dec_a, dec_c) - v)
-    if recon > 1e-8 * max(1.0, frob(v)):
-        raise FactorizationResidual(
-            f"reassembly misses the input (worst pair {worst_pair})", residual=recon
-        )
+    verify("block_isometry_orthogonality", ortho.max_residual, ortho.tol, FactorizationResidual,
+           f"isometry/orthogonality violated at {ortho.worst_triple}")
+    verify("reassembly", frob(reassemble_factorization(bf, dec_a, dec_c) - v), 1e-8 * scale,
+           FactorizationResidual, f"reassembly misses the input (worst pair {worst_pair})")
     return bf
 
 

@@ -1,11 +1,44 @@
-"""Exception taxonomy shared by all igkls modules.
+"""Exception taxonomy shared by all igkls modules, and the one check.
 
 Every mathematically meaningful failure carries the offending residual (and,
 where it exists, the worst offending block/basis index) so that CLI reports can
 surface it without re-running the computation.
+
+Every residual-against-limit check of the library goes through
+:func:`verify`, which raises the typed error unless ``residual <= limit`` (so
+a NaN fails) and, while a recording is open (:func:`_recording`, opened by
+the CLI around one command), hands (name, residual, limit) to its sink.  A
+report therefore lists each check the library made, with its limit.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
+from contextvars import ContextVar
+
+# the sink of the open recording: called as sink(name, residual, limit)
+_SINK: ContextVar = ContextVar("igkls_check_sink", default=None)
+
+
+def verify(name: str, residual: float, limit: float, error: type, message: str) -> None:
+    """Raise ``error(message, residual=residual)`` unless residual <= limit
+    (NaN fails); record (name, residual, limit) while a recording is open."""
+    residual, limit = float(residual), float(limit)
+    sink = _SINK.get()
+    if sink is not None:
+        sink(name, residual, limit)
+    if not residual <= limit:
+        raise error(message, residual=residual)
+
+
+@contextmanager
+def _recording(sink):
+    """Hand every :func:`verify` made inside the block to ``sink``."""
+    token = _SINK.set(sink)
+    try:
+        yield
+    finally:
+        _SINK.reset(token)
 
 
 class IgklsError(Exception):

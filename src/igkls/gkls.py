@@ -30,6 +30,7 @@ from .algebra import (
     _embed_a,
     _embed_b,
     _factor_traces,
+    _image_residuals,
     _lift,
     _to_frame,
     _trace_a,
@@ -44,7 +45,7 @@ from .algebra import (
 from .cpmaps import (
     BlockFactorization,
     StinespringRep,
-    atomic_block_factorize,
+    _block_factorize,
     minimal_stinespring,
     reassemble_factorization,
     stinespring_gauge,
@@ -57,6 +58,7 @@ from .errors import (
     NotMinimal,
     NotSameGenerator,
     NotSameMap,
+    verify,
 )
 from .linalg import (
     TOL_RANK,
@@ -274,12 +276,6 @@ def _superop_distance(g1: GKLSRep, g2: GKLSRep) -> float:
     return frob(np.concatenate([a1, a2]).T @ np.concatenate([b1, -b2]))
 
 
-def _superop_norm(g: GKLSRep) -> float:
-    """‖L‖_F, again from the factors."""
-    a, b = _superop_factors(g)
-    return frob(a.T @ b)
-
-
 # ---------------------------------------------------------------------------
 # minimality (commutator-span machinery)
 # ---------------------------------------------------------------------------
@@ -340,11 +336,8 @@ def gkls_minimalize(g: GKLSRep, tol: float = TOL_RANK) -> MinimalizeResult:
     v_min = _on_env(p, g.v, d)
     phi, structure = _env_constant(g.v - _on_env(dag(p) @ p, g.v, d), d)
     scale = max(1.0, frob(g.v))
-    if not structure <= max(1e-9, 10 * tol) * scale:
-        raise FactorizationResidual(
-            "environment-compression residual is not of intertwiner form",
-            residual=structure,
-        )
+    verify("compression_structure", structure, max(1e-9, 10 * tol) * scale, FactorizationResidual,
+           "environment-compression residual is not of intertwiner form")
     k_min = (
         g.k
         - _on_env(np.conj(phi)[None, :], g.v, d)
@@ -354,9 +347,8 @@ def gkls_minimalize(g: GKLSRep, tol: float = TOL_RANK) -> MinimalizeResult:
     # certificates: totality on the compressed environment, and map equality
     if gkls_minimal_rank(g_min.stine, tol=tol) != d * rank:
         raise FactorizationResidual("compressed environment is still not minimal")
-    gap = _superop_distance(g, g_min)
-    if not gap <= 1e-9 * max(1.0, scale * scale, frob(g.k)):
-        raise FactorizationResidual("minimalization changed the generator", residual=gap)
+    verify("same_generator", _superop_distance(g, g_min), 1e-9 * max(1.0, scale * scale, frob(g.k)),
+           FactorizationResidual, "minimalization changed the generator")
     return MinimalizeResult(g_min=g_min, p=p, phi_vec=phi)
 
 
@@ -371,19 +363,16 @@ def gkls_gauge(g1: GKLSRep, g2: GKLSRep, tol: float = TOL_RANK) -> GklsGauge:
         raise ValueError("generators act on different spaces")
     d = g1.d
     scale = max(1.0, frob(g1.v), frob(g2.v), frob(g1.k), frob(g2.k))
-    gap = _superop_distance(g1, g2)
-    if not gap <= max(tol, 1e-10) * scale**2 * 10:
-        raise NotSameGenerator("inputs define different generators", residual=gap)
+    verify("same_generator", _superop_distance(g1, g2), max(tol, 1e-10) * scale**2 * 10,
+           NotSameGenerator, "inputs define different generators")
     m1 = _commutator_env_family(g1.v, d, g1.d_env)
     if svd_rank(m1, tol=tol) < g1.d_env:
         raise NotMinimal("first generator has a compressible environment")
     w = _isometry_lstsq(m1, _commutator_env_family(g2.v, d, g2.d_env),
                         10 * max(tol, 1e-10) * scale)
     psi, structure = _env_constant(g2.v - _on_env(w, g1.v, d), d)
-    if not structure <= 1e-8 * scale * 10:
-        raise NotSameGenerator(
-            "V difference is not of gauge form", residual=structure
-        )
+    verify("gauge_v_structure", structure, 1e-8 * scale * 10, NotSameGenerator,
+           "V difference is not of gauge form")
     resid_k = (
         g2.k
         - g1.k
@@ -391,9 +380,8 @@ def gkls_gauge(g1: GKLSRep, g2: GKLSRep, tol: float = TOL_RANK) -> GklsGauge:
         - 0.5 * float(np.vdot(psi, psi).real) * eye(d)
     )
     mu = float(np.trace(resid_k).imag) / d
-    k_structure = frob(resid_k - 1j * mu * eye(d))
-    if not k_structure <= 1e-8 * scale * 10:
-        raise NotSameGenerator("K difference is not of gauge form", residual=k_structure)
+    verify("gauge_k_structure", frob(resid_k - 1j * mu * eye(d)), 1e-8 * scale * 10,
+           NotSameGenerator, "K difference is not of gauge form")
     return GklsGauge(w=w, psi=psi, mu=mu)
 
 
@@ -428,35 +416,26 @@ def invariant_split(
     k0 = p0 @ kappa
 
     # the split identities hold for any finite input, so these checks come
-    # first and catch non-finite data; each check is written `not <=` so that
-    # a NaN residual fails
-    v_gap = frob(v_null + a + b - g.v)
-    if not v_gap <= 1e-10 * scale + 1e-12:
-        raise FactorizationResidual("split blocks do not reassemble V", residual=v_gap)
+    # first and catch non-finite data
+    verify("split_v_reassembly", frob(v_null + a + b - g.v), 1e-10 * scale + 1e-12,
+           FactorizationResidual, "split blocks do not reassemble V")
     k_back = dag(b) @ a + 0.5 * dag(b) @ b + k_alg + 1j * h_comm + dag(p0) @ k0
-    k_gap = frob(k_back - g.k)
-    if not k_gap <= 1e-10 * scale**2 + 1e-12:
-        raise FactorizationResidual("split blocks do not reassemble K", residual=k_gap)
+    verify("split_k_reassembly", frob(k_back - g.k), 1e-10 * scale**2 + 1e-12,
+           FactorizationResidual, "split blocks do not reassemble K")
 
-    res = invariance_residuals(lambda x: gkls_apply(g, x), dec)
-    worst = _worst(res)
-    if not worst <= max(tol, 1e-10) * scale**2 * 10:
-        raise NotInvariant(
-            f"generator moves algebra basis element {int(np.argmax(res))} "
-            f"out of the algebra",
-            residual=worst,
-        )
+    basis = algebra_pattern_basis(dec)
+    res = _image_residuals(lambda x: gkls_apply(g, x), basis, dec)
+    worst_at = int(np.argmax(res)) if res.size else -1
+    verify("generator_invariance", _worst(res), max(tol, 1e-10) * scale**2 * 10, NotInvariant,
+           f"generator moves algebra basis element {worst_at} out of the algebra")
     check = max(1e-8, 10 * tol) * scale**2
-    worst_a = _worst(invariance_residuals(lambda x: dag(a) @ _on_system(x, a, e), dec))
-    worst_b = _worst([frob(_on_system(x, b, e) - b @ x) for x in algebra_pattern_basis(dec)])
-    if not (worst_a <= check and worst_b <= check):
-        raise NotInvariant(
-            "split blocks fail their structural conditions",
-            residual=max(worst_a, worst_b),
-        )
-    k_res = pattern_residual(k_alg, dec)
-    if not k_res <= check:
-        raise NotInvariant("algebra part of K is not an algebra element", residual=k_res)
+    verify("split_a_invariance",
+           _worst(_image_residuals(lambda x: dag(a) @ _on_system(x, a, e), basis, dec)),
+           check, NotInvariant, "CP part of the split does not leave the algebra invariant")
+    verify("split_b_intertwining", _worst([frob(_on_system(x, b, e) - b @ x) for x in basis]),
+           check, NotInvariant, "intertwiner part of the split does not intertwine the algebra")
+    verify("k_alg_membership", pattern_residual(k_alg, dec), check, NotInvariant,
+           "algebra part of K is not an algebra element")
     return InvariantSplit(v0=v0, a=a, b=b, k_alg=k_alg, h_comm=h_comm, k0=k0)
 
 
@@ -472,18 +451,16 @@ def k_only_split(
     if k.shape != (dec.d, dec.d):
         raise ValueError("dimension mismatch")
     scale = max(1.0, frob(k))
-    worst = _worst(invariance_residuals(lambda x: -dag(k) @ x - x @ k, dec))
-    if not worst <= max(tol, 1e-10) * scale * 10:
-        raise NotInvariant("anticommutator generator does not preserve the algebra",
-                           residual=worst)
+    verify("k_invariance", _worst(invariance_residuals(lambda x: -dag(k) @ x - x @ k, dec)),
+           max(tol, 1e-10) * scale * 10, NotInvariant,
+           "anticommutator generator does not preserve the algebra")
     p0 = dec.p_null()
     kc = twirl_to_commutant(k, dec)
     h_comm = im_part(kc)
     k_alg = k - dag(p0) @ (p0 @ k) - 1j * h_comm
     k0 = p0 @ k
-    k_res = pattern_residual(k_alg, dec)
-    if not k_res <= max(1e-8, 10 * tol) * scale:
-        raise NotInvariant("algebra part of K is not an algebra element", residual=k_res)
+    verify("k_alg_membership", pattern_residual(k_alg, dec), max(1e-8, 10 * tol) * scale,
+           NotInvariant, "algebra part of K is not an algebra element")
     return KOnlySplit(k_alg=k_alg, h_comm=h_comm, k0=k0)
 
 
@@ -520,15 +497,15 @@ def atomic_normal_form(
     Pipeline: three-part split, block factorization of the CP part A
     (input and output algebra both 𝒜), intertwiner blocks of B, commutant
     blocks of H_{𝒜′}, and the exact fold of all null-sector pieces into
-    (V₀, K₀).  B is the intertwiner twirl of V, already checked by
-    :func:`invariant_split`, and its null block is zero by construction, so
-    its blocks B_i are read off directly.
+    (V₀, K₀).  A and B are checked by :func:`invariant_split`: A is
+    factorized without a second invariance check, and B's null block is zero
+    by construction, so its blocks B_i are read off directly.
     """
     split = invariant_split(g, dec, tol=tol)
     e = g.d_env
     d0 = dec.d0
     s_a = StinespringRep(d_in=dec.d, d_out=dec.d, d_env=e, v=split.a)
-    bf = atomic_block_factorize(s_a, dec, dec, tol=max(tol, 1e-9))
+    bf = _block_factorize(s_a, dec, dec, max(tol, 1e-9))
     b_i = _factor_traces(_to_frame(split.b, dec, e), dec, _trace_a)
 
     ht = _to_frame(split.h_comm, dec)
@@ -553,11 +530,8 @@ def atomic_normal_form(
     )
     back = reconstruct_from_normal_form(nf)
     scale = max(1.0, frob(g.v), frob(g.k))
-    gap = _worst([frob(back.v - g.v), frob(back.k - g.k)])
-    if not gap <= 1e-8 * scale**2:
-        raise FactorizationResidual(
-            "normal form does not reconstruct the generator", residual=gap
-        )
+    verify("normal_form_reconstruction", _worst([frob(back.v - g.v), frob(back.k - g.k)]),
+           1e-8 * scale**2, FactorizationResidual, "normal form does not reconstruct the generator")
     return nf
 
 
@@ -659,10 +633,8 @@ def reduce_normal_form_minimal(
     g_old = reconstruct_from_normal_form(nf)
     g_new = reconstruct_from_normal_form(out)
     scale = max(1.0, frob(g_old.v), frob(g_old.k))
-    gap = _worst([frob(g_old.v - g_new.v), frob(g_old.k - g_new.k)])
-    if not gap <= 1e-8 * scale**2:
-        raise FactorizationResidual("minimality reduction changed the generator",
-                                    residual=gap)
+    verify("reduction_reconstruction", _worst([frob(g_old.v - g_new.v), frob(g_old.k - g_new.k)]),
+           1e-8 * scale**2, FactorizationResidual, "minimality reduction changed the generator")
     cert = normal_form_minimality(out, tol=tol)
     if not cert["minimal"]:
         raise FactorizationResidual("reduced form fails its minimality certificate")
@@ -673,8 +645,8 @@ def _require_same_decomposition(nf1: AtomicNormalForm, nf2: AtomicNormalForm):
     d1, d2 = nf1.dec, nf2.dec
     if (d1.d, d1.d0, d1.factors) != (d2.d, d2.d0, d2.factors):
         raise NotEquivalent("normal forms live over different block structures")
-    if frob(d1.u_alg - d2.u_alg) > 1e-9 * d1.d:
-        raise NotEquivalent("normal forms use different algebra frames")
+    verify("same_frame", frob(d1.u_alg - d2.u_alg), 1e-9 * d1.d, NotEquivalent,
+           "normal forms use different algebra frames")
     if nf1.d_env != nf2.d_env:
         raise NotEquivalent("normal forms have different ambient environments")
 
@@ -702,17 +674,14 @@ def normal_form_gauge(
     g1 = reconstruct_from_normal_form(nf1)
     g2 = reconstruct_from_normal_form(nf2)
     scale = max(1.0, frob(g1.v), frob(g1.k), frob(g2.v), frob(g2.k))
-    # every check below is written `not <=` over _worst, so a NaN fails it
     if mode == "full":
-        gap = _worst([frob(g1.v - g2.v), frob(g1.k - g2.k)])
-        if not gap <= max(tol, 1e-10) * scale * 10:
-            raise NotEquivalent("normal forms reconstruct different (V, K)",
-                                residual=gap)
+        verify("same_reconstruction", _worst([frob(g1.v - g2.v), frob(g1.k - g2.k)]),
+               max(tol, 1e-10) * scale * 10, NotEquivalent,
+               "normal forms reconstruct different (V, K)")
     else:
-        worst = _worst([frob(gkls_apply(g1, xhat) - gkls_apply(g2, xhat))
-                        for xhat in algebra_pattern_basis(nf1.dec)])
-        if not worst <= max(tol, 1e-10) * scale**2 * 10:
-            raise NotEquivalent("generators differ on the algebra", residual=worst)
+        verify("same_on_algebra", _worst([frob(gkls_apply(g1, xhat) - gkls_apply(g2, xhat))
+                                          for xhat in algebra_pattern_basis(nf1.dec)]),
+               max(tol, 1e-10) * scale**2 * 10, NotEquivalent, "generators differ on the algebra")
 
     w_ii: list[np.ndarray] = []
     psi_i: list[np.ndarray] = []
@@ -771,8 +740,6 @@ def normal_form_gauge(
                 w_ij = w_ii[i] if j == i else w_pairs[(i, j)]
                 u_pred = _on_system(np.conj(w_ij), nf1.u[i][j].T, dbj).T
                 res.append(frob(u_pred - nf2.u[i][j]))
-    worst = _worst(res)
-    if not worst <= check:
-        raise NotEquivalent("gauge substitutions do not reproduce the second form",
-                            residual=worst)
+    verify("gauge_substitution", _worst(res), check, NotEquivalent,
+           "gauge substitutions do not reproduce the second form")
     return GaugeData(w_ii=w_ii, psi_i=psi_i, mu_i=mu_i, w_pairs=w_pairs)

@@ -23,7 +23,9 @@ invariant checking (``tol_rank``/``tol_verify``), and creation parameters
 Failures split into :class:`ParseError` (malformed JSON, position-annotated),
 :class:`SchemaError` (wrong layout/shape, field-annotated) and
 :class:`InvariantError` (well-formed data violating a mathematical invariant,
-e.g. a ``u_alg`` that is not unitary).
+e.g. a ``u_alg`` that is not unitary).  The invariant checks are written
+``not residual <= limit``, so finite entries whose products overflow to a NaN
+residual are rejected too.
 
 Determinism
 -----------
@@ -184,7 +186,7 @@ def _decode_algebra(obj, tol: float, path: str) -> AtomicDecomposition:
     except ValueError as exc:
         raise SchemaError(f"{path}: {exc}") from exc
     res = frob(dag(u_alg) @ u_alg - eye(d))
-    if res > 100 * tol * max(1.0, math.sqrt(d)):
+    if not res <= 100 * tol * max(1.0, math.sqrt(d)):
         raise InvariantError(f"{path}.u_alg: not unitary (‖U†U−1‖ = {res:.3e})")
     return dec
 
@@ -296,7 +298,7 @@ def _decode_normal_form(obj, tol: float, path: str) -> AtomicNormalForm:
     # load-time invariants (self-adjointness, isometry, cross-orthogonality)
     for i, h in enumerate(nf.h_b):
         res = frob(h - dag(h))
-        if res > 100 * tol * max(1.0, frob(h)):
+        if not res <= 100 * tol * max(1.0, frob(h)):
             raise InvariantError(f"{path}.h_b[{i}]: not self-adjoint "
                                  f"(residual {res:.3e})")
     for i in range(n):
@@ -305,13 +307,13 @@ def _decode_normal_form(obj, tol: float, path: str) -> AtomicNormalForm:
             if not u_ij.size:
                 continue
             res = frob(dag(u_ij) @ u_ij - eye(u_ij.shape[1]))
-            if res > 100 * tol * max(1.0, math.sqrt(u_ij.shape[0])):
+            if not res <= 100 * tol * max(1.0, math.sqrt(u_ij.shape[0])):
                 raise InvariantError(f"{path}.u[{i}][{j}]: not an isometry "
                                      f"(residual {res:.3e})")
         for k in range(n):
             for l in range(k + 1, n):
                 prod = dag(nf.u[i][k]) @ nf.u[i][l]
-                if prod.size and frob(prod) > 100 * tol * max(1.0, math.sqrt(prod.shape[0])):
+                if prod.size and not frob(prod) <= 100 * tol * max(1.0, math.sqrt(prod.shape[0])):
                     raise InvariantError(
                         f"{path}.u[{i}][{k}]/u[{i}][{l}]: ranges overlap "
                         f"(residual {frob(prod):.3e})"
@@ -345,7 +347,7 @@ def _decode_ki(obj, tol: float, path: str) -> KoashiImotoResult:
         raise SchemaError(f"{path}.report: expected an object")
 
     res_q = frob(q @ dag(q) - eye(q.shape[0]))
-    if res_q > 100 * tol * max(1.0, math.sqrt(q.shape[1])):
+    if not res_q <= 100 * tol * max(1.0, math.sqrt(q.shape[1])):
         raise InvariantError(f"{path}.q: not a coisometry (residual {res_q:.3e})")
     d_env = None
     for i, ((da, db), vi, si) in enumerate(zip(dec.factors, v, sigma)):
@@ -359,7 +361,7 @@ def _decode_ki(obj, tol: float, path: str) -> KoashiImotoResult:
             raise SchemaError(f"{path}.v[{i}]: environment dimension {e_i} "
                               f"conflicts with {d_env}")
         res_v = frob(dag(vi) @ vi - eye(db))
-        if res_v > 100 * tol * max(1.0, math.sqrt(vi.shape[0])):
+        if not res_v <= 100 * tol * max(1.0, math.sqrt(vi.shape[0])):
             raise InvariantError(f"{path}.v[{i}]: not an isometry "
                                  f"(residual {res_v:.3e})")
         if si.shape != (db, db):
@@ -368,7 +370,7 @@ def _decode_ki(obj, tol: float, path: str) -> KoashiImotoResult:
         herm_res = frob(si - dag(si))
         tr = complex(np.trace(si))
         eig_min = float(np.linalg.eigvalsh(0.5 * (si + dag(si))).min()) if db else 0.0
-        if herm_res > 100 * tol or abs(tr - 1.0) > 100 * tol or eig_min < -100 * tol:
+        if not (herm_res <= 100 * tol and abs(tr - 1.0) <= 100 * tol and eig_min >= -100 * tol):
             raise InvariantError(f"{path}.sigma[{i}]: not a density matrix "
                                  f"(herm {herm_res:.1e}, trace offset "
                                  f"{abs(tr - 1.0):.1e}, min eig {eig_min:.1e})")

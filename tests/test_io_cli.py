@@ -106,6 +106,22 @@ def test_decode_flags_corrupted_unitary_as_invariant_error():
     assert "u_alg" in str(info.value)
 
 
+def test_cli_rejects_an_overflowing_unitary_at_load_time(tmp_path, capsys):
+    # finite entries whose products overflow: ‖U†U − 1‖ is NaN, which a
+    # check written `res > limit` would pass
+    huge = 1e200
+    doc = {"kind": "algebra", "payload": {
+        "d": 2, "d0": 0, "factors": [[1, 1], [1, 1]],
+        "u_alg": {"rows": 2, "cols": 2,
+                  "data": [[huge, 0.0], [huge, 0.0], [huge, 0.0], [-huge, 0.0]]}}}
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(capsys, ["commutant", "--in", str(path)])
+    assert code == 2
+    assert out == ""
+    assert "InvariantError" in err and "u_alg" in err
+
+
 def test_decode_schema_errors_name_the_field():
     doc = bundle_to_dict(random_instance("algebra", seed=4))
     missing = json.loads(json.dumps(doc))
