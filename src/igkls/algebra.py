@@ -602,31 +602,72 @@ def atomic_decompose(
     factor), split each factor along a generic self-adjoint algebra element
     (d_A distinct eigenvalues of multiplicity d_B), align the degenerate
     eigenframes with algebra partial isometries, and verify the block pattern
-    on every input basis element.  Retries with a fresh derived seed on any
-    genericity failure, of the centre or of the split.
+    on every input basis element, which also certifies closure
+    (:func:`_closure_bound`).  Retries with a fresh derived seed on any
+    genericity failure, of the centre or of the split.  A span that is not
+    closed raises :class:`NotClosed`.
     """
-    return _decompose_closed(alg, closure_residuals(alg), tol, seed)
+    return _decompose_closed(alg, tol, seed)[0]
 
 
-def _decompose_closed(alg: AlgebraBasis, closure: tuple[float, float], tol: float,
-                      seed: int, error: type = NotClosed) -> AtomicDecomposition:
-    """:func:`atomic_decompose` given ``closure_residuals(alg)``, for callers
-    that have already computed them; a closure residual above its limit
-    raises ``error``."""
-    d = alg.ambient_dim
+def _decompose_closed(alg: AlgebraBasis, tol: float, seed: int,
+                      error: type = NotClosed) -> tuple[AtomicDecomposition, tuple[float, float]]:
+    """:func:`atomic_decompose` and the (adjoint, product) closure residuals
+    it verified against max(100·tol, 1e-8), raising ``error`` above it.
+
+    They are bounds certified by the decomposition's final pattern check
+    (:func:`_closure_bound`).  The exact O(m³d²) :func:`closure_residuals`
+    runs instead, once, if the basis holds a non-finite entry, the
+    decomposition fails (its :class:`DecompositionFailed` is re-raised if
+    the span is closed), m ≠ Σ d_A², or a bound exceeds the limit: a span
+    that is not closed raises ``error``, never :class:`DecompositionFailed`.
+    """
     limit = max(tol * 100, 1e-8)
+    mats = _stacked(alg.basis, alg.ambient_dim)
+    closure, failure = None, None
+    try:
+        if not np.isfinite(mats).all():
+            raise DecompositionFailed("basis holds a non-finite entry")
+        dec, eps = _decompose(mats, alg.ambient_dim, tol, seed)
+        if sum(da * da for da, _ in dec.factors) == alg.dim:
+            closure = _closure_bound(eps)
+    except DecompositionFailed as exc:
+        failure = exc
+    if closure is None or not max(closure) <= limit:
+        closure = closure_residuals(alg)
     verify("closure_adjoint", closure[0], limit, error, "basis is not closed under adjoints")
     verify("closure_product", closure[1], limit, error, "basis is not closed under products")
+    if failure is not None:
+        raise failure
+    return dec, closure
 
+
+def _closure_bound(eps: np.ndarray) -> tuple[float, float]:
+    """(s + ε, s + 2ε + ε²) ≥ :func:`closure_residuals` of an HS-orthonormal
+    basis b_1 … b_m, given ε_j = ‖e_j‖_F, e_j = b_j − π(b_j), for π the
+    HS-orthogonal projection onto a *-algebra P of dimension m (the pattern
+    algebra U(0 ⊕ ⊕ M_{d_A}⊗1)U† when m = Σ d_A²); s = ‖ε‖₂, ε = max ε_j.
+
+    The sines of the principal angles between S = span(b) and P are the
+    singular values of (1 − Π_P)[b_1 … b_m], so at most s; as dim S = dim P,
+    dist(p, S) ≤ s‖p‖_F for p ∈ P.  π(b_j)† ∈ P and ‖π(b_j)‖_F ≤ 1 give
+    dist(b_j†, S) ≤ s + ε.  π(b_j)π(b_k) ∈ P has norm ≤ 1, and
+    b_j b_k − π(b_j)π(b_k) = e_j π(b_k) + π(b_j) e_k + e_j e_k, so
+    dist(b_j b_k, S) ≤ s + 2ε + ε².
+    """
+    s, e = float(np.linalg.norm(eps)), _worst(eps)
+    return s + e, s + 2 * e + e * e
+
+
+def _decompose(mats: np.ndarray, d: int, tol: float,
+               seed: int) -> tuple[AtomicDecomposition, np.ndarray]:
+    """The decomposition of span(``mats``), a finite basis stack, and each
+    basis element's distance from its pattern algebra."""
     # support / null split (shared by all attempts; eigh is deterministic)
-    if alg.dim == 0:
-        return AtomicDecomposition(d=d, u_alg=eye(d), d0=d, factors=[])
-    mats = _stacked(alg.basis, d)
     w, vecs = np.linalg.eigh(np.einsum("kji,kjl->il", np.conj(mats), mats))
-    wmax = float(w[-1])
-    if wmax <= 0:
-        return AtomicDecomposition(d=d, u_alg=eye(d), d0=d, factors=[])
-    null_mask = w <= tol * wmax
+    if not w[-1] > 0:  # also for an empty basis
+        return AtomicDecomposition(d=d, u_alg=eye(d), d0=d, factors=[]), np.zeros(len(mats))
+    null_mask = w <= tol * w[-1]
     d0 = int(np.count_nonzero(null_mask))
     e_null = vecs[:, null_mask]
     e_supp = vecs[:, ~null_mask]
@@ -636,7 +677,7 @@ def _decompose_closed(alg: AlgebraBasis, closure: tuple[float, float], tol: floa
         center_coeffs = _center_coefficients(restricted, tol, rng)
         if center_coeffs.shape[0] == 0:
             raise DecompositionFailed("support algebra has an empty center")
-        return _attempt_decompose(alg, restricted, center_coeffs, e_null, e_supp,
+        return _attempt_decompose(mats, restricted, center_coeffs, e_null, e_supp,
                                   d, d0, tol, rng)
 
     return _retry_generic(attempt, seed, "split")
@@ -656,101 +697,67 @@ def _eigenspaces(h: np.ndarray):
     return v, _cluster_eigenvalues(w, _GAP_FRACTION * max(float(w[-1] - w[0]), 1.0))
 
 
-def _attempt_decompose(alg, restricted, center_coeffs, e_null, e_supp,
-                       d, d0, tol, rng) -> AtomicDecomposition:
-    n_factors = center_coeffs.shape[0]
+def _attempt_decompose(mats, restricted, center_coeffs, e_null, e_supp,
+                       d, d0, tol, rng) -> tuple[AtomicDecomposition, np.ndarray]:
     z = _generic_self_adjoint(np.tensordot(center_coeffs, restricted, axes=1), rng)
     vz, clusters = _eigenspaces(z)
-    if clusters is None or len(clusters) != n_factors:
+    if clusters is None or len(clusters) != center_coeffs.shape[0]:
         raise _GenericityFailure()
 
-    factor_cols: list[np.ndarray] = []
-    factor_dims: list[tuple[int, int]] = []
+    keyed = []  # ((d_A, d_B), fingerprint, factor columns) per factor
     for cl in clusters:
         f_i = vz[:, cl]  # ds × n_i
-        n_i = f_i.shape[1]
         fac_basis = dag(f_i) @ restricted @ f_i
         vx, sub = _eigenspaces(_generic_self_adjoint(fac_basis, rng))
-        if sub is None:
+        if sub is None or any(len(c) != len(sub[0]) for c in sub) \
+                or len(sub) * len(sub[0]) != len(cl):
             raise _GenericityFailure()
-        sizes = {len(c) for c in sub}
-        if len(sizes) != 1:
-            raise _GenericityFailure()
-        db = sizes.pop()
-        da = len(sub)
-        if da * db != n_i:
-            raise _GenericityFailure()
-
+        da, db = len(sub), len(sub[0])
         frames = [vx[:, c] for c in sub]  # each n_i × db
         if da > 1:
             y = np.tensordot(rng.complex_matrix(len(fac_basis), 1)[:, 0], fac_basis, axes=1)
-            aligned = [frames[0]]
             scale_y = max(frob(y), 1e-30)
             for a in range(1, da):
                 u_m, sv, vh_m = np.linalg.svd(dag(frames[a]) @ y @ frames[0])
                 if sv.size == 0 or sv[-1] < 1e-8 * scale_y:
                     raise _GenericityFailure()
-                aligned.append(frames[a] @ (u_m @ vh_m))
-        else:
-            aligned = frames
+                frames[a] = frames[a] @ (u_m @ vh_m)
+        cols = e_supp @ f_i @ np.concatenate(frames, axis=1)  # order (a, b) row-major
+        # deterministic factor order: (d_A, d_B), then the spectral fingerprint
+        # of the first input basis element compressed to the factor subspace
+        keyed.append(((da, db), _fingerprint(dag(cols) @ mats[0] @ cols), cols))
+    keyed.sort(key=lambda t: t[:2])
 
-        cols = np.concatenate(aligned, axis=1)  # order (a, b) row-major, f_i frame
-        factor_cols.append(e_supp @ f_i @ cols)
-        factor_dims.append((da, db))
-
-    # deterministic factor order: (d_A, d_B), then the spectral fingerprint
-    # of the first input basis element compressed to the factor subspace
-    b1 = alg.basis[0]
-    keyed = []
-    for cols, dims in zip(factor_cols, factor_dims):
-        fp = _fingerprint(dag(cols) @ b1 @ cols)
-        keyed.append((dims, fp, cols))
-    keyed.sort(key=lambda t: (t[0], t[1]))
-
-    columns = [_phase_fix_columns(e_null)]
-    factors = []
-    for dims, _, cols in keyed:
-        columns.append(_phase_fix_factor(cols, *dims))
-        factors.append(dims)
-    u_alg = np.concatenate(columns, axis=1) if columns else eye(d)
-
-    dec = AtomicDecomposition(d=d, u_alg=u_alg, d0=d0, factors=factors)
-    worst = _worst(_pattern_residuals(alg.basis, dec))
-    if not worst <= max(1e-9, tol * 10):
-        raise _GenericityFailure(residual=worst)
-    return dec
-
-
-def _phase_fix_columns(cols: np.ndarray) -> np.ndarray:
-    """Multiply each column by a phase making its largest entry real positive."""
-    out = cols.copy()
-    for j in range(out.shape[1]):
-        v = out[:, j]
-        k = int(np.argmax(np.abs(v)))
-        if abs(v[k]) > 0:
-            out[:, j] = v * (np.conj(v[k]) / abs(v[k]))
-    return out
+    u_alg = np.concatenate([_phase_fix_factor(e_null, 1, d0)]
+                           + [_phase_fix_factor(cols, *dims) for dims, _, cols in keyed], axis=1)
+    dec = AtomicDecomposition(d=d, u_alg=u_alg, d0=d0, factors=[dims for dims, _, _ in keyed])
+    eps = _pattern_residuals(mats, dec)
+    if not _worst(eps) <= max(1e-9, tol * 10):
+        raise _GenericityFailure(residual=_worst(eps))
+    return dec, eps
 
 
 def _phase_fix_factor(cols: np.ndarray, da: int, db: int) -> np.ndarray:
-    """Phase-fix an aligned (d_A·d_B)-column factor frame.
+    """Phase-fix an aligned (d_A·d_B)-column factor frame (with d_A = 1,
+    each column on its own).
 
     Only phases of the structured form α_a + β_b keep the X_A⊗1_B block
     pattern, so we fix the β_b from the first eigenframe's columns and one
-    α_a per remaining frame (from its first column).
+    α_a per remaining frame (from its first column), each by making the
+    largest entry of that column real positive.
     """
     w = cols.reshape(cols.shape[0], da, db).copy()
     for b in range(db):
-        v = w[:, 0, b]
-        k = int(np.argmax(np.abs(v)))
-        if abs(v[k]) > 0:
-            w[:, :, b] *= np.conj(v[k]) / abs(v[k])
+        w[:, :, b] *= _unit_phase(w[:, 0, b])
     for a in range(1, da):
-        v = w[:, a, 0]
-        k = int(np.argmax(np.abs(v)))
-        if abs(v[k]) > 0:
-            w[:, a, :] *= np.conj(v[k]) / abs(v[k])
+        w[:, a, :] *= _unit_phase(w[:, a, 0])
     return w.reshape(cols.shape[0], da * db)
+
+
+def _unit_phase(v: np.ndarray) -> complex:
+    """conj(v_k)/|v_k| for the entry v_k of largest modulus; 1 for v = 0."""
+    vk = v[int(np.argmax(np.abs(v)))]
+    return np.conj(vk) / abs(vk) if abs(vk) > 0 else 1.0
 
 
 def algebra_from_decomposition(dec: AtomicDecomposition) -> AlgebraBasis:

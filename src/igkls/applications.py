@@ -45,7 +45,6 @@ from .algebra import (
     _unit_images,
     _worst,
     algebra_pattern_basis,
-    closure_residuals,
     invariance_residuals,
 )
 from .cpmaps import KrausSet, atomic_block_factorize, cp_invariance_check, kraus_to_stinespring
@@ -61,7 +60,7 @@ from .errors import (
     verify,
 )
 from .gkls import AtomicNormalForm, GKLSRep, atomic_normal_form, generator_superoperator, gkls_apply, reconstruct_from_normal_form, reduce_normal_form_minimal
-from .linalg import TOL_RANK, _on_system, asmatrix, dag, expm, eye, frob, herm, im_part, kron, null_space, unvec, vec
+from .linalg import TOL_RANK, _on_system, asmatrix, dag, expm, eye, frob, herm, im_part, kron, null_space, vec
 
 __all__ = [
     "SemicausalReport",
@@ -440,33 +439,25 @@ def maximal_abelian_coefficients(
 # ---------------------------------------------------------------------------
 
 def _schrodinger_apply(ops: list[np.ndarray], rho: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(rho)
-    for op in ops:
-        out += op @ rho @ dag(op)
-    return out
+    return sum((op @ rho @ dag(op) for op in ops), np.zeros_like(rho))
 
 
 def _tp_residual(ops: list[np.ndarray], d: int) -> float:
-    acc = np.zeros((d, d), dtype=np.complex128)
-    for op in ops:
-        acc += dag(op) @ op
-    return frob(acc - eye(d))
+    return frob(sum((dag(op) @ op for op in ops), -eye(d)))
 
 
-def _fixed_space(ops: list[np.ndarray], d: int, tol: float) -> tuple[int, list[np.ndarray]]:
-    """Fixed points of ρ ↦ Σ op·ρ·op†: (complex dimension, Hermitian spanning set)."""
-    s = np.zeros((d * d, d * d), dtype=np.complex128)
-    for op in ops:
-        s += kron(op, np.conj(op))
-    s -= eye(d * d)
-    null_rows = null_space(s, max(tol, 1e-12), _kraus_scale(ops))
-    hs: list[np.ndarray] = []
-    for row in null_rows:
-        x = unvec(row, d, d)
-        for h in (herm(x), im_part(x)):
-            if frob(h) > 1e-12:
-                hs.append(h)
-    return null_rows.shape[0], hs
+def _fixed_space(ops: list[np.ndarray], d: int, tol: float) -> np.ndarray:
+    """HS-orthonormal Hermitian basis, an (m, d, d) stack, of the fixed
+    points of X ↦ Σ op·X·op† (of the dual map for the adjointed ops): the
+    real null rows r of the transfer matrix minus 1 in the frame of
+    :func:`_hermitian_frame`, by a real SVD, as the matrices T·r.  T is
+    unitary, so the singular values and cutoff are the complex matrix's."""
+    ops = np.asarray(ops)
+    s_r = _real_superoperator(np.einsum("kia,kjb->ijab", ops, np.conj(ops)).reshape(d * d, -1), d)
+    s_r[np.diag_indices(d * d)] -= 1.0
+    rows = null_space(s_r, max(tol, 1e-12), _kraus_scale(ops))
+    w1, w2, perm = _hermitian_frame(d)
+    return (rows * w1 + (rows * w2)[:, perm]).reshape(-1, d, d)
 
 
 def _kraus_scale(ops: list[np.ndarray]) -> float:
@@ -475,24 +466,19 @@ def _kraus_scale(ops: list[np.ndarray]) -> float:
     return max(1.0, sum(float(frob(op)) ** 2 for op in ops))
 
 
-def _abs_part(h: np.ndarray) -> np.ndarray:
-    """|h| = h₊ + h₋ for Hermitian h, via an eigendecomposition."""
-    w, u = np.linalg.eigh(herm(h))
-    return (u * np.abs(w)) @ dag(u)
-
-
-def _psd_projected(x: np.ndarray) -> np.ndarray:
+def _spectral(f, x: np.ndarray) -> np.ndarray:
+    """f of the Hermitian part of x (|h| = h₊ + h₋ for f = np.abs)."""
     w, u = np.linalg.eigh(herm(x))
-    return (u * np.clip(w, 0.0, None)) @ dag(u)
+    return (u * f(w)) @ dag(u)
 
 
 def _fixed_candidates(ops: list[np.ndarray], d: int, tol: float):
     """Unit-trace PSD candidates for a fixed point of ρ ↦ Σ op·ρ·op†: the
     spectral one, then Cesàro averages of channel powers (PSD-projected)
     from the maximally mixed state at n = 1, 2, 4, …, 4096."""
-    _, hs = _fixed_space(ops, d, tol)
-    if hs:
-        cand = sum(_abs_part(h) for h in hs)
+    hs = _fixed_space(ops, d, tol)
+    if len(hs):
+        cand = sum(_spectral(np.abs, h) for h in hs)
         tr = float(np.real(np.trace(cand)))
         if tr > 0:
             yield cand / tr
@@ -502,7 +488,7 @@ def _fixed_candidates(ops: list[np.ndarray], d: int, tol: float):
         acc += cur
         cur = _schrodinger_apply(ops, cur)
         if n & (n - 1) == 0:  # checkpoints at powers of two
-            cand = _psd_projected(acc / n)
+            cand = _spectral(lambda w: np.clip(w, 0.0, None), acc / n)
             tr = float(np.real(np.trace(cand)))
             if tr > 0:
                 yield cand / tr
@@ -557,12 +543,10 @@ def koashi_imoto_decompose(
     verify("ki_tp", tp, max(tol, 1e-9) * 10 * math.sqrt(d), NotTracePreserving,
            "Kraus set is not trace preserving in the Schrödinger picture")
 
-    m_fixed, hs = _fixed_space(ops, d, tol)
-    if m_fixed == 0 or not hs:
+    hs = _fixed_space(ops, d, tol)
+    if not len(hs):
         raise NoFixedState("transfer matrix shows no unit-eigenvalue space")
-    rho_max = np.zeros((d, d), dtype=np.complex128)
-    for h in hs:
-        rho_max += _abs_part(h)
+    rho_max = sum(_spectral(np.abs, h) for h in hs)
     w, vecs = np.linalg.eigh(herm(rho_max))
     if w[-1] <= 0:
         raise NoFixedState("maximal-rank candidate state vanished")
@@ -580,24 +564,19 @@ def koashi_imoto_decompose(
     comp_tp = _tp_residual(comp, r)
 
     # fixed points of the dual (Heisenberg) compressed map
-    s_dual = np.zeros((r * r, r * r), dtype=np.complex128)
-    for op in comp:
-        s_dual += kron(dag(op), op.T)
-    s_dual -= eye(r * r)
-    ys = list(null_space(s_dual, max(tol, 1e-12), _kraus_scale(comp)).reshape(-1, r, r))
-    m_dual = len(ys)
+    ys = list(_fixed_space([dag(op) for op in comp], r, tol))
+    m_fixed, m_dual = len(hs), len(ys)
     if m_fixed != m_dual:
         raise AlgebraClosureFailed(
             f"fixed-space dimensions disagree: {m_fixed} (channel) vs {m_dual} (dual)"
         )
 
     # the dual fixed-point set must already be an algebra: verify, don't
-    # assume.  The null-space rows are HS-orthonormal, so each product's
-    # residual is relative to its factors' size, not its own (orthogonal
-    # projectors multiply to ~0, which lies in every span).
-    alg = AlgebraBasis(r, ys)
-    closure = closure_residuals(alg)
-    dec = _decompose_closed(alg, closure, max(tol, TOL_RANK), seed, AlgebraClosureFailed)
+    # assume.  The basis is HS-orthonormal, so each product's residual is
+    # relative to its factors' size, not its own (orthogonal projectors
+    # multiply to ~0, which lies in every span).
+    dec, closure = _decompose_closed(AlgebraBasis(r, ys), max(tol, TOL_RANK), seed,
+                                     AlgebraClosureFailed)
     if dec.d0:
         raise AlgebraClosureFailed("dual fixed-point algebra misses the identity")
 
@@ -662,26 +641,36 @@ def _hermitian_frame(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     Element r = (a, b) is E_aa for a = b, (E_ab + E_ba)/√2 for a < b and
     i(E_ab − E_ba)/√2 for a > b, so vec H_r = w1[r]·e_r + w2[r]·e_{perm[r]}
-    with perm the transpose of the index.  The unitary T = [vec H_r] is
-    diag(w1) + Π·diag(w2), Π the permutation matrix of perm, and T†MT costs
-    O(d⁴) gathers instead of a dense product.
+    with w2 = w̄1 and perm the transpose of the index.  The unitary
+    T = [vec H_r] is diag(w1) + Π·diag(w2), Π the permutation matrix of
+    perm, and T†MT costs O(d⁴) gathers instead of a dense product.
     """
     row, col = np.divmod(np.arange(d * d), d)
     perm = col * d + row
     h = 1 / np.sqrt(2)
     w1 = np.where(row < col, h, np.where(row > col, 1j * h, 0.5))
-    w2 = np.where(row < col, h, np.where(row > col, -1j * h, 0.5))
-    return w1, w2, perm
+    return w1, np.conj(w1), perm
+
+
+def _real_superoperator(s: np.ndarray, d: int) -> np.ndarray:
+    """T†sT, real, for the T of :func:`_hermitian_frame` and a superoperator
+    s (on row-major vec) that preserves Hermiticity; overwrites s.  With
+    T = diag(w1) + Π·diag(w̄1) and s·Π = Π·s̄ (Hermiticity preserved),
+    T†sT = 2·Re[(diag(w̄1)·s + diag(w1)·Π·s)·diag(w1)]."""
+    w1, _, perm = _hermitian_frame(d)
+    gathered = s[perm]
+    gathered *= w1[:, None]
+    s *= np.conj(w1)[:, None]
+    s += gathered
+    s *= 2 * w1
+    return s.real
 
 
 def _centred_real_generator(g: GKLSRep) -> np.ndarray:
-    """L_r − μ: the superoperator in the frame of :func:`_hermitian_frame`,
-    which is real because L preserves Hermiticity, minus μ = tr(L_r)/d²."""
+    """L_r − μ: the superoperator in the frame of :func:`_hermitian_frame`
+    (:func:`_real_superoperator`), minus μ = tr(L_r)/d²."""
     d = g.d
-    w1, w2, perm = _hermitian_frame(d)
-    l_t = generator_superoperator(g)
-    l_t = l_t * w1 + l_t[:, perm] * w2  # L·T
-    l_r = (np.conj(w1)[:, None] * l_t + np.conj(w2)[:, None] * l_t[perm]).real
+    l_r = _real_superoperator(generator_superoperator(g), d)
     l_r[np.diag_indices(d * d)] -= np.trace(l_r) / (d * d)
     return l_r
 

@@ -30,11 +30,9 @@ import numpy as np
 from .algebra import (
     AtomicDecomposition,
     _commutant,
-    _decompose_closed,
     _worst,
     algebra_from_decomposition,
     atomic_decompose,
-    closure_residuals,
     invariance_residuals,
 )
 from .applications import (
@@ -207,8 +205,8 @@ def _generator_scale(g: GKLSRep) -> float:
 
 def _cmd_algebra_decompose(bundles, flags, rep: _Report):
     dec: AtomicDecomposition = _pick(bundles, "algebra").payload
-    basis = algebra_from_decomposition(dec)
-    dec2 = _decompose_closed(basis, closure_residuals(basis), flags["tol_rank"], flags["seed"])
+    dec2 = atomic_decompose(algebra_from_decomposition(dec), tol=flags["tol_rank"],
+                            seed=flags["seed"])
     rep.fact(
         "factor_multiset_match",
         sorted(dec2.factors) == sorted(dec.factors) and dec2.d0 == dec.d0,

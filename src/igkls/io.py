@@ -25,7 +25,8 @@ Failures split into :class:`ParseError` (malformed JSON, position-annotated),
 :class:`InvariantError` (well-formed data violating a mathematical invariant,
 e.g. a ``u_alg`` that is not unitary).  The invariant checks are written
 ``not residual <= limit``, so finite entries whose products overflow to a NaN
-residual are rejected too.
+residual are rejected too, with warnings off (``np.errstate``): the overflow
+is the failed check, not a ``RuntimeWarning`` (an error under ``-W error``).
 
 Determinism
 -----------
@@ -164,6 +165,7 @@ def _encode_algebra(dec: AtomicDecomposition) -> dict:
     }
 
 
+@np.errstate(all="ignore")
 def _decode_algebra(obj, tol: float, path: str) -> AtomicDecomposition:
     d = _int_field(obj, "d", path, minimum=1)
     d0 = _int_field(obj, "d0", path)
@@ -266,6 +268,7 @@ def _decode_matrix_table(obj, key: str, path: str, n: int) -> list[list[np.ndarr
     return out
 
 
+@np.errstate(all="ignore")
 def _decode_normal_form(obj, tol: float, path: str) -> AtomicNormalForm:
     dec = _decode_algebra(_need(obj, "dec", path), tol, f"{path}.dec")
     d_env = _int_field(obj, "d_env", path)
@@ -331,6 +334,7 @@ def _encode_ki(res: KoashiImotoResult) -> dict:
     }
 
 
+@np.errstate(all="ignore")
 def _decode_ki(obj, tol: float, path: str) -> KoashiImotoResult:
     dec = _decode_algebra(_need(obj, "dec", path), tol, f"{path}.dec")
     q = _decode_cmatrix(_need(obj, "q", path), f"{path}.q")

@@ -151,9 +151,11 @@ def null_space(a: np.ndarray, tol: float, scale: float) -> np.ndarray:
     ``scale`` is a noise floor for inputs that may be pure rounding noise, where
     a cutoff relative to σ_max alone would keep noise.  A tall input is first
     reduced to its R factor, which has the same singular values and right
-    singular vectors, so the tall U is never formed.
+    singular vectors, so the tall U is never formed.  A real input gives
+    real rows.
     """
-    a = asmatrix(a)
+    a = np.asarray(a)
+    a = a.astype(np.result_type(a.dtype, np.float64), copy=False)
     if a.shape[0] > a.shape[1]:
         a = np.linalg.qr(a, mode="r")
     _, s, vh = np.linalg.svd(a)

@@ -161,6 +161,47 @@ def frob_oracle(a: np.ndarray) -> float:
     return float(np.sqrt(np.sum(np.abs(a) ** 2)))
 
 
+def orthonormal_span(mats) -> list[np.ndarray]:
+    """An HS-orthonormal basis (by QR) of the span of linearly independent
+    square matrices."""
+    d = mats[0].shape[0]
+    q = np.linalg.qr(np.stack([np.reshape(m, -1) for m in mats], axis=1))[0]
+    return list(q.T.reshape(-1, d, d))
+
+
+def _with_one_nan(mats):
+    mats = [np.array(m, dtype=np.complex128) for m in mats]
+    mats[-1][0, 0] = np.nan
+    return mats
+
+
+# spans that are not *-algebras, as HS-orthonormal bases: the negative
+# controls of every closure check
+NOT_CLOSED_SPANS = {
+    "diag(1,2,3)": orthonormal_span([np.eye(3), np.diag([1.0, 2.0, 3.0])]),
+    "E11,E12": orthonormal_span([np.diag([1.0, 0.0]), np.array([[0.0, 1.0], [0.0, 0.0]])]),
+    # M₂ without the Z direction: m = 3, but the only candidate pattern is M₂
+    "M2-minus-Z": orthonormal_span([np.eye(2), PAULI["X"], PAULI["Y"]]),
+    "one-nan": _with_one_nan(orthonormal_span([np.eye(2), PAULI["Z"]])),
+}
+
+
+def count_exact_closure(monkeypatch) -> list:
+    """The basis dimension of each call of the exact
+    ``algebra.closure_residuals`` from then on."""
+    import igkls.algebra as algebra_mod
+
+    calls = []
+    real = algebra_mod.closure_residuals
+
+    def counted(alg):
+        calls.append(alg.dim)
+        return real(alg)
+
+    monkeypatch.setattr(algebra_mod, "closure_residuals", counted)
+    return calls
+
+
 # ---------------------------------------------------------------------------
 # the probed GKLS instances of the benchmark's cli_chain workload
 # ---------------------------------------------------------------------------

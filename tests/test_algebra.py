@@ -34,9 +34,12 @@ from conftest import (
     PAULI,
     block_algebra_projector_oracle,
     crandn,
+    NOT_CLOSED_SPANS,
+    count_exact_closure,
     frob_oracle,
     haar_unitary,
     kron_oracle,
+    orthonormal_span,
     rng_for,
 )
 
@@ -364,6 +367,50 @@ def test_atomic_decompose_rejects_non_algebra_subspace():
     bad = AlgebraBasis(ambient_dim=2, basis=[_unit(2, 0, 1)], contains_identity=False)
     with pytest.raises(NotClosed):
         atomic_decompose(bad)
+
+
+@pytest.mark.parametrize("name", list(NOT_CLOSED_SPANS))
+def test_a_span_that_is_not_closed_raises_not_closed_after_one_exact_check(name, monkeypatch):
+    basis = NOT_CLOSED_SPANS[name]
+    calls = count_exact_closure(monkeypatch)
+    with pytest.raises(NotClosed):
+        atomic_decompose(AlgebraBasis(basis[0].shape[0], basis))
+    assert calls == [len(basis)]
+
+
+def test_a_certificate_above_the_limit_falls_back_to_the_exact_check(monkeypatch):
+    # a bound is not a verdict: a closed span whose bound is too weak passes
+    alg = algebra_from_decomposition(_planted(rng_for(232), 1, [(2, 1), (1, 2)]))
+    calls = count_exact_closure(monkeypatch)
+    monkeypatch.setattr(algebra_mod, "_closure_bound", lambda eps: (1.0, 1.0))
+    dec = atomic_decompose(alg)
+    assert calls == [alg.dim]
+    assert dec.d0 == 1 and sorted(dec.factors) == [(1, 2), (2, 1)]
+
+
+@pytest.mark.parametrize("eps", [1e-12, 1e-10, 1e-8, 1e-6])
+def test_closure_certificate_bounds_the_exact_residuals(eps, monkeypatch):
+    rng = rng_for(231)
+    planted = _planted(rng, 1, [(2, 2), (1, 3), (2, 1)])  # d = 9, m = 9
+    d = planted.d
+    noisy = [b + eps * g / frob(g) for b, g in
+             zip(algebra_pattern_basis(planted), (crandn(rng, d, d) for _ in range(9)))]
+    alg = AlgebraBasis(d, orthonormal_span(noisy))
+    oracle = closure_residuals(alg)
+    # the bound from the distances to the planted pattern algebra
+    bound = algebra_mod._closure_bound(algebra_mod._pattern_residuals(alg.basis, planted))
+    assert oracle[0] <= bound[0] and oracle[1] <= bound[1]
+    assert max(bound) <= 10 * max(eps, 1e-14)  # within a few √m·ε: not vacuous
+    if eps > 1e-8:
+        return  # the decomposition's eigenvalue gaps resolve only smaller noise
+    # and from the pattern the decomposition finds, with no exact check: its
+    # pattern check passes up to max(1e-9, 10·tol), the closure up to 100·tol
+    calls = count_exact_closure(monkeypatch)
+    dec, certified = algebra_mod._decompose_closed(alg, max(1e-9, eps), 0)
+    assert calls == []
+    assert sorted(dec.factors) == [(1, 3), (2, 1), (2, 2)]
+    assert oracle[0] <= certified[0] and oracle[1] <= certified[1]
+    assert max(certified) <= 10 * max(eps, 1e-14)
 
 
 def test_algebra_pattern_basis_is_orthonormal_and_spans_the_algebra():

@@ -14,6 +14,7 @@ import pytest
 
 from igkls import (
     AtomicDecomposition,
+    DecompositionFailed,
     GKLSRep,
     KrausSet,
     NoFixedState,
@@ -43,6 +44,7 @@ from conftest import (
     CLI_CHAIN_CASES,
     PAULI,
     cli_chain_instance,
+    count_exact_closure,
     crandn,
     haar_isometry,
     haar_unitary,
@@ -452,6 +454,70 @@ def test_koashi_imoto_rejects_non_trace_preserving():
         koashi_imoto_decompose(KrausSet(d_in=2, d_out=2, ops=[crandn(rng, 2, 2)]))
 
 
+def _planted_ki_ops(rng, factors, e=2):
+    """Schrödinger Kraus ops u(⊕ 1_A ⊗ N_i)u†, a random channel N_i on each B."""
+    d = sum(a * b for a, b in factors)
+    u = haar_unitary(rng, d)
+    isos = [haar_isometry(rng, db * e, db) for _, db in factors]
+    ops = []
+    for n in range(e):
+        z = np.zeros((d, d), dtype=np.complex128)
+        off = 0
+        for (da, db), w in zip(factors, isos):
+            z[off:off + da * db, off:off + da * db] = np.kron(np.eye(da), w.reshape(db, e, db)[:, n, :])
+            off += da * db
+        ops.append(u @ z @ dag(u))
+    return ops
+
+
+def _trace_and_replace_ops(rng, d):
+    lam, vecs = np.linalg.eigh(random_density(rng, d))
+    return [np.sqrt(max(lam[n], 0.0)) * np.outer(vecs[:, n], eye(d)[m])
+            for m in range(d) for n in range(d)]
+
+
+def _random_channel_ops(rng, d, e=2):
+    w = haar_isometry(rng, d * e, d)
+    return [w.reshape(d, e, d)[:, n, :] for n in range(e)]
+
+
+_FIXED_SPACE_CHANNELS = {
+    "dephasing": lambda rng: [np.sqrt(0.75) * eye(2), np.sqrt(0.25) * PAULI["Z"]],
+    "identity": lambda rng: [eye(3)],
+    "generic-unitary": lambda rng: [haar_unitary(rng, 4)],
+    "trace-and-replace": lambda rng: _trace_and_replace_ops(rng, 3),
+    "random-d3-a": lambda rng: _random_channel_ops(rng, 3),
+    "random-d3-b": lambda rng: _random_channel_ops(rng, 3),
+    "planted-d12": lambda rng: _planted_ki_ops(rng, [(3, 2), (2, 3)]),
+}
+
+
+def _fixed_rows_oracle(transfer, scale, tol=1e-9):
+    """Null rows x, (T − 1)x = 0, of the complex transfer matrix T, with the
+    library's cutoff: singular values above tol·max(σ_max, scale) count."""
+    _, sv, vh = np.linalg.svd(transfer - np.eye(transfer.shape[0]))
+    rank = int(np.count_nonzero(sv > tol * max(sv[0], scale)))
+    return np.conj(vh[rank:])
+
+
+@pytest.mark.parametrize("name", list(_FIXED_SPACE_CHANNELS))
+def test_real_frame_fixed_spaces_match_the_complex_transfer_matrix(name):
+    ops = _FIXED_SPACE_CHANNELS[name](rng_for(538 + len(name)))
+    d = ops[0].shape[0]
+    scale = max(1.0, sum(frob(op) ** 2 for op in ops))
+    for kraus, transfer in (
+        (ops, sum(np.kron(op, np.conj(op)) for op in ops)),            # channel
+        ([dag(op) for op in ops], sum(np.kron(dag(op), op.T) for op in ops)),  # dual
+    ):
+        got = applications._fixed_space(kraus, d, 1e-9)
+        want = _fixed_rows_oracle(transfer, scale)
+        assert len(got) == len(want) > 0
+        rows = got.reshape(len(got), -1)
+        assert frob(got - np.conj(got.transpose(0, 2, 1))) <= 1e-12  # Hermitian
+        assert frob(np.conj(rows) @ rows.T - eye(len(got))) <= 1e-12  # HS-orthonormal
+        assert frob(rows.T @ np.conj(rows) - want.T @ np.conj(want)) <= 1e-10
+
+
 # ---------------------------------------------------------------------------
 # finite-time invariance probe
 # ---------------------------------------------------------------------------
@@ -615,20 +681,26 @@ def test_fixed_point_pipelines_reject_a_kraus_set_with_one_nan(pipeline):
     assert np.isnan(info.value.residual)
 
 
-def test_koashi_imoto_checks_closure_once(monkeypatch):
-    import igkls.algebra as algebra_mod
-
-    calls = []
-    real = algebra_mod.closure_residuals
-
-    def counted(alg):
-        calls.append(alg.dim)
-        return real(alg)
-
-    monkeypatch.setattr(algebra_mod, "closure_residuals", counted)
-    monkeypatch.setattr(applications, "closure_residuals", counted)
+def test_koashi_imoto_certifies_closure_without_the_exact_check(monkeypatch):
+    calls = count_exact_closure(monkeypatch)
     ops = [np.sqrt(0.5) * eye(2), np.sqrt(0.5) * PAULI["Z"]]
     res = koashi_imoto_decompose(KrausSet(d_in=2, d_out=2, ops=ops))
-    assert calls == [2]
+    assert calls == []
+    # the certified bounds s + ε and s + 2ε + ε² of a closed span
     assert res.report["closure_adjoint_residual"] <= 1e-12
     assert res.report["closure_product_residual"] <= 1e-12
+
+
+def test_koashi_imoto_falls_back_to_one_exact_closure_check(monkeypatch):
+    import igkls.algebra as algebra_mod
+
+    calls = count_exact_closure(monkeypatch)
+
+    def fails(mats, d, tol, seed):
+        raise DecompositionFailed("no generic split found")
+
+    monkeypatch.setattr(algebra_mod, "_decompose", fails)
+    ops = [np.sqrt(0.5) * eye(2), np.sqrt(0.5) * PAULI["Z"]]
+    with pytest.raises(DecompositionFailed):  # the span is closed: the failure stands
+        koashi_imoto_decompose(KrausSet(d_in=2, d_out=2, ops=ops))
+    assert calls == [2]

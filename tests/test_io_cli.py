@@ -12,12 +12,15 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from igkls import (
+    AlgebraBasis,
     AtomicDecomposition,
     GKLSRep,
     InvariantError,
@@ -45,7 +48,8 @@ from igkls.io import (
 )
 from igkls.linalg import dag, eye, frob, kron
 
-from conftest import PAULI, crandn, random_hermitian, rng_for
+from conftest import (NOT_CLOSED_SPANS, PAULI, count_exact_closure, crandn, random_hermitian,
+                      rng_for)
 
 BASE_FLAGS = {
     "seed": 0,
@@ -120,6 +124,13 @@ def test_cli_rejects_an_overflowing_unitary_at_load_time(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "InvariantError" in err and "u_alg" in err
+
+    # the overflow is the failed check, not a RuntimeWarning: with warnings
+    # raised as errors (python -W error) it still exits 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, ["commutant", "--in", str(path)])
+    assert code == 2 and "InvariantError" in err
 
 
 def test_decode_schema_errors_name_the_field():
@@ -559,26 +570,50 @@ def test_cli_commutant_checks_commutation_once(tmp_path, capsys, monkeypatch):
     assert checks["commutation"]["tolerance"] == pytest.approx(1e-7)
 
 
-def test_cli_algebra_decompose_checks_closure_once(tmp_path, capsys, monkeypatch):
+def test_cli_algebra_decompose_certifies_closure_without_the_exact_check(
+        tmp_path, capsys, monkeypatch):
+    path = tmp_path / "alg.json"
+    assert run_cli(capsys, ["random", "--kind", "algebra", "--seed", "13",
+                            "--out", str(path)])[0] == 0
+    calls = count_exact_closure(monkeypatch)
+    code, out, _ = run_cli(capsys, ["algebra-decompose", "--in", str(path)])
+    assert code == 0
+    assert calls == []
+    names = [c["name"] for c in json.loads(out)["checks"]]
+    assert names[:2] == ["closure_adjoint", "closure_product"]
+
+
+def test_cli_algebra_decompose_falls_back_to_one_exact_closure_check(
+        tmp_path, capsys, monkeypatch):
     import igkls.algebra as algebra_mod
 
     path = tmp_path / "alg.json"
     assert run_cli(capsys, ["random", "--kind", "algebra", "--seed", "13",
                             "--out", str(path)])[0] == 0
-    calls = []
-    real = algebra_mod.closure_residuals
+    calls = count_exact_closure(monkeypatch)
 
-    def counted(alg):
-        calls.append(alg.dim)
-        return real(alg)
+    def fails(mats, d, tol, seed):
+        raise algebra_mod.DecompositionFailed("no generic split found")
 
-    monkeypatch.setattr(algebra_mod, "closure_residuals", counted)
-    monkeypatch.setattr(cli_mod, "closure_residuals", counted)
+    monkeypatch.setattr(algebra_mod, "_decompose", fails)
     code, out, _ = run_cli(capsys, ["algebra-decompose", "--in", str(path)])
-    assert code == 0
+    doc = json.loads(out)
+    assert code == 1 and doc["error"]["type"] == "DecompositionFailed"
     assert len(calls) == 1
-    names = [c["name"] for c in json.loads(out)["checks"]]
-    assert names[:2] == ["closure_adjoint", "closure_product"]
+    assert [c["name"] for c in doc["checks"]] == ["closure_adjoint", "closure_product"]
+    assert all(c["passed"] for c in doc["checks"])
+
+
+@pytest.mark.parametrize("name", list(NOT_CLOSED_SPANS))
+def test_cli_algebra_decompose_of_a_span_that_is_not_closed_exits_1(name, monkeypatch):
+    basis = NOT_CLOSED_SPANS[name]
+    # the CLI decomposes the basis of its algebra bundle: hand it the span
+    monkeypatch.setattr(cli_mod, "algebra_from_decomposition",
+                        lambda dec: AlgebraBasis(basis[0].shape[0], basis))
+    code, doc = run_report("algebra-decompose", [random_instance("algebra", seed=13)],
+                           dict(BASE_FLAGS))
+    assert code == 1 and doc["error"]["type"] == "NotClosed"
+    assert [c["name"] for c in doc["checks"]][0] == "closure_adjoint"
 
 
 def _random_algebra(capsys, tmp_path, params):
@@ -586,6 +621,18 @@ def _random_algebra(capsys, tmp_path, params):
     assert run_cli(capsys, ["random", "--kind", "algebra", "--params",
                             json.dumps(params), "--out", str(path)])[0] == 0
     return path
+
+
+def test_cli_algebra_decompose_of_m32_within_a_wall_bound(tmp_path, capsys):
+    # m = 1024: the exact closure check alone would take minutes
+    path = _random_algebra(capsys, tmp_path, {"factors": [[32, 1]], "d0": 0})
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, ["algebra-decompose", "--in", str(path)])
+    elapsed = time.perf_counter() - start
+    doc = json.loads(out)
+    assert code == 0 and doc["ok"]
+    assert doc["result"]["recovered"] == {"d0": 0, "factors": [[32, 1]]}
+    assert elapsed <= 10.0
 
 
 def test_cli_algebra_decompose_at_the_dimension_cap(tmp_path, capsys):

@@ -374,6 +374,18 @@ def test_null_space_of_wide_and_square_inputs():
     assert null_space(eye(4), 1e-9, 0.0).shape == (0, 4)
 
 
+def test_null_space_keeps_a_real_input_real():
+    rng = rng_for(117)
+    for shape in ((4, 9), (6, 6), (12, 5)):  # wide, square, tall (R factor)
+        a = rng.standard_normal((shape[0], 3)) @ rng.standard_normal((3, shape[1]))
+        got = null_space(a, 1e-9, 0.0)
+        assert got.dtype == np.float64
+        assert got.shape == (shape[1] - 3, shape[1])
+        assert frob(got @ got.T - np.eye(len(got))) <= 1e-12
+        assert frob(a @ got.T) <= 1e-12 * frob(a)
+    assert null_space(np.eye(3, dtype=int), 1e-9, 0.0).dtype == np.float64
+
+
 # ---------------------------------------------------------------------------
 # expm, against scipy.linalg.expm as the oracle
 # ---------------------------------------------------------------------------
