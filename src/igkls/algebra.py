@@ -169,10 +169,12 @@ def _lift(dec: AtomicDecomposition, parts, embed, e_out: int = 1, e_in: int = 1,
 # ---------------------------------------------------------------------------
 #
 # Each construction that would stack one map per basis element (m = dim 𝒜 of
-# them) instead takes two generic elements x = Σ g_k b_k and y of the span
-# and checks its answer exactly against the whole basis; a failed draw
-# retries with a derived seed (Murota, Kanno, Kojima & Kojima, Japan J.
-# Indust. Appl. Math. 27, 2010).
+# them) instead takes two generic elements x = Σ g_k b_k and y of the span,
+# works in the eigenframe of h = (x + x†)/2 (the commutant's Z are
+# block-diagonal there; the decomposition's factors are the groups of
+# eigenspaces of h that y links, with no centre) and checks its answer exactly
+# against the whole basis; a failed draw retries with a derived seed
+# (Murota, Kanno, Kojima & Kojima, Japan J. Indust. Appl. Math. 27, 2010).
 
 _STACK_BYTES = 1 << 23  # size of one batched product stack
 
@@ -232,7 +234,7 @@ class _GenericityFailure(Exception):
 def _generic_elements(mats: np.ndarray, rng: CounterRng, count: int) -> list[np.ndarray]:
     """``count`` independent elements Σ g_k·mats[k] with complex Gaussian g."""
     g = rng.complex_matrix(count, len(mats))
-    return list(np.tensordot(g, mats, axes=1))
+    return list((g @ mats.reshape(len(mats), -1)).reshape(count, *mats.shape[1:]))
 
 
 def _retry_generic(attempt, seed: int, what: str):
@@ -322,7 +324,7 @@ def commutant(alg: AlgebraBasis, tol: float = TOL_RANK) -> AlgebraBasis:
     eigenspace of h.  With s = max(spread of the eigenvalues, 1), clusters
     merge gaps below 10⁻⁸·s (rounding splits a degenerate eigenvalue far
     less) and a gap between 10⁻⁸·s and 10⁻⁶·s retries the draw
-    (:func:`_cluster_eigenvalues`), so none does.  The null space is kept
+    (:func:`_eigenspaces`), so none does.  The null space is kept
     once each of its elements commutes with every basis element, which
     shows only that it lies inside 𝒜′; else the draw is retried.  A basis
     with a NaN or infinite entry raises :class:`DecompositionFailed`.
@@ -344,11 +346,9 @@ def _commutant(alg: AlgebraBasis, tol: float) -> tuple[AlgebraBasis, float]:
 
     def attempt(rng):
         x, y = _generic_elements(mats, rng, 2)
-        frame, clusters = _eigenspaces(0.5 * (x + dag(x))) if star_closed else (eye(d), [range(d)])
-        if clusters is None:
+        frame, blocks = _eigenspaces(0.5 * (x + dag(x))) if star_closed else (eye(d), [slice(0, d)])
+        if blocks is None:
             raise _GenericityFailure()
-        # eigh sorts the eigenvalues, so each cluster is a run of indices
-        blocks = [slice(int(min(c)), int(max(c)) + 1) for c in clusters]
         xf, yf = dag(frame) @ x @ frame, dag(frame) @ y @ frame
         # for a central span the stack is pure rounding noise, so the cutoff
         # is anchored to the elements' scale as well
@@ -434,10 +434,17 @@ def pattern_residual(x: np.ndarray, dec: AtomicDecomposition) -> float:
 
 def _pattern_residuals(xs, dec: AtomicDecomposition) -> np.ndarray:
     """Frobenius distance of each matrix of ``xs`` from the algebra of
-    ``dec``.  One matmul moves the whole stack to the ``u_alg`` frame, where
-    the distance is that of t from its projection: t with each factor block
-    t_ii replaced by t_ii − Tr_B(t_ii)/d_B ⊗ 1_B (one einsum per factor)
-    and everything else kept.  A NaN in one matrix is NaN in its slot only."""
+    ``dec``, the row norms of :func:`_pattern_defects`.  A NaN in one matrix
+    is NaN in its slot only."""
+    return np.linalg.norm(_pattern_defects(xs, dec), axis=1)
+
+
+def _pattern_defects(xs, dec: AtomicDecomposition) -> np.ndarray:
+    """x − π(x) in the ``u_alg`` frame, one row-major row per matrix x of
+    ``xs``, for π the HS-orthogonal projection onto the algebra of ``dec``.
+    One matmul moves the whole stack to the frame, where x − π(x) is t with
+    each factor block t_ii replaced by t_ii − Tr_B(t_ii)/d_B ⊗ 1_B (one
+    einsum per factor) and everything else kept."""
     d = dec.d
     xs = np.asarray(xs, dtype=np.complex128)
     if xs.size and xs.shape[1:] != (d, d):
@@ -446,7 +453,7 @@ def _pattern_residuals(xs, dec: AtomicDecomposition) -> np.ndarray:
     for da, db, s in _blocks(dec):
         blk = t[:, s, s].reshape(-1, da, db, da, db)
         np.einsum("nabcb->nacb", blk)[...] -= np.einsum("nabcb->nac", blk)[..., None] / db
-    return np.linalg.norm(t.reshape(len(t), d * d), axis=1)
+    return t.reshape(len(t), d * d)
 
 
 def invariance_residuals(apply, dec_in: AtomicDecomposition,
@@ -546,48 +553,25 @@ def intertwiner_decompose(
 # atomic decomposition
 # ---------------------------------------------------------------------------
 
-def _cluster_eigenvalues(w: np.ndarray, gap_tol: float) -> list[np.ndarray] | None:
-    """Group sorted eigenvalues into clusters; None if any gap is ambiguous.
-
-    Gaps below gap_tol/100 merge, gaps above gap_tol split; anything between
-    signals a failed genericity draw.
-    """
-    order = np.argsort(w)
-    clusters = [[order[0]]]
-    for prev, cur in zip(order[:-1], order[1:]):
-        gap = w[cur] - w[prev]
-        if gap < gap_tol / 100.0:
-            clusters[-1].append(cur)
-        elif gap >= gap_tol:
-            clusters.append([cur])
-        else:
-            return None
-    return [np.asarray(c) for c in clusters]
-
-
-def _center_coefficients(mats: np.ndarray, tol: float, rng: CounterRng) -> np.ndarray:
-    """Coefficient vectors c, one per row, with Σ c_k b_k central in span(mats).
-
-    The null space of the (2·ds², m) map c ↦ ([Σc_k b_k, x], [Σc_k b_k, y])
-    for two generic elements x, y always holds the centre; it is kept once
-    every returned element commutes with every b_j.
-    """
-    x, y = _generic_elements(mats, rng, 2)
-    cols = np.concatenate([mats @ x - x @ mats, mats @ y - y @ mats], axis=1)
-    scale = max(frob(b) for b in mats)
-    # for an abelian basis every commutator is ~eps: anchor to the basis scale
-    coeffs = null_space(cols.reshape(len(mats), -1).T, tol,
-                        scale * max(frob(x), frob(y)))
-    res = _commutation_residual(np.tensordot(coeffs, mats, axes=1), mats)
-    if not res <= 100 * tol * scale:
-        raise _GenericityFailure(residual=res)
-    return coeffs
+def _eigenspaces(h: np.ndarray):
+    """Eigenvectors of the self-adjoint ``h`` (columns, eigenvalues
+    ascending) and the index ranges (slices) of its eigenvalue clusters;
+    None for the clusters if a gap is ambiguous.  With g = ``_GAP_FRACTION``
+    times the spread of the eigenvalues (at least 1), gaps below g/100
+    merge, gaps of g or more split, and anything between signals a failed
+    genericity draw."""
+    w, v = np.linalg.eigh(h)
+    tol = _GAP_FRACTION * max(float(w[-1] - w[0]), 1.0)
+    gaps = np.diff(w)
+    if not np.all((gaps < tol / 100.0) | (gaps >= tol)):
+        return v, None
+    edges = [0, *(np.flatnonzero(gaps >= tol) + 1).tolist(), len(w)]
+    return v, [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
 
 
 def _fingerprint(block: np.ndarray) -> tuple:
-    ev = np.linalg.eigvals(block)
-    pairs = sorted((round(z.real / 1e-6) * 1e-6, round(z.imag / 1e-6) * 1e-6) for z in ev)
-    return tuple(pairs)
+    return tuple(sorted((round(z.real / 1e-6) * 1e-6, round(z.imag / 1e-6) * 1e-6)
+                        for z in np.linalg.eigvals(block)))
 
 
 def atomic_decompose(
@@ -597,15 +581,14 @@ def atomic_decompose(
 ) -> AtomicDecomposition:
     """Compute the structural (null ⊕ factors) form of a *-closed algebra.
 
-    Pipeline: restrict to the joint support, split the support along the
-    spectrum of a generic self-adjoint central element (one cluster per
-    factor), split each factor along a generic self-adjoint algebra element
-    (d_A distinct eigenvalues of multiplicity d_B), align the degenerate
-    eigenframes with algebra partial isometries, and verify the block pattern
-    on every input basis element, which also certifies closure
+    Pipeline: restrict to the joint support, draw two generic elements x, y
+    of the span, group the eigenspaces of h = (x + x†)/2 into factors by the
+    blocks of y that link them, split each factor along h (d_A distinct
+    eigenvalues of multiplicity d_B), align the degenerate eigenframes with
+    y's blocks (:func:`_attempt_decompose`), and verify the block pattern on
+    every input basis element, which also certifies closure
     (:func:`_closure_bound`).  Retries with a fresh derived seed on any
-    genericity failure, of the centre or of the split.  A span that is not
-    closed raises :class:`NotClosed`.
+    genericity failure.  A span that is not closed raises :class:`NotClosed`.
     """
     return _decompose_closed(alg, tol, seed)[0]
 
@@ -619,7 +602,8 @@ def _decompose_closed(alg: AlgebraBasis, tol: float, seed: int,
     (:func:`_closure_bound`).  The exact O(m³d²) :func:`closure_residuals`
     runs instead, once, if the basis holds a non-finite entry, the
     decomposition fails (its :class:`DecompositionFailed` is re-raised if
-    the span is closed), m ≠ Σ d_A², or a bound exceeds the limit: a span
+    the span is closed; a span that is not closed fails every attempt's
+    pattern check or has m ≠ Σ d_A²), or a bound exceeds the limit: a span
     that is not closed raises ``error``, never :class:`DecompositionFailed`.
     """
     limit = max(tol * 100, 1e-8)
@@ -628,9 +612,8 @@ def _decompose_closed(alg: AlgebraBasis, tol: float, seed: int,
     try:
         if not np.isfinite(mats).all():
             raise DecompositionFailed("basis holds a non-finite entry")
-        dec, eps = _decompose(mats, alg.ambient_dim, tol, seed)
-        if sum(da * da for da, _ in dec.factors) == alg.dim:
-            closure = _closure_bound(eps)
+        dec, defects = _decompose(mats, alg.ambient_dim, tol, seed)
+        closure = _closure_bound(defects)
     except DecompositionFailed as exc:
         failure = exc
     if closure is None or not max(closure) <= limit:
@@ -642,99 +625,114 @@ def _decompose_closed(alg: AlgebraBasis, tol: float, seed: int,
     return dec, closure
 
 
-def _closure_bound(eps: np.ndarray) -> tuple[float, float]:
+def _closure_bound(r: np.ndarray) -> tuple[float, float]:
     """(s + ε, s + 2ε + ε²) ≥ :func:`closure_residuals` of an HS-orthonormal
-    basis b_1 … b_m, given ε_j = ‖e_j‖_F, e_j = b_j − π(b_j), for π the
-    HS-orthogonal projection onto a *-algebra P of dimension m (the pattern
-    algebra U(0 ⊕ ⊕ M_{d_A}⊗1)U† when m = Σ d_A²); s = ‖ε‖₂, ε = max ε_j.
+    basis b_1 … b_m, given the rows R = [vec e_1; …; vec e_m] in any
+    orthonormal coordinates, e_j = b_j − π(b_j), for π the HS-orthogonal
+    projection onto a *-algebra P of dimension m (the pattern algebra
+    U(0 ⊕ ⊕ M_{d_A}⊗1)U†, m = Σ d_A²); ε = max_j ‖e_j‖_F and
+    s = min(‖R‖_F, ‖RR†‖_F^{1/2}).
 
     The sines of the principal angles between S = span(b) and P are the
-    singular values of (1 − Π_P)[b_1 … b_m], so at most s; as dim S = dim P,
-    dist(p, S) ≤ s‖p‖_F for p ∈ P.  π(b_j)† ∈ P and ‖π(b_j)‖_F ≤ 1 give
-    dist(b_j†, S) ≤ s + ε.  π(b_j)π(b_k) ∈ P has norm ≤ 1, and
+    singular values σ of (1 − Π_P)[b_1 … b_m], that is of R, so at most
+    σ_max(R) ≤ (Σσ⁴)^{1/4} = ‖RR†‖_F^{1/2} ≤ (Σσ²)^{1/2} = ‖R‖_F, hence
+    at most s; as dim S = dim P, dist(p, S) ≤ s‖p‖_F for p ∈ P.
+    π(b_j)† ∈ P and ‖π(b_j)‖_F ≤ 1 give dist(b_j†, S) ≤ s + ε.
+    π(b_j)π(b_k) ∈ P has norm ≤ 1, and
     b_j b_k − π(b_j)π(b_k) = e_j π(b_k) + π(b_j) e_k + e_j e_k, so
     dist(b_j b_k, S) ≤ s + 2ε + ε².
     """
-    s, e = float(np.linalg.norm(eps)), _worst(eps)
+    eps = np.linalg.norm(r, axis=1)
+    r = r[:, np.any(r != 0, axis=0)]  # zero columns (d_B = 1 blocks) add nothing
+    gram = r @ dag(r) if r.shape[0] <= r.shape[1] else dag(r) @ r  # ‖RR†‖_F = ‖R†R‖_F
+    s = min(float(np.linalg.norm(eps)), float(np.sqrt(np.linalg.norm(gram))))
+    e = _worst(eps)
     return s + e, s + 2 * e + e * e
 
 
 def _decompose(mats: np.ndarray, d: int, tol: float,
                seed: int) -> tuple[AtomicDecomposition, np.ndarray]:
     """The decomposition of span(``mats``), a finite basis stack, and each
-    basis element's distance from its pattern algebra."""
+    basis element's residual from its pattern algebra as the rows of
+    :func:`_pattern_defects`."""
     # support / null split (shared by all attempts; eigh is deterministic)
-    w, vecs = np.linalg.eigh(np.einsum("kji,kjl->il", np.conj(mats), mats))
+    rows = mats.reshape(-1, d)  # Σ_k b_k†b_k as one product
+    w, vecs = np.linalg.eigh(dag(rows) @ rows)
     if not w[-1] > 0:  # also for an empty basis
-        return AtomicDecomposition(d=d, u_alg=eye(d), d0=d, factors=[]), np.zeros(len(mats))
+        return AtomicDecomposition(d, eye(d), d, []), np.zeros((len(mats), d * d))
     null_mask = w <= tol * w[-1]
-    d0 = int(np.count_nonzero(null_mask))
-    e_null = vecs[:, null_mask]
-    e_supp = vecs[:, ~null_mask]
+    e_null, e_supp = vecs[:, null_mask], vecs[:, ~null_mask]
     restricted = dag(e_supp) @ mats @ e_supp
-
-    def attempt(rng):
-        center_coeffs = _center_coefficients(restricted, tol, rng)
-        if center_coeffs.shape[0] == 0:
-            raise DecompositionFailed("support algebra has an empty center")
-        return _attempt_decompose(mats, restricted, center_coeffs, e_null, e_supp,
-                                  d, d0, tol, rng)
-
-    return _retry_generic(attempt, seed, "split")
+    return _retry_generic(
+        lambda rng: _attempt_decompose(mats, restricted, e_null, e_supp, tol, rng), seed, "split")
 
 
-def _generic_self_adjoint(mats: np.ndarray, rng: CounterRng) -> np.ndarray:
-    x = np.tensordot(rng._normals(len(mats)), mats, axes=1)
-    return 0.5 * (x + dag(x))
+def _attempt_decompose(mats, restricted, e_null, e_supp, tol,
+                       rng) -> tuple[AtomicDecomposition, np.ndarray]:
+    """One split of the support algebra span(``restricted``) from a generic
+    self-adjoint h = (x + x†)/2 and a generic y (Murota et al.).
 
-
-def _eigenspaces(h: np.ndarray):
-    """Eigenvectors of the self-adjoint ``h`` (columns, eigenvalues
-    ascending) and the index clusters of its eigenvalues at gap
-    ``_GAP_FRACTION`` of their spread (at least 1); None for the clusters
-    if a gap is ambiguous."""
-    w, v = np.linalg.eigh(h)
-    return v, _cluster_eigenvalues(w, _GAP_FRACTION * max(float(w[-1] - w[0]), 1.0))
-
-
-def _attempt_decompose(mats, restricted, center_coeffs, e_null, e_supp,
-                       d, d0, tol, rng) -> tuple[AtomicDecomposition, np.ndarray]:
-    z = _generic_self_adjoint(np.tensordot(center_coeffs, restricted, axes=1), rng)
-    vz, clusters = _eigenspaces(z)
-    if clusters is None or len(clusters) != center_coeffs.shape[0]:
+    In the algebra's frame h = ⊕ h_i⊗1_{B_i} and y = ⊕ Y_i⊗1_{B_i}, so each
+    eigenvalue cluster of h lies in one factor and y links clusters of one
+    factor only: the factors are the connected components of the cluster
+    graph whose edges are y's frame blocks above ``_GAP_FRACTION``·‖y‖_F.
+    The error of a factor's eigenprojector P_g maps the factor to the
+    others, where every algebra element vanishes, so its projection Π_S(P_g)
+    onto the span is the factor's central projector up to second order;
+    z = Σ_g (g+1)·Π_S(P_g) then has eigenvalue gaps of 1 and the factor
+    subspaces as eigenspaces.  Within each factor the compressed h has d_A
+    clusters of size d_B, aligned by the SVDs of y's d_B × d_B blocks.  An
+    attempt is kept only if its pattern check passes and Σ d_A² = m, so a
+    false split or merge of factors is retried, never returned.
+    """
+    x, y = _generic_elements(restricted, rng, 2)
+    h = 0.5 * (x + dag(x))
+    vh, clusters = _eigenspaces(h)
+    if clusters is None:
         raise _GenericityFailure()
+    starts = [c.start for c in clusters]
+    power = np.abs(dag(vh) @ y @ vh) ** 2
+    linked = np.add.reduceat(np.add.reduceat(power, starts, axis=0), starts, axis=1) \
+        > (_GAP_FRACTION * frob(y)) ** 2
+    reach = linked | linked.T | np.eye(len(clusters), dtype=bool)
+    for _ in range(len(clusters).bit_length()):  # paths of doubling length
+        reach = reach @ reach
+    # factor index of each eigenvector, the factors ordered by first cluster
+    label = np.repeat(np.unique(reach.argmax(axis=1), return_inverse=True)[1],
+                      [c.stop - c.start for c in clusters])
+    rows = restricted.reshape(len(restricted), -1)
+    z = ((np.conj(rows) @ ((vh * (label + 1)) @ dag(vh)).reshape(-1)) @ rows).reshape(h.shape)
+    vz = np.linalg.eigh(0.5 * (z + dag(z)))[1]
 
     keyed = []  # ((d_A, d_B), fingerprint, factor columns) per factor
-    for cl in clusters:
-        f_i = vz[:, cl]  # ds × n_i
-        fac_basis = dag(f_i) @ restricted @ f_i
-        vx, sub = _eigenspaces(_generic_self_adjoint(fac_basis, rng))
-        if sub is None or any(len(c) != len(sub[0]) for c in sub) \
-                or len(sub) * len(sub[0]) != len(cl):
+    for f in np.split(vz, np.cumsum(np.bincount(label))[:-1], axis=1):
+        hf, yf = dag(f) @ np.stack([h, y]) @ f
+        vx, sub = _eigenspaces(hf)
+        if sub is None or len({s.stop - s.start for s in sub}) != 1:
             raise _GenericityFailure()
-        da, db = len(sub), len(sub[0])
-        frames = [vx[:, c] for c in sub]  # each n_i × db
-        if da > 1:
-            y = np.tensordot(rng.complex_matrix(len(fac_basis), 1)[:, 0], fac_basis, axes=1)
-            scale_y = max(frob(y), 1e-30)
-            for a in range(1, da):
-                u_m, sv, vh_m = np.linalg.svd(dag(frames[a]) @ y @ frames[0])
-                if sv.size == 0 or sv[-1] < 1e-8 * scale_y:
-                    raise _GenericityFailure()
-                frames[a] = frames[a] @ (u_m @ vh_m)
-        cols = e_supp @ f_i @ np.concatenate(frames, axis=1)  # order (a, b) row-major
+        da, db = len(sub), sub[0].stop
+        frames = [vx[:, s] for s in sub]  # each n_g × d_B
+        for a in range(1, da):
+            u_m, sv, vh_m = np.linalg.svd(dag(frames[a]) @ yf @ frames[0])
+            if sv[-1] < 1e-8 * frob(yf):
+                raise _GenericityFailure()
+            frames[a] = frames[a] @ (u_m @ vh_m)
+        cols = e_supp @ f @ np.concatenate(frames, axis=1)  # order (a, b) row-major
         # deterministic factor order: (d_A, d_B), then the spectral fingerprint
         # of the first input basis element compressed to the factor subspace
         keyed.append(((da, db), _fingerprint(dag(cols) @ mats[0] @ cols), cols))
     keyed.sort(key=lambda t: t[:2])
 
+    d0 = e_null.shape[1]
     u_alg = np.concatenate([_phase_fix_factor(e_null, 1, d0)]
                            + [_phase_fix_factor(cols, *dims) for dims, _, cols in keyed], axis=1)
-    dec = AtomicDecomposition(d=d, u_alg=u_alg, d0=d0, factors=[dims for dims, _, _ in keyed])
-    eps = _pattern_residuals(mats, dec)
-    if not _worst(eps) <= max(1e-9, tol * 10):
-        raise _GenericityFailure(residual=_worst(eps))
-    return dec, eps
+    dec = AtomicDecomposition(d=len(u_alg), u_alg=u_alg, d0=d0,
+                              factors=[dims for dims, _, _ in keyed])
+    defects = _pattern_defects(mats, dec)
+    res = _worst(np.linalg.norm(defects, axis=1))
+    if not res <= max(1e-9, tol * 10) or sum(da * da for da, _ in dec.factors) != len(mats):
+        raise _GenericityFailure(residual=res)
+    return dec, defects
 
 
 def _phase_fix_factor(cols: np.ndarray, da: int, db: int) -> np.ndarray:

@@ -29,7 +29,6 @@ from igkls import (
     twirl_intertwiner,
     twirl_to_commutant,
 )
-from igkls.rng import CounterRng
 from conftest import (
     PAULI,
     block_algebra_projector_oracle,
@@ -398,7 +397,7 @@ def test_closure_certificate_bounds_the_exact_residuals(eps, monkeypatch):
     alg = AlgebraBasis(d, orthonormal_span(noisy))
     oracle = closure_residuals(alg)
     # the bound from the distances to the planted pattern algebra
-    bound = algebra_mod._closure_bound(algebra_mod._pattern_residuals(alg.basis, planted))
+    bound = algebra_mod._closure_bound(algebra_mod._pattern_defects(alg.basis, planted))
     assert oracle[0] <= bound[0] and oracle[1] <= bound[1]
     assert max(bound) <= 10 * max(eps, 1e-14)  # within a few √m·ε: not vacuous
     if eps > 1e-8:
@@ -411,6 +410,42 @@ def test_closure_certificate_bounds_the_exact_residuals(eps, monkeypatch):
     assert sorted(dec.factors) == [(1, 3), (2, 1), (2, 2)]
     assert oracle[0] <= certified[0] and oracle[1] <= certified[1]
     assert max(certified) <= 10 * max(eps, 1e-14)
+
+
+@pytest.mark.parametrize("eps", [1e-12, 1e-10, 1e-8])
+def test_closure_certificate_holds_over_consecutive_seeds(eps, monkeypatch):
+    # the certificate of the decomposition the pipeline finds, not of the
+    # planted one, over every seed of a range: no lucky seed carries it
+    calls = count_exact_closure(monkeypatch)
+    for seed in range(231, 241):
+        rng = rng_for(seed)
+        planted = _planted(rng, 1, [(2, 2), (1, 3), (2, 1)])
+        d = planted.d
+        noisy = [b + eps * g / frob(g) for b, g in
+                 zip(algebra_pattern_basis(planted), (crandn(rng, d, d) for _ in range(9)))]
+        alg = AlgebraBasis(d, orthonormal_span(noisy))
+        oracle = closure_residuals(alg)
+        dec, certified = algebra_mod._decompose_closed(alg, max(1e-9, eps), 0)
+        assert calls == []  # certified, with no exact check
+        assert sorted(dec.factors) == [(1, 3), (2, 1), (2, 2)]
+        assert oracle[0] <= certified[0] and oracle[1] <= certified[1]
+        assert max(certified) <= 10 * eps, seed
+
+
+def test_closure_bound_takes_the_gram_norm_between_the_spectral_and_frobenius_norms():
+    rng = rng_for(236)
+    for rows, cols in [(9, 81), (40, 16), (1, 5), (12, 12)]:
+        r = crandn(rng, rows, cols)
+        sigma = np.linalg.svd(r, compute_uv=False)
+        gram = np.sqrt(frob_oracle(r @ dag(r)))
+        assert sigma[0] <= gram * (1 + 1e-12) and gram <= frob_oracle(r) * (1 + 1e-12)
+        e = max(np.linalg.norm(r, axis=1))
+        bound = algebra_mod._closure_bound(r)
+        assert bound[0] == pytest.approx(gram + e, rel=1e-12)
+        assert bound[1] == pytest.approx(gram + 2 * e + e * e, rel=1e-12)
+    # zero columns, as d_B = 1 blocks leave, change no norm
+    padded = np.concatenate([r, np.zeros((12, 30))], axis=1)
+    assert algebra_mod._closure_bound(padded) == pytest.approx(bound, rel=1e-12)
 
 
 def test_algebra_pattern_basis_is_orthonormal_and_spans_the_algebra():
@@ -615,15 +650,25 @@ def test_batched_pattern_residuals_match_the_per_element_loop():
         assert np.isnan(pattern_residual(xs[1], dec))
 
 
-def test_center_coefficients_match_the_full_basis_oracle_on_the_engine_shapes():
+def test_factor_projectors_are_the_planted_central_projectors_on_the_engine_shapes():
+    # each factor found by linking h's eigenspaces through y is one planted
+    # factor, and the factors' projectors span the full-basis centre
     rng = rng_for(222)
     for k, (d0, factors) in enumerate(_ENGINE_SHAPES):
-        alg = algebra_from_decomposition(_planted(rng, d0, factors))
-        mats = np.stack(alg.basis)
-        want = _center_rows_oracle(alg.basis)
-        got = algebra_mod._center_coefficients(mats, 1e-9, CounterRng(k))
-        assert got.shape[0] == want.shape[0] == len(factors)
-        assert frob_oracle(_projector(got) - _projector(want)) <= 1e-10
+        planted = _planted(rng, d0, factors)
+        alg = algebra_from_decomposition(planted)
+        dec = atomic_decompose(alg, seed=k)
+        got = [dag(dec.p_factor(i)) @ dec.p_factor(i) for i in range(len(dec.factors))]
+        want = [dag(planted.p_factor(j)) @ planted.p_factor(j) for j in range(len(factors))]
+        match = [min(range(len(want)), key=lambda j: frob_oracle(p - want[j])) for p in got]
+        assert sorted(match) == list(range(len(factors)))
+        for i, j in enumerate(match):
+            assert dec.factors[i] == planted.factors[j]
+            assert frob_oracle(got[i] - want[j]) <= 1e-10
+        centre = _center_rows_oracle(alg.basis) @ np.stack(alg.basis).reshape(alg.dim, -1)
+        rows = np.stack([p.reshape(-1) / frob_oracle(p) for p in got])
+        assert centre.shape[0] == len(factors)
+        assert frob_oracle(_projector(rows) - _projector(centre)) <= 1e-10
 
 
 def _scripted_draws(monkeypatch, bad):
@@ -667,27 +712,110 @@ def test_commutant_with_only_non_generic_draws_raises_decomposition_failed(monke
     assert info.value.residual > 0.1
 
 
-def test_atomic_decompose_retries_a_non_generic_center_draw(monkeypatch):
+def _attempt_residuals(monkeypatch) -> list:
+    """The largest pattern residual of each decomposition attempt from then on."""
+    real = algebra_mod._pattern_defects
+    seen = []
+
+    def spy(xs, dec):
+        defects = real(xs, dec)
+        seen.append(float(np.max(np.linalg.norm(defects, axis=1))))
+        return defects
+
+    monkeypatch.setattr(algebra_mod, "_pattern_defects", spy)
+    return seen
+
+
+def test_atomic_decompose_retries_a_non_generic_draw(monkeypatch):
     rng = rng_for(224)
     planted = _planted(rng, 0, [(2, 2), (1, 3)])
     alg = algebra_from_decomposition(planted)
     calls = _scripted_draws(monkeypatch, [eye(planted.d)] * 2)
-    # the identity leaves every coefficient in the null space: the centre's
-    # own commutation check rejects the draw
-    with pytest.raises(algebra_mod._GenericityFailure):
-        algebra_mod._center_coefficients(np.stack(alg.basis), 1e-9, CounterRng(0))
+    seen = _attempt_residuals(monkeypatch)
+    # h = y = 1 has one eigenspace: one (1, 7) factor, whose pattern check
+    # rejects the draw
     dec = atomic_decompose(alg)
     assert len(calls) == 3
+    assert seen[0] > 0.1 and seen[1] > 0.1 and seen[2] <= 1e-9
     assert _multiset(dec) == _multiset(planted)
 
 
-def test_atomic_decompose_with_only_non_generic_center_draws_raises(monkeypatch):
+def test_atomic_decompose_with_only_non_generic_draws_raises(monkeypatch):
     rng = rng_for(225)
     planted = _planted(rng, 0, [(2, 2), (1, 3)])
     alg = algebra_from_decomposition(planted)
-    _scripted_draws(monkeypatch, [eye(planted.d)] * 100)
-    with pytest.raises(DecompositionFailed):
+    calls = _scripted_draws(monkeypatch, [eye(planted.d)] * 100)
+    with pytest.raises(DecompositionFailed) as info:
         atomic_decompose(alg)
+    assert len(calls) == algebra_mod._MAX_RETRIES
+    assert info.value.residual > 0.1
+
+
+def _scripted_y(monkeypatch, make_y):
+    """Make the first draw's linking element y ``make_y(x, mats)``, for the
+    draw x that gives h = (x + x†)/2; later draws are generic.  Returns the
+    list of draws made."""
+    real = algebra_mod._generic_elements
+    calls = []
+
+    def draw(mats, rng, count):
+        calls.append(count)
+        x, y = real(mats, rng, count)
+        return [x, make_y(x, mats)] if len(calls) == 1 else [x, y]
+
+    monkeypatch.setattr(algebra_mod, "_generic_elements", draw)
+    return calls
+
+
+def test_a_false_merge_of_factors_is_retried_by_the_dimension_count(monkeypatch):
+    # a y off the span links the two (1, 2) factors into one (2, 2) factor
+    # whose pattern algebra M₂⊗1 contains the span: only m = Σ d_A² rejects it
+    planted = _planted(rng_for(233), 1, [(1, 2), (1, 2)])
+    alg = algebra_from_decomposition(planted)
+    calls = _scripted_y(monkeypatch, lambda x, mats: crandn(rng_for(234), *mats.shape[1:]))
+    seen = _attempt_residuals(monkeypatch)
+    dec = atomic_decompose(alg)
+    assert len(calls) == 2
+    assert max(seen) <= 1e-9 and len(seen) == 2
+    assert _multiset(dec) == (1, [(1, 2), (1, 2)])
+
+
+def test_a_false_split_of_a_factor_is_retried_by_the_pattern_check(monkeypatch):
+    # y = h links no two eigenspaces of h: every cluster becomes a d_A = 1
+    # factor, and the span's off-diagonal units fail the pattern check
+    planted = _planted(rng_for(235), 0, [(2, 2), (1, 3)])
+    alg = algebra_from_decomposition(planted)
+    calls = _scripted_y(monkeypatch, lambda x, mats: 0.5 * (x + dag(x)))
+    seen = _attempt_residuals(monkeypatch)
+    dec = atomic_decompose(alg)
+    assert len(calls) == 2
+    assert seen[0] > 0.1 and seen[1] <= 1e-9
+    assert _multiset(dec) == (0, [(1, 3), (2, 2)])
+
+
+def test_a_split_and_a_merge_that_keep_the_dimension_count_are_retried_by_the_pattern_check(
+        monkeypatch):
+    # y links the two d_A = 1 factors but not the M₂ factor's two
+    # eigenspaces: (2, 1), (1, 1), (1, 1) again, with m = Σ d_A², so only
+    # the pattern check can reject it
+    planted = _planted(rng_for(237), 0, [(2, 1), (1, 1), (1, 1)])
+    alg = algebra_from_decomposition(planted)
+
+    def swap_links(x, mats):
+        v = np.linalg.eigh(0.5 * (x + dag(x)))[1]
+        true_links = sum(np.abs(dag(v) @ b @ v) for b in mats) > 1e-6
+        lone = np.flatnonzero(true_links.sum(axis=1) == 1)  # the d_A = 1 factors
+        assert len(lone) == 2
+        y = np.diag(np.arange(1.0, len(v) + 1)).astype(np.complex128)
+        y[lone[0], lone[1]] = y[lone[1], lone[0]] = 1.0
+        return v @ y @ dag(v)
+
+    calls = _scripted_y(monkeypatch, swap_links)
+    seen = _attempt_residuals(monkeypatch)
+    dec = atomic_decompose(alg)
+    assert len(calls) == 2
+    assert seen[0] > 0.1 and seen[1] <= 1e-9
+    assert _multiset(dec) == (0, [(1, 1), (1, 1), (2, 1)])
 
 
 def test_commutation_residual_is_batched_and_fails_on_nan():

@@ -632,7 +632,7 @@ def test_cli_algebra_decompose_of_m32_within_a_wall_bound(tmp_path, capsys):
     doc = json.loads(out)
     assert code == 0 and doc["ok"]
     assert doc["result"]["recovered"] == {"d0": 0, "factors": [[32, 1]]}
-    assert elapsed <= 10.0
+    assert elapsed <= 1.5
 
 
 def test_cli_algebra_decompose_at_the_dimension_cap(tmp_path, capsys):

@@ -98,7 +98,7 @@ def test_a_retried_commutant_draw_leaves_the_report_ok(monkeypatch):
 
     monkeypatch.setattr(algebra_mod, "_generic_elements", identity_first)
     doc = _ok("commutant", [bundle])
-    assert len(draws) >= 3  # the failed draw, its retry, the centre of 𝒜′
+    assert len(draws) == 3  # the failed draw, its retry, the one split of 𝒜′
     names = [c["name"] for c in doc["checks"]]
     assert names == ["commutant_dimension", "commutation", "closure_adjoint",
                      "closure_product", "commutant_factor_multiset"]
