@@ -43,7 +43,7 @@ from .rng import CounterRng
 
 _MAX_RETRIES = 8
 _GAP_FRACTION = 1e-6  # minimal relative eigenvalue gap for a generic element
-# largest adjoint residual, relative to the basis scale, of a span that
+# largest dist(x†, span)/‖x‖_F, x a generic element, of a span that
 # `commutant` treats as *-closed; an orthonormalised algebra basis has ~1e-15
 _STAR_CLOSED = 1e-12
 
@@ -316,8 +316,8 @@ def commutant(alg: AlgebraBasis, tol: float = TOL_RANK) -> AlgebraBasis:
     of 𝒜′ commutes with h and is block-diagonal on the eigenspaces of h:
     the null space is taken over the block-diagonal Z in the eigenframe of
     h, a 2d² × Σn_k² stack for eigenvalue clusters of sizes n_k.  A span
-    that is not *-closed (some b_j† farther than 10⁻¹² times the largest
-    ‖b_k‖_F from the span) takes the identity frame with one cluster, the
+    that is not *-closed (x† farther than 10⁻¹²·‖x‖_F from it; for generic x,
+    iff some b_j† is outside) takes the identity frame with one cluster, the
     2d² × d² stack.
 
     The null space always contains 𝒜′ provided no cluster splits a true
@@ -342,10 +342,11 @@ def _commutant(alg: AlgebraBasis, tol: float) -> tuple[AlgebraBasis, float]:
     scale = max(frob(b) for b in mats)
     if not np.isfinite(scale):
         raise DecompositionFailed("basis holds a non-finite entry", residual=scale)
-    star_closed = _adjoint_residual(mats) <= _STAR_CLOSED * scale
+    flat = mats.reshape(len(mats), -1)
 
     def attempt(rng):
         x, y = _generic_elements(mats, rng, 2)
+        star_closed = _span_residuals(vec(dag(x))[None], flat)[0] <= _STAR_CLOSED * frob(x)
         frame, blocks = _eigenspaces(0.5 * (x + dag(x))) if star_closed else (eye(d), [slice(0, d)])
         if blocks is None:
             raise _GenericityFailure()
@@ -378,14 +379,8 @@ def closure_residuals(alg: AlgebraBasis) -> tuple[float, float]:
     rows = mats.reshape(-1, d * d)
     prod = _worst([_worst(_span_residuals((mats[s, None] @ mats[None]).reshape(-1, d * d), rows))
                    for s in _chunks(len(mats), 16 * len(mats) * d * d)])
-    return _adjoint_residual(mats), prod
-
-
-def _adjoint_residual(mats: np.ndarray) -> float:
-    """Largest distance of any b_j† from the span of the orthonormal stack
-    ``mats``; NaN if any is NaN."""
-    rows = mats.reshape(len(mats), -1)
-    return _worst(_span_residuals(np.conj(mats.transpose(0, 2, 1)).reshape(len(mats), -1), rows))
+    adj = _span_residuals(np.conj(mats.transpose(0, 2, 1)).reshape(len(mats), -1), rows)
+    return _worst(adj), prod
 
 
 # ---------------------------------------------------------------------------

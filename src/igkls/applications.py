@@ -448,9 +448,9 @@ def _tp_residual(ops: list[np.ndarray], d: int) -> float:
 
 def _fixed_space(ops: list[np.ndarray], d: int, tol: float) -> np.ndarray:
     """HS-orthonormal Hermitian basis, an (m, d, d) stack, of the fixed
-    points of X ↦ Σ op·X·op† (of the dual map for the adjointed ops): the
-    real null rows r of the transfer matrix minus 1 in the frame of
-    :func:`_hermitian_frame`, by a real SVD, as the matrices T·r.  T is
+    points of X ↦ Σ op·X·op† (of the dual map for the adjointed ops, the
+    Koashi–Imoto fallback): the real null rows r of the transfer matrix minus
+    1 in the frame of :func:`_hermitian_frame`, by a real SVD, as T·r.  T is
     unitary, so the singular values and cutoff are the complex matrix's."""
     ops = np.asarray(ops)
     s_r = _real_superoperator(np.einsum("kia,kjb->ijab", ops, np.conj(ops)).reshape(d * d, -1), d)
@@ -460,16 +460,32 @@ def _fixed_space(ops: list[np.ndarray], d: int, tol: float) -> np.ndarray:
     return (rows * w1 + (rows * w2)[:, perm]).reshape(-1, d, d)
 
 
+def _hermitian_span(xs: np.ndarray, tol: float) -> np.ndarray:
+    """HS-orthonormal Hermitian basis of the span of the Hermitian (m, d, d)
+    stack xs, by a real SVD of their (re, im) entries (their Gram matrix is
+    real), keeping the singular values above max(tol, 1e-12)·σ_max."""
+    m, d, _ = xs.shape
+    _, s, vh = np.linalg.svd(np.ascontiguousarray(xs).reshape(m, -1).view(float), False)
+    rank = np.count_nonzero(s > max(tol, 1e-12) * s[0])
+    return np.ascontiguousarray(vh[:rank]).view(complex).reshape(-1, d, d)
+
+
+def _dual_fixed_residual(ops: list[np.ndarray], ys: np.ndarray) -> float:
+    """Largest ‖Σ op†·y·op − y‖_F / ‖y‖_F over the (m, d, d) stack ys."""
+    moved = sum((dag(op) @ ys @ op for op in ops), -ys)
+    return _worst(np.linalg.norm(moved, axis=(1, 2)) / np.linalg.norm(ys, axis=(1, 2)))
+
+
 def _kraus_scale(ops: list[np.ndarray]) -> float:
     # noise floor of a transfer matrix: when the channel fixes everything, the
     # whole matrix is rounding noise and σ_max itself is ~eps
     return max(1.0, sum(float(frob(op)) ** 2 for op in ops))
 
 
-def _spectral(f, x: np.ndarray) -> np.ndarray:
-    """f of the Hermitian part of x (|h| = h₊ + h₋ for f = np.abs)."""
-    w, u = np.linalg.eigh(herm(x))
-    return (u * f(w)) @ dag(u)
+def _spectral(f, hs: np.ndarray) -> np.ndarray:
+    """Σ_k f(h_k) over the Hermitian (m, d, d) stack hs (|h| = h₊ + h₋)."""
+    w, u = np.linalg.eigh(hs)
+    return ((u * f(w)[:, None]) @ np.conj(u.transpose(0, 2, 1))).sum(axis=0)
 
 
 def _fixed_candidates(ops: list[np.ndarray], d: int, tol: float):
@@ -478,7 +494,7 @@ def _fixed_candidates(ops: list[np.ndarray], d: int, tol: float):
     from the maximally mixed state at n = 1, 2, 4, …, 4096."""
     hs = _fixed_space(ops, d, tol)
     if len(hs):
-        cand = sum(_spectral(np.abs, h) for h in hs)
+        cand = _spectral(np.abs, hs)
         tr = float(np.real(np.trace(cand)))
         if tr > 0:
             yield cand / tr
@@ -488,7 +504,7 @@ def _fixed_candidates(ops: list[np.ndarray], d: int, tol: float):
         acc += cur
         cur = _schrodinger_apply(ops, cur)
         if n & (n - 1) == 0:  # checkpoints at powers of two
-            cand = _spectral(lambda w: np.clip(w, 0.0, None), acc / n)
+            cand = _spectral(lambda w: np.clip(w, 0.0, None), herm(acc / n)[None])
             tr = float(np.real(np.trace(cand)))
             if tr > 0:
                 yield cand / tr
@@ -528,8 +544,10 @@ def koashi_imoto_decompose(
     """Preserved/acted split of a trace-preserving channel (Schrödinger Kraus).
 
     Pipeline: (1) fixed-point space of T and a maximal-rank fixed state, whose
-    support carries the coisometry q; (2) compress the channel there and take
-    the fixed points of the (unital) dual map; (3) verify they close into a
+    support carries the coisometry q; (2) compress the channel there and map
+    its fixed points X to ρ_c^{-1/2}·X·ρ_c^{-1/2} (ρ_c the compressed state),
+    the fixed points of the (unital) dual map, verified (the dual transfer
+    matrix's null space if they fail); (3) verify they close into a
     *-algebra and decompose it atomically; (4) block-factorize the compressed
     dilation, which must collapse to ⊕_i (1_{A_i} ⊗ V_i); (5) per factor, a
     fixed density matrix σ_i of the V_i channel; (6) verify the dimension
@@ -546,7 +564,7 @@ def koashi_imoto_decompose(
     hs = _fixed_space(ops, d, tol)
     if not len(hs):
         raise NoFixedState("transfer matrix shows no unit-eigenvalue space")
-    rho_max = sum(_spectral(np.abs, h) for h in hs)
+    rho_max = _spectral(np.abs, hs)
     w, vecs = np.linalg.eigh(herm(rho_max))
     if w[-1] <= 0:
         raise NoFixedState("maximal-rank candidate state vanished")
@@ -563,8 +581,14 @@ def koashi_imoto_decompose(
     comp = [q @ op @ dag(q) for op in ops]
     comp_tp = _tp_residual(comp, r)
 
-    # fixed points of the dual (Heisenberg) compressed map
-    ys = list(_fixed_space([dag(op) for op in comp], r, tol))
+    # ρ_c = q·ρ_max·q† = diag(w[keep]) = ⊕ p_i·ρ_{A_i}⊗σ_i is faithful and Fix(T_c) =
+    # ⊕ M_A⊗σ_i, so ρ_c^{-1/2}·Fix(T_c)·ρ_c^{-1/2} = ⊕ M_A⊗1 = Fix(T_c*) (Koashi & Imoto 2002)
+    ys = _hermitian_span(q @ hs @ dag(q) / np.sqrt(np.outer(w[keep], w[keep])), tol)
+    dual_limit = max(tol, 1e-12) * _kraus_scale(comp)  # the SVD route's cutoff floor
+    if len(ys) < len(hs) or not _dual_fixed_residual(comp, ys) <= dual_limit:
+        ys = _fixed_space([dag(op) for op in comp], r, tol)  # ρ_c^{-1/2} amplified rounding
+    verify("ki_dual_fixed", _dual_fixed_residual(comp, ys), dual_limit, AlgebraClosureFailed,
+           "dual fixed points are not fixed by the compressed dual channel")
     m_fixed, m_dual = len(hs), len(ys)
     if m_fixed != m_dual:
         raise AlgebraClosureFailed(
@@ -575,7 +599,7 @@ def koashi_imoto_decompose(
     # assume.  The basis is HS-orthonormal, so each product's residual is
     # relative to its factors' size, not its own (orthogonal projectors
     # multiply to ~0, which lies in every span).
-    dec, closure = _decompose_closed(AlgebraBasis(r, ys), max(tol, TOL_RANK), seed,
+    dec, closure = _decompose_closed(AlgebraBasis(r, list(ys)), max(tol, TOL_RANK), seed,
                                      AlgebraClosureFailed)
     if dec.d0:
         raise AlgebraClosureFailed("dual fixed-point algebra misses the identity")

@@ -566,7 +566,9 @@ def test_commutant_matches_the_full_basis_oracle_on_the_engine_shapes():
         assert frob_oracle(_projector(got) - _projector(want)) <= 1e-10
 
 
-def test_commutant_matches_the_full_basis_oracle_on_a_span_that_is_not_star_closed():
+def test_commutant_matches_the_full_basis_oracle_on_a_span_that_is_not_star_closed(
+        monkeypatch):
+    _, frames = _spy_frames_and_draws(monkeypatch)
     rng = rng_for(221)
     d = 5
     # upper-triangular matrices: the span is closed under neither adjoints
@@ -586,6 +588,7 @@ def test_commutant_matches_the_full_basis_oracle_on_a_span_that_is_not_star_clos
     got = np.stack([c.reshape(-1) for c in commutant(nil).basis])
     assert got.shape == want.shape and got.shape[0] > 1
     assert frob_oracle(_projector(got) - _projector(want)) <= 1e-10
+    assert frames == []  # both spans take the identity frame
 
 
 def _perturbed(basis, eps, direction):
@@ -597,28 +600,45 @@ def _perturbed(basis, eps, direction):
     return AlgebraBasis(d, [m.reshape(d, d) for m in q])
 
 
+def _spy_frames_and_draws(monkeypatch):
+    """Record every generic draw and every eigenframe the commutant takes."""
+    draws, frames = [], []
+    real_draw, real_frame = algebra_mod._generic_elements, algebra_mod._eigenspaces
+    monkeypatch.setattr(algebra_mod, "_generic_elements",
+                        lambda mats, rng, count: draws.append(real_draw(mats, rng, count))
+                        or draws[-1])
+    monkeypatch.setattr(algebra_mod, "_eigenspaces", lambda h: frames.append(h) or real_frame(h))
+    return draws, frames
+
+
 def test_commutant_of_a_span_just_above_the_star_closed_limit_takes_the_identity_frame(
         monkeypatch):
     rng = rng_for(229)
     alg = algebra_from_decomposition(_planted(rng, 1, [(2, 2), (1, 3)]))
     direction = crandn(rng, alg.ambient_dim, alg.ambient_dim)
     limit = algebra_mod._STAR_CLOSED
+    draws, frames = _spy_frames_and_draws(monkeypatch)
 
-    def adjoint_residual(span):
-        return algebra_mod._adjoint_residual(np.stack(span.basis))
-
-    per_eps = adjoint_residual(_perturbed(alg.basis, 1e-6, direction)) / 1e-6
-    frames = []
-    real = algebra_mod._eigenspaces
-    monkeypatch.setattr(algebra_mod, "_eigenspaces", lambda h: frames.append(h) or real(h))
-    for factor, eigenframe in ((2.0, False), (0.5, True)):
-        span = _perturbed(alg.basis, factor * limit / per_eps, direction)
-        assert (adjoint_residual(span) <= limit) == eigenframe
-        assert adjoint_residual(span) <= 4 * limit
+    def run(span):
+        """The commutant's rows, and dist(x†, span)/‖x‖_F of its first draw x
+        (a least-squares oracle)."""
+        draws.clear()
         frames.clear()
-        want = _commutant_rows_oracle(span.basis)
         got = np.stack([c.reshape(-1) for c in commutant(span).basis])
+        x = draws[0][0]
+        rows = np.stack([b.reshape(-1) for b in span.basis]).T
+        v = dag(x).reshape(-1)
+        return got, frob_oracle(v - rows @ np.linalg.lstsq(rows, v, rcond=None)[0]) / frob_oracle(x)
+
+    per_eps = run(_perturbed(alg.basis, 1e-6, direction))[1] / 1e-6
+    # at 0.8 the largest dist(b_j†, span) is above the limit: only x† decides
+    for factor, eigenframe in ((1.25, False), (0.8, True)):
+        span = _perturbed(alg.basis, factor * limit / per_eps, direction)
+        got, dist = run(span)
+        assert (dist <= limit) == eigenframe
+        assert limit < closure_residuals(span)[0] <= 4 * limit
         assert bool(frames) == eigenframe
+        want = _commutant_rows_oracle(span.basis)
         assert got.shape == want.shape and got.shape[0] == 1 + 4 + 9
         assert frob_oracle(_projector(got) - _projector(want)) <= 1e-10
 

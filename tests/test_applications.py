@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from igkls import (
+    AlgebraClosureFailed,
     AtomicDecomposition,
     DecompositionFailed,
     GKLSRep,
@@ -33,11 +34,13 @@ from igkls import (
     semicausal_build,
     semicausal_check,
     semigroup_invariance_probe,
+    stinespring_to_kraus,
 )
 from igkls import applications
 from igkls.algebra import algebra_pattern_basis, pattern_residual
 from igkls.applications import _hermitian_frame, _integer_ratio
-from igkls.io import _decode_algebra
+from igkls.errors import _recording
+from igkls.io import _decode_algebra, _decode_cp_map
 from igkls.linalg import dag, eye, frob, kron
 
 from conftest import (
@@ -516,6 +519,147 @@ def test_real_frame_fixed_spaces_match_the_complex_transfer_matrix(name):
         assert frob(got - np.conj(got.transpose(0, 2, 1))) <= 1e-12  # Hermitian
         assert frob(np.conj(rows) @ rows.T - eye(len(got))) <= 1e-12  # HS-orthonormal
         assert frob(rows.T @ np.conj(rows) - want.T @ np.conj(want)) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# the dual fixed algebra mapped from the channel's fixed points
+# ---------------------------------------------------------------------------
+
+def _spy(monkeypatch, name, record):
+    """Wrap applications.<name>; ``record(args, out)`` sees every call and
+    its output and returns what the call returns."""
+    real = getattr(applications, name)
+    monkeypatch.setattr(applications, name, lambda *args: record(args, real(*args)))
+
+
+def _spy_fixed_space(monkeypatch):
+    """The Kraus stack of every _fixed_space call, in call order."""
+    calls = []
+    _spy(monkeypatch, "_fixed_space", lambda args, out: calls.append(np.asarray(args[0])) or out)
+    return calls
+
+
+def _dual_svd_calls(calls, ops, q):
+    """How many of the recorded calls after the first (the channel's own, whose
+    ops a self-dual channel shares) took the dual of the compressed channel,
+    the ops (q·op·q†)†."""
+    dual = np.stack([dag(q @ op @ dag(q)) for op in ops])
+    return sum(c.shape == dual.shape and frob(c - dual) <= 1e-12 for c in calls[1:])
+
+
+def _structure(res):
+    rep = res.report
+    return (rep["dim_fixed"], rep["dim_dual_fixed"], rep["support_dim"], res.dec.d0,
+            sorted(res.dec.factors))
+
+
+def _gad_block_ops(delta, seed=541):
+    """u(1_2/2 ⊕ N)u† per Kraus index, N the generalized amplitude damping at
+    γ = 1/2 whose fixed state is diag(1 − δ, δ): ρ_c has an eigenvalue ~δ."""
+    g, p = 0.5, 1 - delta
+    blocks = [np.sqrt(p) * np.array([[1, 0], [0, np.sqrt(1 - g)]]),
+              np.sqrt(p) * np.array([[0, np.sqrt(g)], [0, 0]]),
+              np.sqrt(1 - p) * np.array([[np.sqrt(1 - g), 0], [0, 1]]),
+              np.sqrt(1 - p) * np.array([[0, 0], [np.sqrt(g), 0]])]
+    u = haar_unitary(rng_for(seed), 4)
+    ops = []
+    for b in blocks:
+        z = np.zeros((4, 4), dtype=np.complex128)
+        z[:2, :2] = eye(2) / 2
+        z[2:, 2:] = b
+        ops.append(u @ z @ dag(u))
+    return ops
+
+
+def test_koashi_imoto_maps_the_dual_fixed_points_without_the_dual_svd(monkeypatch):
+    calls = _spy_fixed_space(monkeypatch)
+    ops = _planted_ki_ops(rng_for(540), [(3, 2), (2, 3)])  # d = 12
+    res = koashi_imoto_decompose(KrausSet(d_in=12, d_out=12, ops=ops))
+    assert _structure(res) == (13, 13, 12, 0, [(2, 3), (3, 2)])
+    assert len(calls) >= 1 and _dual_svd_calls(calls, ops, res.q) == 0
+    for seed in range(1, 11):
+        calls.clear()
+        bundle = random_instance("koashi_imoto", seed=seed)
+        channel = _decode_cp_map(bundle.meta["channel"], 1e-9, "channel").stine
+        ops = stinespring_to_kraus(channel).ops
+        assert len(calls) >= 1 and _dual_svd_calls(calls, ops, bundle.payload.q) == 0
+
+
+def test_koashi_imoto_falls_back_to_one_dual_svd_on_an_ill_conditioned_fixed_state(
+        monkeypatch):
+    # at δ = 1e-8, ρ_c^{-1/2} amplifies rounding past the limit (4e-9 at r = 4)
+    calls = _spy_fixed_space(monkeypatch)
+    checks = []
+    with _recording(lambda *check: checks.append(check)):
+        res = koashi_imoto_decompose(KrausSet(4, 4, _gad_block_ops(1e-8)))
+    assert _dual_svd_calls(calls, _gad_block_ops(1e-8), res.q) == 1
+    dual = [c for c in checks if c[0] == "ki_dual_fixed"]
+    assert len(dual) == 1 and dual[0][1] <= 1e-12 < dual[0][2]
+    calls.clear()
+    well = koashi_imoto_decompose(KrausSet(4, 4, _gad_block_ops(1e-2)))
+    assert _dual_svd_calls(calls, _gad_block_ops(1e-2), well.q) == 0
+    assert _structure(res) == _structure(well) == (5, 5, 4, 0, [(1, 2), (2, 1)])
+
+
+def test_koashi_imoto_falls_back_to_one_dual_svd_when_the_mapped_basis_is_short(
+        monkeypatch):
+    ops = _planted_ki_ops(rng_for(540), [(3, 2), (2, 3)])
+    want = _structure(koashi_imoto_decompose(KrausSet(12, 12, ops)))
+    calls = _spy_fixed_space(monkeypatch)
+    _spy(monkeypatch, "_hermitian_span", lambda args, out: out[:-1])
+    res = koashi_imoto_decompose(KrausSet(12, 12, ops))
+    assert _dual_svd_calls(calls, ops, res.q) == 1
+    assert _structure(res) == want
+
+
+def _perturbed_basis(ys, rel, scale):
+    """scale·(y + rel·‖y‖_F·e/‖e‖_F) for each y, e a fixed random direction."""
+    e = np.random.default_rng(7).standard_normal(ys.shape) * (1 + 1j)
+    norms = np.linalg.norm(ys, axis=(1, 2))[:, None, None]
+    return scale * (ys + rel * norms * e / np.linalg.norm(e, axis=(1, 2))[:, None, None])
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e4])
+def test_ki_dual_fixed_rejects_a_perturbed_dual_basis_at_any_scale(monkeypatch, scale):
+    ops = _planted_ki_ops(rng_for(540), [(3, 2), (2, 3)])
+    mapped = []
+    _spy(monkeypatch, "_hermitian_span", lambda args, out: mapped.append(out) or out)
+    res = koashi_imoto_decompose(KrausSet(12, 12, ops))
+    comp = [res.q @ op @ dag(res.q) for op in ops]
+    limit = 1e-9 * 12  # max(tol, 1e-12)·Σ‖q·op·q†‖²_F = tol·r
+    assert applications._dual_fixed_residual(comp, scale * mapped[0]) <= limit
+    assert applications._dual_fixed_residual(comp, _perturbed_basis(mapped[0], 1e-6, scale)) > limit
+
+    # the perturbed basis from both routes: the mapped one and the fallback SVD
+    calls = _spy_fixed_space(monkeypatch)
+    _spy(monkeypatch, "_hermitian_span", lambda args, out: _perturbed_basis(out, 1e-6, scale))
+    _spy(monkeypatch, "_fixed_space",
+         lambda args, out: out if len(calls) == 1 else _perturbed_basis(out, 1e-6, scale))
+    checks = []
+    with pytest.raises(AlgebraClosureFailed) as info, \
+            _recording(lambda *check: checks.append(check)):
+        koashi_imoto_decompose(KrausSet(12, 12, ops))
+    assert _dual_svd_calls(calls, ops, res.q) == 1
+    assert [c[0] for c in checks] == ["ki_tp", "ki_support", "ki_dual_fixed"]
+    assert info.value.residual == checks[-1][1] > checks[-1][2] == pytest.approx(limit)
+
+
+@pytest.mark.parametrize("name", list(_FIXED_SPACE_CHANNELS))
+def test_mapped_dual_span_matches_the_dual_transfer_matrix(monkeypatch, name):
+    ops = _FIXED_SPACE_CHANNELS[name](rng_for(538 + len(name)))
+    d = ops[0].shape[0]
+    mapped = []
+    _spy(monkeypatch, "_hermitian_span", lambda args, out: mapped.append(out) or out)
+    calls = _spy_fixed_space(monkeypatch)
+    res = koashi_imoto_decompose(KrausSet(d, d, ops))
+    assert _dual_svd_calls(calls, ops, res.q) == 0
+    comp = [res.q @ op @ dag(res.q) for op in ops]
+    scale = max(1.0, sum(frob(op) ** 2 for op in comp))
+    want = _fixed_rows_oracle(sum(np.kron(dag(op), op.T) for op in comp), scale)
+    got = mapped[0].reshape(len(mapped[0]), -1)
+    assert len(got) == len(want) == res.report["dim_dual_fixed"]
+    assert frob(np.conj(got) @ got.T - eye(len(got))) <= 1e-12  # HS-orthonormal
+    assert frob(got.T @ np.conj(got) - want.T @ np.conj(want)) <= 1e-10
 
 
 # ---------------------------------------------------------------------------

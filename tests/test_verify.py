@@ -115,8 +115,8 @@ def test_every_library_check_lands_in_the_report_with_its_limit():
     flags = dict(BASE_FLAGS, kind="koashi_imoto", params=None, seed=1)
     code, doc = run_report("random", [], flags)
     names = [c["name"] for c in doc["checks"]]
-    assert code == 0 and names[:4] == ["ki_tp", "ki_support", "closure_adjoint",
-                                       "closure_product"]
+    assert code == 0 and names[:5] == ["ki_tp", "ki_support", "ki_dual_fixed",
+                                       "closure_adjoint", "closure_product"]
     assert names[-1] == "ki_fixed_family"
 
     # a residual that no check compares is a result, not a check
