@@ -39,15 +39,17 @@ from .algebra import (
     _decompose_closed,
     _embed_a,
     _embed_b,
+    _factor_traces,
     _lift,
     _pattern_residuals,
     _to_frame,
+    _trace_a,
     _unit_images,
     _worst,
     algebra_pattern_basis,
     invariance_residuals,
 )
-from .cpmaps import KrausSet, atomic_block_factorize, cp_invariance_check, kraus_to_stinespring
+from .cpmaps import KrausSet, cp_invariance_check, kraus_to_stinespring
 from .errors import (
     AlgebraClosureFailed,
     FactorizationResidual,
@@ -548,10 +550,12 @@ def koashi_imoto_decompose(
     its fixed points X to ρ_c^{-1/2}·X·ρ_c^{-1/2} (ρ_c the compressed state),
     the fixed points of the (unital) dual map, verified (the dual transfer
     matrix's null space if they fail); (3) verify they close into a
-    *-algebra and decompose it atomically; (4) block-factorize the compressed
-    dilation, which must collapse to ⊕_i (1_{A_i} ⊗ V_i); (5) per factor, a
-    fixed density matrix σ_i of the V_i channel; (6) verify the dimension
-    count and that every q†·u(X_{A_i}⊗σ_i)u†·q is a fixed point of T.
+    *-algebra and decompose it atomically; (4) read each V_i off the
+    compressed dilation W in the algebra's frame as Tr_A(W_ii)/d_A, and
+    verify that W = ⊕_i (1_{A_i} ⊗ V_i) and that every V_i is an isometry;
+    (5) read each σ_i off ρ_c = ⊕ p_i·ρ_{A_i}⊗σ_i as its normalized
+    Tr_A(ρ_c,ii); (6) verify the dimension count and that every
+    q†·u(X_{A_i}⊗σ_i)u†·q is a fixed point of T.
     """
     if k.d_in != k.d_out:
         raise ValueError("channel must be an endomorphism")
@@ -572,9 +576,8 @@ def koashi_imoto_decompose(
     r = int(np.count_nonzero(keep))
     q = dag(vecs[:, keep])  # (r, d), q·q† = 1_r
     pi_supp = dag(q) @ q
-    supp_res = _worst([
-        frob(h - pi_supp @ h @ pi_supp) / max(frob(h), 1e-30) for h in hs
-    ])
+    supp_res = _worst(np.linalg.norm(hs - pi_supp @ hs @ pi_supp, axis=(1, 2))
+                      / np.maximum(np.linalg.norm(hs, axis=(1, 2)), 1e-30))
     verify("ki_support", supp_res, 1e-8, NoFixedState,
            "a fixed point leaks out of the candidate support")
 
@@ -585,9 +588,11 @@ def koashi_imoto_decompose(
     # ⊕ M_A⊗σ_i, so ρ_c^{-1/2}·Fix(T_c)·ρ_c^{-1/2} = ⊕ M_A⊗1 = Fix(T_c*) (Koashi & Imoto 2002)
     ys = _hermitian_span(q @ hs @ dag(q) / np.sqrt(np.outer(w[keep], w[keep])), tol)
     dual_limit = max(tol, 1e-12) * _kraus_scale(comp)  # the SVD route's cutoff floor
-    if len(ys) < len(hs) or not _dual_fixed_residual(comp, ys) <= dual_limit:
+    dual_res = _dual_fixed_residual(comp, ys) if len(ys) == len(hs) else math.nan
+    if not dual_res <= dual_limit:
         ys = _fixed_space([dag(op) for op in comp], r, tol)  # ρ_c^{-1/2} amplified rounding
-    verify("ki_dual_fixed", _dual_fixed_residual(comp, ys), dual_limit, AlgebraClosureFailed,
+        dual_res = _dual_fixed_residual(comp, ys)
+    verify("ki_dual_fixed", dual_res, dual_limit, AlgebraClosureFailed,
            "dual fixed points are not fixed by the compressed dual channel")
     m_fixed, m_dual = len(hs), len(ys)
     if m_fixed != m_dual:
@@ -604,38 +609,28 @@ def koashi_imoto_decompose(
     if dec.d0:
         raise AlgebraClosureFailed("dual fixed-point algebra misses the identity")
 
+    # the dual's dilation on Fix(T_c*) = ⊕ M_A⊗1 is ⊕ 1_A⊗V_i: the normal form with d_F = 1
     w_st = kraus_to_stinespring(KrausSet(d_in=r, d_out=r, ops=comp))
     e = w_st.d_env
-    bf = atomic_block_factorize(w_st, dec, dec, tol=max(tol, TOL_RANK))
-
-    v_blocks: list[np.ndarray] = []
-    for i, (da, db) in enumerate(dec.factors):
-        if bf.d_f[i][i] != 1:
-            raise FactorizationResidual(
-                f"diagonal block {i} has multiplicity {bf.d_f[i][i]}, expected 1"
-            )
-        c = complex(np.trace(bf.a[i][i]) / da)
-        if not abs(c) >= 0.5:
-            raise FactorizationResidual(
-                f"diagonal block {i} is far from a phase times the identity"
-            )
-        v_blocks.append((c / abs(c)) * bf.u[i][i])
-
-    v_pat = _lift(dec, v_blocks, _embed_a, e)
-    pat_res = frob(w_st.v - v_pat)
+    v_blocks = _factor_traces(_to_frame(w_st.v, dec, e), dec, _trace_a)
+    pat_res = frob(w_st.v - _lift(dec, v_blocks, _embed_a, e))
     verify("ki_pattern", pat_res, 1e-8 * max(1.0, frob(w_st.v)), FactorizationResidual,
            "compressed dilation is off the ⊕(1⊗V_i) block pattern")
+    # the bundle decoder's isometry limit for the smallest V_i, so every certified V_i loads
+    iso_res = _worst([frob(dag(vi) @ vi - eye(db)) for vi, (_, db) in zip(v_blocks, dec.factors)])
+    iso_limit = 100 * max(tol, 1e-9) * max(1.0, math.sqrt(min(db for _, db in dec.factors) * e))
+    verify("ki_isometry", iso_res, iso_limit, FactorizationResidual,
+           "a factor V_i of the compressed dilation is not an isometry")
 
-    sigma: list[np.ndarray] = []
-    for vi, (da, db) in zip(v_blocks, dec.factors):
-        slices = vi.reshape(db, e, db)
-        ki = KrausSet(d_in=db, d_out=db, ops=[slices[:, idx, :] for idx in range(e)])
-        sigma.append(fixed_point_state(ki, tol=max(tol, 1e-9)))
+    # ρ_c = diag(w[keep]) = ⊕ p_i·ρ_{A_i}⊗σ_i in the frame of dec
+    sigma = _factor_traces(_to_frame(np.diag(w[keep]), dec), dec, _trace_a)
+    traces = [float(np.real(np.trace(s))) for s in sigma]
+    if not np.min(traces) > 0:
+        raise NoFixedState("a factor block of the compressed fixed state has no trace")
+    sigma = [s / tr for s, tr in zip(sigma, traces)]
 
-    fam_res = _worst([
-        frob(_schrodinger_apply(ops, cand) - cand)
-        for cand in (dag(q) @ z @ q for z in _unit_images(dec, sigma))
-    ])
+    fam = dag(q) @ np.asarray(_unit_images(dec, sigma)) @ q
+    fam_res = _worst(np.linalg.norm(_schrodinger_apply(ops, fam) - fam, axis=(1, 2)))
     verify("ki_fixed_family", fam_res, 1e-8 * 10, FactorizationResidual,
            "claimed fixed-point family is not fixed by the channel")
 

@@ -9,6 +9,8 @@ before being compared to the library output.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from igkls import (
     AlgebraClosureFailed,
     AtomicDecomposition,
     DecompositionFailed,
+    FactorizationResidual,
     GKLSRep,
     KrausSet,
     NoFixedState,
@@ -25,10 +28,12 @@ from igkls import (
     NotMaximalAbelian,
     NotTracePreserving,
     StinespringRep,
+    atomic_block_factorize,
     dfs_verify_normal_form,
     fixed_point_state,
     gkls_apply,
     koashi_imoto_decompose,
+    kraus_to_stinespring,
     maximal_abelian_coefficients,
     random_instance,
     semicausal_build,
@@ -36,6 +41,7 @@ from igkls import (
     semigroup_invariance_probe,
     stinespring_to_kraus,
 )
+import igkls.cpmaps as cpmaps_mod
 from igkls import applications
 from igkls.algebra import algebra_pattern_basis, pattern_residual
 from igkls.applications import _hermitian_frame, _integer_ratio
@@ -547,6 +553,15 @@ def _dual_svd_calls(calls, ops, q):
     return sum(c.shape == dual.shape and frob(c - dual) <= 1e-12 for c in calls[1:])
 
 
+def _ki_channel_ops(bundle):
+    """Schrödinger Kraus ops of the channel stored in a koashi_imoto bundle."""
+    return stinespring_to_kraus(_decode_cp_map(bundle.meta["channel"], 1e-9, "channel").stine).ops
+
+
+def _random_ki_ops(seed):
+    return _ki_channel_ops(random_instance("koashi_imoto", seed=seed))
+
+
 def _structure(res):
     rep = res.report
     return (rep["dim_fixed"], rep["dim_dual_fixed"], rep["support_dim"], res.dec.d0,
@@ -580,8 +595,7 @@ def test_koashi_imoto_maps_the_dual_fixed_points_without_the_dual_svd(monkeypatc
     for seed in range(1, 11):
         calls.clear()
         bundle = random_instance("koashi_imoto", seed=seed)
-        channel = _decode_cp_map(bundle.meta["channel"], 1e-9, "channel").stine
-        ops = stinespring_to_kraus(channel).ops
+        ops = _ki_channel_ops(bundle)
         assert len(calls) >= 1 and _dual_svd_calls(calls, ops, bundle.payload.q) == 0
 
 
@@ -660,6 +674,179 @@ def test_mapped_dual_span_matches_the_dual_transfer_matrix(monkeypatch, name):
     assert len(got) == len(want) == res.report["dim_dual_fixed"]
     assert frob(np.conj(got) @ got.T - eye(len(got))) <= 1e-12  # HS-orthonormal
     assert frob(got.T @ np.conj(got) - want.T @ np.conj(want)) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# V_i and σ_i read off the algebra's frame
+# ---------------------------------------------------------------------------
+
+_KI_PARITY_CHANNELS = {
+    "planted-d6": lambda rng: _planted_ki_ops(rng, [(2, 2), (1, 2)]),
+    "planted-d12": lambda rng: _planted_ki_ops(rng, [(3, 2), (2, 3)]),
+    **{name: _FIXED_SPACE_CHANNELS[name]
+       for name in ("dephasing", "identity", "trace-and-replace", "generic-unitary")},
+    **{f"random-ki-{seed}": lambda rng, seed=seed: _random_ki_ops(seed) for seed in range(1, 11)},
+}
+
+
+def _block_factorization_route(ops, res):
+    """V_i and σ_i by the general route on the library's own q and
+    decomposition: atomic_block_factorize of the compressed dilation, whose
+    diagonal pairs are (1_A⊗U_ii)(A_ii⊗1) with A_ii = c·1_A, |c| = 1, then a
+    fixed density matrix of each channel V_i."""
+    r = res.q.shape[0]
+    w_st = kraus_to_stinespring(KrausSet(r, r, [res.q @ op @ dag(res.q) for op in ops]))
+    e = w_st.d_env
+    bf = atomic_block_factorize(w_st, res.dec, res.dec, tol=1e-9)
+    vs, sigmas = [], []
+    for i, (da, db) in enumerate(res.dec.factors):
+        assert bf.d_f[i][i] == 1
+        c = np.trace(bf.a[i][i]) / da
+        vs.append(c / abs(c) * bf.u[i][i])
+        slices = vs[-1].reshape(db, e, db)
+        sigmas.append(fixed_point_state(KrausSet(db, db, [slices[:, n] for n in range(e)])))
+    return vs, sigmas
+
+
+@pytest.mark.parametrize("name", list(_KI_PARITY_CHANNELS))
+def test_koashi_imoto_v_and_sigma_match_the_block_factorization_route(name):
+    ops = _KI_PARITY_CHANNELS[name](rng_for(538 + len(name)))
+    d = ops[0].shape[0]
+    res = koashi_imoto_decompose(KrausSet(d, d, ops))
+    vs, sigmas = _block_factorization_route(ops, res)
+    assert len(res.v) == len(res.sigma) == len(vs) == len(res.dec.factors)
+    for got, want in zip(res.v + res.sigma, vs + sigmas):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12
+
+
+def test_koashi_imoto_runs_no_block_factorization_and_one_fixed_space_svd(monkeypatch):
+    called = []
+    for module, name in ((cpmaps_mod, "cp_invariance_check"), (cpmaps_mod, "_block_factorize"),
+                         (applications, "fixed_point_state")):
+        monkeypatch.setattr(module, name, lambda *args, name=name, **kw: called.append(name))
+    calls = _spy_fixed_space(monkeypatch)
+    for ops in (_planted_ki_ops(rng_for(540), [(3, 2), (2, 3)]), _random_ki_ops(3)):
+        calls.clear()
+        d = ops[0].shape[0]
+        koashi_imoto_decompose(KrausSet(d, d, ops))
+        assert len(calls) == 1
+    assert called == []
+
+
+def _nudged(xs, rel):
+    """The k-th of the n matrices x of the stack xs plus rel·(k+1)/n·‖x‖_F·h/‖h‖_F,
+    h a fixed random Hermitian matrix: the last x changes most."""
+    xs = np.asarray(xs)
+    h = random_hermitian(rng_for(545), xs.shape[-1])
+    size = rel * np.arange(1, len(xs) + 1) / len(xs) * np.linalg.norm(xs, axis=(1, 2))
+    return xs + size[:, None, None] * h / frob(h)
+
+
+def test_batched_ki_residuals_match_the_per_element_loops(monkeypatch):
+    # defects far above rounding and below the limits: a 1e-10 leak of the
+    # damping channel's fixed point out of its support, a 1e-9 change of the
+    # planted channel's fixed-point family
+    damping = [np.diag([1.0, np.sqrt(0.7)]), np.sqrt(0.3) * np.outer(eye(2)[0], eye(2)[1])]
+    planted = _planted_ki_ops(rng_for(540), [(3, 2), (2, 3)])
+    for ops, name, rel, check in ((damping, "_fixed_space", 1e-10, "ki_support"),
+                                  (planted, "_unit_images", 1e-9, "ki_fixed_family")):
+        seen, checks = [], {}
+        _spy(monkeypatch, name,
+             lambda args, out, rel=rel: seen.append(_nudged(out, rel)) or seen[-1])
+        d = ops[0].shape[0]
+        with _recording(lambda *check: checks.setdefault(check[0], check[1])):
+            res = koashi_imoto_decompose(KrausSet(d, d, ops))
+        monkeypatch.undo()
+        pi = dag(res.q) @ res.q
+        if check == "ki_support":
+            loop = max(frob(h - pi @ h @ pi) / frob(h) for h in seen[0])
+        else:
+            family = (dag(res.q) @ z @ res.q for z in seen[0])
+            loop = max(frob(schrodinger(ops, c) - c) for c in family)
+        assert 1e-12 < checks[check] == pytest.approx(loop, rel=1e-6)
+
+
+def _ki_failure(monkeypatch, patch, error):
+    """Run KI on the planted d = 12 channel with ``patch(monkeypatch)``
+    applied; expect ``error`` and return the checks recorded until then."""
+    patch(monkeypatch)
+    ops = _planted_ki_ops(rng_for(540), [(3, 2), (2, 3)])
+    checks = []
+    with pytest.raises(error), _recording(lambda *check: checks.append(check)):
+        koashi_imoto_decompose(KrausSet(12, 12, ops))
+    return checks
+
+
+def _rotate_first_factor(monkeypatch):
+    """Rotate u_alg by a generic unitary inside factor 0 (6 columns at d0 = 0
+    for either order of the planted factors): no longer the algebra's frame."""
+    real = applications._decompose_closed
+
+    def rotated(*args):
+        dec, closure = real(*args)
+        u = dec.u_alg.copy()
+        u[:, :6] = u[:, :6] @ haar_unitary(rng_for(543), 6)
+        return AtomicDecomposition(dec.d, u, dec.d0, dec.factors), closure
+
+    monkeypatch.setattr(applications, "_decompose_closed", rotated)
+
+
+def _scale_dilation(monkeypatch):
+    """Scale the compressed dilation by 1.01: still ⊕ 1⊗V_i, but no isometry."""
+    real = applications.kraus_to_stinespring
+
+    def scaled(k):
+        w = real(k)
+        return StinespringRep(w.d_in, w.d_out, w.d_env, 1.01 * w.v)
+
+    monkeypatch.setattr(applications, "kraus_to_stinespring", scaled)
+
+
+def _change_rho_c_block(change):
+    """A patch that replaces factor 0's block (d0 = 0) of ρ_c in the
+    algebra's frame by change(block, d_A, d_B); the dilation's frame is left
+    alone."""
+    def patch(monkeypatch):
+        real = applications._to_frame
+
+        def spy(x, dec, *env):
+            t = real(x, dec, *env)
+            if not env:  # ρ_c; the dilation's call names its environment size
+                da, db = dec.factors[0]
+                t[:da * db, :, :da * db, :] = change(t[:da * db, :, :da * db, :], da, db)
+            return t
+
+        monkeypatch.setattr(applications, "_to_frame", spy)
+    return patch
+
+
+def _nudge(block, da, db):
+    """block + 1e-6·‖block‖_F·(1_A⊗h)/‖1_A⊗h‖_F, h a fixed random Hermitian
+    matrix on B: the whole change reaches Tr_A of the block."""
+    h = np.kron(eye(da), random_hermitian(rng_for(544), db))
+    h *= 1e-6 * frob(block.reshape(h.shape)) / frob(h)
+    return block + h.reshape(block.shape)
+
+
+@pytest.mark.parametrize("patch, check", [
+    (_rotate_first_factor, "ki_pattern"),
+    (_scale_dilation, "ki_isometry"),
+    (_change_rho_c_block(_nudge), "ki_fixed_family"),
+], ids=["ki_pattern", "ki_isometry", "ki_fixed_family"])
+def test_each_ki_factor_check_rejects_its_own_defect(monkeypatch, patch, check):
+    checks = _ki_failure(monkeypatch, patch, FactorizationResidual)
+    name, residual, limit = checks[-1]
+    assert name == check and not residual <= limit
+    assert all(res <= lim for _, res, lim in checks[:-1])
+
+
+def test_a_factor_block_of_rho_c_without_trace_raises_no_fixed_state(monkeypatch):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # fails before dividing by the zero trace
+        checks = _ki_failure(monkeypatch, _change_rho_c_block(lambda block, da, db: 0 * block),
+                             NoFixedState)
+    assert [c[0] for c in checks][-2:] == ["ki_pattern", "ki_isometry"]
 
 
 # ---------------------------------------------------------------------------

@@ -115,9 +115,9 @@ def test_every_library_check_lands_in_the_report_with_its_limit():
     flags = dict(BASE_FLAGS, kind="koashi_imoto", params=None, seed=1)
     code, doc = run_report("random", [], flags)
     names = [c["name"] for c in doc["checks"]]
-    assert code == 0 and names[:5] == ["ki_tp", "ki_support", "ki_dual_fixed",
-                                       "closure_adjoint", "closure_product"]
-    assert names[-1] == "ki_fixed_family"
+    assert code == 0 and names == ["ki_tp", "ki_support", "ki_dual_fixed", "closure_adjoint",
+                                   "closure_product", "ki_pattern", "ki_isometry",
+                                   "ki_fixed_family"]
 
     # a residual that no check compares is a result, not a check
     ops = [np.sqrt(0.75) * eye(2), np.sqrt(0.25) * np.diag([1.0, -1.0])]
