@@ -27,9 +27,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DecompositionFailed, NotClosed, NotIntertwiner, verify
+from .errors import DecompositionFailed, NotClosed, NotIntertwiner, limit, verify
 from .linalg import (
     TOL_RANK,
+    _linear_scale,
     _on_system,
     asmatrix,
     dag,
@@ -46,6 +47,9 @@ _GAP_FRACTION = 1e-6  # minimal relative eigenvalue gap for a generic element
 # largest dist(x†, span)/‖x‖_F, x a generic element, of a span that
 # `commutant` treats as *-closed; an orthonormalised algebra basis has ~1e-15
 _STAR_CLOSED = 1e-12
+# least σ_min/‖y‖_F of the block of y that aligns two eigenframes of a factor
+_ALIGN_FLOOR = 1e-8
+_FINGERPRINT_QUANTUM = 1e-6  # eigenvalue rounding of a factor's fingerprint
 
 
 @dataclass
@@ -362,7 +366,7 @@ def _commutant(alg: AlgebraBasis, tol: float) -> tuple[AlgebraBasis, float]:
             pos += n * n
         comm = frame @ z @ dag(frame)
         res = _commutation_residual(comm, mats)
-        if not res <= 100 * tol * scale:
+        if not res <= limit(tol, scale, 100):
             raise _GenericityFailure(residual=res)
         return AlgebraBasis(d, list(comm), contains_identity=True), res
 
@@ -528,19 +532,19 @@ def intertwiner_decompose(
     d = dec.d
     if b.shape != (d * e_out, d * e_in):
         raise ValueError(f"expected shape {(d * e_out, d * e_in)}, got {b.shape}")
-    scale = max(1.0, frob(b))
+    scale = _linear_scale(b)
     worst = _worst([
         frob(_on_system(xhat, b, e_out) - _on_system(xhat.T, b.T, e_in).T)
         for xhat in algebra_pattern_basis(dec)
     ])
-    verify("intertwiner", worst, tol * scale * 10, NotIntertwiner,
+    verify("intertwiner", worst, limit(tol, scale), NotIntertwiner,
            "input does not intertwine the algebra action")
 
     t = _to_frame(b, dec, e_out, e_in)
     null = t[: dec.d0, :, : dec.d0, :]
     parts = _factor_traces(t, dec, _trace_a)
     verify("intertwiner_reassembly", frob(_lift(dec, parts, _embed_a, e_out, e_in, null=null) - b),
-           1e-9 * scale * 10, NotIntertwiner, "block reassembly does not reproduce the input")
+           limit(tol, scale), NotIntertwiner, "block reassembly does not reproduce the input")
     return IntertwinerParts(b0=null.reshape(dec.d0 * e_out, dec.d0 * e_in), b_i=parts)
 
 
@@ -565,7 +569,8 @@ def _eigenspaces(h: np.ndarray):
 
 
 def _fingerprint(block: np.ndarray) -> tuple:
-    return tuple(sorted((round(z.real / 1e-6) * 1e-6, round(z.imag / 1e-6) * 1e-6)
+    q = _FINGERPRINT_QUANTUM
+    return tuple(sorted((round(z.real / q) * q, round(z.imag / q) * q)
                         for z in np.linalg.eigvals(block)))
 
 
@@ -591,7 +596,7 @@ def atomic_decompose(
 def _decompose_closed(alg: AlgebraBasis, tol: float, seed: int,
                       error: type = NotClosed) -> tuple[AtomicDecomposition, tuple[float, float]]:
     """:func:`atomic_decompose` and the (adjoint, product) closure residuals
-    it verified against max(100·tol, 1e-8), raising ``error`` above it.
+    it verified against ``limit(tol, factor=100)``, raising ``error`` above it.
 
     They are bounds certified by the decomposition's final pattern check
     (:func:`_closure_bound`).  The exact O(m³d²) :func:`closure_residuals`
@@ -601,7 +606,7 @@ def _decompose_closed(alg: AlgebraBasis, tol: float, seed: int,
     pattern check or has m ≠ Σ d_A²), or a bound exceeds the limit: a span
     that is not closed raises ``error``, never :class:`DecompositionFailed`.
     """
-    limit = max(tol * 100, 1e-8)
+    bound = limit(tol, factor=100)
     mats = _stacked(alg.basis, alg.ambient_dim)
     closure, failure = None, None
     try:
@@ -611,10 +616,10 @@ def _decompose_closed(alg: AlgebraBasis, tol: float, seed: int,
         closure = _closure_bound(defects)
     except DecompositionFailed as exc:
         failure = exc
-    if closure is None or not max(closure) <= limit:
+    if closure is None or not max(closure) <= bound:
         closure = closure_residuals(alg)
-    verify("closure_adjoint", closure[0], limit, error, "basis is not closed under adjoints")
-    verify("closure_product", closure[1], limit, error, "basis is not closed under products")
+    verify("closure_adjoint", closure[0], bound, error, "basis is not closed under adjoints")
+    verify("closure_product", closure[1], bound, error, "basis is not closed under products")
     if failure is not None:
         raise failure
     return dec, closure
@@ -709,7 +714,7 @@ def _attempt_decompose(mats, restricted, e_null, e_supp, tol,
         frames = [vx[:, s] for s in sub]  # each n_g × d_B
         for a in range(1, da):
             u_m, sv, vh_m = np.linalg.svd(dag(frames[a]) @ yf @ frames[0])
-            if sv[-1] < 1e-8 * frob(yf):
+            if sv[-1] < _ALIGN_FLOOR * frob(yf):
                 raise _GenericityFailure()
             frames[a] = frames[a] @ (u_m @ vh_m)
         cols = e_supp @ f @ np.concatenate(frames, axis=1)  # order (a, b) row-major
@@ -725,7 +730,7 @@ def _attempt_decompose(mats, restricted, e_null, e_supp, tol,
                               factors=[dims for dims, _, _ in keyed])
     defects = _pattern_defects(mats, dec)
     res = _worst(np.linalg.norm(defects, axis=1))
-    if not res <= max(1e-9, tol * 10) or sum(da * da for da, _ in dec.factors) != len(mats):
+    if not res <= limit(tol) or sum(da * da for da, _ in dec.factors) != len(mats):
         raise _GenericityFailure(residual=res)
     return dec, defects
 

@@ -49,8 +49,11 @@ from .algebra import (
     algebra_pattern_basis,
     invariance_residuals,
 )
-from .cpmaps import KrausSet, cp_invariance_check, kraus_to_stinespring
+from .cpmaps import KrausSet, _cp_invariance, _map_scale, kraus_to_stinespring
 from .errors import (
+    RANK_FLOOR,
+    TOL_PROBE,
+    TOL_VERIFY,
     AlgebraClosureFailed,
     FactorizationResidual,
     NoFixedState,
@@ -59,10 +62,12 @@ from .errors import (
     NotInvariant,
     NotMaximalAbelian,
     NotTracePreserving,
+    _isometry_limit,
+    limit,
     verify,
 )
-from .gkls import AtomicNormalForm, GKLSRep, atomic_normal_form, generator_superoperator, gkls_apply, reconstruct_from_normal_form, reduce_normal_form_minimal
-from .linalg import TOL_RANK, _on_system, asmatrix, dag, expm, eye, frob, herm, im_part, kron, null_space, vec
+from .gkls import AtomicNormalForm, GKLSRep, _generator_scale, _split, _split_normal_form, generator_superoperator, gkls_apply, reconstruct_from_normal_form, reduce_normal_form_minimal
+from .linalg import TOL_RANK, _linear_scale, _on_system, asmatrix, dag, expm, eye, frob, herm, im_part, kron, null_space, vec
 
 __all__ = [
     "SemicausalReport",
@@ -205,10 +210,10 @@ def semicausal_build(
         raise ValueError(f"a must have shape (dA·dF, dA) = {(da * d_f, da)}")
     if u.size:
         iso = frob(dag(u) @ u - eye(d_f * db))
-        if not iso <= 1e-9 * max(1.0, frob(u)) * 10:
+        if not iso <= limit(TOL_VERIFY, _linear_scale(u)):
             raise ValueError(f"u is not an isometry (residual {iso:.3e})")
     sa = frob(h_b - dag(h_b))
-    if not sa <= 1e-9 * max(1.0, frob(h_b)) * 10:
+    if not sa <= limit(TOL_VERIFY, _linear_scale(h_b)):
         raise ValueError(f"h_b is not self-adjoint (residual {sa:.3e})")
 
     d = da * db
@@ -220,7 +225,7 @@ def semicausal_build(
 
 
 def semicausal_check(
-    g: GKLSRep, d_a: int, d_b: int, tol: float = 1e-9
+    g: GKLSRep, d_a: int, d_b: int, tol: float = TOL_VERIFY
 ) -> SemicausalReport:
     """Does L leave L(C^dA)⊗1_B invariant?  Two independent measurements.
 
@@ -245,13 +250,12 @@ def semicausal_check(
             direct_res.append(float(frob(z - kron(y, eye(d_b)))))
             unit[p, q] = 0.0
 
-    lscale = max(1.0, frob(g.v) ** 2, frob(g.k))
-    limit = max(tol, 1e-10) * lscale * 10
+    bound = limit(tol, _generator_scale(g))
     worst = _worst(alg_res + direct_res)
     return SemicausalReport(
-        passed=bool(worst <= limit),
+        passed=bool(worst <= bound),
         max_residual=float(worst),
-        tol=float(limit),
+        tol=float(bound),
         algebra_residuals=alg_res,
         direct_residuals=direct_res,
     )
@@ -268,7 +272,7 @@ def _dissipation_form(g: GKLSRep, x: np.ndarray, y: np.ndarray, l_one: np.ndarra
 
 
 def dfs_verify_normal_form(
-    g: GKLSRep, dec: AtomicDecomposition, tol: float = 1e-9
+    g: GKLSRep, dec: AtomicDecomposition, tol: float = TOL_VERIFY
 ) -> DfsCertificate:
     """Certify that the semigroup acts on the (unital) algebra by automorphisms.
 
@@ -281,21 +285,17 @@ def dfs_verify_normal_form(
     """
     if dec.d0:
         raise ValueError("the algebra must be unital (no null block) here")
-    lscale = max(1.0, frob(g.v) ** 2, frob(g.k))
-    limit = max(tol, 1e-10) * lscale * 10
-    inv = _worst(invariance_residuals(lambda x: gkls_apply(g, x), dec))
-    verify("dfs_invariance", inv, limit, NotInvariant,
-           "generator does not leave the algebra invariant")
+    tol_nf = max(tol, TOL_VERIFY)
+    split, inv = _split(g, dec, tol_nf)  # the one generator_invariance check
 
     basis = algebra_pattern_basis(dec)
     l_one = gkls_apply(g, eye(g.d))
     diss = _worst([frob(_dissipation_form(g, x, y, l_one)) for x in basis for y in basis])
-    verify("dfs_dissipation", diss, limit, NotDecoherenceFree,
+    verify("dfs_dissipation", diss, limit(tol, _generator_scale(g)), NotDecoherenceFree,
            "dissipation form does not vanish on the algebra")
 
-    nf = reduce_normal_form_minimal(
-        atomic_normal_form(g, dec, tol=max(tol, 1e-9)), tol=max(tol, TOL_RANK)
-    )
+    nf = reduce_normal_form_minimal(_split_normal_form(g, dec, split, tol_nf),
+                                    tol=max(tol, TOL_RANK))
     e = nf.d_env
     n = len(dec.factors)
     for i in range(n):
@@ -306,7 +306,7 @@ def dfs_verify_normal_form(
                     residual=frob(nf.a[i][j]),
                 )
     psi: list[np.ndarray] = []
-    scale_v = max(1.0, frob(g.v))
+    v_scale = _linear_scale(g.v)
     for i, (da, db) in enumerate(dec.factors):
         dfii = nf.d_f[i][i]
         if dfii > 1:
@@ -317,7 +317,7 @@ def dfs_verify_normal_form(
             psi.append(np.zeros(0, dtype=np.complex128))
             continue
         c = complex(np.trace(nf.a[i][i]) / da)
-        verify("dfs_diagonal_block", frob(nf.a[i][i] - c * eye(da)), max(tol, 1e-9) * scale_v * 10,
+        verify("dfs_diagonal_block", frob(nf.a[i][i] - c * eye(da)), limit(tol_nf, v_scale),
                NotDecoherenceFree, f"diagonal block {i} is not a multiple of the identity")
         psi.append(np.array([c], dtype=np.complex128))
 
@@ -338,9 +338,10 @@ def dfs_verify_normal_form(
     pred = (g.v - _lift(dec, couplings, _embed_a, e)).reshape(g.d, e, g.d)
     kraus_res = _worst(np.linalg.norm(pred, axis=(0, 2)))
     imk_res = frob(im_part(g.k) - h_tilde - _lift(dec, kappa_b, _embed_a))
-    for name, res in (("dfs_kraus_pattern", kraus_res), ("dfs_im_k_pattern", imk_res)):
-        verify(name, res, 1e-8 * lscale * 10, FactorizationResidual,
-               "extracted couplings do not reproduce the generator")
+    verify("dfs_kraus_pattern", kraus_res, limit(tol, v_scale, 100), FactorizationResidual,
+           "extracted couplings do not reproduce V")
+    verify("dfs_im_k_pattern", imk_res, limit(tol, _generator_scale(g), 100), FactorizationResidual,
+           "extracted couplings do not reproduce the skew part of K")
     return DfsCertificate(
         beta=beta,
         kappa_a=kappa_a,
@@ -348,7 +349,7 @@ def dfs_verify_normal_form(
         h_tilde=h_tilde,
         psi=psi,
         residuals={
-            "invariance": inv,
+            "invariance": _worst(inv),
             "dissipation": diss,
             "kraus_pattern": kraus_res,
             "im_k_pattern": imk_res,
@@ -361,7 +362,7 @@ def dfs_verify_normal_form(
 # ---------------------------------------------------------------------------
 
 def maximal_abelian_coefficients(
-    k: KrausSet, dec: AtomicDecomposition, c: np.ndarray, tol: float = 1e-9
+    k: KrausSet, dec: AtomicDecomposition, c: np.ndarray, tol: float = TOL_VERIFY
 ) -> AbelianCoefficients:
     """Coefficients c_mn ∈ 𝒞 with [c, φ_m] = Σ_n c_mn·φ_n (Heisenberg Kraus).
 
@@ -384,22 +385,20 @@ def maximal_abelian_coefficients(
         raise ValueError("c has the wrong shape")
     d = dec.d
     c_hat = _to_frame(c, dec)[:, 0, :, 0]
-    verify("abelian_diagonal", frob(c_hat - np.diag(np.diag(c_hat))),
-           max(tol, 1e-9) * max(1.0, frob(c)) * 10, NotDiagonal,
+    c_scale = _linear_scale(c)
+    verify("abelian_diagonal", frob(c_hat - np.diag(np.diag(c_hat))), limit(tol, c_scale), NotDiagonal,
            "c is not diagonal in the decomposition frame")
     c_diag = np.diag(c_hat)
 
     rep = kraus_to_stinespring(k)
-    vscale = max(1.0, frob(rep.v))
-    inv = cp_invariance_check(k, dec, dec, tol=max(tol, 1e-10) * vscale**2 * 10)
-    verify("cp_invariance", inv.max_residual, inv.tol, NotInvariant,
-           "map does not leave the abelian algebra invariant")
+    _cp_invariance(rep, dec, dec, tol)
+    v_scale = _linear_scale(rep.v)
 
     e = rep.d_env
     t = _to_frame(rep.v, dec, e)  # factor i is frame index i
     psi = [[t[i, :, j, :] for j in range(d)] for i in range(d)]
 
-    cut = max(tol, 1e-12) * vscale
+    cut = max(tol, RANK_FLOOR) * v_scale
     coeff = np.zeros((e, e, d), dtype=np.complex128)       # C_i stack
     coeff_adj = np.zeros((e, e, d), dtype=np.complex128)   # same for c†
     for i in range(d):
@@ -417,17 +416,16 @@ def maximal_abelian_coefficients(
     c_mn = [[(u * coeff[m, n]) @ dag(u) for n in range(e)] for m in range(e)]
     c_mn_adj = [[(u * coeff_adj[m, n]) @ dag(u) for n in range(e)] for m in range(e)]
 
-    limit = 1e-8 * max(1.0, frob(c)) * vscale**2 * 10
     comm_res = _worst([
         frob(c @ phi_m - phi_m @ c - sum(c_mn[m][n] @ k.ops[n] for n in range(e)))
         for m, phi_m in enumerate(k.ops)
     ])
-    verify("abelian_commutator", comm_res, limit, NotInvariant,
+    verify("abelian_commutator", comm_res, limit(tol, c_scale * v_scale, 100), NotInvariant,
            "commutation coefficients fail to reproduce [c, φ_m]")
     adj_res = _worst([
         frob(c_mn_adj[m][n] - dag(c_mn[n][m])) for m in range(e) for n in range(e)
     ])
-    verify("abelian_adjoint_symmetry", adj_res, limit, NotInvariant,
+    verify("abelian_adjoint_symmetry", adj_res, limit(tol, c_scale, 100), NotInvariant,
            "coefficients of c† are not the adjoints of those of c")
     return AbelianCoefficients(
         c_mn=c_mn,
@@ -457,7 +455,9 @@ def _fixed_space(ops: list[np.ndarray], d: int, tol: float) -> np.ndarray:
     ops = np.asarray(ops)
     s_r = _real_superoperator(np.einsum("kia,kjb->ijab", ops, np.conj(ops)).reshape(d * d, -1), d)
     s_r[np.diag_indices(d * d)] -= 1.0
-    rows = null_space(s_r, max(tol, 1e-12), _kraus_scale(ops))
+    # noise floor: when the channel fixes everything, the whole matrix is
+    # rounding noise and σ_max itself is ~eps
+    rows = null_space(s_r, max(tol, RANK_FLOOR), _map_scale(ops))
     w1, w2, perm = _hermitian_frame(d)
     return (rows * w1 + (rows * w2)[:, perm]).reshape(-1, d, d)
 
@@ -465,10 +465,10 @@ def _fixed_space(ops: list[np.ndarray], d: int, tol: float) -> np.ndarray:
 def _hermitian_span(xs: np.ndarray, tol: float) -> np.ndarray:
     """HS-orthonormal Hermitian basis of the span of the Hermitian (m, d, d)
     stack xs, by a real SVD of their (re, im) entries (their Gram matrix is
-    real), keeping the singular values above max(tol, 1e-12)·σ_max."""
+    real), keeping the singular values above max(tol, RANK_FLOOR)·σ_max."""
     m, d, _ = xs.shape
     _, s, vh = np.linalg.svd(np.ascontiguousarray(xs).reshape(m, -1).view(float), False)
-    rank = np.count_nonzero(s > max(tol, 1e-12) * s[0])
+    rank = np.count_nonzero(s > max(tol, RANK_FLOOR) * s[0])
     return np.ascontiguousarray(vh[:rank]).view(complex).reshape(-1, d, d)
 
 
@@ -476,12 +476,6 @@ def _dual_fixed_residual(ops: list[np.ndarray], ys: np.ndarray) -> float:
     """Largest ‖Σ op†·y·op − y‖_F / ‖y‖_F over the (m, d, d) stack ys."""
     moved = sum((dag(op) @ ys @ op for op in ops), -ys)
     return _worst(np.linalg.norm(moved, axis=(1, 2)) / np.linalg.norm(ys, axis=(1, 2)))
-
-
-def _kraus_scale(ops: list[np.ndarray]) -> float:
-    # noise floor of a transfer matrix: when the channel fixes everything, the
-    # whole matrix is rounding noise and σ_max itself is ~eps
-    return max(1.0, sum(float(frob(op)) ** 2 for op in ops))
 
 
 def _spectral(f, hs: np.ndarray) -> np.ndarray:
@@ -512,7 +506,7 @@ def _fixed_candidates(ops: list[np.ndarray], d: int, tol: float):
                 yield cand / tr
 
 
-def fixed_point_state(k: KrausSet, tol: float = 1e-9) -> np.ndarray:
+def fixed_point_state(k: KrausSet, tol: float = TOL_VERIFY) -> np.ndarray:
     """A density matrix ρ with T(ρ) = ρ for the Schrödinger channel T.
 
     Spectral route: the unit-eigenvalue space of the transfer matrix is
@@ -525,23 +519,23 @@ def fixed_point_state(k: KrausSet, tol: float = 1e-9) -> np.ndarray:
         raise ValueError("channel must be an endomorphism")
     d = k.d_in
     ops = k.ops
-    verify("tp", _tp_residual(ops, d), max(tol, 1e-9) * 10 * math.sqrt(d), NotTracePreserving,
+    verify("tp", _tp_residual(ops, d), limit(tol, math.sqrt(d)), NotTracePreserving,
            "Kraus set is not trace preserving in the Schrödinger picture")
-    limit = max(tol, 1e-9)
+    bound = limit(tol, factor=1)
     best, best_res = None, float("inf")
     for cand in _fixed_candidates(ops, d, tol):
         res = frob(_schrodinger_apply(ops, cand) - cand)
         if res < best_res:
             best, best_res = cand, res
-        if res <= limit:
+        if res <= bound:
             break
-    verify("fixed_state", best_res, limit, NoFixedState,
+    verify("fixed_state", best_res, bound, NoFixedState,
            "no fixed density matrix certified at tolerance")
     return best
 
 
 def koashi_imoto_decompose(
-    k: KrausSet, tol: float = 1e-9, seed: int = 0
+    k: KrausSet, tol: float = TOL_VERIFY, seed: int = 0
 ) -> KoashiImotoResult:
     """Preserved/acted split of a trace-preserving channel (Schrödinger Kraus).
 
@@ -562,7 +556,7 @@ def koashi_imoto_decompose(
     d = k.d_in
     ops = k.ops
     tp = _tp_residual(ops, d)
-    verify("ki_tp", tp, max(tol, 1e-9) * 10 * math.sqrt(d), NotTracePreserving,
+    verify("ki_tp", tp, limit(tol, math.sqrt(d)), NotTracePreserving,
            "Kraus set is not trace preserving in the Schrödinger picture")
 
     hs = _fixed_space(ops, d, tol)
@@ -572,13 +566,13 @@ def koashi_imoto_decompose(
     w, vecs = np.linalg.eigh(herm(rho_max))
     if w[-1] <= 0:
         raise NoFixedState("maximal-rank candidate state vanished")
-    keep = w > max(tol, 1e-12) * w[-1]
+    keep = w > max(tol, RANK_FLOOR) * w[-1]
     r = int(np.count_nonzero(keep))
     q = dag(vecs[:, keep])  # (r, d), q·q† = 1_r
     pi_supp = dag(q) @ q
     supp_res = _worst(np.linalg.norm(hs - pi_supp @ hs @ pi_supp, axis=(1, 2))
-                      / np.maximum(np.linalg.norm(hs, axis=(1, 2)), 1e-30))
-    verify("ki_support", supp_res, 1e-8, NoFixedState,
+                      / np.linalg.norm(hs, axis=(1, 2)))  # rows of a unitary: never 0
+    verify("ki_support", supp_res, limit(tol), NoFixedState,
            "a fixed point leaks out of the candidate support")
 
     comp = [q @ op @ dag(q) for op in ops]
@@ -587,7 +581,7 @@ def koashi_imoto_decompose(
     # ρ_c = q·ρ_max·q† = diag(w[keep]) = ⊕ p_i·ρ_{A_i}⊗σ_i is faithful and Fix(T_c) =
     # ⊕ M_A⊗σ_i, so ρ_c^{-1/2}·Fix(T_c)·ρ_c^{-1/2} = ⊕ M_A⊗1 = Fix(T_c*) (Koashi & Imoto 2002)
     ys = _hermitian_span(q @ hs @ dag(q) / np.sqrt(np.outer(w[keep], w[keep])), tol)
-    dual_limit = max(tol, 1e-12) * _kraus_scale(comp)  # the SVD route's cutoff floor
+    dual_limit = limit(tol, _map_scale(np.asarray(comp)), 1)  # the SVD route's noise floor
     dual_res = _dual_fixed_residual(comp, ys) if len(ys) == len(hs) else math.nan
     if not dual_res <= dual_limit:
         ys = _fixed_space([dag(op) for op in comp], r, tol)  # ρ_c^{-1/2} amplified rounding
@@ -614,11 +608,11 @@ def koashi_imoto_decompose(
     e = w_st.d_env
     v_blocks = _factor_traces(_to_frame(w_st.v, dec, e), dec, _trace_a)
     pat_res = frob(w_st.v - _lift(dec, v_blocks, _embed_a, e))
-    verify("ki_pattern", pat_res, 1e-8 * max(1.0, frob(w_st.v)), FactorizationResidual,
+    verify("ki_pattern", pat_res, limit(tol, _linear_scale(w_st.v)), FactorizationResidual,
            "compressed dilation is off the ⊕(1⊗V_i) block pattern")
     # the bundle decoder's isometry limit for the smallest V_i, so every certified V_i loads
     iso_res = _worst([frob(dag(vi) @ vi - eye(db)) for vi, (_, db) in zip(v_blocks, dec.factors)])
-    iso_limit = 100 * max(tol, 1e-9) * max(1.0, math.sqrt(min(db for _, db in dec.factors) * e))
+    iso_limit = _isometry_limit(tol, min(db for _, db in dec.factors) * e)
     verify("ki_isometry", iso_res, iso_limit, FactorizationResidual,
            "a factor V_i of the compressed dilation is not an isometry")
 
@@ -631,7 +625,7 @@ def koashi_imoto_decompose(
 
     fam = dag(q) @ np.asarray(_unit_images(dec, sigma)) @ q
     fam_res = _worst(np.linalg.norm(_schrodinger_apply(ops, fam) - fam, axis=(1, 2)))
-    verify("ki_fixed_family", fam_res, 1e-8 * 10, FactorizationResidual,
+    verify("ki_fixed_family", fam_res, limit(tol, factor=100), FactorizationResidual,
            "claimed fixed-point family is not fixed by the channel")
 
     report = {
@@ -695,20 +689,20 @@ def _centred_real_generator(g: GKLSRep) -> np.ndarray:
 
 
 def _integer_ratio(t: float, t0: float) -> int | None:
-    """k if t = k·t₀ to rounding (|t − k·t₀| ≤ 1e-12·t) with 2 ≤ k ≤ 128, else None.
+    """k if t = k·t₀ to rounding (|t − k·t₀| ≤ RANK_FLOOR·t) with 2 ≤ k ≤ 128, else None.
 
     k ≤ 128 keeps the power E(t₀)^k to at most 12 matrix products, about
     what one direct exponential costs.
     """
     k = np.rint(t / t0) if t0 > 0 else 0.0
-    return int(k) if 2 <= k <= 128 and abs(t - k * t0) <= 1e-12 * t else None
+    return int(k) if 2 <= k <= 128 and abs(t - k * t0) <= RANK_FLOOR * t else None
 
 
 def semigroup_invariance_probe(
     g: GKLSRep,
     dec: AtomicDecomposition,
     times: list[float],
-    tol: float = 1e-6,
+    tol: float = TOL_PROBE,
 ) -> ProbeReport:
     """Residual of e^{tL}(X) against the algebra, per probed time.
 
@@ -734,7 +728,8 @@ def semigroup_invariance_probe(
     generators and does not vanish for damped ones that leak.  ‖E‖_F lies
     between ‖E‖₂ and d·‖E‖₂ and equals d at t = 0, so near t = 0 the same
     ``tol`` is up to d times weaker than against ‖E‖₂, and weaker at
-    larger d.  A NaN residual fails the probe.
+    larger d.  Each residual is compared against ``limit(tol, factor=1)``;
+    a NaN residual fails the probe.
     """
     d = g.d
     w1, w2, perm = _hermitian_frame(d)
@@ -754,6 +749,6 @@ def semigroup_invariance_probe(
         y = w1[:, None] * yc + (w2[:, None] * yc)[perm]  # T·yc
         worst = _worst(_pattern_residuals(y.T.reshape(-1, d, d), dec))
         max_res.append(worst / frob(propagator))
-    passed = bool(all(res <= tol for res in max_res))
+    bound = limit(tol, factor=1)
     return ProbeReport(times=[float(t) for t in times], max_residuals=max_res,
-                       tol=tol, passed=passed)
+                       tol=bound, passed=bool(all(res <= bound for res in max_res)))

@@ -24,10 +24,11 @@ from .algebra import (
     _worst,
     invariance_residuals,
 )
-from .errors import FactorizationResidual, NotInvariant, NotMinimal, NotSameMap, verify
+from .errors import TOL_VERIFY, FactorizationResidual, NotInvariant, NotMinimal, NotSameMap, limit, verify
 from .linalg import (
     TOL_RANK,
     _isometry_lstsq,
+    _linear_scale,
     _on_env,
     _on_system,
     asmatrix,
@@ -249,6 +250,11 @@ def minimal_stinespring(
     return s_min, w
 
 
+def _map_scale(*vs) -> float:
+    """max(1, ‖v‖_F)² over the Stinespring matrices: the scale of Φ(X)."""
+    return _linear_scale(*vs) ** 2
+
+
 def _same_map_residual(s1: StinespringRep, s2: StinespringRep) -> float:
     """max_kl ‖Φ₁(E_kl) − Φ₂(E_kl)‖_F, NaN if either map holds a NaN."""
     diff = _unit_image_tensor(s1) - _unit_image_tensor(s2)
@@ -265,14 +271,14 @@ def stinespring_gauge(
     """
     if (s1.d_in, s1.d_out) != (s2.d_in, s2.d_out):
         raise ValueError("representations act between different spaces")
-    scale = max(1.0, frob(s1.v), frob(s2.v))
+    scale = _linear_scale(s1.v, s2.v)
     m1 = _env_slice_matrix(s1)
     if svd_rank(m1, tol=tol) < s1.d_env:
         raise NotMinimal("first representation has a compressible environment")
-    verify("same_map", _same_map_residual(s1, s2), max(tol, 1e-10) * scale * 10, NotSameMap,
+    verify("same_map", _same_map_residual(s1, s2), limit(tol, _map_scale(s1.v, s2.v)), NotSameMap,
            "representations define different maps")
-    w = _isometry_lstsq(m1, _env_slice_matrix(s2), 10 * max(tol, 1e-10) * scale)
-    verify("gauge_transport", frob(_on_env(w, s1.v, s1.d_in) - s2.v), 1e-9 * scale * 10,
+    w = _isometry_lstsq(m1, _env_slice_matrix(s2), limit(tol, scale))
+    verify("gauge_transport", frob(_on_env(w, s1.v, s1.d_in) - s2.v), limit(tol, scale),
            NotSameMap, "gauge isometry does not connect the representations")
     return w
 
@@ -285,7 +291,7 @@ def cp_invariance_check(
     rep,
     dec_a: AtomicDecomposition,
     dec_c: AtomicDecomposition,
-    tol: float = 1e-9,
+    tol: float = TOL_VERIFY,
 ) -> InvarianceReport:
     """Does Φ map the input algebra into the output algebra?
 
@@ -304,11 +310,21 @@ def cp_invariance_check(
     return InvarianceReport(max_res <= tol, max_res, tol, residuals, worst)
 
 
+def _cp_invariance(s: StinespringRep, dec_a: AtomicDecomposition, dec_c: AtomicDecomposition,
+                   tol: float) -> InvarianceReport:
+    """:func:`cp_invariance_check` of Φ against ``limit(tol, _map_scale(v))``,
+    verified as ``cp_invariance``."""
+    report = cp_invariance_check(s, dec_a, dec_c, tol=limit(tol, _map_scale(s.v)))
+    verify("cp_invariance", report.max_residual, report.tol, NotInvariant,
+           "map does not leave the algebra pair invariant")
+    return report
+
+
 def atomic_block_factorize(
     s: StinespringRep,
     dec_a: AtomicDecomposition,
     dec_c: AtomicDecomposition,
-    tol: float = 1e-9,
+    tol: float = TOL_VERIFY,
 ) -> BlockFactorization:
     """Factor an invariant map's Stinespring matrix into per-pair pieces.
 
@@ -317,13 +333,10 @@ def atomic_block_factorize(
     the reduced map  X ↦ (1⊗⟨ψ|)V_ij†(X⊗1⊗1_E)V_ij(1⊗|ψ⟩)  and U_ij an
     isometry solved from the overdetermined intertwining relation.
 
-    The map must leave the algebra pair invariant, to max(tol, 1e-10)·10
-    times the size max(1, ‖v‖_F)² of Φ; else :class:`NotInvariant`.
+    The map must leave the algebra pair invariant (:func:`_cp_invariance`);
+    else :class:`NotInvariant`.
     """
-    report = cp_invariance_check(s, dec_a, dec_c,
-                                 tol=max(tol, 1e-10) * max(1.0, frob(s.v)) ** 2 * 10)
-    verify("cp_invariance", report.max_residual, report.tol, NotInvariant,
-           "map does not leave the algebra pair invariant")
+    _cp_invariance(s, dec_a, dec_c, tol)
     return _block_factorize(s, dec_a, dec_c, tol)
 
 
@@ -332,12 +345,12 @@ def _block_factorize(s: StinespringRep, dec_a: AtomicDecomposition,
     """:func:`atomic_block_factorize` of a map already checked invariant."""
     v = s.v
     e = s.d_env
-    scale = max(1.0, frob(v))
+    bound = limit(tol, _linear_scale(v))
 
     # rows in factor i of the input algebra must not reach the output null part
     t = _to_frame(v, dec_a, e, 1, dec_in=dec_c)  # (d_in, e, d_out, 1)
     for i, (_, _, si) in enumerate(_blocks(dec_a)):
-        verify("null_block", frob(t[si, :, : dec_c.d0]), tol * scale * 10,
+        verify("null_block", frob(t[si, :, : dec_c.d0]), bound,
                FactorizationResidual, f"factor-{i} rows reach the null output block")
 
     v0 = _on_system(dec_a.p_null(), v, e)
@@ -353,8 +366,8 @@ def _block_factorize(s: StinespringRep, dec_a: AtomicDecomposition,
         u_blocks.append([])
         for j, (dc, dd, sj) in enumerate(_blocks(dec_c)):
             v_ij = t[si, :, sj, 0].reshape(da * db * e, dc * dd)
-            if frob(v_ij) <= max(tol, 1e-12) * scale * 10:
-                # below the noise floor of the parent matrix: empty pair
+            if frob(v_ij) <= bound:
+                # as small as a null block may be: empty pair
                 d_f[i].append(0)
                 a_blocks[i].append(np.zeros((0, dc), dtype=np.complex128))
                 u_blocks[i].append(np.zeros((db * e, 0), dtype=np.complex128))
@@ -382,7 +395,7 @@ def _block_factorize(s: StinespringRep, dec_a: AtomicDecomposition,
             rhs = v_ij.reshape(da, db * e, dc * dd)
             m1 = np.concatenate(list(lhs), axis=1)  # (df·dd) × (da·dc·dd)
             m2 = np.concatenate(list(rhs), axis=1)  # (db·e) × (da·dc·dd)
-            u_ij = _isometry_lstsq(m1, m2, 10 * max(tol, 1e-10) * scale)
+            u_ij = _isometry_lstsq(m1, m2, bound)
             res = frob(u_ij @ m1 - m2) if m1.size else frob(m2)
             if res > worst_res:
                 worst_res, worst_pair = res, (i, j)
@@ -393,10 +406,10 @@ def _block_factorize(s: StinespringRep, dec_a: AtomicDecomposition,
 
     bf = BlockFactorization(v0=v0, d_f=d_f, a=a_blocks, u=u_blocks, d_env=e)
 
-    ortho = orthogonality_check(bf, tol=max(1e-9, tol))
+    ortho = orthogonality_check(bf, tol=limit(tol, factor=1))
     verify("block_isometry_orthogonality", ortho.max_residual, ortho.tol, FactorizationResidual,
            f"isometry/orthogonality violated at {ortho.worst_triple}")
-    verify("reassembly", frob(reassemble_factorization(bf, dec_a, dec_c) - v), 1e-8 * scale,
+    verify("reassembly", frob(reassemble_factorization(bf, dec_a, dec_c) - v), bound,
            FactorizationResidual, f"reassembly misses the input (worst pair {worst_pair})")
     return bf
 
@@ -418,7 +431,7 @@ def reassemble_factorization(
     return _on_system(dag(dec_a.p_null()), bf.v0, e) + _from_frame(t, dec_a, dec_in=dec_c)
 
 
-def orthogonality_check(bf: BlockFactorization, tol: float = 1e-9) -> OrthogonalityReport:
+def orthogonality_check(bf: BlockFactorization, tol: float = TOL_VERIFY) -> OrthogonalityReport:
     """Check u_ik†u_il = δ_kl·1 across all row-sharing pairs (includes isometry).
 
     A NaN residual fails the check and is reported as the worst triple.

@@ -9,12 +9,25 @@ Every residual-against-limit check of the library goes through
 a NaN fails) and, while a recording is open (:func:`_recording`, opened by
 the CLI around one command), hands (name, residual, limit) to its sink.  A
 report therefore lists each check the library made, with its limit.
+
+Tolerance policy: every limit is :func:`limit`, max(tol, VERIFY_FLOOR) times
+the scale of the residual times a per-check factor.  The scales are
+max(1, ‖V‖_F) for residuals linear in V, max(1, ‖v‖_F)² for those of Φ(X),
+and max(1, ‖V‖_F², ‖K‖_F) for those of L, of K and of superoperator
+distances.  Relative rank and noise cutoffs floor tol at RANK_FLOOR.
 """
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from contextvars import ContextVar
+
+TOL_RANK = 1e-9  # default relative tolerance of rank decisions
+TOL_VERIFY = 1e-9  # default tolerance of residual checks
+TOL_PROBE = 1e-6  # default tolerance of the semigroup probe's relative residuals
+VERIFY_FLOOR = 1e-10  # the least tolerance a residual limit is computed from
+RANK_FLOOR = 1e-12  # the least tolerance of a relative rank or noise cutoff
 
 # the sink of the open recording: called as sink(name, residual, limit)
 _SINK: ContextVar = ContextVar("igkls_check_sink", default=None)
@@ -29,6 +42,16 @@ def verify(name: str, residual: float, limit: float, error: type, message: str) 
         sink(name, residual, limit)
     if not residual <= limit:
         raise error(message, residual=residual)
+
+
+def limit(tol: float, scale: float = 1.0, factor: float = 10) -> float:
+    """The limit of a residual of size ``scale``: max(tol, VERIFY_FLOOR)·scale·factor."""
+    return max(tol, VERIFY_FLOOR) * scale * factor
+
+
+def _isometry_limit(tol: float, n: int) -> float:
+    """The load-time limit of ‖M†M − 1‖_F for an isometry M of n rows."""
+    return limit(tol, max(1.0, math.sqrt(n)), 100)
 
 
 @contextmanager

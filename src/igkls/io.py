@@ -49,10 +49,11 @@ import numpy as np
 
 from .algebra import AtomicDecomposition, _embed_a, _lift
 from .applications import KoashiImotoResult, koashi_imoto_decompose
-from .cpmaps import KrausSet, StinespringRep, kraus_to_stinespring, reassemble_factorization, BlockFactorization
-from .errors import InvariantError, ParseError, SchemaError
+from .cpmaps import KrausSet, StinespringRep, kraus_to_stinespring, orthogonality_check, reassemble_factorization, BlockFactorization
+from .errors import (TOL_RANK, TOL_VERIFY, InvariantError, ParseError, SchemaError,
+                     _isometry_limit, limit)
 from .gkls import AtomicNormalForm, GKLSRep, reconstruct_from_normal_form
-from .linalg import dag, eye, frob
+from .linalg import _linear_scale, dag, eye, frob
 from .rng import CounterRng
 
 __all__ = [
@@ -188,7 +189,7 @@ def _decode_algebra(obj, tol: float, path: str) -> AtomicDecomposition:
     except ValueError as exc:
         raise SchemaError(f"{path}: {exc}") from exc
     res = frob(dag(u_alg) @ u_alg - eye(d))
-    if not res <= 100 * tol * max(1.0, math.sqrt(d)):
+    if not res <= _isometry_limit(tol, d):
         raise InvariantError(f"{path}.u_alg: not unitary (‖U†U−1‖ = {res:.3e})")
     return dec
 
@@ -298,29 +299,19 @@ def _decode_normal_form(obj, tol: float, path: str) -> AtomicNormalForm:
     except ValueError as exc:
         raise SchemaError(f"{path}: {exc}") from exc
 
-    # load-time invariants (self-adjointness, isometry, cross-orthogonality)
+    # load-time invariants: self-adjoint H_{B_i}, and u_ik†u_il = δ_kl·1 along each row
     for i, h in enumerate(nf.h_b):
         res = frob(h - dag(h))
-        if not res <= 100 * tol * max(1.0, frob(h)):
+        if not res <= limit(tol, _linear_scale(h), 100):
             raise InvariantError(f"{path}.h_b[{i}]: not self-adjoint "
                                  f"(residual {res:.3e})")
-    for i in range(n):
-        for j in range(n):
-            u_ij = nf.u[i][j]
-            if not u_ij.size:
-                continue
-            res = frob(dag(u_ij) @ u_ij - eye(u_ij.shape[1]))
-            if not res <= 100 * tol * max(1.0, math.sqrt(u_ij.shape[0])):
-                raise InvariantError(f"{path}.u[{i}][{j}]: not an isometry "
-                                     f"(residual {res:.3e})")
-        for k in range(n):
-            for l in range(k + 1, n):
-                prod = dag(nf.u[i][k]) @ nf.u[i][l]
-                if prod.size and not frob(prod) <= 100 * tol * max(1.0, math.sqrt(prod.shape[0])):
-                    raise InvariantError(
-                        f"{path}.u[{i}][{k}]/u[{i}][{l}]: ranges overlap "
-                        f"(residual {frob(prod):.3e})"
-                    )
+    rows = max((db * d_env for _, db in dec.factors), default=0)
+    ortho = orthogonality_check(BlockFactorization(nf.v0, nf.d_f, nf.a, nf.u, d_env),
+                                _isometry_limit(tol, rows))
+    if not ortho.passed:
+        i, k, l = ortho.worst_triple
+        raise InvariantError(f"{path}.u[{i}][{k}]/u[{i}][{l}]: not orthonormal isometries "
+                             f"(residual {ortho.max_residual:.3e})")
     return nf
 
 
@@ -349,9 +340,10 @@ def _decode_ki(obj, tol: float, path: str) -> KoashiImotoResult:
     report = obj.get("report", {})
     if not isinstance(report, dict):
         raise SchemaError(f"{path}.report: expected an object")
+    bound = limit(tol, factor=100)
 
     res_q = frob(q @ dag(q) - eye(q.shape[0]))
-    if not res_q <= 100 * tol * max(1.0, math.sqrt(q.shape[1])):
+    if not res_q <= _isometry_limit(tol, q.shape[1]):
         raise InvariantError(f"{path}.q: not a coisometry (residual {res_q:.3e})")
     d_env = None
     for i, ((da, db), vi, si) in enumerate(zip(dec.factors, v, sigma)):
@@ -365,7 +357,7 @@ def _decode_ki(obj, tol: float, path: str) -> KoashiImotoResult:
             raise SchemaError(f"{path}.v[{i}]: environment dimension {e_i} "
                               f"conflicts with {d_env}")
         res_v = frob(dag(vi) @ vi - eye(db))
-        if not res_v <= 100 * tol * max(1.0, math.sqrt(vi.shape[0])):
+        if not res_v <= _isometry_limit(tol, vi.shape[0]):
             raise InvariantError(f"{path}.v[{i}]: not an isometry "
                                  f"(residual {res_v:.3e})")
         if si.shape != (db, db):
@@ -374,7 +366,7 @@ def _decode_ki(obj, tol: float, path: str) -> KoashiImotoResult:
         herm_res = frob(si - dag(si))
         tr = complex(np.trace(si))
         eig_min = float(np.linalg.eigvalsh(0.5 * (si + dag(si))).min()) if db else 0.0
-        if not (herm_res <= 100 * tol and abs(tr - 1.0) <= 100 * tol and eig_min >= -100 * tol):
+        if not (herm_res <= bound and abs(tr - 1.0) <= bound and eig_min >= -bound):
             raise InvariantError(f"{path}.sigma[{i}]: not a density matrix "
                                  f"(herm {herm_res:.1e}, trace offset "
                                  f"{abs(tr - 1.0):.1e}, min eig {eig_min:.1e})")
@@ -441,7 +433,7 @@ def decode_text(text: str) -> InstanceBundle:
     meta = obj.get("meta", {})
     if not isinstance(meta, dict):
         raise SchemaError("top level.meta: expected an object")
-    tol = meta.get("tol_verify", 1e-9)
+    tol = meta.get("tol_verify", TOL_VERIFY)
     if isinstance(tol, bool) or not isinstance(tol, (int, float)) or tol <= 0:
         raise SchemaError("top level.meta.tol_verify: expected a positive number")
     payload = _DECODERS[kind](_need(obj, "payload", "top level"), float(tol), "payload")
@@ -581,8 +573,8 @@ def _sample_normal_form(
 def _meta(seed: int, params: dict, extra: dict | None = None) -> dict:
     meta = {
         "seed": int(seed),
-        "tol_rank": 1e-9,
-        "tol_verify": 1e-9,
+        "tol_rank": TOL_RANK,
+        "tol_verify": TOL_VERIFY,
         "params": params,
     }
     if extra:
@@ -663,7 +655,7 @@ def random_instance(kind: str, params: dict | None = None, seed: int = 0) -> Ins
     slices = _lift(dec, blocks, _embed_a, e).reshape(d, e, d)
     ops = [slices[:, idx, :] for idx in range(e)]
     channel = KrausSet(d_in=d, d_out=d, ops=ops)
-    result = koashi_imoto_decompose(channel, tol=1e-9, seed=seed)
+    result = koashi_imoto_decompose(channel, tol=TOL_VERIFY, seed=seed)
     used.setdefault("d_env", e)
     chan_rec = CpMapRecord(stine=kraus_to_stinespring(channel), picture="schrodinger")
     return InstanceBundle(

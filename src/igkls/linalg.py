@@ -21,11 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-#: Default relative tolerance for every rank decision in the package.
-TOL_RANK = 1e-9
-
-#: Default tolerance for residual verifications.
-TOL_VERIFY = 1e-9
+from .errors import TOL_RANK, TOL_VERIFY  # noqa: F401  (re-exported)
 
 
 def asmatrix(a) -> np.ndarray:
@@ -44,6 +40,11 @@ def dag(a: np.ndarray) -> np.ndarray:
 def frob(a: np.ndarray) -> float:
     """Frobenius norm as a plain float."""
     return float(np.linalg.norm(a))
+
+
+def _linear_scale(*mats) -> float:
+    """max(1, ‖m‖_F) over the matrices: the scale of a residual linear in them."""
+    return max(1.0, *(frob(m) for m in mats))
 
 
 def eye(n: int) -> np.ndarray:

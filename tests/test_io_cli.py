@@ -22,6 +22,7 @@ import pytest
 from igkls import (
     AlgebraBasis,
     AtomicDecomposition,
+    AtomicNormalForm,
     GKLSRep,
     InvariantError,
     KrausSet,
@@ -108,6 +109,40 @@ def test_decode_flags_corrupted_unitary_as_invariant_error():
     with pytest.raises(InvariantError) as info:
         decode_text(json.dumps(doc))
     assert "u_alg" in str(info.value)
+
+
+def _broken_u(nf):
+    """The u table of nf with u[0][0] scaled by 1.01: no longer an isometry."""
+    return [[1.01 * m if (i, j) == (0, 0) else m for j, m in enumerate(row)]
+            for i, row in enumerate(nf.u)]
+
+
+def _overlapping_u(nf):
+    """The u table of nf with u[0][1] replaced by u[0][0]: one range twice."""
+    return [[row[0] if (i, j) == (0, 1) else m for j, m in enumerate(row)]
+            for i, row in enumerate(nf.u)]
+
+
+@pytest.mark.parametrize("corrupt, params", [
+    (_broken_u, {"factors": [[1, 2], [1, 2]], "d_env": 2, "d_f": [[1, 1], [0, 0]]}),
+    (_overlapping_u, {"factors": [[1, 2], [1, 2]], "d_env": 2, "d_f": [[1, 1], [0, 0]]}),
+    (None, None),
+], ids=["not_isometric", "ranges_overlap", "no_environment"])
+def test_decode_rejects_a_normal_form_whose_isometries_are_not_orthonormal(corrupt, params):
+    if corrupt is None:
+        # d_F = 1 with no environment: u[0][0] has no rows, so no isometry
+        # C^{d_B} → C^0 exists, and the block a[0][0] would vanish unseen
+        dec = AtomicDecomposition(d=2, u_alg=eye(2), d0=0, factors=[(2, 1)])
+        nf = AtomicNormalForm(
+            dec=dec, v0=np.zeros((0, 2)), k0=np.zeros((0, 2)), k_a=[eye(2)],
+            h_b=[np.zeros((1, 1))], b=[np.zeros((0, 1))], d_f=[[1]], a=[[np.ones((2, 2))]],
+            u=[[np.zeros((0, 1))]], d_env=0)
+    else:
+        nf = random_instance("normal_form", params=params, seed=1).payload
+        assert decode_text(encode_bundle(InstanceBundle("normal_form", nf, {}))).payload
+        nf.u = corrupt(nf)
+    with pytest.raises(InvariantError, match=r"payload\.u\[0\]\[\d\]/u\[0\]\[\d\]"):
+        decode_text(encode_bundle(InstanceBundle("normal_form", nf, {})))
 
 
 def test_cli_rejects_an_overflowing_unitary_at_load_time(tmp_path, capsys):

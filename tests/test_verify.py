@@ -9,8 +9,13 @@ namespace that bound it, over one ``run_report``.
 
 from __future__ import annotations
 
+import ast
+import io
 import math
+import re
 import sys
+import tokenize
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -109,8 +114,8 @@ def test_every_library_check_lands_in_the_report_with_its_limit():
     assert [c["name"] for c in doc["checks"]][:2] == ["closure_adjoint", "closure_product"]
     assert all(c["tolerance"] is not None for c in doc["checks"] if c["residual"] is not None)
 
-    doc = _ok("random", [])  # a gkls instance: the command's own check only
-    assert [c["name"] for c in doc["checks"]] == ["generated_invariance"]
+    doc = _ok("random", [])  # a gkls instance: the one generator check only
+    assert [c["name"] for c in doc["checks"]] == ["generator_invariance"]
 
     flags = dict(BASE_FLAGS, kind="koashi_imoto", params=None, seed=1)
     code, doc = run_report("random", [], flags)
@@ -216,16 +221,98 @@ def test_scaled_invariant_cp_map_factorizes_and_a_perturbed_one_does_not(scale):
     assert code == 1 and doc["error"]["type"] == "NotInvariant"
 
 
+def _check(doc, name) -> dict:
+    (check,) = [c for c in doc["checks"] if c["name"] == name]
+    return check
+
+
+def _scaled(g: GKLSRep, scale: float, v=None, k=None) -> GKLSRep:
+    """(V, K) ↦ (scale·V, scale²·K), which scales L by scale²; ``v``/``k``
+    replace the scaled parts."""
+    v = scale * g.v if v is None else v
+    k = scale**2 * g.k if k is None else k
+    return GKLSRep(g.d, StinespringRep(g.d, g.d, g.d_env, v), k)
+
+
 @pytest.mark.parametrize("scale", [1.0, 1e4])
 def test_scaled_invariant_generator_has_a_normal_form_and_a_perturbed_one_not(scale):
     bundle = random_instance("gkls", seed=3)
     g = bundle.payload
 
     def run(command, v):
-        scaled = GKLSRep(g.d, StinespringRep(g.d, g.d, g.d_env, v), scale**2 * g.k)
-        return run_report(command, [InstanceBundle("gkls", scaled, bundle.meta)],
-                          dict(BASE_FLAGS))[0]
+        return run_report(command, [InstanceBundle("gkls", _scaled(g, scale, v=v), bundle.meta)],
+                          dict(BASE_FLAGS))
 
-    assert run("check-invariance", scale * g.v) == 0
-    assert run("gkls-normal-form", scale * g.v) == 0
-    assert run("gkls-normal-form", _perturbed(scale * g.v, 1e-6)) == 1
+    code, checked = run("check-invariance", scale * g.v)
+    assert code == 0
+    assert max(checked["result"]["per_element_residuals"]) == \
+        _check(checked, "generator_invariance")["residual"]
+    code, formed = run("gkls-normal-form", scale * g.v)
+    assert code == 0
+    # one limit for one residual, whichever command checks it
+    assert _check(checked, "generator_invariance") == _check(formed, "generator_invariance")
+    for command in ("check-invariance", "gkls-normal-form"):
+        code, doc = run(command, _perturbed(scale * g.v, 1e-6))
+        assert code == 1 and doc["error"]["type"] == "NotInvariant"
+        failed = _check(doc, "generator_invariance")
+        assert not failed["passed"] and failed["residual"] > failed["tolerance"]
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e4])
+def test_gauge_compare_rejects_a_generator_with_k_perturbed(scale):
+    g = _scaled(random_instance("gkls", seed=3).payload, scale)
+    g_min = InstanceBundle("gkls", gkls_mod.gkls_minimalize(g).g_min, {})
+    assert run_report("gauge-compare", [g_min, InstanceBundle("gkls", g, {})],
+                      dict(BASE_FLAGS))[0] == 0
+    bent = InstanceBundle("gkls", _scaled(g, 1.0, k=_perturbed(g.k, 1e-6)), {})
+    code, doc = run_report("gauge-compare", [g_min, bent], dict(BASE_FLAGS))
+    assert code == 1 and doc["error"]["type"] == "NotSameGenerator"
+    assert not _check(doc, "same_generator")["passed"]
+
+
+K_ONLY = {"factors": [[2, 2]], "d0": 0, "d_env": 2, "k_only": True}
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e4])
+def test_dfs_certifies_a_scaled_k_only_generator_and_rejects_k_perturbed(scale):
+    bundle = random_instance("gkls", params=K_ONLY, seed=4)
+    g = _scaled(bundle.payload, scale)
+    code, doc = run_report("dfs", [InstanceBundle("gkls", g, bundle.meta)], dict(BASE_FLAGS))
+    assert code == 0, doc.get("error")
+    bent = _scaled(g, 1.0, k=_perturbed(g.k, 1e-6))
+    code, doc = run_report("dfs", [InstanceBundle("gkls", bent, bundle.meta)], dict(BASE_FLAGS))
+    assert code == 1 and doc["error"]["type"] == "NotInvariant"
+
+
+def test_dfs_lists_the_generator_invariance_check_once():
+    code, doc = run_report("dfs", [random_instance("gkls", params=K_ONLY, seed=4)],
+                           dict(BASE_FLAGS))
+    names = [c["name"] for c in doc["checks"]]
+    assert code == 0 and names.count("generator_invariance") == 1
+    assert "dfs_invariance" not in names
+
+
+# ---------------------------------------------------------------------------
+# one tolerance policy: no bare tolerance literal outside a named constant
+# ---------------------------------------------------------------------------
+
+_LITERAL = re.compile(r"\d+(\.\d+)?e-\d+")
+
+
+def _bare_tolerance_literals(path: Path) -> list[str]:
+    """``1e-N``-style number tokens of the module that are not the value of a
+    module-level ``NAME = <number>`` assignment."""
+    src = path.read_text(encoding="utf-8")
+    named = {node.value.lineno for node in ast.parse(src).body
+             if isinstance(node, (ast.Assign, ast.AnnAssign))
+             and isinstance(node.value, ast.Constant)}
+    return [f"{path.name}:{tok.start[0]}: {tok.string}"
+            for tok in tokenize.generate_tokens(io.StringIO(src).readline)
+            if tok.type == tokenize.NUMBER and _LITERAL.fullmatch(tok.string)
+            and tok.start[0] not in named]
+
+
+def test_no_bare_tolerance_literal_in_the_package():
+    modules = sorted((Path(__file__).resolve().parents[1] / "src" / "igkls").glob("*.py"))
+    assert len(modules) >= 10
+    assert [hit for path in modules for hit in _bare_tolerance_literals(path)] == []
