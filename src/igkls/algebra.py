@@ -267,10 +267,13 @@ def close_star_algebra(generators, unital: bool, tol: float = TOL_RANK,
     *-closed: each sweep multiplies the directions the previous sweep added
     by an orthonormal basis of G from the left and keeps what is new, until
     nothing is (one sweep per word length, so a single diagonal generator
-    with d distinct eigenvalues takes d sweeps).  With ``unital=True`` the
-    identity is included up front.  With no generators at all, ``dim`` fixes
-    the ambient space (the scalars on C¹ when omitted).  A generator with a
-    NaN or infinite entry raises :class:`NotClosed`.
+    with d distinct eigenvalues takes d sweeps).  A sweep whose candidate
+    block, projected off the basis, has ‖cand‖_F ≤ tol/2 ends the closure
+    without an SVD: σ_max ≤ ‖cand‖_F, so the rank rule would keep nothing.
+    With ``unital=True`` the identity is included up front; otherwise the
+    letters' orthonormal rows are the starting basis.  With no generators at
+    all, ``dim`` fixes the ambient space (the scalars on C¹ when omitted).
+    A generator with a NaN or infinite entry raises :class:`NotClosed`.
     """
     gens = [asmatrix(g) for g in generators]
     dims = {g.shape for g in gens}
@@ -287,13 +290,16 @@ def close_star_algebra(generators, unital: bool, tol: float = TOL_RANK,
         raise NotClosed("generators hold a non-finite entry", residual=size)
     d = gens[0].shape[0] if gens else (1 if dim is None else int(dim))
     letters = gens + [dag(g) for g in gens]
-    left = _stacked(_orthonormal_rows(letters, d, tol), d)[:, None]
-    basis = _orthonormal_rows(letters + ([eye(d)] if unital else []), d, tol)
+    rows = _orthonormal_rows(letters, d, tol)
+    left = _stacked(rows, d)[:, None]
+    basis = _orthonormal_rows(letters + [eye(d)], d, tol) if unital else rows
     new = basis
     while len(new) and len(left):
         cand = (left @ _stacked(new, d)).reshape(-1, d * d)
         for _ in range(2):  # the second pass restores orthogonality to ~eps
             cand -= (cand @ np.conj(basis.T)) @ basis
+        if frob(cand) <= tol / 2:  # σ_max ≤ ‖cand‖_F: the rule below keeps nothing
+            break
         _, s, vh = np.linalg.svd(cand, full_matrices=False)
         # the candidates are products of HS-unit matrices: norm at most 1
         new = vh[: int(np.count_nonzero(s > tol * max(1.0, s[0])))]

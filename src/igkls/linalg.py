@@ -9,8 +9,10 @@ Conventions used throughout the package:
   applies p⊗1_E and :func:`_on_env` applies 1_d⊗w, both by reshape, in
   place of a ``kron`` with an identity factor;
 * ``vec``/``unvec`` are row-major (C order), so ``vec(A X B) = (A ⊗ B^T) vec(X)``;
-* all rank decisions go through one SVD-based helper with a relative cutoff,
-  and all null spaces through :func:`null_space`;
+* rank decisions count singular values above a relative cutoff, and all
+  null spaces go through :func:`null_space`, which reads the rank off one
+  Hermitian eigensolve of aᴴa where an a-posteriori certificate shows that
+  the SVD would decide the same, and takes the SVD everywhere else;
 * the one matrix exponential is :func:`expm`, numpy only.
 """
 
@@ -145,24 +147,69 @@ def svd_rank(m: np.ndarray, tol: float = TOL_RANK) -> int:
     return int(np.count_nonzero(s > tol * s[0]))
 
 
+# The Gram route of null_space: δ = _GRAM_ROUNDING·(m+n)·ε·‖a‖_F² bounds
+# the error of the computed aᴴa and of its computed eigenvalues (a GEMM with
+# m-term sums, then a backward-stable Hermitian eigensolve), and the null
+# rows are kept when ‖a·V_k‖_F ≤ _NULL_RESIDUAL·n·ε·max(σ̂, scale)
+_GRAM_ROUNDING = 2.0
+_NULL_RESIDUAL = 64.0
+
+
 def null_space(a: np.ndarray, tol: float, scale: float) -> np.ndarray:
     """Orthonormal basis of ker a, one basis vector per row.
 
     Singular values above ``tol·max(σ_max, scale)`` count towards the rank;
     ``scale`` is a noise floor for inputs that may be pure rounding noise, where
-    a cutoff relative to σ_max alone would keep noise.  A tall input is first
-    reduced to its R factor, which has the same singular values and right
-    singular vectors, so the tall U is never formed.  A real input gives
-    real rows.
+    a cutoff relative to σ_max alone would keep noise.  The rank is first
+    read off one Hermitian eigensolve of G = aᴴa and kept only under the
+    certificate of :func:`_gram_null_rows`, which shows that the SVD rule
+    gives the same rank and that the rows are null to a fixed multiple of
+    machine precision.  Otherwise (a singular value between the cutoff and
+    G's resolution √δ, a small gap, a non-finite entry) the SVD decides: a
+    tall input is first reduced to its R factor, which has the same singular
+    values and right singular vectors, so the tall U is never formed.  The
+    two routes give different orthonormal bases of the same null space.  A
+    real input gives real rows.
     """
     a = np.asarray(a)
     a = a.astype(np.result_type(a.dtype, np.float64), copy=False)
+    rows = _gram_null_rows(a, tol, scale)
+    if rows is not None:
+        return rows
     if a.shape[0] > a.shape[1]:
         a = np.linalg.qr(a, mode="r")
     _, s, vh = np.linalg.svd(a)
     smax = s[0] if s.size else 0.0
     rank = int(np.count_nonzero(s > tol * max(smax, scale))) if smax > 0 else 0
     return np.conj(vh[rank:])
+
+
+def _gram_null_rows(a: np.ndarray, tol: float, scale: float) -> np.ndarray | None:
+    """The null rows of the m × n matrix a from G = aᴴa = V·diag(w)·Vᴴ (w
+    ascending), or None unless certified.
+
+    With σ̂ = √max(w_max, 0), the cutoff c = tol·max(σ̂, scale) and
+    k = #{w_i ≤ 2δ}, the rows V[:, :k]ᵀ are kept iff (i) k = n or
+    w_k − δ > c², so by Weyl's inequality the other n − k singular values
+    exceed c, and (ii) ‖a·V[:, :k]‖_F ≤ min(c, _NULL_RESIDUAL·n·ε·max(σ̂,
+    scale)), so by Courant–Fischer the k smallest are at most c.
+    """
+    m, n = a.shape
+    size = frob(a)
+    eps = np.finfo(np.float64).eps
+    delta = _GRAM_ROUNDING * (m + n) * eps * (size * size)
+    if not (a.size and math.isfinite(delta)):  # NaN, inf, or G would overflow
+        return None
+    w, v = np.linalg.eigh(dag(a) @ a)
+    top = max(math.sqrt(max(w[-1], 0.0)), scale)
+    cut = tol * top
+    k = int(np.count_nonzero(w <= 2 * delta))
+    if k < n and not w[k] - delta > cut * cut:
+        return None
+    null = v[:, :k]
+    if not frob(a @ null) <= min(cut, _NULL_RESIDUAL * n * eps * top):
+        return None
+    return np.ascontiguousarray(null.T)
 
 
 # Higham (2005): the largest ‖A‖₁ for which the degree-13 Padé approximant

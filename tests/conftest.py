@@ -202,6 +202,19 @@ def count_exact_closure(monkeypatch) -> list:
     return calls
 
 
+def count_svd(monkeypatch) -> list:
+    """The input shape of each ``numpy.linalg.svd`` call from then on."""
+    calls = []
+    real = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
 # ---------------------------------------------------------------------------
 # the probed GKLS instances of the benchmark's cli_chain workload
 # ---------------------------------------------------------------------------

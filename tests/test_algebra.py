@@ -32,6 +32,7 @@ from igkls import (
 from conftest import (
     PAULI,
     block_algebra_projector_oracle,
+    count_svd,
     crandn,
     NOT_CLOSED_SPANS,
     count_exact_closure,
@@ -857,6 +858,24 @@ def test_close_star_algebra_of_a_diagonal_generator_takes_one_sweep_per_power():
     assert alg.contains_identity
     for i in range(d):
         assert membership_residual(_unit(d, i, i), alg) <= 1e-9
+    assert max(closure_residuals(alg)) <= 1e-10
+
+
+def test_close_star_algebra_factorizes_once_per_sweep_that_finds_something(monkeypatch):
+    # two generic elements of ⊕_3 M_2 ⊗ 1_2 (d = 12, dimension 12): the
+    # letters' orthonormalization, then one sweep that reaches the whole
+    # algebra; the second sweep's 32 × 144 block is rounding noise
+    planted = algebra_from_decomposition(_planted(rng_for(236), 0, [(2, 2)] * 3))
+    g = crandn(rng_for(237), 2, planted.dim)
+    gens = [sum(c * b for c, b in zip(row, planted.basis)) for row in g]
+    calls = count_svd(monkeypatch)
+    alg = close_star_algebra(gens, unital=False)
+    assert calls == [(144, 4), (16, 144)]
+    monkeypatch.undo()
+    assert alg.dim == 12
+    assert alg.contains_identity
+    for b in planted.basis:
+        assert membership_residual(b, alg) <= 1e-9
     assert max(closure_residuals(alg)) <= 1e-10
 
 

@@ -54,6 +54,7 @@ from conftest import (
     PAULI,
     cli_chain_instance,
     count_exact_closure,
+    count_svd,
     crandn,
     haar_isometry,
     haar_unitary,
@@ -732,6 +733,21 @@ def test_koashi_imoto_runs_no_block_factorization_and_one_fixed_space_svd(monkey
         koashi_imoto_decompose(KrausSet(d, d, ops))
         assert len(calls) == 1
     assert called == []
+
+
+def test_fixed_space_of_the_planted_d12_channel_runs_no_svd(monkeypatch):
+    # the 144 × 144 real transfer matrix: its null space is certified from
+    # one Hermitian eigensolve of its Gram matrix
+    ops = _planted_ki_ops(rng_for(540), [(3, 2), (2, 3)])
+    calls = count_svd(monkeypatch)
+    hs = applications._fixed_space(ops, 12, 1e-9)
+    assert calls == []
+    monkeypatch.undo()
+    transfer = sum(np.kron(op, np.conj(op)) for op in ops)
+    want = _fixed_rows_oracle(transfer, max(1.0, sum(frob(op) ** 2 for op in ops)))
+    rows = hs.reshape(len(hs), -1)
+    assert len(hs) == len(want) == 13
+    assert frob(rows.T @ np.conj(rows) - want.T @ np.conj(want)) <= 1e-10
 
 
 def _nudged(xs, rel):

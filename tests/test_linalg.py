@@ -29,6 +29,7 @@ from igkls.linalg import _THETA_13, _isometry_lstsq, _on_env, _on_system, expm, 
 from conftest import (
     CLI_CHAIN_CASES,
     cli_chain_instance,
+    count_svd,
     crandn,
     haar_isometry,
     haar_unitary,
@@ -284,14 +285,14 @@ def _null_space_reference(a, tol, scale):
     return rank, np.conj(vh[rank:])
 
 
-def _assert_null_space_matches_reference(a, tol, scale):
+def _assert_null_space_matches_reference(a, tol, scale, proj_tol=1e-10):
     rank, want = _null_space_reference(a, tol, scale)
     got = null_space(a, tol, scale)
     assert got.shape == (a.shape[1] - rank, a.shape[1])
     assert frob(got @ dag(got) - eye(got.shape[0])) <= 1e-10
-    # rows are conjugated right singular vectors, so a·rowᵀ vanishes
-    assert frob(a @ got.T) <= 1e-9 * max(frob(a), scale, 1.0)
-    assert frob(got.T @ np.conj(got) - want.T @ np.conj(want)) <= 1e-10
+    # each row r is a null vector up to the cutoff: a·rᵀ vanishes
+    assert frob(a @ got.T) <= max(tol, 1e-9) * max(frob(a), scale, 1.0)
+    assert frob(got.T @ np.conj(got) - want.T @ np.conj(want)) <= proj_tol
     return got
 
 
@@ -384,6 +385,52 @@ def test_null_space_keeps_a_real_input_real():
         assert frob(got @ got.T - np.eye(len(got))) <= 1e-12
         assert frob(a @ got.T) <= 1e-12 * frob(a)
     assert null_space(np.eye(3, dtype=int), 1e-9, 0.0).dtype == np.float64
+
+
+def _planted_singular_values(rng, m, n, s, real):
+    """u·diag(s)·vᴴ for random isometries u (m × r) and v (n × r), r = len(s),
+    real orthogonal ones for a real input."""
+    if real:
+        u, v = (np.linalg.qr(rng.standard_normal((k, len(s))))[0] for k in (m, n))
+    else:
+        u, v = haar_isometry(rng, m, len(s)), haar_isometry(rng, n, len(s))
+    return (u * np.asarray(s)) @ dag(v)
+
+
+# (tol, the planted fourth singular value over σ_max = 1, rank, whether the
+# SVD answers); δ = 2·(m+n)·ε·‖a‖_F² is about 2e-14 here, and G = aᴴa
+# resolves singular values down to √(2δ) ≈ 2e-7
+_CERTIFICATE_CASES = [
+    # above the cutoff 1e-9, below G's resolution: ‖a·V_k‖_F ≈ 1e-8 > c
+    (1e-9, 1e-8, 4, True),
+    # rounding level: certified null, ‖a·V_k‖_F ≤ 64·n·ε ≈ 1.7e-13
+    (1e-9, 1e-13, 3, False),
+    # below a loose cutoff 1e-2 but resolved by G: w_k − δ ≈ 2.5e-5 ≤ c², so
+    # Weyl cannot place it above c
+    (1e-2, 5e-3, 3, True),
+    # below the cutoff, but rows with ‖a·V_k‖_F ≈ 1e-11 are not null to
+    # a multiple of machine precision
+    (1e-9, 1e-11, 3, True),
+]
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+@pytest.mark.parametrize("shape", [(16, 12), (7, 12), (12, 12)], ids=["tall", "wide", "square"])
+@pytest.mark.parametrize("tol, planted, rank, by_svd", _CERTIFICATE_CASES)
+def test_null_space_certificate_hands_unresolved_ranks_to_the_svd(
+        monkeypatch, shape, real, tol, planted, rank, by_svd):
+    m, n = shape
+    a = _planted_singular_values(rng_for(118), m, n, [1.0, 0.6, 0.3, planted], real)
+    calls = count_svd(monkeypatch)
+    got = null_space(a, tol, 0.0)
+    assert len(calls) == by_svd
+    monkeypatch.undo()
+    # a kept singular value of 1e-8 fixes the null space only to about
+    # ε/1e-8 (Wedin), so QR + SVD and the full-U reference differ by up to
+    # that much (1.3e-9 on the tall real input)
+    want = _assert_null_space_matches_reference(a, tol, 0.0, 1e-10 if rank == 3 else 1e-7)
+    assert want.shape == got.shape == (n - rank, n)
+    assert got.dtype == (np.float64 if real else np.complex128)
 
 
 # ---------------------------------------------------------------------------
