@@ -165,7 +165,7 @@ def null_space(a: np.ndarray, tol: float, scale: float) -> np.ndarray:
     certificate of :func:`_gram_null_rows`, which shows that the SVD rule
     gives the same rank and that the rows are null to a fixed multiple of
     machine precision.  Otherwise (a singular value between the cutoff and
-    G's resolution √δ, a small gap, a non-finite entry) the SVD decides: a
+    G's resolution √(2δ), a small gap, a non-finite entry) the SVD decides: a
     tall input is first reduced to its R factor, which has the same singular
     values and right singular vectors, so the tall U is never formed.  The
     two routes give different orthonormal bases of the same null space.  A
