@@ -32,6 +32,7 @@ from .linalg import (
     TOL_RANK,
     _linear_scale,
     _on_system,
+    _rank,
     asmatrix,
     dag,
     eye,
@@ -302,7 +303,7 @@ def close_star_algebra(generators, unital: bool, tol: float = TOL_RANK,
             break
         _, s, vh = np.linalg.svd(cand, full_matrices=False)
         # the candidates are products of HS-unit matrices: norm at most 1
-        new = vh[: int(np.count_nonzero(s > tol * max(1.0, s[0])))]
+        new = vh[: _rank(s, tol, 1.0)]
         basis = np.concatenate([basis, new])
     ident = _span_residuals(vec(eye(d))[None], basis)[0]
     return AlgebraBasis(d, list(_stacked(basis, d)),
@@ -661,13 +662,12 @@ def _decompose(mats: np.ndarray, d: int, tol: float,
     """The decomposition of span(``mats``), a finite basis stack, and each
     basis element's residual from its pattern algebra as the rows of
     :func:`_pattern_defects`."""
-    # support / null split (shared by all attempts; eigh is deterministic)
-    rows = mats.reshape(-1, d)  # Σ_k b_k†b_k as one product
-    w, vecs = np.linalg.eigh(dag(rows) @ rows)
-    if not w[-1] > 0:  # also for an empty basis
+    # support / null split (shared by all attempts): the null part is the
+    # common kernel of the basis, the support its orthogonal complement
+    e_null = null_space(mats.reshape(-1, d), tol, 0.0).T
+    e_supp = null_space(dag(e_null), tol, 1.0).T
+    if not e_supp.shape[1]:  # also for an empty basis
         return AtomicDecomposition(d, eye(d), d, []), np.zeros((len(mats), d * d))
-    null_mask = w <= tol * w[-1]
-    e_null, e_supp = vecs[:, null_mask], vecs[:, ~null_mask]
     restricted = dag(e_supp) @ mats @ e_supp
     return _retry_generic(
         lambda rng: _attempt_decompose(mats, restricted, e_null, e_supp, tol, rng), seed, "split")

@@ -67,7 +67,7 @@ from .errors import (
     verify,
 )
 from .gkls import AtomicNormalForm, GKLSRep, _generator_scale, _split, _split_normal_form, generator_superoperator, gkls_apply, reconstruct_from_normal_form, reduce_normal_form_minimal
-from .linalg import TOL_RANK, _linear_scale, _on_system, asmatrix, dag, expm, eye, frob, herm, im_part, kron, null_space, vec
+from .linalg import TOL_RANK, _linear_scale, _on_system, _rank, asmatrix, dag, expm, eye, frob, herm, im_part, kron, null_space, vec
 
 __all__ = [
     "SemicausalReport",
@@ -398,15 +398,14 @@ def maximal_abelian_coefficients(
     t = _to_frame(rep.v, dec, e)  # factor i is frame index i
     psi = [[t[i, :, j, :] for j in range(d)] for i in range(d)]
 
-    cut = max(tol, RANK_FLOOR) * v_scale
     coeff = np.zeros((e, e, d), dtype=np.complex128)       # C_i stack
     coeff_adj = np.zeros((e, e, d), dtype=np.complex128)   # same for c†
     for i in range(d):
         for j in range(d):
             vec_ij = psi[i][j]
-            nrm2 = float(np.real(dag(vec_ij) @ vec_ij)[0, 0])
-            if nrm2 <= cut * cut:
+            if not _rank([frob(vec_ij)], tol, v_scale):  # rounding noise at V's scale
                 continue
+            nrm2 = float(np.real(dag(vec_ij) @ vec_ij)[0, 0])
             outer = vec_ij @ dag(vec_ij)
             s = (c_diag[i] - c_diag[j]) / nrm2
             coeff[:, :, i] += s * outer
@@ -457,7 +456,7 @@ def _fixed_space(ops: list[np.ndarray], d: int, tol: float) -> np.ndarray:
     s_r[np.diag_indices(d * d)] -= 1.0
     # noise floor: when the channel fixes everything, the whole matrix is
     # rounding noise and σ_max itself is ~eps
-    rows = null_space(s_r, max(tol, RANK_FLOOR), _map_scale(ops))
+    rows = null_space(s_r, tol, _map_scale(ops))
     w1, w2, perm = _hermitian_frame(d)
     return (rows * w1 + (rows * w2)[:, perm]).reshape(-1, d, d)
 
@@ -465,11 +464,10 @@ def _fixed_space(ops: list[np.ndarray], d: int, tol: float) -> np.ndarray:
 def _hermitian_span(xs: np.ndarray, tol: float) -> np.ndarray:
     """HS-orthonormal Hermitian basis of the span of the Hermitian (m, d, d)
     stack xs, by a real SVD of their (re, im) entries (their Gram matrix is
-    real), keeping the singular values above max(tol, RANK_FLOOR)·σ_max."""
+    real), of the rank :func:`linalg._rank` counts relative to σ_max."""
     m, d, _ = xs.shape
     _, s, vh = np.linalg.svd(np.ascontiguousarray(xs).reshape(m, -1).view(float), False)
-    rank = np.count_nonzero(s > max(tol, RANK_FLOOR) * s[0])
-    return np.ascontiguousarray(vh[:rank]).view(complex).reshape(-1, d, d)
+    return np.ascontiguousarray(vh[:_rank(s, tol, 0.0)]).view(complex).reshape(-1, d, d)
 
 
 def _dual_fixed_residual(ops: list[np.ndarray], ys: np.ndarray) -> float:
@@ -566,8 +564,8 @@ def koashi_imoto_decompose(
     w, vecs = np.linalg.eigh(herm(rho_max))
     if w[-1] <= 0:
         raise NoFixedState("maximal-rank candidate state vanished")
-    keep = w > max(tol, RANK_FLOOR) * w[-1]
-    r = int(np.count_nonzero(keep))
+    r = _rank(w, tol, 0.0)  # ρ_max ≥ 0: its eigenvalues are its singular values
+    keep = slice(d - r, d)  # w ascending
     q = dag(vecs[:, keep])  # (r, d), q·q† = 1_r
     pi_supp = dag(q) @ q
     supp_res = _worst(np.linalg.norm(hs - pi_supp @ hs @ pi_supp, axis=(1, 2))

@@ -558,9 +558,8 @@ def _render_text(doc: dict) -> str:
             lines.append(f"  [{mark}] {chk['name']}: residual {chk['residual']:.3e}"
                          f" vs tol {chk['tolerance']:.3e}")
     if "error" in doc:
-        err = doc["error"]
-        res = f" (residual {err['residual']:.3e})" if err.get("residual") is not None else ""
-        lines.append(f"  ERROR {err['type']}: {err['message']}{res}")
+        err = doc["error"]  # an IgklsError's message already ends in its residual
+        lines.append(f"  ERROR {err['type']}: {err['message']}")
     for key, value in doc.get("result", {}).items():
         if isinstance(value, (str, int, float, bool)):
             lines.append(f"  {key}: {value}")

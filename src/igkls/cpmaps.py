@@ -31,11 +31,11 @@ from .linalg import (
     _linear_scale,
     _on_env,
     _on_system,
+    _rank,
     asmatrix,
     dag,
     eye,
     frob,
-    svd_rank,
 )
 
 __all__ = [
@@ -221,11 +221,12 @@ def _env_slice_matrix(s: StinespringRep) -> np.ndarray:
 
 
 def stinespring_minimal_rank(s: StinespringRep, tol: float = TOL_RANK) -> int:
-    """Dimension of the span of the environment components of (⟨a|⊗1_E)v|c⟩.
+    """Dimension of the span of the environment components of (⟨a|⊗1_E)v|c⟩,
+    counted at the scale max(1, ‖v‖_F) of the residuals checked after it.
 
     Equals d_env exactly when the representation is minimal.
     """
-    return svd_rank(_env_slice_matrix(s), tol=tol)
+    return _rank(np.linalg.svd(_env_slice_matrix(s), compute_uv=False), tol, _linear_scale(s.v))
 
 
 def minimal_stinespring(
@@ -234,20 +235,13 @@ def minimal_stinespring(
     """Compress the environment to the span actually reached by the map.
 
     Returns ``(s_min, w)`` with ``w`` an isometry from the minimal environment
-    into the original one such that ``(1 ⊗ w)·v_min = v``.
+    into the original one such that ``(1 ⊗ w)·v_min = v``; the rank is
+    :func:`stinespring_minimal_rank`'s.
     """
-    m = _env_slice_matrix(s)
-    if m.size == 0 or frob(m) == 0.0:
-        v_min = np.zeros((0, s.d_out), dtype=np.complex128)
-        w = np.zeros((s.d_env, 0), dtype=np.complex128)
-        return StinespringRep(s.d_in, s.d_out, 0, v_min), w
-    u, sv, _ = np.linalg.svd(m, full_matrices=False)
-    rank = int(np.count_nonzero(sv > tol * sv[0]))
+    u, sv, _ = np.linalg.svd(_env_slice_matrix(s), full_matrices=False)
+    rank = _rank(sv, tol, _linear_scale(s.v))
     w = u[:, :rank]  # d_env × rank, isometry onto the reached span
-    p = dag(w)
-    v_min = _on_env(p, s.v, s.d_in)
-    s_min = StinespringRep(s.d_in, s.d_out, rank, v_min)
-    return s_min, w
+    return StinespringRep(s.d_in, s.d_out, rank, _on_env(dag(w), s.v, s.d_in)), w
 
 
 def _map_scale(*vs) -> float:
@@ -272,12 +266,11 @@ def stinespring_gauge(
     if (s1.d_in, s1.d_out) != (s2.d_in, s2.d_out):
         raise ValueError("representations act between different spaces")
     scale = _linear_scale(s1.v, s2.v)
-    m1 = _env_slice_matrix(s1)
-    if svd_rank(m1, tol=tol) < s1.d_env:
+    if stinespring_minimal_rank(s1, tol) < s1.d_env:
         raise NotMinimal("first representation has a compressible environment")
     verify("same_map", _same_map_residual(s1, s2), limit(tol, _map_scale(s1.v, s2.v)), NotSameMap,
            "representations define different maps")
-    w = _isometry_lstsq(m1, _env_slice_matrix(s2), limit(tol, scale))
+    w = _isometry_lstsq(_env_slice_matrix(s1), _env_slice_matrix(s2), limit(tol, scale))
     verify("gauge_transport", frob(_on_env(w, s1.v, s1.d_in) - s2.v), limit(tol, scale),
            NotSameMap, "gauge isometry does not connect the representations")
     return w
@@ -380,10 +373,7 @@ def _block_factorize(s: StinespringRep, dec_a: AtomicDecomposition,
             a_ij = a_min.v
 
             # totality: environment components of a_ij span all of H_F
-            if dfij and svd_rank(
-                a_ij.reshape(da, dfij, dc).transpose(1, 0, 2).reshape(dfij, da * dc),
-                tol=tol,
-            ) != dfij:
+            if stinespring_minimal_rank(a_min, tol) != dfij:
                 raise FactorizationResidual(
                     f"pair ({i},{j}): reduced dilation is not minimal"
                 )

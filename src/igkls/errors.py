@@ -14,7 +14,8 @@ Tolerance policy: every limit is :func:`limit`, max(tol, VERIFY_FLOOR) times
 the scale of the residual times a per-check factor.  The scales are
 max(1, ‖V‖_F) for residuals linear in V, max(1, ‖v‖_F)² for those of Φ(X),
 and max(1, ‖V‖_F², ‖K‖_F) for those of L, of K and of superoperator
-distances.  Relative rank and noise cutoffs floor tol at RANK_FLOOR.
+distances.  Every rank decision is ``linalg._rank``: tol floored at
+RANK_FLOOR, relative to max(σ_max, the scale of the check that follows).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ TOL_RANK = 1e-9  # default relative tolerance of rank decisions
 TOL_VERIFY = 1e-9  # default tolerance of residual checks
 TOL_PROBE = 1e-6  # default tolerance of the semigroup probe's relative residuals
 VERIFY_FLOOR = 1e-10  # the least tolerance a residual limit is computed from
-RANK_FLOOR = 1e-12  # the least tolerance of a relative rank or noise cutoff
+RANK_FLOOR = 1e-12  # the least tolerance of a rank decision
 
 # the sink of the open recording: called as sink(name, residual, limit)
 _SINK: ContextVar = ContextVar("igkls_check_sink", default=None)

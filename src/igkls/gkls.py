@@ -67,13 +67,12 @@ from .linalg import (
     _linear_scale,
     _on_env,
     _on_system,
+    _rank,
     asmatrix,
     dag,
     eye,
     frob,
     im_part,
-    orthonormalize_span,
-    svd_rank,
 )
 
 __all__ = [
@@ -322,23 +321,17 @@ def _commutator_env_family(v: np.ndarray, d: int, e: int) -> np.ndarray:
     return np.concatenate([sl[:, ~np.eye(d, dtype=bool)], diag[:, 1:] - diag[:, :1]], axis=1)
 
 
-def _commutator_full_family(v: np.ndarray, d: int, e: int, tol: float) -> np.ndarray:
-    """Reduced generating set of span{((X⊗1_E)v − vX)|ψ⟩} in C^d ⊗ C^e, as
-    columns: |b⟩⊗w_k for an orthonormal basis w_k of the off-diagonal
-    slices, then |b⟩⊗slice(c,c) − v|b⟩, each in (b, ·) row-major order."""
-    sl = v.reshape(d, e, d)
-    off = sl.transpose(1, 0, 2)[:, ~np.eye(d, dtype=bool)]
-    w = orthonormalize_span(off.T, tol=tol, ambient_dim=e).vectors.T  # e × r
-    ident = np.eye(d)[:, None, :, None]
-    on_basis = (ident * w[None, :, None, :]).reshape(d * e, d * w.shape[1])
-    diag = np.einsum("cec->ec", sl)
-    shifted = (ident * diag[None, :, None, :] - sl[..., None]).reshape(d * e, d * d)
-    return np.concatenate([on_basis, shifted], axis=1)
-
-
 def gkls_minimal_rank(s: StinespringRep, tol: float = TOL_RANK) -> int:
-    """dim span{((X⊗1_E)v − vX)|ψ⟩}; equals d·d_env iff (V, K) is minimal."""
-    return svd_rank(_commutator_full_family(s.v, s.d_in, s.d_env, tol), tol=tol)
+    """dim span{((X⊗1_E)v − vX)|ψ⟩}; equals d·d_env iff (V, K) is minimal.
+
+    The span is invariant under M_d⊗1, since
+    (YX⊗1)v − vYX = (Y⊗1)((X⊗1)v − vX) + ((Y⊗1)v − vY)X, so it is
+    C^d ⊗ E′ with E′ the span of :func:`_commutator_env_family`, and its
+    dimension is d·dim E′.  dim E′ is counted at the scale max(1, ‖v‖_F) of
+    the residuals checked after it.
+    """
+    fam = _commutator_env_family(s.v, s.d_in, s.d_env)
+    return s.d_in * _rank(np.linalg.svd(fam, compute_uv=False), tol, _linear_scale(s.v))
 
 
 def _env_constant(resid: np.ndarray, d: int) -> tuple[np.ndarray, float]:
@@ -352,15 +345,15 @@ def _env_constant(resid: np.ndarray, d: int) -> tuple[np.ndarray, float]:
 def gkls_minimalize(g: GKLSRep, tol: float = TOL_RANK) -> MinimalizeResult:
     """Smallest environment realizing the same generator.
 
-    Projects the environment onto the span reached by the commutator family;
-    the discarded part of V is necessarily of the form 1⊗|φ̃⟩ and is absorbed
-    into K as  K_min = K − (1⊗⟨φ̃|)V + ½‖φ̃‖².
+    Projects the environment onto the span E′ reached by the commutator
+    family, of the dimension :func:`gkls_minimal_rank` counts; the discarded
+    part of V is necessarily of the form 1⊗|φ̃⟩ and is absorbed into K as
+    K_min = K − (1⊗⟨φ̃|)V + ½‖φ̃‖².
     """
-    d, e = g.d, g.d_env
-    fam = _commutator_env_family(g.v, d, e)
-    sb = orthonormalize_span(fam.T, tol=tol, ambient_dim=e)
-    p = np.conj(sb.vectors)  # rank × e, rows orthonormal: the projection H_E → H_E'
-    rank = sb.count
+    d = g.d
+    u, sv, _ = np.linalg.svd(_commutator_env_family(g.v, d, g.d_env), full_matrices=False)
+    rank = _rank(sv, tol, _linear_scale(g.v))
+    p = dag(u[:, :rank])  # rank × e, rows orthonormal: the projection H_E → H_E'
     v_min = _on_env(p, g.v, d)
     phi, structure = _env_constant(g.v - _on_env(dag(p) @ p, g.v, d), d)
     verify("compression_structure", structure, limit(tol, _linear_scale(g.v)), FactorizationResidual,
@@ -392,10 +385,10 @@ def gkls_gauge(g1: GKLSRep, g2: GKLSRep, tol: float = TOL_RANK) -> GklsGauge:
     v_scale, l_scale = _linear_scale(g1.v, g2.v), _generator_scale(g1, g2)
     verify("same_generator", _superop_distance(g1, g2), limit(tol, l_scale),
            NotSameGenerator, "inputs define different generators")
-    m1 = _commutator_env_family(g1.v, d, g1.d_env)
-    if svd_rank(m1, tol=tol) < g1.d_env:
+    if gkls_minimal_rank(g1.stine, tol) < d * g1.d_env:
         raise NotMinimal("first generator has a compressible environment")
-    w = _isometry_lstsq(m1, _commutator_env_family(g2.v, d, g2.d_env), limit(tol, v_scale))
+    w = _isometry_lstsq(_commutator_env_family(g1.v, d, g1.d_env),
+                        _commutator_env_family(g2.v, d, g2.d_env), limit(tol, v_scale))
     psi, structure = _env_constant(g2.v - _on_env(w, g1.v, d), d)
     verify("gauge_v_structure", structure, limit(tol, v_scale, 100), NotSameGenerator,
            "V difference is not of gauge form")

@@ -9,10 +9,10 @@ Conventions used throughout the package:
   applies p⊗1_E and :func:`_on_env` applies 1_d⊗w, both by reshape, in
   place of a ``kron`` with an identity factor;
 * ``vec``/``unvec`` are row-major (C order), so ``vec(A X B) = (A ⊗ B^T) vec(X)``;
-* rank decisions count singular values above a relative cutoff, and all
-  null spaces go through :func:`null_space`, which reads the rank off one
-  Hermitian eigensolve of aᴴa where an a-posteriori certificate shows that
-  the SVD would decide the same, and takes the SVD everywhere else;
+* every rank decision is :func:`_rank`, and all null spaces go through
+  :func:`null_space`, which reads the rank off one Hermitian eigensolve of
+  aᴴa where an a-posteriori certificate shows that the SVD would decide the
+  same, and takes the SVD everywhere else;
 * the one matrix exponential is :func:`expm`, numpy only.
 """
 
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import TOL_RANK, TOL_VERIFY  # noqa: F401  (re-exported)
+from .errors import RANK_FLOOR, TOL_RANK, TOL_VERIFY  # noqa: F401  (re-exported)
 
 
 def asmatrix(a) -> np.ndarray:
@@ -136,15 +136,18 @@ class SubspaceBasis:
         return r.T @ np.conj(r)
 
 
+def _rank(s, tol: float, scale: float) -> int:
+    """The one rank rule: #{σ ∈ s : σ > max(tol, RANK_FLOOR)·max(σ_max, scale)},
+    with ``scale`` that of the residual checked after the decision (0 keeps
+    the cutoff relative), so that both agree on what counts as zero."""
+    s = np.asarray(s, dtype=np.float64)
+    top = max(scale, float(s.max())) if s.size else scale
+    return int(np.count_nonzero(s > max(tol, RANK_FLOOR) * top))
+
+
 def svd_rank(m: np.ndarray, tol: float = TOL_RANK) -> int:
-    """Number of singular values above ``tol`` relative to the largest one."""
-    m = asmatrix(m)
-    if m.size == 0:
-        return 0
-    s = np.linalg.svd(m, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > tol * s[0]))
+    """:func:`_rank` of m relative to its largest singular value."""
+    return _rank(np.linalg.svd(asmatrix(m), compute_uv=False), tol, 0.0)
 
 
 # The Gram route of null_space: δ = _GRAM_ROUNDING·(m+n)·ε·‖a‖_F² bounds
@@ -158,14 +161,16 @@ _NULL_RESIDUAL = 64.0
 def null_space(a: np.ndarray, tol: float, scale: float) -> np.ndarray:
     """Orthonormal basis of ker a, one basis vector per row.
 
-    Singular values above ``tol·max(σ_max, scale)`` count towards the rank;
-    ``scale`` is a noise floor for inputs that may be pure rounding noise, where
-    a cutoff relative to σ_max alone would keep noise.  The rank is first
-    read off one Hermitian eigensolve of G = aᴴa and kept only under the
-    certificate of :func:`_gram_null_rows`, which shows that the SVD rule
-    gives the same rank and that the rows are null to a fixed multiple of
-    machine precision.  Otherwise (a singular value between the cutoff and
-    G's resolution √(2δ), a small gap, a non-finite entry) the SVD decides: a
+    :func:`_rank` decides; ``scale`` is a noise floor for inputs that may be
+    pure rounding noise, where a cutoff relative to σ_max alone would keep
+    noise.  With ‖a‖_F ≤ max(tol, RANK_FLOOR)·scale/2 all n unit rows are
+    null (σ_max ≤ ‖a‖_F; the half absorbs the rounding of the norm) and no
+    factorization runs.  Otherwise the rank is first read off one Hermitian
+    eigensolve of G = aᴴa and kept only under the certificate of
+    :func:`_gram_null_rows`, which shows that the SVD rule gives the same
+    rank and that the rows are null to a fixed multiple of machine
+    precision.  Otherwise (a singular value between the cutoff and G's
+    resolution √(2δ), a small gap, a non-finite entry) the SVD decides: a
     tall input is first reduced to its R factor, which has the same singular
     values and right singular vectors, so the tall U is never formed.  The
     two routes give different orthonormal bases of the same null space.  A
@@ -173,15 +178,16 @@ def null_space(a: np.ndarray, tol: float, scale: float) -> np.ndarray:
     """
     a = np.asarray(a)
     a = a.astype(np.result_type(a.dtype, np.float64), copy=False)
+    tol = max(tol, RANK_FLOOR)
+    if frob(a) <= tol * scale / 2:  # σ_max ≤ ‖a‖_F: pure rounding noise
+        return np.eye(a.shape[1], dtype=a.dtype)
     rows = _gram_null_rows(a, tol, scale)
     if rows is not None:
         return rows
     if a.shape[0] > a.shape[1]:
         a = np.linalg.qr(a, mode="r")
     _, s, vh = np.linalg.svd(a)
-    smax = s[0] if s.size else 0.0
-    rank = int(np.count_nonzero(s > tol * max(smax, scale))) if smax > 0 else 0
-    return np.conj(vh[rank:])
+    return np.conj(vh[_rank(s, tol, scale):])
 
 
 def _gram_null_rows(a: np.ndarray, tol: float, scale: float) -> np.ndarray | None:
@@ -263,8 +269,8 @@ def expm(a: np.ndarray) -> np.ndarray:
 def orthonormalize_span(vectors, tol: float = TOL_RANK, ambient_dim: int | None = None) -> SubspaceBasis:
     """Orthonormal basis of the span of the given vectors.
 
-    The rank decision uses singular values above ``tol·σ_max``.  An empty input
-    is legal but then ``ambient_dim`` must be supplied.
+    The rank is :func:`_rank`'s relative to σ_max.  An empty input is legal
+    but then ``ambient_dim`` must be supplied.
     """
     vecs = [np.asarray(v, dtype=np.complex128).reshape(-1) for v in vectors]
     if not vecs:
@@ -279,8 +285,7 @@ def orthonormalize_span(vectors, tol: float = TOL_RANK, ambient_dim: int | None 
         raise ValueError("ambient_dim does not match the vectors")
     a = np.stack(vecs, axis=1)  # columns are the vectors
     u, s, _ = np.linalg.svd(a, full_matrices=False)
-    rank = 0 if s.size == 0 or s[0] == 0.0 else int(np.count_nonzero(s > tol * s[0]))
-    return SubspaceBasis(dim, u[:, :rank].T)
+    return SubspaceBasis(dim, u[:, :_rank(s, tol, 0.0)].T)
 
 
 def subspace_residual(basis: SubspaceBasis, v) -> float:

@@ -155,6 +155,29 @@ def test_minimal_stinespring_keeps_already_minimal_inputs():
     assert frob(kron(eye(2), w) @ s_min.v - s.v) <= 1e-12
 
 
+def test_minimal_stinespring_then_gauge_over_random_maps():
+    for seed in range(40):
+        s = random_instance("cp_map", seed=seed).payload.stine
+        s_min, _ = minimal_stinespring(s)
+        assert stinespring_minimal_rank(s_min) == s_min.d_env
+        stinespring_gauge(s_min, s)
+
+
+@pytest.mark.parametrize("factor", [1.0, 1e4])
+def test_minimal_stinespring_keeps_a_small_genuine_environment(factor):
+    # a second Kraus operator at 1e-6·‖v‖_F is kept at v·1 and at v·10⁴;
+    # at 1e-13·‖v‖_F it is below tol·‖v‖_F and goes
+    rng = rng_for(316)
+    d = 3
+    for weight, kept in [(1e-6, 2), (1e-13, 1)]:
+        big, small = crandn(rng, d, d), crandn(rng, d, d)
+        ops = [big, weight * frob(big) / frob(small) * small]
+        s = kraus_to_stinespring(KrausSet(d_in=d, d_out=d, ops=[factor * op for op in ops]))
+        s_min, _ = minimal_stinespring(s)
+        assert s_min.d_env == stinespring_minimal_rank(s) == kept
+        stinespring_gauge(s_min, s)
+
+
 @pytest.mark.parametrize("stinespring", [False, True], ids=["kraus", "stinespring"])
 def test_choi_of_rectangular_map_matches_unit_loop_oracle(stinespring):
     # d_in ≠ d_out pins the (k, p), (l, q) index order of the unit-image tensor

@@ -336,6 +336,41 @@ def test_cli_text_rendering(capsys):
     assert "[PASS]" in out
 
 
+def test_cli_error_line_prints_the_residual_once(tmp_path, capsys):
+    params = '{"factors": [[2, 2]], "d0": 0, "d_env": 2}'
+    paths = [tmp_path / f"g{seed}.json" for seed in (1, 2)]
+    for seed, path in zip((1, 2), paths):
+        assert run_cli(capsys, ["random", "--kind", "gkls", "--seed", str(seed),
+                                "--params", params, "--out", str(path)])[0] == 0
+    argv = ["gauge-compare", "--in", str(paths[0]), "--in", str(paths[1])]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 1
+    err = json.loads(out)["error"]
+    assert err["type"] == "NotSameGenerator"
+    assert isinstance(err["residual"], float) and err["residual"] > 0
+    assert err["message"].endswith(f"(residual={err['residual']:.3e})")
+    code, out, _ = run_cli(capsys, argv + ["--text"])
+    assert code == 1
+    (line,) = [ln for ln in out.splitlines() if "ERROR" in ln]
+    assert line.count("residual") == 1
+
+
+@pytest.mark.parametrize("seed", [13, 173])
+def test_cli_minimalize_drops_a_rounding_noise_environment(tmp_path, capsys, seed):
+    # the commutator family of these generators is rounding noise (σ ~ 1e-16):
+    # the minimal environment is empty, and g_min is gauge-equivalent to g
+    g, gm = tmp_path / "g.json", tmp_path / "gm.json"
+    assert run_cli(capsys, ["random", "--kind", "gkls", "--seed", str(seed),
+                            "--out", str(g)])[0] == 0
+    code, out, _ = run_cli(capsys, ["minimalize", "--in", str(g), "--out", str(gm)])
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["d_env_before"] > 0 and result["d_env_after"] == 0
+    code, out, _ = run_cli(capsys, ["gauge-compare", "--in", str(gm), "--in", str(g)])
+    assert code == 0, out
+    assert json.loads(out)["ok"] is True
+
+
 def test_cli_run_report_is_reproducible():
     flags = dict(BASE_FLAGS, seed=9, kind="gkls", params=None)
     code1, doc1 = run_report("random", [], flags)

@@ -351,6 +351,31 @@ def test_null_space_noise_floor_on_central_and_abelian_bases():
     assert null_space(rows, 1e-9, 0.0).shape[0] < d
 
 
+def test_null_space_of_pure_rounding_noise_runs_no_factorization(monkeypatch):
+    # ‖a‖_F ≤ tol·scale/2 bounds σ_max below the cutoff: every row is null,
+    # with no eigensolve and no SVD
+    rng = rng_for(114)
+    d = 6
+    u = haar_unitary(rng, d)
+    stacked = _commutator_stack([u @ (eye(d) / np.sqrt(d)) @ dag(u)])
+    assert 0.0 < frob(stacked) <= 1e-9 / 2
+    _, want = _null_space_reference(stacked, 1e-9, 1.0)
+    svds = count_svd(monkeypatch)
+    eighs = []
+    real_eigh = np.linalg.eigh
+
+    def counted_eigh(a, *args, **kwargs):
+        eighs.append(np.shape(a))
+        return real_eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    got = null_space(stacked, 1e-9, 1.0)
+    assert svds == [] and eighs == []
+    monkeypatch.undo()
+    assert got.shape == (d * d, d * d)
+    assert frob(got.T @ np.conj(got) - want.T @ np.conj(want)) <= 1e-10
+
+
 def test_null_space_noise_floor_on_a_channel_that_fixes_everything():
     rng = rng_for(115)
     d = 4

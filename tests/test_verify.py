@@ -316,3 +316,32 @@ def test_no_bare_tolerance_literal_in_the_package():
     modules = sorted((Path(__file__).resolve().parents[1] / "src" / "igkls").glob("*.py"))
     assert len(modules) >= 10
     assert [hit for path in modules for hit in _bare_tolerance_literals(path)] == []
+
+
+# ---------------------------------------------------------------------------
+# one rank rule: linalg._rank decides every rank, no module counts its own
+# ---------------------------------------------------------------------------
+
+_RANK_RULE = ("count_nonzero(", "max(tol, RANK_FLOOR)")
+
+
+def _rank_rule_lines(path: Path) -> list[str]:
+    """Lines of the module outside its docstrings that count singular values
+    or floor a tolerance at RANK_FLOOR themselves."""
+    src = path.read_text(encoding="utf-8")
+    docs = set()
+    for node in ast.walk(ast.parse(src)):
+        body = getattr(node, "body", None)
+        if isinstance(body, list) and body and isinstance(body[0], ast.Expr) \
+                and isinstance(body[0].value, ast.Constant) and isinstance(body[0].value.value, str):
+            docs.update(range(body[0].lineno, body[0].end_lineno + 1))
+    return [f"{path.name}:{n}: {line.strip()}" for n, line in enumerate(src.splitlines(), 1)
+            if n not in docs and any(p in line for p in _RANK_RULE)]
+
+
+def test_the_rank_rule_exists_once_in_linalg():
+    modules = sorted((Path(__file__).resolve().parents[1] / "src" / "igkls").glob("*.py"))
+    assert len(modules) >= 10
+    hits = {path.name: _rank_rule_lines(path) for path in modules}
+    assert hits.pop("linalg.py")  # the matcher sees the rule where it lives
+    assert [hit for lines in hits.values() for hit in lines] == []
