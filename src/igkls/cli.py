@@ -24,6 +24,7 @@ import json
 import math
 import sys
 import time
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -34,23 +35,6 @@ from .algebra import (
     algebra_from_decomposition,
     atomic_decompose,
     invariance_residuals,
-)
-from .applications import (
-    dfs_verify_normal_form,
-    koashi_imoto_decompose,
-    maximal_abelian_coefficients,
-    semicausal_check,
-    semigroup_invariance_probe,
-)
-from .cpmaps import (
-    StinespringRep,
-    _cp_invariance,
-    atomic_block_factorize,
-    choi,
-    kraus_to_stinespring,
-    minimal_stinespring,
-    stinespring_gauge,
-    stinespring_to_kraus,
 )
 from .errors import (
     TOL_PROBE,
@@ -63,18 +47,6 @@ from .errors import (
     _recording,
     limit,
 )
-from .gkls import (
-    GKLSRep,
-    _generator_invariance,
-    atomic_normal_form,
-    gkls_gauge,
-    gkls_minimalize,
-    invariant_split,
-    normal_form_gauge,
-    normal_form_residuals,
-    reconstruct_from_normal_form,
-    reduce_normal_form_minimal,
-)
 from .io import (
     KINDS,
     CpMapRecord,
@@ -82,6 +54,7 @@ from .io import (
     _decode_algebra,
     _decode_cmatrix,
     _encode_algebra,
+    _is_int,
     bundle_to_dict,
     decode,
     encode_cmatrix,
@@ -90,6 +63,12 @@ from .io import (
     write_bundle,
 )
 from .linalg import _linear_scale, dag, eye, frob
+
+# cpmaps, gkls and applications are imported by the command bodies that run
+# them: an algebra command loads neither, a GKLS command no applications
+if TYPE_CHECKING:
+    from .cpmaps import StinespringRep
+    from .gkls import GKLSRep
 
 __all__ = ["main", "run_report", "COMMANDS"]
 
@@ -192,12 +171,16 @@ def _algebra_for(bundles: list[InstanceBundle], primary: InstanceBundle,
 
 
 def _heisenberg_stine(rec: CpMapRecord) -> StinespringRep:
+    from .cpmaps import kraus_to_stinespring, stinespring_to_kraus
+
     if rec.picture == "heisenberg":
         return rec.stine
     return kraus_to_stinespring(kraus_picture_adjoint(stinespring_to_kraus(rec.stine)))
 
 
 def _schrodinger_kraus(rec: CpMapRecord):
+    from .cpmaps import stinespring_to_kraus
+
     ks = stinespring_to_kraus(rec.stine)
     if rec.picture == "schrodinger":
         return ks
@@ -257,11 +240,15 @@ def _cmd_check_invariance(bundles, flags, rep: _Report):
     tol = flags["tol_verify"]
     gb = _pick(bundles, "gkls", required=False)
     if gb is not None:
+        from .gkls import _generator_invariance
+
         residuals = _generator_invariance(gb.payload, _algebra_for(bundles, gb, tol), tol)
         rep.info("per_element_residuals", residuals.tolist())
         return None
     mb = _pick(bundles, "cp_map", required=False)
     if mb is not None:
+        from .cpmaps import _cp_invariance
+
         dec = _algebra_for(bundles, mb, tol)
         report = _cp_invariance(_heisenberg_stine(mb.payload), dec, dec, tol)
         rep.info("per_element_residuals", report.residuals)
@@ -270,6 +257,8 @@ def _cmd_check_invariance(bundles, flags, rep: _Report):
 
 
 def _cmd_cp_factorize(bundles, flags, rep: _Report):
+    from .cpmaps import atomic_block_factorize
+
     mb = _pick(bundles, "cp_map")
     dec = _algebra_for(bundles, mb, flags["tol_verify"])
     bf = atomic_block_factorize(_heisenberg_stine(mb.payload), dec, dec, tol=flags["tol_rank"])
@@ -279,6 +268,8 @@ def _cmd_cp_factorize(bundles, flags, rep: _Report):
 
 
 def _cmd_gkls_normal_form(bundles, flags, rep: _Report):
+    from .gkls import atomic_normal_form
+
     tol = flags["tol_verify"]
     gb = _pick(bundles, "gkls")
     g: GKLSRep = gb.payload
@@ -292,6 +283,8 @@ def _cmd_gkls_normal_form(bundles, flags, rep: _Report):
 
 
 def _cmd_gkls_reconstruct(bundles, flags, rep: _Report):
+    from .gkls import invariant_split, reconstruct_from_normal_form
+
     tol = flags["tol_verify"]
     nb = _pick(bundles, "normal_form")
     nf = nb.payload
@@ -312,6 +305,8 @@ def _cmd_minimalize(bundles, flags, rep: _Report):
     tol = flags["tol_verify"]
     mb = _pick(bundles, "cp_map", required=False)
     if mb is not None:
+        from .cpmaps import choi, minimal_stinespring
+
         recm: CpMapRecord = mb.payload
         s = recm.stine
         s_min, w = minimal_stinespring(s, tol=flags["tol_rank"])
@@ -325,6 +320,8 @@ def _cmd_minimalize(bundles, flags, rep: _Report):
                               dict(mb.meta))
     gb = _pick(bundles, "gkls", required=False)
     if gb is not None:
+        from .gkls import gkls_minimalize
+
         g: GKLSRep = gb.payload
         out = gkls_minimalize(g, tol=flags["tol_rank"])
         rep.info("d_env_before", g.d_env)
@@ -332,6 +329,8 @@ def _cmd_minimalize(bundles, flags, rep: _Report):
         return InstanceBundle("gkls", out.g_min, dict(gb.meta))
     nb = _pick(bundles, "normal_form", required=False)
     if nb is not None:
+        from .gkls import reduce_normal_form_minimal
+
         nf = nb.payload
         nf_min = reduce_normal_form_minimal(nf, tol=flags["tol_rank"])
         rep.info("d_env_before", nf.d_env)
@@ -344,6 +343,8 @@ def _cmd_gauge_compare(bundles, flags, rep: _Report):
     tol = flags["tol_verify"]
     b1, b2 = _pick_pair(bundles)
     if b1.kind == "cp_map":
+        from .cpmaps import minimal_stinespring, stinespring_gauge
+
         s1 = _heisenberg_stine(b1.payload)
         s2 = _heisenberg_stine(b2.payload)
         s1_min, _ = minimal_stinespring(s1, tol=flags["tol_rank"])
@@ -351,6 +352,8 @@ def _cmd_gauge_compare(bundles, flags, rep: _Report):
         rep.check("gauge_isometry", frob(dag(w) @ w - eye(w.shape[1])), limit(tol))
         rep.info("w", encode_cmatrix(w))
         return None
+    from .gkls import gkls_gauge, normal_form_gauge
+
     if b1.kind == "gkls":
         g1: GKLSRep = b1.payload
         g2: GKLSRep = b2.payload
@@ -368,6 +371,8 @@ def _cmd_gauge_compare(bundles, flags, rep: _Report):
 
 
 def _cmd_semicausal(bundles, flags, rep: _Report):
+    from .applications import semicausal_check
+
     tol = flags["tol_verify"]
     gb = _pick(bundles, "gkls")
     g: GKLSRep = gb.payload
@@ -375,10 +380,12 @@ def _cmd_semicausal(bundles, flags, rep: _Report):
     if split is None:
         params = gb.meta.get("params", {})
         if isinstance(params, dict) and "d_a" in params and "d_b" in params:
-            split = (int(params["d_a"]), int(params["d_b"]))
+            split = (params["d_a"], params["d_b"])
     if split is None:
         raise UsageError("semicausal needs the bipartition: pass --split dA,dB "
                          "(or store d_a/d_b in the bundle's meta.params)")
+    if not all(_is_int(x) and x >= 1 for x in split):
+        raise UsageError(f"the bipartition must be two positive integers, got {split!r}")
     d_a, d_b = split
     if d_a * d_b != g.d:
         raise UsageError(f"bipartition {d_a}·{d_b} does not match d = {g.d}")
@@ -390,6 +397,8 @@ def _cmd_semicausal(bundles, flags, rep: _Report):
 
 
 def _cmd_dfs(bundles, flags, rep: _Report):
+    from .applications import dfs_verify_normal_form
+
     tol = flags["tol_verify"]
     gb = _pick(bundles, "gkls")
     g: GKLSRep = gb.payload
@@ -405,6 +414,9 @@ def _cmd_dfs(bundles, flags, rep: _Report):
 
 
 def _cmd_abelian(bundles, flags, rep: _Report):
+    from .applications import maximal_abelian_coefficients
+    from .cpmaps import stinespring_to_kraus
+
     tol = flags["tol_verify"]
     mb = _pick(bundles, "cp_map")
     recm: CpMapRecord = mb.payload
@@ -423,6 +435,8 @@ def _cmd_abelian(bundles, flags, rep: _Report):
 
 
 def _cmd_koashi_imoto(bundles, flags, rep: _Report):
+    from .applications import koashi_imoto_decompose
+
     tol = flags["tol_verify"]
     mb = _pick(bundles, "cp_map")
     kraus = _schrodinger_kraus(mb.payload)
@@ -437,6 +451,8 @@ def _cmd_koashi_imoto(bundles, flags, rep: _Report):
 
 
 def _cmd_probe(bundles, flags, rep: _Report):
+    from .applications import semigroup_invariance_probe
+
     gb = _pick(bundles, "gkls")
     g: GKLSRep = gb.payload
     dec = _algebra_for(bundles, gb, flags["tol_verify"])
@@ -471,10 +487,16 @@ def _cmd_random(bundles, flags, rep: _Report):
     if kind in ("gkls", "cp_map"):
         dec = _decode_algebra(bundle.meta["algebra"], tol, "meta.algebra")
         if kind == "gkls":
+            from .gkls import _generator_invariance
+
             _generator_invariance(bundle.payload, dec, tol)
         else:
+            from .cpmaps import _cp_invariance
+
             _cp_invariance(bundle.payload.stine, dec, dec, tol)
     elif kind == "normal_form":
+        from .gkls import normal_form_residuals
+
         for name, value in normal_form_residuals(bundle.payload).items():
             rep.check(f"form_{name}", value, limit(tol, factor=100))
     elif kind == "algebra":

@@ -44,17 +44,22 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .algebra import AtomicDecomposition, _embed_a, _lift
-from .applications import KoashiImotoResult, koashi_imoto_decompose
-from .cpmaps import KrausSet, StinespringRep, kraus_to_stinespring, orthogonality_check, reassemble_factorization, BlockFactorization
 from .errors import (TOL_RANK, TOL_VERIFY, InvariantError, ParseError, SchemaError,
                      _isometry_limit, limit)
-from .gkls import AtomicNormalForm, GKLSRep, reconstruct_from_normal_form
 from .linalg import _linear_scale, dag, eye, frob
 from .rng import CounterRng
+
+# cpmaps, gkls and applications are imported by the codecs and samplers of
+# the kinds that use them, so that a command loads only the layers it runs
+if TYPE_CHECKING:
+    from .applications import KoashiImotoResult
+    from .cpmaps import KrausSet, StinespringRep
+    from .gkls import AtomicNormalForm, GKLSRep
 
 __all__ = [
     "KINDS",
@@ -93,6 +98,8 @@ class InstanceBundle:
 
 def kraus_picture_adjoint(k: KrausSet) -> KrausSet:
     """Swap Heisenberg ↔ Schrödinger by adjointing every operator."""
+    from .cpmaps import KrausSet
+
     return KrausSet(d_in=k.d_out, d_out=k.d_in, ops=[dag(op) for op in k.ops])
 
 
@@ -108,9 +115,14 @@ def _need(obj, key: str, path: str):
     return obj[key]
 
 
+def _is_int(v) -> bool:
+    """A JSON integer: an ``int`` that is not a ``bool`` (no float, no string)."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _int_field(obj, key: str, path: str, minimum: int = 0) -> int:
     v = _need(obj, key, path)
-    if isinstance(v, bool) or not isinstance(v, int):
+    if not _is_int(v):
         raise SchemaError(f"{path}.{key}: expected an integer")
     if v < minimum:
         raise SchemaError(f"{path}.{key}: must be ≥ {minimum}, got {v}")
@@ -176,7 +188,7 @@ def _decode_algebra(obj, tol: float, path: str) -> AtomicDecomposition:
         if (
             not isinstance(f, list)
             or len(f) != 2
-            or any(isinstance(x, bool) or not isinstance(x, int) or x < 1 for x in f)
+            or any(not _is_int(x) or x < 1 for x in f)
         ):
             raise SchemaError(f"{path}.factors[{idx}]: expected a [dA, dB] pair of "
                               f"positive integers")
@@ -205,6 +217,8 @@ def _encode_cp_map(rec: CpMapRecord) -> dict:
 
 
 def _decode_cp_map(obj, tol: float, path: str) -> CpMapRecord:
+    from .cpmaps import StinespringRep
+
     d_in = _int_field(obj, "d_in", path, minimum=1)
     d_out = _int_field(obj, "d_out", path, minimum=1)
     d_env = _int_field(obj, "d_env", path)
@@ -229,6 +243,9 @@ def _encode_gkls(g: GKLSRep) -> dict:
 
 
 def _decode_gkls(obj, tol: float, path: str) -> GKLSRep:
+    from .cpmaps import StinespringRep
+    from .gkls import GKLSRep
+
     d = _int_field(obj, "d", path, minimum=1)
     d_env = _int_field(obj, "d_env", path)
     v = _decode_cmatrix(_need(obj, "v", path), f"{path}.v")
@@ -271,6 +288,9 @@ def _decode_matrix_table(obj, key: str, path: str, n: int) -> list[list[np.ndarr
 
 @np.errstate(all="ignore")
 def _decode_normal_form(obj, tol: float, path: str) -> AtomicNormalForm:
+    from .cpmaps import BlockFactorization, orthogonality_check
+    from .gkls import AtomicNormalForm
+
     dec = _decode_algebra(_need(obj, "dec", path), tol, f"{path}.dec")
     d_env = _int_field(obj, "d_env", path)
     n = len(dec.factors)
@@ -285,7 +305,7 @@ def _decode_normal_form(obj, tol: float, path: str) -> AtomicNormalForm:
         if (
             not isinstance(row, list)
             or len(row) != n
-            or any(isinstance(x, bool) or not isinstance(x, int) or x < 0 for x in row)
+            or any(not _is_int(x) or x < 0 for x in row)
         ):
             raise SchemaError(f"{path}.d_f[{i}]: expected {n} non-negative integers")
         d_f.append(list(row))
@@ -327,6 +347,8 @@ def _encode_ki(res: KoashiImotoResult) -> dict:
 
 @np.errstate(all="ignore")
 def _decode_ki(obj, tol: float, path: str) -> KoashiImotoResult:
+    from .applications import KoashiImotoResult
+
     dec = _decode_algebra(_need(obj, "dec", path), tol, f"{path}.dec")
     q = _decode_cmatrix(_need(obj, "q", path), f"{path}.q")
     if q.shape[0] != dec.d or q.shape[1] < q.shape[0]:
@@ -458,22 +480,40 @@ def _check_cap(d: int):
         raise ValueError("total dimension must be positive")
 
 
+def _int_param(params: dict, key: str, default: int, lo: int, hi: float = math.inf) -> int:
+    """``params[key]`` if pinned, else ``default``.  A pinned value must be a
+    JSON integer in [lo, hi]: 1.5, "1" and true are rejected, not coerced."""
+    if key not in params:
+        return default
+    v = params[key]
+    if not _is_int(v):
+        raise ValueError(f"{key} must be an integer, got {v!r}")
+    if not lo <= v <= hi:
+        raise ValueError(f"{key} must lie in [{lo}, {hi}], got {v}")
+    return v
+
+
+def _int_table(rows, what: str, lo: int) -> list[list[int]]:
+    """A list of lists of JSON integers ≥ lo, else ValueError."""
+    if not isinstance(rows, (list, tuple)) or any(
+            not isinstance(row, (list, tuple)) or any(not _is_int(x) or x < lo for x in row)
+            for row in rows):
+        raise ValueError(f"{what} must be a list of rows of integers ≥ {lo}, got {rows!r}")
+    return [list(row) for row in rows]
+
+
 def _sample_decomposition(params: dict, rng: CounterRng, force_unital: bool = False) -> AtomicDecomposition:
-    factors = params.get("factors")
-    if factors is None:
+    if "factors" in params:
+        factors = [tuple(f) for f in _int_table(params["factors"], "factors", 1)]
+        if any(len(f) != 2 for f in factors):
+            raise ValueError("factors must be [dA, dB] pairs")
+    else:
         n = rng.integers(1, 4)
         factors = [(rng.integers(1, 4), rng.integers(1, 4)) for _ in range(n)]
-    else:
-        factors = [(int(a), int(b)) for a, b in factors]
-        if any(a < 1 or b < 1 for a, b in factors):
-            raise ValueError("factor dimensions must be positive")
     if force_unital:
         d0 = 0
-    else:
-        d0 = params.get("d0")
-        d0 = rng.integers(0, 2) if d0 is None else int(d0)
-    if d0 < 0:
-        raise ValueError("d0 must be non-negative")
+    else:  # drawn only when unpinned, or the unitary's draws would shift
+        d0 = _int_param(params, "d0", 0, 0) if "d0" in params else rng.integers(0, 2)
     d = d0 + sum(a * b for a, b in factors)
     _check_cap(d)
     return AtomicDecomposition(d=d, u_alg=rng.unitary(d), d0=d0, factors=factors)
@@ -511,13 +551,15 @@ def _sample_normal_form(
     d_f: list[list[int]] | None = None,
     zero_dissipation: bool = False,
 ) -> AtomicNormalForm:
+    from .gkls import AtomicNormalForm, reconstruct_from_normal_form
+
     n = len(dec.factors)
     if zero_dissipation:
         d_f = [[0] * n for _ in range(n)]
     elif d_f is None:
         d_f = _sample_d_f(dec, e, d_f_max, rng)
     else:
-        d_f = [[int(x) for x in row] for row in d_f]
+        d_f = _int_table(d_f, "d_f", 0)
         if len(d_f) != n or any(len(row) != n for row in d_f):
             raise ValueError(f"d_f must be an {n}×{n} table")
     for i in range(n):
@@ -587,7 +629,10 @@ def random_instance(kind: str, params: dict | None = None, seed: int = 0) -> Ins
 
     ``params`` may pin ``factors`` (list of (dA, dB)), ``d0``, ``d_env``,
     ``d_f_max`` or a full ``d_f`` table, and ``k_only`` for generators with a
-    vanishing CP part.  Anything not pinned is drawn from the seed.  Explicit
+    vanishing CP part.  Anything not pinned is drawn from the seed.  Pinned
+    dimensions must be integers and ``k_only`` a boolean, as in JSON: a float,
+    string or bool raises ``ValueError`` instead of being coerced, so
+    ``meta.params`` records what the payload was built from.  Explicit
     tables are validated for feasibility — a row whose multiplicity demand
     exceeds dB·d_env admits no joint isometry and is rejected.
     """
@@ -603,32 +648,33 @@ def random_instance(kind: str, params: dict | None = None, seed: int = 0) -> Ins
 
     if kind == "normal_form" or kind == "gkls":
         dec = _sample_decomposition(params, rng.derive(1))
-        e = int(params.get("d_env", rng.derive(2).integers(1, 4)))
-        if e < 0 or e > 8:
-            raise ValueError("d_env must lie in [0, 8]")
-        d_f_max = int(params.get("d_f_max", 2))
-        if d_f_max < 0 or d_f_max > 4:
-            raise ValueError("d_f_max must lie in [0, 4]")
+        e = _int_param(params, "d_env", rng.derive(2).integers(1, 4), 0, 8)
+        d_f_max = _int_param(params, "d_f_max", 2, 0, 4)
+        k_only = params.get("k_only", False)
+        if not isinstance(k_only, bool):
+            raise ValueError(f"k_only must be true or false, got {k_only!r}")
         nf = _sample_normal_form(
             dec, e, d_f_max, rng.derive(3),
             d_f=params.get("d_f"),
-            zero_dissipation=bool(params.get("k_only", False)),
+            zero_dissipation=k_only,
         )
         used.setdefault("d_env", e)
         used.setdefault("d_f_max", d_f_max)
         if kind == "normal_form":
             return InstanceBundle("normal_form", nf, _meta(seed, used))
+        from .gkls import reconstruct_from_normal_form
+
         g = reconstruct_from_normal_form(nf)
         return InstanceBundle(
             "gkls", g, _meta(seed, used, {"algebra": _encode_algebra(dec)})
         )
 
     if kind == "cp_map":
+        from .cpmaps import BlockFactorization, StinespringRep, reassemble_factorization
+
         dec = _sample_decomposition(params, rng.derive(1))
-        e = int(params.get("d_env", rng.derive(2).integers(1, 4)))
-        if e < 0 or e > 8:
-            raise ValueError("d_env must lie in [0, 8]")
-        d_f_max = int(params.get("d_f_max", 2))
+        e = _int_param(params, "d_env", rng.derive(2).integers(1, 4), 0, 8)
+        d_f_max = _int_param(params, "d_f_max", 2, 0, 4)
         nf = _sample_normal_form(dec, e, d_f_max, rng.derive(3),
                                  d_f=params.get("d_f"))
         bf = BlockFactorization(v0=nf.v0, d_f=nf.d_f, a=nf.a, u=nf.u, d_env=e)
@@ -645,10 +691,11 @@ def random_instance(kind: str, params: dict | None = None, seed: int = 0) -> Ins
 
     # koashi_imoto: a trace-preserving channel with a planted block structure,
     # run through the decomposition pipeline so the payload is self-verified.
+    from .applications import koashi_imoto_decompose
+    from .cpmaps import KrausSet, kraus_to_stinespring
+
     dec = _sample_decomposition(params, rng.derive(1), force_unital=True)
-    e = int(params.get("d_env", rng.derive(2).integers(1, 3)))
-    if e < 1 or e > 8:
-        raise ValueError("d_env must lie in [1, 8] for channels")
+    e = _int_param(params, "d_env", rng.derive(2).integers(1, 3), 1, 8)
     draw = rng.derive(3)
     blocks = [draw.isometry(db * e, db) for (_, db) in dec.factors]
     d = dec.d

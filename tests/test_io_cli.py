@@ -312,6 +312,28 @@ def test_cli_usage_errors_exit_2(tmp_path, capsys):
     assert "exceeds" in err
 
 
+@pytest.mark.parametrize("kind, params", [
+    ("gkls", {"d_env": 1.5}),
+    ("gkls", {"factors": [[2.9, 2]]}),
+    ("algebra", {"factors": [[True, 2]]}),
+    ("algebra", {"factors": [[2, 2, 2]]}),
+    ("algebra", {"factors": None}),
+    ("algebra", {"d0": "1"}),
+    ("gkls", {"k_only": "no"}),
+    ("normal_form", {"d_f_max": 2.0}),
+    ("cp_map", {"factors": [[2, 2]], "d_env": 2, "d_f": [[1.0]]}),
+    ("koashi_imoto", {"d_env": True}),
+])
+def test_cli_random_rejects_params_it_would_have_to_coerce(capsys, kind, params):
+    # integers must be JSON integers and k_only a JSON boolean, or meta.params
+    # would record a value the payload was not built from
+    code, out, err = run_cli(capsys, ["random", "--kind", kind, "--params",
+                                      json.dumps(params)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert [*params][-1] in err  # the offending key comes last
+
+
 @pytest.mark.parametrize("flag", ["--tol-rank", "--tol-verify"])
 @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
 def test_cli_rejects_non_positive_or_non_finite_tolerances(tmp_path, capsys,
@@ -428,6 +450,14 @@ def test_cli_semicausal_split_sources(tmp_path, capsys):
                             "--split", "4,4"])[0] == 2
     assert run_cli(capsys, ["semicausal", "--in", str(bare),
                             "--split", "a,b"])[0] == 2
+    assert run_cli(capsys, ["semicausal", "--in", str(bare),
+                            "--split=-2,-2"])[0] == 2
+    for d_a in (2.0, "2", True):
+        coerced = tmp_path / "sc_coerced.json"
+        write_bundle(InstanceBundle("gkls", g, {"params": {"d_a": d_a, "d_b": 2}}),
+                     coerced)
+        code, _, err = run_cli(capsys, ["semicausal", "--in", str(coerced)])
+        assert code == 2 and "positive integers" in err
 
 
 def test_cli_dfs_verdicts(tmp_path, capsys):
