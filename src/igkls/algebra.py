@@ -181,7 +181,9 @@ def _lift(dec: AtomicDecomposition, parts, embed, e_out: int = 1, e_in: int = 1,
 # against the whole basis; a failed draw retries with a derived seed
 # (Murota, Kanno, Kojima & Kojima, Japan J. Indust. Appl. Math. 27, 2010).
 
-_STACK_BYTES = 1 << 23  # size of one batched product stack
+# size of one batched product stack: a larger one is mapped and page-faulted
+# in again on every call (at d = 12 a 650 KB stack, ~130 faults per op)
+_STACK_BYTES = 1 << 16
 
 
 def _stacked(mats, d: int) -> np.ndarray:

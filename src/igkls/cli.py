@@ -51,10 +51,11 @@ from .io import (
     KINDS,
     CpMapRecord,
     InstanceBundle,
+    _TYPES,
+    _checked,
     _decode_algebra,
     _decode_cmatrix,
     _encode_algebra,
-    _is_int,
     bundle_to_dict,
     decode,
     encode_cmatrix,
@@ -165,7 +166,8 @@ def _algebra_for(bundles: list[InstanceBundle], primary: InstanceBundle,
         return alg.payload
     record = primary.meta.get("algebra")
     if record is not None:
-        return _decode_algebra(record, tol, "meta.algebra")
+        return _decode_algebra(_checked(record, "algebra.schema.json", "meta.algebra"), tol,
+                               "meta.algebra")
     raise UsageError("no algebra given: pass an --in algebra bundle (or use a "
                      "bundle whose meta records one)")
 
@@ -384,7 +386,7 @@ def _cmd_semicausal(bundles, flags, rep: _Report):
     if split is None:
         raise UsageError("semicausal needs the bipartition: pass --split dA,dB "
                          "(or store d_a/d_b in the bundle's meta.params)")
-    if not all(_is_int(x) and x >= 1 for x in split):
+    if not all(_TYPES["integer"](x) and x >= 1 for x in split):
         raise UsageError(f"the bipartition must be two positive integers, got {split!r}")
     d_a, d_b = split
     if d_a * d_b != g.d:
@@ -424,7 +426,8 @@ def _cmd_abelian(bundles, flags, rep: _Report):
     dec = _algebra_for(bundles, mb, tol)
     obs = mb.meta.get("observable")
     if obs is not None:
-        c = _decode_cmatrix(obs, "meta.observable")
+        c = _decode_cmatrix(_checked(obs, "cmatrix.schema.json", "meta.observable"),
+                            "meta.observable")
     else:
         c = dec.u_alg @ np.diag(np.arange(dec.d, dtype=np.complex128)) @ dag(dec.u_alg)
         rep.info("observable", "default: Σ i·|p_i⟩⟨p_i| over the minimal projections")

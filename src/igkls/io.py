@@ -2,31 +2,26 @@
 
 Wire format
 -----------
-A complex matrix ("CMatrix") is ``{"rows": r, "cols": c, "data": [[re, im],
-...]}`` with ``r·c`` entries in row-major order.  A bundle is
-``{"kind": ..., "payload": ..., "meta": ...}`` where ``kind`` selects the
-payload record:
+The JSON schemas in ``igkls/schema/`` are the one statement of the format:
+``bundle.schema.json`` for ``{"kind", "payload", "meta"}``, one schema per
+payload kind (``KINDS``) and ``cmatrix.schema.json`` for a complex matrix,
+``{"rows": r, "cols": c, "data": [[re, im], ...]}`` in row-major order.
+:func:`decode_text` reads a bundle in three steps:
 
-* ``algebra`` — ``{d, d0, factors: [[dA, dB], ...], u_alg: CMatrix}``;
-* ``cp_map`` — ``{d_in, d_out, d_env, picture, v: CMatrix}`` with
-  ``picture ∈ {"heisenberg", "schrodinger"}`` fixing how the environment
-  slices of ``v`` are to be read as Kraus operators;
-* ``gkls`` — ``{d, d_env, v: CMatrix, k: CMatrix}``;
-* ``normal_form`` — the full block data over an ``algebra`` record;
-* ``koashi_imoto`` — coisometry, decomposition, per-factor isometries and
-  fixed states, plus the verification report.
+1. it checks the document against ``bundle.schema.json``, whose ``kind``
+   selects the one payload schema the payload is checked against
+   (:class:`SchemaError` names the path of the first breach);
+2. it converts each CMatrix with one numpy call, checking its entries
+   (``rows·cols`` pairs of finite doubles) in bulk;
+3. it checks what a schema cannot state: shapes across fields
+   (:class:`SchemaError`) and the numeric load-time invariants, such as a
+   unitary ``u_alg`` at ``meta.tol_verify`` (:class:`InvariantError`).
 
-``meta`` carries the generation seed, the tolerances used for load-time
-invariant checking (``tol_rank``/``tol_verify``), and creation parameters
-(for generated bundles this includes the backing algebra or channel).
-
-Failures split into :class:`ParseError` (malformed JSON, position-annotated),
-:class:`SchemaError` (wrong layout/shape, field-annotated) and
-:class:`InvariantError` (well-formed data violating a mathematical invariant,
-e.g. a ``u_alg`` that is not unitary).  The invariant checks are written
-``not residual <= limit``, so finite entries whose products overflow to a NaN
-residual are rejected too, with warnings off (``np.errstate``): the overflow
-is the failed check, not a ``RuntimeWarning`` (an error under ``-W error``).
+Malformed JSON raises :class:`ParseError` with its position.  The invariant
+checks are written ``not residual <= limit``, so finite entries whose
+products overflow to a NaN residual are rejected too, with warnings off
+(``np.errstate``): the overflow is the failed check, not a ``RuntimeWarning``
+(an error under ``-W error``).
 
 Determinism
 -----------
@@ -40,9 +35,12 @@ cross-orthogonality exact.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import sys
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -78,7 +76,6 @@ __all__ = [
 KINDS = ("algebra", "cp_map", "gkls", "normal_form", "koashi_imoto")
 
 _DIM_CAP = 32  # desk-scale cap on the total system dimension
-_PICTURES = ("heisenberg", "schrodinger")
 
 
 @dataclass
@@ -104,38 +101,92 @@ def kraus_picture_adjoint(k: KrausSet) -> KrausSet:
 
 
 # ---------------------------------------------------------------------------
-# low-level field access (schema layer)
+# the format: the JSON schemas in schema/, checked by _violation
 # ---------------------------------------------------------------------------
 
-def _need(obj, key: str, path: str):
-    if not isinstance(obj, dict):
-        raise SchemaError(f"{path}: expected an object")
-    if key not in obj:
-        raise SchemaError(f"{path}.{key}: missing required field")
-    return obj[key]
+_SCHEMA_DIR = Path(__file__).with_name("schema")
+_MAX = sys.float_info.max
+
+# a JSON value of each schema type; a "number" is a finite double, which
+# rules out 10**400 as well as true
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "integer": lambda v: type(v) is int,
+    "number": lambda v: type(v) in (int, float) and -_MAX <= v <= _MAX,
+}
 
 
-def _is_int(v) -> bool:
-    """A JSON integer: an ``int`` that is not a ``bool`` (no float, no string)."""
-    return isinstance(v, int) and not isinstance(v, bool)
+def _brief(v) -> str:
+    r = repr(v)
+    return r if len(r) <= 40 else r[:36] + " ..."
 
 
-def _int_field(obj, key: str, path: str, minimum: int = 0) -> int:
-    v = _need(obj, key, path)
-    if not _is_int(v):
-        raise SchemaError(f"{path}.{key}: expected an integer")
-    if v < minimum:
-        raise SchemaError(f"{path}.{key}: must be ≥ {minimum}, got {v}")
-    return v
+@functools.cache
+def _schema(name: str) -> dict:
+    return json.loads((_SCHEMA_DIR / name).read_text(encoding="utf-8"))
 
 
-def _list_field(obj, key: str, path: str, length: int | None = None) -> list:
-    v = _need(obj, key, path)
-    if not isinstance(v, list):
-        raise SchemaError(f"{path}.{key}: expected a list")
-    if length is not None and len(v) != length:
-        raise SchemaError(f"{path}.{key}: expected {length} entries, got {len(v)}")
-    return v
+def _violation(doc, schema: dict, path: str = "$") -> str | None:
+    """The first breach of ``schema`` in ``doc``, as ``"path: what"``, else None.
+
+    Stdlib only, for the keywords the bundle schemas use: ``$ref``, ``type``,
+    ``enum``, ``const``, ``minimum``, ``exclusiveMinimum``, ``required``,
+    ``properties``, ``additionalProperties: false``, ``items``,
+    ``prefixItems``, ``minItems``, ``maxItems`` and ``allOf`` with
+    ``if``/``then``.  The [re, im] entries of a CMatrix are not walked one
+    by one: :func:`_decode_cmatrix` checks them in one numpy conversion.
+    """
+    if "$ref" in schema:
+        return _violation(doc, _schema(schema["$ref"]), path)
+    kind = schema.get("type")
+    if kind is not None and not _TYPES[kind](doc):
+        return f"{path}: expected {kind}, got {_brief(doc)}"
+    if "enum" in schema and doc not in schema["enum"]:
+        return f"{path}: expected one of {schema['enum']}, got {_brief(doc)}"
+    if "const" in schema and doc != schema["const"]:
+        return f"{path}: expected {schema['const']!r}"
+    if type(doc) in (int, float):
+        if "minimum" in schema and doc < schema["minimum"]:
+            return f"{path}: must be ≥ {schema['minimum']}, got {_brief(doc)}"
+        if "exclusiveMinimum" in schema and doc <= schema["exclusiveMinimum"]:
+            return f"{path}: must be > {schema['exclusiveMinimum']}, got {_brief(doc)}"
+    if isinstance(doc, dict):
+        props = schema.get("properties", {})
+        for key in schema.get("required", ()):
+            if key not in doc:
+                return f"{path}.{key}: missing required key"
+        if schema.get("additionalProperties") is False:
+            for key in doc:
+                if key not in props:
+                    return f"{path}.{key[:40]}: unknown key"
+        for key, sub in props.items():
+            if key in doc and (err := _violation(doc[key], sub, f"{path}.{key}")):
+                return err
+    elif isinstance(doc, list):
+        if not schema.get("minItems", 0) <= len(doc) <= schema.get("maxItems", len(doc)):
+            return f"{path}: {len(doc)} items"
+        prefix = schema.get("prefixItems", ())
+        rest = schema.get("items")
+        if rest is _schema("cmatrix.schema.json")["properties"]["data"]["items"]:
+            rest = None  # checked by _decode_cmatrix
+        for i, item in enumerate(doc):
+            sub = prefix[i] if i < len(prefix) else rest
+            if sub is not None and (err := _violation(item, sub, f"{path}[{i}]")):
+                return err
+    for clause in schema.get("allOf", ()):
+        if _violation(doc, clause["if"], path) is None and (
+                err := _violation(doc, clause["then"], path)):
+            return err
+    return None
+
+
+def _checked(doc, schema: str, path: str):
+    """``doc``, if it meets the named schema; else SchemaError naming the breach."""
+    err = _violation(doc, _schema(schema), path)
+    if err:
+        raise SchemaError(err)
+    return doc
 
 
 def encode_cmatrix(m: np.ndarray) -> dict:
@@ -149,20 +200,26 @@ def encode_cmatrix(m: np.ndarray) -> dict:
     }
 
 
-def _decode_cmatrix(obj, path: str) -> np.ndarray:
-    rows = _int_field(obj, "rows", path)
-    cols = _int_field(obj, "cols", path)
-    data = _list_field(obj, "data", path, length=rows * cols)
-    out = np.empty(rows * cols, dtype=np.complex128)
-    for idx, entry in enumerate(data):
-        if (
-            not isinstance(entry, list)
-            or len(entry) != 2
-            or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in entry)
-        ):
-            raise SchemaError(f"{path}.data[{idx}]: expected a [re, im] pair")
-        out[idx] = complex(entry[0], entry[1])
-    return out.reshape(rows, cols)
+def _decode_cmatrix(obj: dict, path: str) -> np.ndarray:
+    """A schema-checked CMatrix as an array, from one numpy conversion of
+    its entries: rows·cols [re, im] pairs of finite doubles."""
+    rows, cols, data = obj["rows"], obj["cols"], obj["data"]
+    if len(data) != rows * cols:
+        raise SchemaError(f"{path}.data: expected rows·cols = {rows * cols} entries, "
+                          f"got {len(data)}")
+    try:
+        # the type test first: np.array turns true into 1.0 and "1.5" into 1.5
+        if set(map(type, chain.from_iterable(data))) <= {int, float}:
+            m = np.array(data, dtype=float).reshape(rows, 2 * cols)
+            if np.isfinite(m).all():
+                return m.view(np.complex128)
+    except (TypeError, ValueError, OverflowError):  # not pairs, or an int past the doubles
+        pass
+    raise SchemaError(f"{path}.data: expected [re, im] pairs of finite numbers")
+
+
+def _decode_list(items: list, path: str) -> list[np.ndarray]:
+    return [_decode_cmatrix(m, f"{path}[{i}]") for i, m in enumerate(items)]
 
 
 # ---------------------------------------------------------------------------
@@ -179,25 +236,13 @@ def _encode_algebra(dec: AtomicDecomposition) -> dict:
 
 
 @np.errstate(all="ignore")
-def _decode_algebra(obj, tol: float, path: str) -> AtomicDecomposition:
-    d = _int_field(obj, "d", path, minimum=1)
-    d0 = _int_field(obj, "d0", path)
-    factors = _list_field(obj, "factors", path)
-    parsed = []
-    for idx, f in enumerate(factors):
-        if (
-            not isinstance(f, list)
-            or len(f) != 2
-            or any(not _is_int(x) or x < 1 for x in f)
-        ):
-            raise SchemaError(f"{path}.factors[{idx}]: expected a [dA, dB] pair of "
-                              f"positive integers")
-        parsed.append((f[0], f[1]))
-    u_alg = _decode_cmatrix(_need(obj, "u_alg", path), f"{path}.u_alg")
+def _decode_algebra(obj: dict, tol: float, path: str) -> AtomicDecomposition:
+    d = obj["d"]
+    u_alg = _decode_cmatrix(obj["u_alg"], f"{path}.u_alg")
     if u_alg.shape != (d, d):
         raise SchemaError(f"{path}.u_alg: expected shape {(d, d)}, got {u_alg.shape}")
     try:
-        dec = AtomicDecomposition(d=d, u_alg=u_alg, d0=d0, factors=parsed)
+        dec = AtomicDecomposition(d=d, u_alg=u_alg, d0=obj["d0"], factors=obj["factors"])
     except ValueError as exc:
         raise SchemaError(f"{path}: {exc}") from exc
     res = frob(dag(u_alg) @ u_alg - eye(d))
@@ -216,21 +261,15 @@ def _encode_cp_map(rec: CpMapRecord) -> dict:
     }
 
 
-def _decode_cp_map(obj, tol: float, path: str) -> CpMapRecord:
+def _decode_cp_map(obj: dict, tol: float, path: str) -> CpMapRecord:
     from .cpmaps import StinespringRep
 
-    d_in = _int_field(obj, "d_in", path, minimum=1)
-    d_out = _int_field(obj, "d_out", path, minimum=1)
-    d_env = _int_field(obj, "d_env", path)
-    picture = _need(obj, "picture", path)
-    if picture not in _PICTURES:
-        raise SchemaError(f"{path}.picture: expected one of {_PICTURES}")
-    v = _decode_cmatrix(_need(obj, "v", path), f"{path}.v")
+    v = _decode_cmatrix(obj["v"], f"{path}.v")
     try:
-        stine = StinespringRep(d_in=d_in, d_out=d_out, d_env=d_env, v=v)
+        stine = StinespringRep(d_in=obj["d_in"], d_out=obj["d_out"], d_env=obj["d_env"], v=v)
     except ValueError as exc:
         raise SchemaError(f"{path}.v: {exc}") from exc
-    return CpMapRecord(stine=stine, picture=picture)
+    return CpMapRecord(stine=stine, picture=obj["picture"])
 
 
 def _encode_gkls(g: GKLSRep) -> dict:
@@ -242,16 +281,15 @@ def _encode_gkls(g: GKLSRep) -> dict:
     }
 
 
-def _decode_gkls(obj, tol: float, path: str) -> GKLSRep:
+def _decode_gkls(obj: dict, tol: float, path: str) -> GKLSRep:
     from .cpmaps import StinespringRep
     from .gkls import GKLSRep
 
-    d = _int_field(obj, "d", path, minimum=1)
-    d_env = _int_field(obj, "d_env", path)
-    v = _decode_cmatrix(_need(obj, "v", path), f"{path}.v")
-    k = _decode_cmatrix(_need(obj, "k", path), f"{path}.k")
+    d = obj["d"]
+    v = _decode_cmatrix(obj["v"], f"{path}.v")
+    k = _decode_cmatrix(obj["k"], f"{path}.k")
     try:
-        return GKLSRep(d=d, stine=StinespringRep(d, d, d_env, v), k=k)
+        return GKLSRep(d=d, stine=StinespringRep(d, d, obj["d_env"], v), k=k)
     except ValueError as exc:
         raise SchemaError(f"{path}: {exc}") from exc
 
@@ -271,51 +309,20 @@ def _encode_normal_form(nf: AtomicNormalForm) -> dict:
     }
 
 
-def _decode_matrix_list(obj, key: str, path: str, n: int) -> list[np.ndarray]:
-    raw = _list_field(obj, key, path, length=n)
-    return [_decode_cmatrix(m, f"{path}.{key}[{i}]") for i, m in enumerate(raw)]
-
-
-def _decode_matrix_table(obj, key: str, path: str, n: int) -> list[list[np.ndarray]]:
-    raw = _list_field(obj, key, path, length=n)
-    out = []
-    for i, row in enumerate(raw):
-        if not isinstance(row, list) or len(row) != n:
-            raise SchemaError(f"{path}.{key}[{i}]: expected a row of {n} entries")
-        out.append([_decode_cmatrix(m, f"{path}.{key}[{i}][{j}]") for j, m in enumerate(row)])
-    return out
-
-
 @np.errstate(all="ignore")
-def _decode_normal_form(obj, tol: float, path: str) -> AtomicNormalForm:
+def _decode_normal_form(obj: dict, tol: float, path: str) -> AtomicNormalForm:
     from .cpmaps import BlockFactorization, orthogonality_check
     from .gkls import AtomicNormalForm
 
-    dec = _decode_algebra(_need(obj, "dec", path), tol, f"{path}.dec")
-    d_env = _int_field(obj, "d_env", path)
-    n = len(dec.factors)
-    v0 = _decode_cmatrix(_need(obj, "v0", path), f"{path}.v0")
-    k0 = _decode_cmatrix(_need(obj, "k0", path), f"{path}.k0")
-    k_a = _decode_matrix_list(obj, "k_a", path, n)
-    h_b = _decode_matrix_list(obj, "h_b", path, n)
-    b = _decode_matrix_list(obj, "b", path, n)
-    d_f_raw = _list_field(obj, "d_f", path, length=n)
-    d_f = []
-    for i, row in enumerate(d_f_raw):
-        if (
-            not isinstance(row, list)
-            or len(row) != n
-            or any(not _is_int(x) or x < 0 for x in row)
-        ):
-            raise SchemaError(f"{path}.d_f[{i}]: expected {n} non-negative integers")
-        d_f.append(list(row))
-    a = _decode_matrix_table(obj, "a", path, n)
-    u = _decode_matrix_table(obj, "u", path, n)
-    try:
-        nf = AtomicNormalForm(
-            dec=dec, v0=v0, k0=k0, k_a=k_a, h_b=h_b, b=b,
-            d_f=d_f, a=a, u=u, d_env=d_env,
-        )
+    dec = _decode_algebra(obj["dec"], tol, f"{path}.dec")
+    d_env = obj["d_env"]
+    lists = {key: _decode_list(obj[key], f"{path}.{key}") for key in ("k_a", "h_b", "b")}
+    tables = {key: [_decode_list(row, f"{path}.{key}[{i}]") for i, row in enumerate(obj[key])]
+              for key in ("a", "u")}
+    try:  # checks each list and table against the factor count, and every shape
+        nf = AtomicNormalForm(dec=dec, v0=_decode_cmatrix(obj["v0"], f"{path}.v0"),
+                              k0=_decode_cmatrix(obj["k0"], f"{path}.k0"), d_f=obj["d_f"],
+                              d_env=d_env, **lists, **tables)
     except ValueError as exc:
         raise SchemaError(f"{path}: {exc}") from exc
 
@@ -346,38 +353,29 @@ def _encode_ki(res: KoashiImotoResult) -> dict:
 
 
 @np.errstate(all="ignore")
-def _decode_ki(obj, tol: float, path: str) -> KoashiImotoResult:
+def _decode_ki(obj: dict, tol: float, path: str) -> KoashiImotoResult:
     from .applications import KoashiImotoResult
 
-    dec = _decode_algebra(_need(obj, "dec", path), tol, f"{path}.dec")
-    q = _decode_cmatrix(_need(obj, "q", path), f"{path}.q")
+    dec = _decode_algebra(obj["dec"], tol, f"{path}.dec")
+    q = _decode_cmatrix(obj["q"], f"{path}.q")
     if q.shape[0] != dec.d or q.shape[1] < q.shape[0]:
         raise SchemaError(f"{path}.q: expected shape ({dec.d}, ≥{dec.d}), "
                           f"got {q.shape}")
-    n = len(dec.factors)
-    v_raw = _list_field(obj, "v", path, length=n)
-    s_raw = _list_field(obj, "sigma", path, length=n)
-    v = [_decode_cmatrix(m, f"{path}.v[{i}]") for i, m in enumerate(v_raw)]
-    sigma = [_decode_cmatrix(m, f"{path}.sigma[{i}]") for i, m in enumerate(s_raw)]
-    report = obj.get("report", {})
-    if not isinstance(report, dict):
-        raise SchemaError(f"{path}.report: expected an object")
+    v = _decode_list(obj["v"], f"{path}.v")
+    sigma = _decode_list(obj["sigma"], f"{path}.sigma")
+    if not len(v) == len(sigma) == len(dec.factors):
+        raise SchemaError(f"{path}: v and sigma need {len(dec.factors)} entries, one per "
+                          f"factor, got {len(v)} and {len(sigma)}")
     bound = limit(tol, factor=100)
 
     res_q = frob(q @ dag(q) - eye(q.shape[0]))
     if not res_q <= _isometry_limit(tol, q.shape[1]):
         raise InvariantError(f"{path}.q: not a coisometry (residual {res_q:.3e})")
-    d_env = None
+    d_env = v[0].shape[0] // dec.factors[0][1] if v else 0  # one dE for every factor
     for i, ((da, db), vi, si) in enumerate(zip(dec.factors, v, sigma)):
-        if vi.shape[1] != db or vi.shape[0] % db:
-            raise SchemaError(f"{path}.v[{i}]: expected shape (dB·dE, dB) with "
-                              f"dB={db}, got {vi.shape}")
-        e_i = vi.shape[0] // db
-        if d_env is None:
-            d_env = e_i
-        elif e_i != d_env:
-            raise SchemaError(f"{path}.v[{i}]: environment dimension {e_i} "
-                              f"conflicts with {d_env}")
+        if vi.shape != (db * d_env, db):
+            raise SchemaError(f"{path}.v[{i}]: expected shape (dB·dE, dB) = "
+                              f"{(db * d_env, db)}, got {vi.shape}")
         res_v = frob(dag(vi) @ vi - eye(db))
         if not res_v <= _isometry_limit(tol, vi.shape[0]):
             raise InvariantError(f"{path}.v[{i}]: not an isometry "
@@ -392,7 +390,7 @@ def _decode_ki(obj, tol: float, path: str) -> KoashiImotoResult:
             raise InvariantError(f"{path}.sigma[{i}]: not a density matrix "
                                  f"(herm {herm_res:.1e}, trace offset "
                                  f"{abs(tr - 1.0):.1e}, min eig {eig_min:.1e})")
-    return KoashiImotoResult(q=q, dec=dec, v=v, sigma=sigma, report=dict(report))
+    return KoashiImotoResult(q=q, dec=dec, v=v, sigma=sigma, report=dict(obj.get("report", {})))
 
 
 _ENCODERS = {
@@ -447,19 +445,13 @@ def decode_text(text: str) -> InstanceBundle:
         raise ParseError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    if not isinstance(obj, dict):
-        raise SchemaError("top level: expected an object")
-    kind = _need(obj, "kind", "top level")
-    if kind not in KINDS:
-        raise SchemaError(f"top level.kind: expected one of {KINDS}, got {kind!r}")
+    except (ValueError, RecursionError) as exc:  # past the int digit or nesting limit
+        raise ParseError(f"invalid JSON: {exc}") from exc
+    _checked(obj, "bundle.schema.json", "$")
     meta = obj.get("meta", {})
-    if not isinstance(meta, dict):
-        raise SchemaError("top level.meta: expected an object")
-    tol = meta.get("tol_verify", TOL_VERIFY)
-    if isinstance(tol, bool) or not isinstance(tol, (int, float)) or tol <= 0:
-        raise SchemaError("top level.meta.tol_verify: expected a positive number")
-    payload = _DECODERS[kind](_need(obj, "payload", "top level"), float(tol), "payload")
-    return InstanceBundle(kind=kind, payload=payload, meta=dict(meta))
+    tol = float(meta.get("tol_verify", TOL_VERIFY))
+    payload = _DECODERS[obj["kind"]](obj["payload"], tol, "$.payload")
+    return InstanceBundle(kind=obj["kind"], payload=payload, meta=dict(meta))
 
 
 def decode(source) -> InstanceBundle:
@@ -486,7 +478,7 @@ def _int_param(params: dict, key: str, default: int, lo: int, hi: float = math.i
     if key not in params:
         return default
     v = params[key]
-    if not _is_int(v):
+    if not _TYPES["integer"](v):
         raise ValueError(f"{key} must be an integer, got {v!r}")
     if not lo <= v <= hi:
         raise ValueError(f"{key} must lie in [{lo}, {hi}], got {v}")
@@ -496,7 +488,7 @@ def _int_param(params: dict, key: str, default: int, lo: int, hi: float = math.i
 def _int_table(rows, what: str, lo: int) -> list[list[int]]:
     """A list of lists of JSON integers ≥ lo, else ValueError."""
     if not isinstance(rows, (list, tuple)) or any(
-            not isinstance(row, (list, tuple)) or any(not _is_int(x) or x < lo for x in row)
+            not isinstance(row, (list, tuple)) or any(not _TYPES["integer"](x) or x < lo for x in row)
             for row in rows):
         raise ValueError(f"{what} must be a list of rows of integers ≥ {lo}, got {rows!r}")
     return [list(row) for row in rows]

@@ -1,6 +1,7 @@
 """*-algebra closure, commutants, twirls, and the atomic decomposition."""
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -849,6 +850,23 @@ def test_commutation_residual_is_batched_and_fails_on_nan():
     b[2] = b[2].copy()
     b[2][1, 3] = np.nan
     assert np.isnan(algebra_mod._commutation_residual(a, b))
+
+
+def test_commutation_residual_keeps_its_stacks_small():
+    # at d = 12, two 12-element bases: one stack of all 12⁴ commutator
+    # entries is ~650 KB, which is mapped and page-faulted in on every call
+    rng = rng_for(227)
+    a = [crandn(rng, 12, 12) for _ in range(12)]
+    b = [crandn(rng, 12, 12) for _ in range(12)]
+    want = max(frob_oracle(x @ y - y @ x) for x in a for y in b)
+    tracemalloc.start()
+    try:
+        got = algebra_mod._commutation_residual(a, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == pytest.approx(want, rel=1e-12)
+    assert peak < 256 * 1024
 
 
 def test_close_star_algebra_of_a_diagonal_generator_takes_one_sweep_per_power():

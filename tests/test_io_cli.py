@@ -95,6 +95,12 @@ def test_decode_truncated_json_reports_position():
     assert "column" in str(info.value)
 
 
+def test_decode_reports_nesting_past_the_parser_limit_as_a_parse_error():
+    with pytest.raises(ParseError) as info:
+        decode_text("[" * 100_000 + "]" * 100_000)
+    assert "recursion" in str(info.value)
+
+
 def test_decode_rejects_non_finite_numbers():
     doc = bundle_to_dict(random_instance("algebra", seed=2))
     doc["payload"]["u_alg"]["data"][0][0] = float("nan")
@@ -166,6 +172,38 @@ def test_cli_rejects_an_overflowing_unitary_at_load_time(tmp_path, capsys):
         warnings.simplefilter("error")
         code, out, err = run_cli(capsys, ["commutant", "--in", str(path)])
     assert code == 2 and "InvariantError" in err
+
+
+def _oversized_entry(doc):
+    doc["payload"]["u_alg"]["data"][0] = [10**400, 0]
+    return json.dumps(doc)
+
+
+def _oversized_tol(doc):
+    doc["meta"]["tol_verify"] = 10**400
+    return json.dumps(doc)
+
+
+def _past_the_digit_limit(doc):  # json refuses to read (or write) an int of 5000 digits
+    doc["meta"]["seed"] = "seed"
+    return json.dumps(doc).replace('"seed": "seed"', '"seed": ' + "9" * 5000)
+
+
+@pytest.mark.parametrize("mutated, error", [
+    (_oversized_entry, "SchemaError"),
+    (_oversized_tol, "SchemaError"),
+    (_past_the_digit_limit, "ParseError"),
+], ids=["cmatrix_entry", "tol_verify", "past_digit_limit"])
+def test_cli_rejects_an_oversized_integer_without_a_traceback(tmp_path, mutated, error):
+    # no double holds 10**400: an entry or tolerance beyond the doubles is a
+    # schema breach, not an OverflowError from float()
+    path = tmp_path / "big.json"
+    path.write_text(mutated(bundle_to_dict(random_instance("algebra", seed=4))),
+                    encoding="utf-8")
+    proc = _run_python(["-m", "igkls.cli", "algebra-decompose", "--in", str(path)], tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error: {error}")
+    assert "Traceback" not in proc.stderr
 
 
 def test_decode_schema_errors_name_the_field():
