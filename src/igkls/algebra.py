@@ -339,23 +339,20 @@ def commutant(alg: AlgebraBasis, tol: float = TOL_RANK) -> AlgebraBasis:
     less) and a gap between 10⁻⁸·s and 10⁻⁶·s retries the draw
     (:func:`_eigenspaces`), so none does.  The null space is kept
     once each of its elements commutes with every basis element, which
-    shows only that it lies inside 𝒜′; else the draw is retried.  A basis
-    with a NaN or infinite entry raises :class:`DecompositionFailed`.
+    shows only that it lies inside 𝒜′; else the draw is retried.  The
+    largest ‖[c, b]‖_F of the kept draw is verified as ``commutation``
+    against the limit it was accepted under.  A basis with a NaN or
+    infinite entry, or no draw accepted, raises :class:`DecompositionFailed`.
     """
-    return _commutant(alg, tol)[0]
-
-
-def _commutant(alg: AlgebraBasis, tol: float) -> tuple[AlgebraBasis, float]:
-    """:func:`commutant` and the largest ‖[c, b]‖_F over its elements c and
-    the basis elements b, which it has checked."""
     d = alg.ambient_dim
     if not alg.basis:
-        return AlgebraBasis(d, list(eye(d * d).reshape(d * d, d, d)), contains_identity=True), 0.0
+        return AlgebraBasis(d, list(eye(d * d).reshape(d * d, d, d)), contains_identity=True)
     mats = _stacked(alg.basis, d)
     scale = max(frob(b) for b in mats)
     if not np.isfinite(scale):
         raise DecompositionFailed("basis holds a non-finite entry", residual=scale)
     flat = mats.reshape(len(mats), -1)
+    bound = limit(tol, scale, 100)
 
     def attempt(rng):
         x, y = _generic_elements(mats, rng, 2)
@@ -375,11 +372,14 @@ def _commutant(alg: AlgebraBasis, tol: float) -> tuple[AlgebraBasis, float]:
             pos += n * n
         comm = frame @ z @ dag(frame)
         res = _commutation_residual(comm, mats)
-        if not res <= limit(tol, scale, 100):
+        if not res <= bound:
             raise _GenericityFailure(residual=res)
-        return AlgebraBasis(d, list(comm), contains_identity=True), res
+        return comm, res
 
-    return _retry_generic(attempt, 0, "commutant draw")
+    comm, res = _retry_generic(attempt, 0, "commutant draw")
+    verify("commutation", res, bound, DecompositionFailed,
+           "commutant elements do not commute with the basis")
+    return AlgebraBasis(d, list(comm), contains_identity=True)
 
 
 def closure_residuals(alg: AlgebraBasis) -> tuple[float, float]:

@@ -67,7 +67,7 @@ from .errors import (
     verify,
 )
 from .gkls import AtomicNormalForm, GKLSRep, _generator_scale, _split, _split_normal_form, generator_superoperator, gkls_apply, reconstruct_from_normal_form, reduce_normal_form_minimal
-from .linalg import TOL_RANK, _linear_scale, _on_system, _rank, asmatrix, dag, expm, eye, frob, herm, im_part, kron, null_space, vec
+from .linalg import TOL_RANK, _isometry_defect, _linear_scale, _on_system, _rank, asmatrix, dag, expm, eye, frob, herm, im_part, kron, null_space, vec
 
 __all__ = [
     "SemicausalReport",
@@ -209,7 +209,7 @@ def semicausal_build(
     if a.shape != (da * d_f, da):
         raise ValueError(f"a must have shape (dA·dF, dA) = {(da * d_f, da)}")
     if u.size:
-        iso = frob(dag(u) @ u - eye(d_f * db))
+        iso = _isometry_defect(u)
         if not iso <= limit(TOL_VERIFY, _linear_scale(u)):
             raise ValueError(f"u is not an isometry (residual {iso:.3e})")
     sa = frob(h_b - dag(h_b))
@@ -609,7 +609,7 @@ def koashi_imoto_decompose(
     verify("ki_pattern", pat_res, limit(tol, _linear_scale(w_st.v)), FactorizationResidual,
            "compressed dilation is off the ⊕(1⊗V_i) block pattern")
     # the bundle decoder's isometry limit for the smallest V_i, so every certified V_i loads
-    iso_res = _worst([frob(dag(vi) @ vi - eye(db)) for vi, (_, db) in zip(v_blocks, dec.factors)])
+    iso_res = _worst([_isometry_defect(vi) for vi in v_blocks])
     iso_limit = _isometry_limit(tol, min(db for _, db in dec.factors) * e)
     verify("ki_isometry", iso_res, iso_limit, FactorizationResidual,
            "a factor V_i of the compressed dilation is not an isometry")
@@ -729,6 +729,8 @@ def semigroup_invariance_probe(
     larger d.  Each residual is compared against ``limit(tol, factor=1)``;
     a NaN residual fails the probe.
     """
+    if dec.d != g.d:
+        raise ValueError("decomposition dimension does not match the generator")
     d = g.d
     w1, w2, perm = _hermitian_frame(d)
     l_r = _centred_real_generator(g)

@@ -27,6 +27,7 @@ from .algebra import (
 from .errors import TOL_VERIFY, FactorizationResidual, NotInvariant, NotMinimal, NotSameMap, limit, verify
 from .linalg import (
     TOL_RANK,
+    _isometry_defect,
     _isometry_lstsq,
     _linear_scale,
     _on_env,
@@ -261,7 +262,9 @@ def stinespring_gauge(
     """Isometry w with (1⊗w)·v1 = v2, for s1 minimal and both maps equal.
 
     Solved by least squares over the spanning set of environment components;
-    minimality of s1 makes the solution unique.
+    minimality of s1 makes the solution unique.  Verifies ``same_map``, then
+    that w is an isometry (``gauge_isometry``) and carries v1 to v2
+    (``gauge_transport``), each raising :class:`NotSameMap`.
     """
     if (s1.d_in, s1.d_out) != (s2.d_in, s2.d_out):
         raise ValueError("representations act between different spaces")
@@ -271,6 +274,8 @@ def stinespring_gauge(
     verify("same_map", _same_map_residual(s1, s2), limit(tol, _map_scale(s1.v, s2.v)), NotSameMap,
            "representations define different maps")
     w = _isometry_lstsq(_env_slice_matrix(s1), _env_slice_matrix(s2), limit(tol, scale))
+    verify("gauge_isometry", _isometry_defect(w), limit(tol), NotSameMap,
+           "the gauge solution is not an isometry")
     verify("gauge_transport", frob(_on_env(w, s1.v, s1.d_in) - s2.v), limit(tol, scale),
            NotSameMap, "gauge isometry does not connect the representations")
     return w

@@ -8,7 +8,8 @@ Every residual-against-limit check of the library goes through
 :func:`verify`, which raises the typed error unless ``residual <= limit`` (so
 a NaN fails) and, while a recording is open (:func:`_recording`, opened by
 the CLI around one command), hands (name, residual, limit) to its sink.  A
-report therefore lists each check the library made, with its limit.
+report therefore lists each check made, by the library or by the command,
+with its limit; there is no other way into it.
 
 Tolerance policy: every limit is :func:`limit`, max(tol, VERIFY_FLOOR) times
 the scale of the residual times a per-check factor.  The scales are

@@ -63,6 +63,7 @@ from .errors import (
 )
 from .linalg import (
     TOL_RANK,
+    _isometry_defect,
     _isometry_lstsq,
     _linear_scale,
     _on_env,
@@ -377,7 +378,9 @@ def gkls_gauge(g1: GKLSRep, g2: GKLSRep, tol: float = TOL_RANK) -> GklsGauge:
 
     Requires g1 minimal; W is then unique, solved by least squares on the
     commutator family, and μ is read off the normalized trace of the K
-    residual (which is exactly iμ·1).
+    residual (which is exactly iμ·1).  Verifies ``same_generator``, that W
+    is an isometry (``gauge_isometry``) and the V and K gauge relations,
+    each raising :class:`NotSameGenerator`.
     """
     if g1.d != g2.d:
         raise ValueError("generators act on different spaces")
@@ -389,6 +392,8 @@ def gkls_gauge(g1: GKLSRep, g2: GKLSRep, tol: float = TOL_RANK) -> GklsGauge:
         raise NotMinimal("first generator has a compressible environment")
     w = _isometry_lstsq(_commutator_env_family(g1.v, d, g1.d_env),
                         _commutator_env_family(g2.v, d, g2.d_env), limit(tol, v_scale))
+    verify("gauge_isometry", _isometry_defect(w), limit(tol), NotSameGenerator,
+           "the gauge solution is not an isometry")
     psi, structure = _env_constant(g2.v - _on_env(w, g1.v, d), d)
     verify("gauge_v_structure", structure, limit(tol, v_scale, 100), NotSameGenerator,
            "V difference is not of gauge form")
@@ -564,8 +569,7 @@ def normal_form_residuals(nf: AtomicNormalForm) -> dict:
     """Residuals of the normal-form invariants (all ≈ 0 for valid forms)."""
     return {
         "h_selfadjoint": _worst([frob(h - dag(h)) for h in nf.h_b]),
-        "u_isometry": _worst([frob(dag(u_ik) @ u_ik - eye(u_ik.shape[1]))
-                              for row in nf.u for u_ik in row]),
+        "u_isometry": _worst([_isometry_defect(u_ik) for row in nf.u for u_ik in row]),
         "u_orthogonality": _worst([frob(dag(u_ik) @ u_il) for row in nf.u
                                    for k, u_ik in enumerate(row)
                                    for l, u_il in enumerate(row) if k != l]),

@@ -48,8 +48,8 @@ import numpy as np
 
 from .algebra import AtomicDecomposition, _embed_a, _lift
 from .errors import (TOL_RANK, TOL_VERIFY, InvariantError, ParseError, SchemaError,
-                     _isometry_limit, limit)
-from .linalg import _linear_scale, dag, eye, frob
+                     _isometry_limit, limit, verify)
+from .linalg import _isometry_defect, _linear_scale, dag, eye, frob
 from .rng import CounterRng
 
 # cpmaps, gkls and applications are imported by the codecs and samplers of
@@ -245,7 +245,7 @@ def _decode_algebra(obj: dict, tol: float, path: str) -> AtomicDecomposition:
         dec = AtomicDecomposition(d=d, u_alg=u_alg, d0=obj["d0"], factors=obj["factors"])
     except ValueError as exc:
         raise SchemaError(f"{path}: {exc}") from exc
-    res = frob(dag(u_alg) @ u_alg - eye(d))
+    res = _isometry_defect(u_alg)
     if not res <= _isometry_limit(tol, d):
         raise InvariantError(f"{path}.u_alg: not unitary (‖U†U−1‖ = {res:.3e})")
     return dec
@@ -376,7 +376,7 @@ def _decode_ki(obj: dict, tol: float, path: str) -> KoashiImotoResult:
         if vi.shape != (db * d_env, db):
             raise SchemaError(f"{path}.v[{i}]: expected shape (dB·dE, dB) = "
                               f"{(db * d_env, db)}, got {vi.shape}")
-        res_v = frob(dag(vi) @ vi - eye(db))
+        res_v = _isometry_defect(vi)
         if not res_v <= _isometry_limit(tol, vi.shape[0]):
             raise InvariantError(f"{path}.v[{i}]: not an isometry "
                                  f"(residual {res_v:.3e})")
@@ -627,6 +627,13 @@ def random_instance(kind: str, params: dict | None = None, seed: int = 0) -> Ins
     ``meta.params`` records what the payload was built from.  Explicit
     tables are validated for feasibility — a row whose multiplicity demand
     exceeds dB·d_env admits no joint isometry and is rejected.
+
+    The bundle's advertised invariants are verified at ``TOL_VERIFY``, the
+    ``meta.tol_verify`` it records: ``u_alg_unitary`` for an algebra, the
+    ``form_*`` residuals of :func:`~igkls.gkls.normal_form_residuals` for a
+    normal form (both raising :class:`InvariantError`), the invariance of
+    the algebra under a generator or map, and the Koashi–Imoto pipeline's
+    own checks.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}; expected one of {KINDS}")
@@ -636,6 +643,8 @@ def random_instance(kind: str, params: dict | None = None, seed: int = 0) -> Ins
 
     if kind == "algebra":
         dec = _sample_decomposition(params, rng.derive(1))
+        verify("u_alg_unitary", _isometry_defect(dec.u_alg), limit(TOL_VERIFY, factor=100),
+               InvariantError, "sampled u_alg is not unitary")
         return InstanceBundle("algebra", dec, _meta(seed, used))
 
     if kind == "normal_form" or kind == "gkls":
@@ -653,16 +662,23 @@ def random_instance(kind: str, params: dict | None = None, seed: int = 0) -> Ins
         used.setdefault("d_env", e)
         used.setdefault("d_f_max", d_f_max)
         if kind == "normal_form":
+            from .gkls import normal_form_residuals
+
+            for name, value in normal_form_residuals(nf).items():
+                verify(f"form_{name}", value, limit(TOL_VERIFY, factor=100), InvariantError,
+                       f"sampled normal form breaks {name}")
             return InstanceBundle("normal_form", nf, _meta(seed, used))
-        from .gkls import reconstruct_from_normal_form
+        from .gkls import _generator_invariance, reconstruct_from_normal_form
 
         g = reconstruct_from_normal_form(nf)
+        _generator_invariance(g, dec, TOL_VERIFY)
         return InstanceBundle(
             "gkls", g, _meta(seed, used, {"algebra": _encode_algebra(dec)})
         )
 
     if kind == "cp_map":
-        from .cpmaps import BlockFactorization, StinespringRep, reassemble_factorization
+        from .cpmaps import (BlockFactorization, StinespringRep, _cp_invariance,
+                             reassemble_factorization)
 
         dec = _sample_decomposition(params, rng.derive(1))
         e = _int_param(params, "d_env", rng.derive(2).integers(1, 4), 0, 8)
@@ -675,6 +691,7 @@ def random_instance(kind: str, params: dict | None = None, seed: int = 0) -> Ins
             stine=StinespringRep(d_in=dec.d, d_out=dec.d, d_env=e, v=v),
             picture="heisenberg",
         )
+        _cp_invariance(rec.stine, dec, dec, TOL_VERIFY)
         used.setdefault("d_env", e)
         used.setdefault("d_f_max", d_f_max)
         return InstanceBundle(

@@ -322,14 +322,19 @@ def nearest_isometry(m: np.ndarray) -> np.ndarray:
     return u @ vh
 
 
+def _isometry_defect(w: np.ndarray) -> float:
+    """‖w†w − 1‖_F, zero exactly for an isometry (0.0 for no columns)."""
+    return frob(dag(w) @ w - eye(w.shape[1]))
+
+
 def _isometry_lstsq(m1: np.ndarray, m2: np.ndarray, limit: float) -> np.ndarray:
     """The least-squares w of w·m1 = m2 (by pseudo-inverse), replaced by its
-    :func:`nearest_isometry` when ‖w†w − 1‖_F ≤ ``limit``."""
+    :func:`nearest_isometry` when :func:`_isometry_defect` ≤ ``limit``."""
     if m1.size:
         w = m2 @ np.linalg.pinv(m1)
     else:
         w = np.zeros((m2.shape[0], m1.shape[0]), dtype=np.complex128)
-    if w.size and frob(dag(w) @ w - eye(w.shape[1])) <= limit:
+    if w.size and _isometry_defect(w) <= limit:
         w = nearest_isometry(w)
     return w
 

@@ -573,6 +573,23 @@ def test_cli_probe_command(tmp_path, capsys):
     assert names == ["probe_t=0.1", "probe_t=1", "probe_t=10"]
 
 
+@pytest.mark.parametrize("command", ["check-invariance", "gkls-normal-form", "cp-factorize",
+                                     "dfs", "abelian", "probe"])
+def test_cli_rejects_an_algebra_of_another_dimension(tmp_path, capsys, command):
+    kind = "cp_map" if command in ("cp-factorize", "abelian") else "gkls"
+    inst, alg = tmp_path / "m4.json", tmp_path / "a3.json"
+    assert run_cli(capsys, ["random", "--kind", kind, "--seed", "1", "--params",
+                            '{"factors": [[2, 2]], "d0": 0, "d_env": 2}',
+                            "--out", str(inst)])[0] == 0
+    assert run_cli(capsys, ["random", "--kind", "algebra", "--seed", "1", "--params",
+                            '{"factors": [[1, 3]], "d0": 0}', "--out", str(alg)])[0] == 0
+    code, out, err = run_cli(capsys, [command, "--in", str(inst), "--in", str(alg)])
+    assert code == 2 and out == ""
+    assert "match" in err
+    # the library's own guard, not a numpy error from deep inside the command
+    assert not any(word in err for word in ("broadcast", "shape", "Traceback")), err
+
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -655,7 +672,7 @@ def test_cli_memory_error_is_a_structured_failure(tmp_path, capsys, monkeypatch)
     def out_of_memory(*args, **kwargs):
         raise MemoryError("Unable to allocate 16.0 GiB for the commutator stack")
 
-    monkeypatch.setattr("igkls.cli._commutant", out_of_memory)
+    monkeypatch.setattr("igkls.cli.commutant", out_of_memory)
     code, out, err = run_cli(capsys, ["commutant", "--in", str(path)])
     assert code == 1
     assert err == ""
@@ -669,17 +686,18 @@ def test_cli_commutation_check_fails_on_one_nan(tmp_path, capsys, monkeypatch):
     path = tmp_path / "alg.json"
     assert run_cli(capsys, ["random", "--kind", "algebra", "--seed", "13",
                             "--out", str(path)])[0] == 0
-    real = cli_mod._commutant
+    import igkls.algebra as algebra_mod
 
-    def poisoned(alg, tol):
-        # the residual the commutant computed is what the CLI reports
-        return real(alg, tol)[0], float("nan")
-
-    monkeypatch.setattr(cli_mod, "_commutant", poisoned)
+    # a NaN commutation residual rejects every draw: no commutant is accepted
+    monkeypatch.setattr(algebra_mod, "_commutation_residual", lambda left, right: float("nan"))
     code, out, _ = run_cli(capsys, ["commutant", "--in", str(path)])
     assert code == 1
-    checks = {c["name"]: c for c in json.loads(out)["checks"]}
-    assert checks["commutation"]["passed"] is False
+    doc = json.loads(out)
+    assert doc["ok"] is False
+    assert doc["error"]["type"] == "DecompositionFailed"
+    assert "commutant draw" in doc["error"]["message"]
+    # a retry is not a verdict: no rejected draw is recorded
+    assert "commutation" not in [c["name"] for c in doc["checks"]]
 
 
 def test_cli_commutant_checks_commutation_once(tmp_path, capsys, monkeypatch):

@@ -4,7 +4,9 @@
 a recording is open; ``cli.run_report`` opens one per command, so a report
 lists every check the library made, and the CLI computes none of them again.
 The call-count tests pin that: each counts a function in every ``igkls``
-namespace that bound it, over one ``run_report``.
+namespace that bound it, over one ``run_report``.  Negative controls
+make the gauge, minimalize, generation, decomposition, probe and semicausal
+checks fail by name, and a guard keeps ``verify`` the only way into a report.
 """
 
 from __future__ import annotations
@@ -23,11 +25,15 @@ import pytest
 import igkls.algebra as algebra_mod
 import igkls.cpmaps as cpmaps_mod
 import igkls.gkls as gkls_mod
-from igkls import GKLSRep, KrausSet, NotInvariant, StinespringRep, kraus_to_stinespring
+import igkls.cli as cli_mod
+from igkls import (AtomicDecomposition, DecompositionFailed, GKLSRep, InvariantError, KrausSet,
+                   NotInvariant, NotSameGenerator, NotSameMap, StinespringRep,
+                   kraus_to_stinespring)
 from igkls.cli import run_report
 from igkls.errors import _SINK, _recording, verify
 from igkls.io import CpMapRecord, InstanceBundle, random_instance
 from igkls.linalg import eye, frob
+from igkls.rng import CounterRng
 
 from test_io_cli import BASE_FLAGS
 
@@ -105,8 +111,7 @@ def test_a_retried_commutant_draw_leaves_the_report_ok(monkeypatch):
     doc = _ok("commutant", [bundle])
     assert len(draws) == 3  # the failed draw, its retry, the one split of 𝒜′
     names = [c["name"] for c in doc["checks"]]
-    assert names == ["commutant_dimension", "commutation", "closure_adjoint",
-                     "closure_product", "commutant_factor_multiset"]
+    assert names == ["commutation", "closure_adjoint", "closure_product"]
 
 
 def test_every_library_check_lands_in_the_report_with_its_limit():
@@ -194,6 +199,132 @@ def test_minimalize_reconstructs_only_inside_the_library(monkeypatch):
     dist = _count(monkeypatch, gkls_mod, "_superop_distance")
     _ok("minimalize", [random_instance("gkls", params=SHAPE, seed=1)])
     assert len(dist) == 1
+
+
+# ---------------------------------------------------------------------------
+# every check a command's report lists can fail: negative controls
+# ---------------------------------------------------------------------------
+
+def _fails(command, bundles, name, error, flags=None) -> dict:
+    """Run ``command``; it must exit 1 with ``error`` and list ``name`` as the
+    last check, failed with a residual above its limit."""
+    code, doc = run_report(command, bundles, dict(BASE_FLAGS, **(flags or {})))
+    assert code == 1 and not doc["ok"]
+    assert doc["error"]["type"] == error.__name__, doc["error"]
+    last = doc["checks"][-1]
+    assert last["name"] == name and not last["passed"]
+    assert last["residual"] > last["tolerance"]
+    return doc
+
+
+def _scaled_lstsq(monkeypatch, module):
+    real = module._isometry_lstsq
+    monkeypatch.setattr(module, "_isometry_lstsq", lambda m1, m2, lim: 2 * real(m1, m2, lim))
+
+
+def test_gauge_isometry_fails_for_a_non_isometric_cp_gauge(monkeypatch):
+    bundle = random_instance("cp_map", params=SHAPE, seed=1)
+    s_min, _ = cpmaps_mod.minimal_stinespring(bundle.payload.stine)
+    pair = [InstanceBundle("cp_map", CpMapRecord(s_min), {}), bundle]
+    _ok("gauge-compare", pair)
+    _scaled_lstsq(monkeypatch, cpmaps_mod)
+    _fails("gauge-compare", pair, "gauge_isometry", NotSameMap)
+    _fails("minimalize", [bundle], "gauge_isometry", NotSameMap)
+
+
+def test_gauge_isometry_fails_for_a_non_isometric_gkls_gauge(monkeypatch):
+    bundle = random_instance("gkls", params=SHAPE, seed=1)
+    pair = [InstanceBundle("gkls", gkls_mod.gkls_minimalize(bundle.payload).g_min, {}), bundle]
+    _ok("gauge-compare", pair)
+    _scaled_lstsq(monkeypatch, gkls_mod)
+    _fails("gauge-compare", pair, "gauge_isometry", NotSameGenerator)
+
+
+def test_same_map_fails_when_minimalize_drops_an_environment_slot(monkeypatch):
+    bundle = random_instance("cp_map", params=SHAPE, seed=1)
+    real = cpmaps_mod.minimal_stinespring
+
+    def dropped(s, tol):
+        s_min, w = real(s, tol)
+        v = s_min.v.reshape(s.d_out, s_min.d_env, s.d_in)[:, 1:].reshape(-1, s.d_in)
+        return StinespringRep(s.d_in, s.d_out, s_min.d_env - 1, v), w[:, 1:]
+
+    monkeypatch.setattr(cpmaps_mod, "minimal_stinespring", dropped)
+    _fails("minimalize", [bundle], "same_map", NotSameMap)
+
+
+def test_u_alg_unitary_fails_on_a_non_unitary_draw(monkeypatch):
+    real = CounterRng.unitary
+    monkeypatch.setattr(CounterRng, "unitary", lambda self, n: 1.5 * real(self, n))
+    _fails("random", [], "u_alg_unitary", InvariantError, {"kind": "algebra", "params": None})
+
+
+@pytest.mark.parametrize("broken", ["h_selfadjoint", "u_isometry", "u_orthogonality"])
+def test_form_checks_fail_on_a_broken_normal_form(monkeypatch, broken):
+    real = gkls_mod.normal_form_residuals
+    monkeypatch.setattr(gkls_mod, "normal_form_residuals",
+                        lambda nf: dict(real(nf), **{broken: 1.0}))
+    _fails("random", [], f"form_{broken}", InvariantError,
+           {"kind": "normal_form", "params": None})
+
+
+def _fake_decompose(monkeypatch, change):
+    """Make the CLI's ``atomic_decompose`` return ``change(dec)`` of its result."""
+    real = cli_mod.atomic_decompose
+    monkeypatch.setattr(cli_mod, "atomic_decompose",
+                        lambda alg, tol, seed: change(real(alg, tol=tol, seed=seed)))
+
+
+def _all_null(dec: AtomicDecomposition) -> AtomicDecomposition:
+    return AtomicDecomposition(dec.d, dec.u_alg, dec.d, [])
+
+
+@pytest.mark.parametrize("command", ["algebra-decompose", "commutant"])
+def test_a_recovered_structure_that_differs_raises_decomposition_failed(monkeypatch, command):
+    bundle = random_instance("algebra", params={"factors": [[2, 2], [1, 3]], "d0": 1}, seed=13)
+    _ok(command, [bundle])
+    _fake_decompose(monkeypatch, _all_null)
+    code, doc = run_report(command, [bundle], dict(BASE_FLAGS))
+    assert code == 1 and doc["error"]["type"] == "DecompositionFailed"
+    assert "got d0=8" in doc["error"]["message"]
+    assert all(c["passed"] for c in doc["checks"])
+
+
+def test_declared_basis_fails_in_another_frame(monkeypatch):
+    bundle = random_instance("algebra", params={"factors": [[2, 2], [1, 3]], "d0": 1}, seed=13)
+    rotated = CounterRng(5).unitary(bundle.payload.d)
+    _fake_decompose(monkeypatch, lambda dec: AtomicDecomposition(
+        dec.d, rotated @ dec.u_alg, dec.d0, dec.factors))
+    _fails("algebra-decompose", [bundle], "declared_basis_in_recovered_algebra",
+           DecompositionFailed)
+
+
+def test_a_failing_probe_lists_a_prefix_of_its_times_and_every_residual():
+    bundle = random_instance("gkls", params=SHAPE, seed=1)
+    g = bundle.payload
+    leaky = InstanceBundle("gkls", _scaled(g, 1.0, v=_perturbed(g.v, 1e-2)), bundle.meta)
+    doc = _fails("probe", [leaky], "probe_t=0.1", NotInvariant)
+    names = [c["name"] for c in doc["checks"]]
+    assert names == ["probe_t=0.1", "probe_t=1", "probe_t=10"][:len(names)]
+    assert len(doc["result"]["probe_residuals"]) == 3
+    assert all(r > doc["checks"][0]["tolerance"] for r in doc["result"]["probe_residuals"])
+
+
+def test_gkls_reconstruct_reports_the_split_error_of_a_leaky_generator(monkeypatch):
+    bundle = random_instance("normal_form", params=SHAPE, seed=1)
+    real = gkls_mod.reconstruct_from_normal_form
+
+    def leaky(nf):
+        g = real(nf)
+        return _scaled(g, 1.0, v=_perturbed(g.v, 1e-3))
+
+    monkeypatch.setattr(gkls_mod, "reconstruct_from_normal_form", leaky)
+    _fails("gkls-reconstruct", [bundle], "generator_invariance", NotInvariant)
+
+
+def test_semicausal_fails_on_a_generic_generator():
+    bundle = random_instance("gkls", params={"factors": [[4, 1]], "d0": 0, "d_env": 2}, seed=1)
+    _fails("semicausal", [bundle], "semicausal", NotInvariant, {"split": (2, 2)})
 
 
 # ---------------------------------------------------------------------------
@@ -345,3 +476,19 @@ def test_the_rank_rule_exists_once_in_linalg():
     hits = {path.name: _rank_rule_lines(path) for path in modules}
     assert hits.pop("linalg.py")  # the matcher sees the rule where it lives
     assert [hit for lines in hits.values() for hit in lines] == []
+
+
+# ---------------------------------------------------------------------------
+# one verdict path: errors.verify is the only way a check enters a report
+# ---------------------------------------------------------------------------
+
+def test_the_cli_computes_no_check_of_its_own():
+    package = Path(__file__).resolve().parents[1] / "src" / "igkls"
+    cli_src = (package / "cli.py").read_text(encoding="utf-8")
+    assert re.findall(r"rep\.check\(|\.fact\(", cli_src) == []
+    assert "frob(" not in cli_src and "_linear_scale" not in cli_src
+    # the reports' only sink is the one that the recording hands verify's checks to
+    assert cli_src.count('self.doc["checks"].append') == 1
+    assert "_recording(rep.record)" in cli_src
+    assert [path.name for path in package.glob("*.py")
+            if re.search(r"\b_commutant\b", path.read_text(encoding="utf-8"))] == []
