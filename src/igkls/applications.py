@@ -29,7 +29,7 @@ connected by adjointing each operator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -96,13 +96,7 @@ class SemicausalReport:
     direct_residuals: list[float]
 
     def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "max_residual": self.max_residual,
-            "tol": self.tol,
-            "algebra_residuals": self.algebra_residuals,
-            "direct_residuals": self.direct_residuals,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -159,12 +153,7 @@ class ProbeReport:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "times": self.times,
-            "max_residuals": self.max_residuals,
-            "tol": self.tol,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -476,60 +465,35 @@ def _dual_fixed_residual(ops: list[np.ndarray], ys: np.ndarray) -> float:
     return _worst(np.linalg.norm(moved, axis=(1, 2)) / np.linalg.norm(ys, axis=(1, 2)))
 
 
-def _spectral(f, hs: np.ndarray) -> np.ndarray:
-    """Σ_k f(h_k) over the Hermitian (m, d, d) stack hs (|h| = h₊ + h₋)."""
-    w, u = np.linalg.eigh(hs)
-    return ((u * f(w)[:, None]) @ np.conj(u.transpose(0, 2, 1))).sum(axis=0)
-
-
-def _fixed_candidates(ops: list[np.ndarray], d: int, tol: float):
-    """Unit-trace PSD candidates for a fixed point of ρ ↦ Σ op·ρ·op†: the
-    spectral one, then Cesàro averages of channel powers (PSD-projected)
-    from the maximally mixed state at n = 1, 2, 4, …, 4096."""
-    hs = _fixed_space(ops, d, tol)
-    if len(hs):
-        cand = _spectral(np.abs, hs)
-        tr = float(np.real(np.trace(cand)))
-        if tr > 0:
-            yield cand / tr
-    acc = np.zeros((d, d), dtype=np.complex128)
-    cur = eye(d) / d
-    for n in range(1, 4097):
-        acc += cur
-        cur = _schrodinger_apply(ops, cur)
-        if n & (n - 1) == 0:  # checkpoints at powers of two
-            cand = _spectral(lambda w: np.clip(w, 0.0, None), herm(acc / n)[None])
-            tr = float(np.real(np.trace(cand)))
-            if tr > 0:
-                yield cand / tr
+def _fixed_states(k: KrausSet, tol: float, tp_name: str) -> tuple[float, np.ndarray, np.ndarray]:
+    """(tp, hs, ρ) of the Schrödinger channel T: the trace-preservation
+    residual, verified as ``tp_name``; an HS-orthonormal Hermitian basis hs
+    of Fix(T) (:func:`_fixed_space`); and Σ_k |h_k|, a PSD fixed point of
+    maximal rank, since Fix(T) is *-closed (not normalized)."""
+    if k.d_in != k.d_out:
+        raise ValueError("channel must be an endomorphism")
+    tp = _tp_residual(k.ops, k.d_in)
+    verify(tp_name, tp, limit(tol, math.sqrt(k.d_in)), NotTracePreserving,
+           "Kraus set is not trace preserving in the Schrödinger picture")
+    hs = _fixed_space(k.ops, k.d_in, tol)
+    if not len(hs):
+        raise NoFixedState("transfer matrix shows no unit-eigenvalue space")
+    w, u = np.linalg.eigh(hs)  # |h| = h₊ + h₋
+    return tp, hs, ((u * np.abs(w)[:, None]) @ np.conj(u.transpose(0, 2, 1))).sum(axis=0)
 
 
 def fixed_point_state(k: KrausSet, tol: float = TOL_VERIFY) -> np.ndarray:
     """A density matrix ρ with T(ρ) = ρ for the Schrödinger channel T.
 
-    Spectral route: the unit-eigenvalue space of the transfer matrix is
-    *-closed, so the absolute values of a Hermitian spanning set sum to a PSD
-    fixed point; normalize and verify.  If the candidate fails numerically, a
-    Cesàro average of channel powers (PSD-projected) is tried before giving
-    up with :class:`NoFixedState`.
+    The unit-eigenvalue space of the transfer matrix is *-closed, so the
+    absolute values of a Hermitian spanning set sum to a PSD fixed point;
+    it is normalized and verified, else :class:`NoFixedState`.
     """
-    if k.d_in != k.d_out:
-        raise ValueError("channel must be an endomorphism")
-    d = k.d_in
-    ops = k.ops
-    verify("tp", _tp_residual(ops, d), limit(tol, math.sqrt(d)), NotTracePreserving,
-           "Kraus set is not trace preserving in the Schrödinger picture")
-    bound = limit(tol, factor=1)
-    best, best_res = None, float("inf")
-    for cand in _fixed_candidates(ops, d, tol):
-        res = frob(_schrodinger_apply(ops, cand) - cand)
-        if res < best_res:
-            best, best_res = cand, res
-        if res <= bound:
-            break
-    verify("fixed_state", best_res, bound, NoFixedState,
-           "no fixed density matrix certified at tolerance")
-    return best
+    _, _, rho = _fixed_states(k, tol, "tp")
+    rho = rho / float(np.real(np.trace(rho)))
+    verify("fixed_state", frob(_schrodinger_apply(k.ops, rho) - rho), limit(tol, factor=1),
+           NoFixedState, "no fixed density matrix certified at tolerance")
+    return rho
 
 
 def koashi_imoto_decompose(
@@ -549,18 +513,9 @@ def koashi_imoto_decompose(
     Tr_A(ρ_c,ii); (6) verify the dimension count and that every
     q†·u(X_{A_i}⊗σ_i)u†·q is a fixed point of T.
     """
-    if k.d_in != k.d_out:
-        raise ValueError("channel must be an endomorphism")
+    tp, hs, rho_max = _fixed_states(k, tol, "ki_tp")
     d = k.d_in
     ops = k.ops
-    tp = _tp_residual(ops, d)
-    verify("ki_tp", tp, limit(tol, math.sqrt(d)), NotTracePreserving,
-           "Kraus set is not trace preserving in the Schrödinger picture")
-
-    hs = _fixed_space(ops, d, tol)
-    if not len(hs):
-        raise NoFixedState("transfer matrix shows no unit-eigenvalue space")
-    rho_max = _spectral(np.abs, hs)
     w, vecs = np.linalg.eigh(herm(rho_max))
     if w[-1] <= 0:
         raise NoFixedState("maximal-rank candidate state vanished")
@@ -696,6 +651,7 @@ def _integer_ratio(t: float, t0: float) -> int | None:
     return int(k) if 2 <= k <= 128 and abs(t - k * t0) <= RANK_FLOOR * t else None
 
 
+@np.errstate(all="ignore")
 def semigroup_invariance_probe(
     g: GKLSRep,
     dec: AtomicDecomposition,
@@ -727,7 +683,9 @@ def semigroup_invariance_probe(
     between ‖E‖₂ and d·‖E‖₂ and equals d at t = 0, so near t = 0 the same
     ``tol`` is up to d times weaker than against ‖E‖₂, and weaker at
     larger d.  Each residual is compared against ``limit(tol, factor=1)``;
-    a NaN residual fails the probe.
+    a NaN residual fails the probe.  Warnings are off (``np.errstate``), so
+    a propagator that overflows is the NaN residual of a failed time, not a
+    ``RuntimeWarning`` (an error under ``-W error``).
     """
     if dec.d != g.d:
         raise ValueError("decomposition dimension does not match the generator")

@@ -59,7 +59,8 @@ from .io import (
     _checked,
     _decode_algebra,
     _decode_cmatrix,
-    _encode_algebra,
+    _dump,
+    _schema,
     bundle_to_dict,
     decode,
     encode_cmatrix,
@@ -76,23 +77,6 @@ if TYPE_CHECKING:
     from .gkls import GKLSRep
 
 __all__ = ["main", "run_report", "COMMANDS"]
-
-COMMANDS = (
-    "algebra-decompose",
-    "commutant",
-    "cp-factorize",
-    "gkls-normal-form",
-    "gkls-reconstruct",
-    "check-invariance",
-    "minimalize",
-    "gauge-compare",
-    "semicausal",
-    "dfs",
-    "abelian",
-    "koashi-imoto",
-    "probe",
-    "random",
-)
 
 PROBE_TIMES = (0.1, 1.0, 10.0)
 
@@ -268,8 +252,8 @@ def _cmd_gkls_normal_form(bundles, flags, rep: _Report):
     nf = atomic_normal_form(g, dec, tol=tol)  # raises NotInvariant → exit 1
     rep.info("d_env", nf.d_env)
     rep.info("d_f", [list(r) for r in nf.d_f])
-    meta = {"algebra": _encode_algebra(dec), "tol_rank": flags["tol_rank"],
-            "tol_verify": tol}
+    meta = {"algebra": _dump(dec, _schema("algebra.schema.json")),
+            "tol_rank": flags["tol_rank"], "tol_verify": tol}
     return InstanceBundle("normal_form", nf, meta)
 
 
@@ -283,7 +267,7 @@ def _cmd_gkls_reconstruct(bundles, flags, rep: _Report):
     invariant_split(g, nf.dec, tol=tol)
     rep.info("d", g.d)
     rep.info("d_env", g.d_env)
-    return InstanceBundle("gkls", g, {"algebra": _encode_algebra(nf.dec),
+    return InstanceBundle("gkls", g, {"algebra": _dump(nf.dec, _schema("algebra.schema.json")),
                                       "tol_rank": flags["tol_rank"],
                                       "tol_verify": tol})
 
@@ -486,6 +470,7 @@ _BODIES = {
     "probe": _cmd_probe,
     "random": _cmd_random,
 }
+COMMANDS = tuple(_BODIES)
 
 
 # ---------------------------------------------------------------------------

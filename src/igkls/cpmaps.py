@@ -11,7 +11,7 @@ the *last* tensor slot.  Kraus operators are the environment slices
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -130,13 +130,7 @@ class InvarianceReport:
     worst_index: int
 
     def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "max_residual": self.max_residual,
-            "tol": self.tol,
-            "residuals": self.residuals,
-            "worst_index": self.worst_index,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -144,15 +138,10 @@ class OrthogonalityReport:
     passed: bool
     max_residual: float
     tol: float
-    worst_triple: tuple[int, int, int] | None
+    worst_triple: list[int] | None  # [i, k, l] of the worst u_ik†u_il
 
     def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "max_residual": self.max_residual,
-            "tol": self.tol,
-            "worst_triple": list(self.worst_triple) if self.worst_triple else None,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +427,7 @@ def orthogonality_check(bf: BlockFactorization, tol: float = TOL_VERIFY) -> Orth
                 prod = dag(u_ik) @ u_il
                 target = eye(prod.shape[0]) if k == l else np.zeros_like(prod)
                 residuals[(i, k, l)] = frob(prod - target)
-    values = list(residuals.values())
+    triples, values = list(residuals), list(residuals.values())
     worst = _worst(values)
-    worst_triple = list(residuals)[int(np.argmax(values))] if worst != 0.0 else None
+    worst_triple = list(triples[int(np.argmax(values))]) if worst != 0.0 else None
     return OrthogonalityReport(worst <= tol, worst, tol, worst_triple)

@@ -6,7 +6,11 @@ The JSON schemas in ``igkls/schema/`` are the one statement of the format:
 ``bundle.schema.json`` for ``{"kind", "payload", "meta"}``, one schema per
 payload kind (``KINDS``) and ``cmatrix.schema.json`` for a complex matrix,
 ``{"rows": r, "cols": c, "data": [[re, im], ...]}`` in row-major order.
-:func:`decode_text` reads a bundle in three steps:
+Encoding and decoding walk the same schemas.  :func:`bundle_to_dict` writes
+a payload from its kind's schema: each property from the payload's attribute
+of that name, each CMatrix reference by :func:`encode_cmatrix`, so a field is
+stated once, in its schema and its dataclass.  :func:`decode_text` reads a
+bundle in three steps:
 
 1. it checks the document against ``bundle.schema.json``, whose ``kind``
    selects the one payload schema the payload is checked against
@@ -80,10 +84,28 @@ _DIM_CAP = 32  # desk-scale cap on the total system dimension
 
 @dataclass
 class CpMapRecord:
-    """A Stinespring matrix plus the picture its Kraus slices live in."""
+    """A Stinespring matrix plus the picture its Kraus slices live in; its
+    ``d_in``, ``d_out``, ``d_env`` and ``v`` are the matrix's, as in the
+    cp_map schema."""
 
     stine: StinespringRep
     picture: str = "heisenberg"
+
+    @property
+    def d_in(self) -> int:
+        return self.stine.d_in
+
+    @property
+    def d_out(self) -> int:
+        return self.stine.d_out
+
+    @property
+    def d_env(self) -> int:
+        return self.stine.d_env
+
+    @property
+    def v(self) -> np.ndarray:
+        return self.stine.v
 
 
 @dataclass
@@ -190,14 +212,35 @@ def _checked(doc, schema: str, path: str):
 
 
 def encode_cmatrix(m: np.ndarray) -> dict:
-    m = np.asarray(m, dtype=np.complex128)
+    m = np.ascontiguousarray(m, dtype=np.complex128)
     if m.ndim != 2:
         raise ValueError("CMatrix encoding needs a 2-d array")
     return {
         "rows": int(m.shape[0]),
         "cols": int(m.shape[1]),
-        "data": [[float(z.real), float(z.imag)] for z in m.reshape(-1)],
+        "data": m.view(np.float64).reshape(-1, 2).tolist(),
     }
+
+
+def _dump(value, schema: dict):
+    """``value`` written as the JSON that ``schema`` describes: a CMatrix
+    reference by :func:`encode_cmatrix`, an object with ``properties`` from
+    the attributes of those names, an array item by item, an integer as an
+    int; anything else (a free-form ``report``, the ``picture`` tag) as is."""
+    if "$ref" in schema:
+        if schema["$ref"] == "cmatrix.schema.json":
+            return encode_cmatrix(value)
+        return _dump(value, _schema(schema["$ref"]))
+    kind = schema.get("type")
+    if kind == "object" and "properties" in schema:
+        return {key: _dump(getattr(value, key), sub) for key, sub in schema["properties"].items()}
+    if kind == "array":
+        prefix = schema.get("prefixItems", ())
+        return [_dump(item, prefix[i] if i < len(prefix) else schema.get("items", {}))
+                for i, item in enumerate(value)]
+    if kind == "integer":
+        return int(value)
+    return value
 
 
 def _decode_cmatrix(obj: dict, path: str) -> np.ndarray:
@@ -223,17 +266,8 @@ def _decode_list(items: list, path: str) -> list[np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# record codecs
+# record decoders
 # ---------------------------------------------------------------------------
-
-def _encode_algebra(dec: AtomicDecomposition) -> dict:
-    return {
-        "d": int(dec.d),
-        "d0": int(dec.d0),
-        "factors": [[int(a), int(b)] for a, b in dec.factors],
-        "u_alg": encode_cmatrix(dec.u_alg),
-    }
-
 
 @np.errstate(all="ignore")
 def _decode_algebra(obj: dict, tol: float, path: str) -> AtomicDecomposition:
@@ -251,16 +285,6 @@ def _decode_algebra(obj: dict, tol: float, path: str) -> AtomicDecomposition:
     return dec
 
 
-def _encode_cp_map(rec: CpMapRecord) -> dict:
-    return {
-        "d_in": int(rec.stine.d_in),
-        "d_out": int(rec.stine.d_out),
-        "d_env": int(rec.stine.d_env),
-        "picture": rec.picture,
-        "v": encode_cmatrix(rec.stine.v),
-    }
-
-
 def _decode_cp_map(obj: dict, tol: float, path: str) -> CpMapRecord:
     from .cpmaps import StinespringRep
 
@@ -270,15 +294,6 @@ def _decode_cp_map(obj: dict, tol: float, path: str) -> CpMapRecord:
     except ValueError as exc:
         raise SchemaError(f"{path}.v: {exc}") from exc
     return CpMapRecord(stine=stine, picture=obj["picture"])
-
-
-def _encode_gkls(g: GKLSRep) -> dict:
-    return {
-        "d": int(g.d),
-        "d_env": int(g.d_env),
-        "v": encode_cmatrix(g.v),
-        "k": encode_cmatrix(g.k),
-    }
 
 
 def _decode_gkls(obj: dict, tol: float, path: str) -> GKLSRep:
@@ -292,21 +307,6 @@ def _decode_gkls(obj: dict, tol: float, path: str) -> GKLSRep:
         return GKLSRep(d=d, stine=StinespringRep(d, d, obj["d_env"], v), k=k)
     except ValueError as exc:
         raise SchemaError(f"{path}: {exc}") from exc
-
-
-def _encode_normal_form(nf: AtomicNormalForm) -> dict:
-    return {
-        "dec": _encode_algebra(nf.dec),
-        "d_env": int(nf.d_env),
-        "v0": encode_cmatrix(nf.v0),
-        "k0": encode_cmatrix(nf.k0),
-        "k_a": [encode_cmatrix(m) for m in nf.k_a],
-        "h_b": [encode_cmatrix(m) for m in nf.h_b],
-        "b": [encode_cmatrix(m) for m in nf.b],
-        "d_f": [[int(x) for x in row] for row in nf.d_f],
-        "a": [[encode_cmatrix(m) for m in row] for row in nf.a],
-        "u": [[encode_cmatrix(m) for m in row] for row in nf.u],
-    }
 
 
 @np.errstate(all="ignore")
@@ -340,16 +340,6 @@ def _decode_normal_form(obj: dict, tol: float, path: str) -> AtomicNormalForm:
         raise InvariantError(f"{path}.u[{i}][{k}]/u[{i}][{l}]: not orthonormal isometries "
                              f"(residual {ortho.max_residual:.3e})")
     return nf
-
-
-def _encode_ki(res: KoashiImotoResult) -> dict:
-    return {
-        "q": encode_cmatrix(res.q),
-        "dec": _encode_algebra(res.dec),
-        "v": [encode_cmatrix(m) for m in res.v],
-        "sigma": [encode_cmatrix(m) for m in res.sigma],
-        "report": res.report,
-    }
 
 
 @np.errstate(all="ignore")
@@ -393,14 +383,6 @@ def _decode_ki(obj: dict, tol: float, path: str) -> KoashiImotoResult:
     return KoashiImotoResult(q=q, dec=dec, v=v, sigma=sigma, report=dict(obj.get("report", {})))
 
 
-_ENCODERS = {
-    "algebra": _encode_algebra,
-    "cp_map": _encode_cp_map,
-    "gkls": _encode_gkls,
-    "normal_form": _encode_normal_form,
-    "koashi_imoto": _encode_ki,
-}
-
 _DECODERS = {
     "algebra": _decode_algebra,
     "cp_map": _decode_cp_map,
@@ -419,7 +401,7 @@ def bundle_to_dict(bundle: InstanceBundle) -> dict:
         raise ValueError(f"unknown bundle kind {bundle.kind!r}")
     return {
         "kind": bundle.kind,
-        "payload": _ENCODERS[bundle.kind](bundle.payload),
+        "payload": _dump(bundle.payload, _schema(f"{bundle.kind}.schema.json")),
         "meta": bundle.meta,
     }
 
@@ -673,7 +655,7 @@ def random_instance(kind: str, params: dict | None = None, seed: int = 0) -> Ins
         g = reconstruct_from_normal_form(nf)
         _generator_invariance(g, dec, TOL_VERIFY)
         return InstanceBundle(
-            "gkls", g, _meta(seed, used, {"algebra": _encode_algebra(dec)})
+            "gkls", g, _meta(seed, used, {"algebra": _dump(dec, _schema("algebra.schema.json"))})
         )
 
     if kind == "cp_map":
@@ -695,7 +677,7 @@ def random_instance(kind: str, params: dict | None = None, seed: int = 0) -> Ins
         used.setdefault("d_env", e)
         used.setdefault("d_f_max", d_f_max)
         return InstanceBundle(
-            "cp_map", rec, _meta(seed, used, {"algebra": _encode_algebra(dec)})
+            "cp_map", rec, _meta(seed, used, {"algebra": _dump(dec, _schema("algebra.schema.json"))})
         )
 
     # koashi_imoto: a trace-preserving channel with a planted block structure,
@@ -717,5 +699,5 @@ def random_instance(kind: str, params: dict | None = None, seed: int = 0) -> Ins
     return InstanceBundle(
         "koashi_imoto",
         result,
-        _meta(seed, used, {"channel": _encode_cp_map(chan_rec)}),
+        _meta(seed, used, {"channel": _dump(chan_rec, _schema("cp_map.schema.json"))}),
     )

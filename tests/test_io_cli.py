@@ -38,7 +38,6 @@ from igkls.io import (
     KINDS,
     CpMapRecord,
     InstanceBundle,
-    _encode_algebra,
     bundle_to_dict,
     decode,
     decode_text,
@@ -226,32 +225,37 @@ def test_decode_schema_errors_name_the_field():
         decode_text("[]")
 
 
+def _cm(rows, cols, *entries):
+    """A CMatrix document with the given real entries."""
+    return {"rows": rows, "cols": cols, "data": [[x, 0.0] for x in entries]}
+
+
+def _algebra_payload(dec: AtomicDecomposition) -> dict:
+    return bundle_to_dict(InstanceBundle("algebra", dec))["payload"]
+
+
+ONE = {"d": 1, "d0": 0, "factors": [[1, 1]], "u_alg": _cm(1, 1, 1.0)}
+
+# a small valid payload of each kind (d = 1)
+MINIMAL = {
+    "algebra": ONE,
+    "cp_map": {"d_in": 1, "d_out": 1, "d_env": 1, "picture": "heisenberg", "v": _cm(1, 1, 1.0)},
+    "gkls": {"d": 1, "d_env": 1, "v": _cm(1, 1, 1.0), "k": _cm(1, 1, 0.5)},
+    "normal_form": {"dec": ONE, "d_env": 1, "v0": _cm(0, 1), "k0": _cm(0, 1),
+                    "k_a": [_cm(1, 1, 0.5)], "h_b": [_cm(1, 1, 0.25)], "b": [_cm(1, 1, 1.0)],
+                    "d_f": [[0]], "a": [[_cm(0, 1)]], "u": [[_cm(1, 0)]]},
+    "koashi_imoto": {"q": _cm(1, 1, 1.0), "dec": ONE, "v": [_cm(1, 1, 1.0)],
+                     "sigma": [_cm(1, 1, 1.0)], "report": {"d": 1}},
+}
+
+
 def test_minimal_valid_documents_decode():
-    algebra = {
-        "kind": "algebra",
-        "payload": {
-            "d": 1,
-            "d0": 0,
-            "factors": [[1, 1]],
-            "u_alg": {"rows": 1, "cols": 1, "data": [[1.0, 0.0]]},
-        },
-    }
-    dec = decode_text(json.dumps(algebra)).payload
+    for kind in KINDS:  # each encodes back to the document it was read from
+        doc = {"kind": kind, "payload": MINIMAL[kind], "meta": {"seed": 0}}
+        assert bundle_to_dict(decode_text(json.dumps(doc))) == doc, kind
+    dec = decode_text(json.dumps({"kind": "algebra", "payload": ONE})).payload
     assert isinstance(dec, AtomicDecomposition)
     assert dec.d == 1 and dec.factors == [(1, 1)]
-
-    cp = {
-        "kind": "cp_map",
-        "payload": {
-            "d_in": 1,
-            "d_out": 1,
-            "d_env": 1,
-            "picture": "heisenberg",
-            "v": {"rows": 1, "cols": 1, "data": [[1.0, 0.0]]},
-        },
-    }
-    rec = decode_text(json.dumps(cp)).payload
-    assert rec.stine.v.shape == (1, 1)
 
 
 def test_infeasible_multiplicity_table_is_rejected():
@@ -507,7 +511,7 @@ def test_cli_dfs_verdicts(tmp_path, capsys):
     v = kron(eye(da), b)
     g = GKLSRep(d=d, stine=StinespringRep(d, d, e, v), k=0.5 * dag(v) @ v)
     good = tmp_path / "dfs.json"
-    write_bundle(InstanceBundle("gkls", g, {"algebra": _encode_algebra(dec)}), good)
+    write_bundle(InstanceBundle("gkls", g, {"algebra": _algebra_payload(dec)}), good)
     code, out, _ = run_cli(capsys, ["dfs", "--in", str(good)])
     assert code == 0
     assert json.loads(out)["ok"] is True
@@ -516,7 +520,7 @@ def test_cli_dfs_verdicts(tmp_path, capsys):
     v2 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=np.complex128)
     g2 = GKLSRep(d=2, stine=StinespringRep(2, 2, 1, v2), k=0.5 * dag(v2) @ v2)
     bad = tmp_path / "jump.json"
-    write_bundle(InstanceBundle("gkls", g2, {"algebra": _encode_algebra(dec2)}), bad)
+    write_bundle(InstanceBundle("gkls", g2, {"algebra": _algebra_payload(dec2)}), bad)
     code, out, _ = run_cli(capsys, ["dfs", "--in", str(bad)])
     assert code == 1
     assert json.loads(out)["error"]["type"] == "NotDecoherenceFree"

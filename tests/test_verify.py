@@ -13,10 +13,12 @@ from __future__ import annotations
 
 import ast
 import io
+import json
 import math
 import re
 import sys
 import tokenize
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -28,10 +30,11 @@ import igkls.gkls as gkls_mod
 import igkls.cli as cli_mod
 from igkls import (AtomicDecomposition, DecompositionFailed, GKLSRep, InvariantError, KrausSet,
                    NotInvariant, NotSameGenerator, NotSameMap, StinespringRep,
-                   kraus_to_stinespring)
+                   atomic_block_factorize, cp_invariance_check, kraus_to_stinespring,
+                   orthogonality_check, semicausal_check, semigroup_invariance_probe)
 from igkls.cli import run_report
 from igkls.errors import _SINK, _recording, verify
-from igkls.io import CpMapRecord, InstanceBundle, random_instance
+from igkls.io import CpMapRecord, InstanceBundle, _decode_algebra, random_instance, write_bundle
 from igkls.linalg import eye, frob
 from igkls.rng import CounterRng
 
@@ -421,6 +424,52 @@ def test_dfs_lists_the_generator_invariance_check_once():
     names = [c["name"] for c in doc["checks"]]
     assert code == 0 and names.count("generator_invariance") == 1
     assert "dfs_invariance" not in names
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_probe_of_a_generator_scaled_by_ten_reports_under_warnings_as_errors(
+        tmp_path, capsys, seed):
+    # L scaled by 100 makes e^{t(L_r − μ)} overflow at t = 10: the overflow
+    # must reach the report as a failed time, not raise a RuntimeWarning
+    bundle = random_instance("gkls", seed=seed)
+    path = tmp_path / "g10.json"
+    write_bundle(InstanceBundle("gkls", _scaled(bundle.payload, 10.0), bundle.meta), path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli_mod.main(["probe", "--in", str(path)])
+    doc = json.loads(capsys.readouterr().out)
+    assert code in (0, 1) and doc["ok"] is (code == 0)
+    assert [c["name"] for c in doc["checks"]] == ["probe_t=0.1", "probe_t=1", "probe_t=10"]
+    assert doc["checks"][0]["passed"] and doc["checks"][1]["passed"]
+
+
+# ---------------------------------------------------------------------------
+# report dicts: every dataclass field, under its own name
+# ---------------------------------------------------------------------------
+
+def test_each_report_dict_holds_every_field():
+    cp = random_instance("cp_map", {"factors": [[2, 2]], "d0": 0, "d_env": 2, "d_f": [[2]]},
+                         seed=4)
+    dec = _decode_algebra(cp.meta["algebra"], 1e-9, "meta.algebra")
+    inv = cp_invariance_check(cp.payload.stine, dec, dec)
+    assert inv.to_dict() == {"passed": inv.passed, "max_residual": inv.max_residual,
+                             "tol": inv.tol, "residuals": inv.residuals,
+                             "worst_index": inv.worst_index}
+    bf = atomic_block_factorize(cp.payload.stine, dec, dec)
+    bf.u[0][0] = 2 * bf.u[0][0]  # (0, 0, 0), the row's only triple, is no isometry
+    ortho = orthogonality_check(bf)
+    assert ortho.to_dict() == {"passed": False, "max_residual": ortho.max_residual,
+                               "tol": ortho.tol, "worst_triple": [0, 0, 0]}
+
+    g = random_instance("gkls", params={"factors": [[4, 1]], "d0": 0, "d_env": 2}, seed=1)
+    semi = semicausal_check(g.payload, 2, 2)
+    assert semi.to_dict() == {"passed": semi.passed, "max_residual": semi.max_residual,
+                              "tol": semi.tol, "algebra_residuals": semi.algebra_residuals,
+                              "direct_residuals": semi.direct_residuals}
+    probe = semigroup_invariance_probe(
+        g.payload, _decode_algebra(g.meta["algebra"], 1e-9, "meta.algebra"), [0.1, 1.0])
+    assert probe.to_dict() == {"times": [0.1, 1.0], "max_residuals": probe.max_residuals,
+                               "tol": probe.tol, "passed": probe.passed}
 
 
 # ---------------------------------------------------------------------------
