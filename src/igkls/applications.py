@@ -176,7 +176,6 @@ def semicausal_build(
     normal form over L(C^dA)⊗1_B in the identity frame, so it is rebuilt by
     :func:`~igkls.gkls.reconstruct_from_normal_form`.
     """
-    a = asmatrix(a)
     u = asmatrix(u)
     b = asmatrix(b)
     k_a = asmatrix(k_a)
@@ -189,14 +188,12 @@ def semicausal_build(
     db = h_b.shape[0]
     if da == 0 or db == 0:
         raise ValueError("system factors must be nonempty")
-    if b.shape[1] != db or b.shape[0] % db:
+    if b.shape[0] % db:
         raise ValueError(f"b must have shape (dB·dE, dB) with dB={db}")
     e = b.shape[0] // db
-    if u.shape[0] != db * e or u.shape[1] % db:
+    if u.shape[1] % db:
         raise ValueError(f"u must have shape (dB·dE, dF·dB) with dB={db}, dE={e}")
     d_f = u.shape[1] // db
-    if a.shape != (da * d_f, da):
-        raise ValueError(f"a must have shape (dA·dF, dA) = {(da * d_f, da)}")
     if u.size:
         iso = _isometry_defect(u)
         if not iso <= limit(TOL_VERIFY, _linear_scale(u)):
@@ -208,6 +205,7 @@ def semicausal_build(
     d = da * db
     dec = AtomicDecomposition(d=d, u_alg=eye(d), d0=0, factors=[(da, db)])
     empty = np.zeros((0, d), dtype=np.complex128)
+    # the dataclass rejects the shapes not checked above
     return reconstruct_from_normal_form(AtomicNormalForm(
         dec=dec, v0=empty, k0=empty, k_a=[k_a], h_b=[h_b], b=[b],
         d_f=[[d_f]], a=[[a]], u=[[u]], d_env=e))

@@ -56,10 +56,9 @@ from .io import (
     CpMapRecord,
     InstanceBundle,
     _TYPES,
-    _checked,
-    _decode_algebra,
-    _decode_cmatrix,
+    _build,
     _dump,
+    _read,
     _schema,
     bundle_to_dict,
     decode,
@@ -143,8 +142,8 @@ def _algebra_for(bundles: list[InstanceBundle], primary: InstanceBundle,
         return alg.payload
     record = primary.meta.get("algebra")
     if record is not None:
-        return _decode_algebra(_checked(record, "algebra.schema.json", "meta.algebra"), tol,
-                               "meta.algebra")
+        return _build("algebra", _read(record, _schema("algebra.schema.json"), "meta.algebra"),
+                      tol, "meta.algebra")
     raise UsageError("no algebra given: pass an --in algebra bundle (or use a "
                      "bundle whose meta records one)")
 
@@ -389,8 +388,7 @@ def _cmd_abelian(bundles, flags, rep: _Report):
     dec = _algebra_for(bundles, mb, tol)
     obs = mb.meta.get("observable")
     if obs is not None:
-        c = _decode_cmatrix(_checked(obs, "cmatrix.schema.json", "meta.observable"),
-                            "meta.observable")
+        c = _read(obs, {"$ref": "cmatrix.schema.json"}, "meta.observable")
     else:
         c = dec.u_alg @ np.diag(np.arange(dec.d, dtype=np.complex128)) @ dag(dec.u_alg)
         rep.info("observable", "default: Σ i·|p_i⟩⟨p_i| over the minimal projections")

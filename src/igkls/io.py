@@ -10,16 +10,21 @@ Encoding and decoding walk the same schemas.  :func:`bundle_to_dict` writes
 a payload from its kind's schema: each property from the payload's attribute
 of that name, each CMatrix reference by :func:`encode_cmatrix`, so a field is
 stated once, in its schema and its dataclass.  :func:`decode_text` reads a
-bundle in three steps:
+bundle in one walk of ``bundle.schema.json``, whose ``kind`` selects the
+one payload schema the payload is read against (:func:`_read`):
 
-1. it checks the document against ``bundle.schema.json``, whose ``kind``
-   selects the one payload schema the payload is checked against
-   (:class:`SchemaError` names the path of the first breach);
-2. it converts each CMatrix with one numpy call, checking its entries
-   (``rows·cols`` pairs of finite doubles) in bulk;
-3. it checks what a schema cannot state: shapes across fields
-   (:class:`SchemaError`) and the numeric load-time invariants, such as a
-   unitary ``u_alg`` at ``meta.tol_verify`` (:class:`InvariantError`).
+1. the walk checks each value against its schema and converts it, each
+   CMatrix with one numpy call that checks its entries (``rows·cols`` pairs
+   of finite doubles) in bulk; :class:`SchemaError` names the path of the
+   first breach;
+2. each record's decoder then checks what a schema cannot state: shapes
+   across fields (:class:`SchemaError`) and the numeric load-time
+   invariants at ``meta.tol_verify``, such as a unitary ``u_alg``
+   (:class:`InvariantError`).
+
+The meta records ``meta.algebra`` and ``meta.channel`` are read and checked
+the same way, and ``meta.observable`` is read; the decoded bundle keeps
+``meta`` as JSON.
 
 Malformed JSON raises :class:`ParseError` with its position.  The invariant
 checks are written ``not residual <= limit``, so finite entries whose
@@ -123,7 +128,7 @@ def kraus_picture_adjoint(k: KrausSet) -> KrausSet:
 
 
 # ---------------------------------------------------------------------------
-# the format: the JSON schemas in schema/, checked by _violation
+# the format: the JSON schemas in schema/, read by _read
 # ---------------------------------------------------------------------------
 
 _SCHEMA_DIR = Path(__file__).with_name("schema")
@@ -149,65 +154,65 @@ def _schema(name: str) -> dict:
     return json.loads((_SCHEMA_DIR / name).read_text(encoding="utf-8"))
 
 
-def _violation(doc, schema: dict, path: str = "$") -> str | None:
-    """The first breach of ``schema`` in ``doc``, as ``"path: what"``, else None.
+def _read(doc, schema: dict, path: str):
+    """``doc`` checked against ``schema`` and converted, in one walk: each
+    ``$ref`` to ``cmatrix.schema.json`` becomes an array by
+    :func:`_decode_cmatrix`, an object is read key by key and an array item
+    by item; anything else is returned as is.  The first breach raises
+    :class:`SchemaError` as ``"path: what"``.
 
     Stdlib only, for the keywords the bundle schemas use: ``$ref``, ``type``,
     ``enum``, ``const``, ``minimum``, ``exclusiveMinimum``, ``required``,
     ``properties``, ``additionalProperties: false``, ``items``,
     ``prefixItems``, ``minItems``, ``maxItems`` and ``allOf`` with
-    ``if``/``then``.  The [re, im] entries of a CMatrix are not walked one
-    by one: :func:`_decode_cmatrix` checks them in one numpy conversion.
+    ``if``/``then``.  An array whose schema names no items is not walked,
+    nor are the [re, im] entries of a CMatrix: :func:`_decode_cmatrix`
+    checks them in one numpy conversion.
     """
     if "$ref" in schema:
-        return _violation(doc, _schema(schema["$ref"]), path)
+        value = _read(doc, _schema(schema["$ref"]), path)
+        return _decode_cmatrix(value, path) if schema["$ref"] == "cmatrix.schema.json" else value
     kind = schema.get("type")
     if kind is not None and not _TYPES[kind](doc):
-        return f"{path}: expected {kind}, got {_brief(doc)}"
+        raise SchemaError(f"{path}: expected {kind}, got {_brief(doc)}")
     if "enum" in schema and doc not in schema["enum"]:
-        return f"{path}: expected one of {schema['enum']}, got {_brief(doc)}"
+        raise SchemaError(f"{path}: expected one of {schema['enum']}, got {_brief(doc)}")
     if "const" in schema and doc != schema["const"]:
-        return f"{path}: expected {schema['const']!r}"
+        raise SchemaError(f"{path}: expected {schema['const']!r}")
     if type(doc) in (int, float):
         if "minimum" in schema and doc < schema["minimum"]:
-            return f"{path}: must be ≥ {schema['minimum']}, got {_brief(doc)}"
+            raise SchemaError(f"{path}: must be ≥ {schema['minimum']}, got {_brief(doc)}")
         if "exclusiveMinimum" in schema and doc <= schema["exclusiveMinimum"]:
-            return f"{path}: must be > {schema['exclusiveMinimum']}, got {_brief(doc)}"
+            raise SchemaError(f"{path}: must be > {schema['exclusiveMinimum']}, "
+                              f"got {_brief(doc)}")
     if isinstance(doc, dict):
         props = schema.get("properties", {})
         for key in schema.get("required", ()):
             if key not in doc:
-                return f"{path}.{key}: missing required key"
+                raise SchemaError(f"{path}.{key}: missing required key")
         if schema.get("additionalProperties") is False:
             for key in doc:
                 if key not in props:
-                    return f"{path}.{key[:40]}: unknown key"
-        for key, sub in props.items():
-            if key in doc and (err := _violation(doc[key], sub, f"{path}.{key}")):
-                return err
+                    raise SchemaError(f"{path}.{key[:40]}: unknown key")
+        if props:
+            doc = {**doc, **{key: _read(doc[key], sub, f"{path}.{key}")
+                             for key, sub in props.items() if key in doc}}
     elif isinstance(doc, list):
         if not schema.get("minItems", 0) <= len(doc) <= schema.get("maxItems", len(doc)):
-            return f"{path}: {len(doc)} items"
+            raise SchemaError(f"{path}: {len(doc)} items")
         prefix = schema.get("prefixItems", ())
         rest = schema.get("items")
         if rest is _schema("cmatrix.schema.json")["properties"]["data"]["items"]:
-            rest = None  # checked by _decode_cmatrix
-        for i, item in enumerate(doc):
-            sub = prefix[i] if i < len(prefix) else rest
-            if sub is not None and (err := _violation(item, sub, f"{path}[{i}]")):
-                return err
+            rest = None  # converted by _decode_cmatrix
+        if prefix or rest:
+            doc = [_read(item, prefix[i] if i < len(prefix) else rest or {}, f"{path}[{i}]")
+                   for i, item in enumerate(doc)]
     for clause in schema.get("allOf", ()):
-        if _violation(doc, clause["if"], path) is None and (
-                err := _violation(doc, clause["then"], path)):
-            return err
-    return None
-
-
-def _checked(doc, schema: str, path: str):
-    """``doc``, if it meets the named schema; else SchemaError naming the breach."""
-    err = _violation(doc, _schema(schema), path)
-    if err:
-        raise SchemaError(err)
+        try:
+            _read(doc, clause["if"], path)
+        except SchemaError:
+            continue
+        doc = _read(doc, clause["then"], path)
     return doc
 
 
@@ -261,24 +266,18 @@ def _decode_cmatrix(obj: dict, path: str) -> np.ndarray:
     raise SchemaError(f"{path}.data: expected [re, im] pairs of finite numbers")
 
 
-def _decode_list(items: list, path: str) -> list[np.ndarray]:
-    return [_decode_cmatrix(m, f"{path}[{i}]") for i, m in enumerate(items)]
-
-
 # ---------------------------------------------------------------------------
-# record decoders
+# record decoders: each builds its record from the fields _read converted and
+# checks what a schema cannot state, shapes across fields and the load-time
+# invariants at tol
 # ---------------------------------------------------------------------------
 
 @np.errstate(all="ignore")
 def _decode_algebra(obj: dict, tol: float, path: str) -> AtomicDecomposition:
-    d = obj["d"]
-    u_alg = _decode_cmatrix(obj["u_alg"], f"{path}.u_alg")
+    d, u_alg = obj["d"], obj["u_alg"]
     if u_alg.shape != (d, d):
         raise SchemaError(f"{path}.u_alg: expected shape {(d, d)}, got {u_alg.shape}")
-    try:
-        dec = AtomicDecomposition(d=d, u_alg=u_alg, d0=obj["d0"], factors=obj["factors"])
-    except ValueError as exc:
-        raise SchemaError(f"{path}: {exc}") from exc
+    dec = AtomicDecomposition(d=d, u_alg=u_alg, d0=obj["d0"], factors=obj["factors"])
     res = _isometry_defect(u_alg)
     if not res <= _isometry_limit(tol, d):
         raise InvariantError(f"{path}.u_alg: not unitary (‖U†U−1‖ = {res:.3e})")
@@ -288,12 +287,9 @@ def _decode_algebra(obj: dict, tol: float, path: str) -> AtomicDecomposition:
 def _decode_cp_map(obj: dict, tol: float, path: str) -> CpMapRecord:
     from .cpmaps import StinespringRep
 
-    v = _decode_cmatrix(obj["v"], f"{path}.v")
-    try:
-        stine = StinespringRep(d_in=obj["d_in"], d_out=obj["d_out"], d_env=obj["d_env"], v=v)
-    except ValueError as exc:
-        raise SchemaError(f"{path}.v: {exc}") from exc
-    return CpMapRecord(stine=stine, picture=obj["picture"])
+    return CpMapRecord(stine=StinespringRep(d_in=obj["d_in"], d_out=obj["d_out"],
+                                            d_env=obj["d_env"], v=obj["v"]),
+                       picture=obj["picture"])
 
 
 def _decode_gkls(obj: dict, tol: float, path: str) -> GKLSRep:
@@ -301,12 +297,7 @@ def _decode_gkls(obj: dict, tol: float, path: str) -> GKLSRep:
     from .gkls import GKLSRep
 
     d = obj["d"]
-    v = _decode_cmatrix(obj["v"], f"{path}.v")
-    k = _decode_cmatrix(obj["k"], f"{path}.k")
-    try:
-        return GKLSRep(d=d, stine=StinespringRep(d, d, obj["d_env"], v), k=k)
-    except ValueError as exc:
-        raise SchemaError(f"{path}: {exc}") from exc
+    return GKLSRep(d=d, stine=StinespringRep(d, d, obj["d_env"], obj["v"]), k=obj["k"])
 
 
 @np.errstate(all="ignore")
@@ -314,17 +305,10 @@ def _decode_normal_form(obj: dict, tol: float, path: str) -> AtomicNormalForm:
     from .cpmaps import BlockFactorization, orthogonality_check
     from .gkls import AtomicNormalForm
 
-    dec = _decode_algebra(obj["dec"], tol, f"{path}.dec")
+    dec = _build("algebra", obj["dec"], tol, f"{path}.dec")
     d_env = obj["d_env"]
-    lists = {key: _decode_list(obj[key], f"{path}.{key}") for key in ("k_a", "h_b", "b")}
-    tables = {key: [_decode_list(row, f"{path}.{key}[{i}]") for i, row in enumerate(obj[key])]
-              for key in ("a", "u")}
-    try:  # checks each list and table against the factor count, and every shape
-        nf = AtomicNormalForm(dec=dec, v0=_decode_cmatrix(obj["v0"], f"{path}.v0"),
-                              k0=_decode_cmatrix(obj["k0"], f"{path}.k0"), d_f=obj["d_f"],
-                              d_env=d_env, **lists, **tables)
-    except ValueError as exc:
-        raise SchemaError(f"{path}: {exc}") from exc
+    # checks each list and table against the factor count, and every shape
+    nf = AtomicNormalForm(**{**obj, "dec": dec})
 
     # load-time invariants: self-adjoint H_{B_i}, and u_ik†u_il = δ_kl·1 along each row
     for i, h in enumerate(nf.h_b):
@@ -346,13 +330,11 @@ def _decode_normal_form(obj: dict, tol: float, path: str) -> AtomicNormalForm:
 def _decode_ki(obj: dict, tol: float, path: str) -> KoashiImotoResult:
     from .applications import KoashiImotoResult
 
-    dec = _decode_algebra(obj["dec"], tol, f"{path}.dec")
-    q = _decode_cmatrix(obj["q"], f"{path}.q")
+    dec = _build("algebra", obj["dec"], tol, f"{path}.dec")
+    q, v, sigma = obj["q"], obj["v"], obj["sigma"]
     if q.shape[0] != dec.d or q.shape[1] < q.shape[0]:
         raise SchemaError(f"{path}.q: expected shape ({dec.d}, ≥{dec.d}), "
                           f"got {q.shape}")
-    v = _decode_list(obj["v"], f"{path}.v")
-    sigma = _decode_list(obj["sigma"], f"{path}.sigma")
     if not len(v) == len(sigma) == len(dec.factors):
         raise SchemaError(f"{path}: v and sigma need {len(dec.factors)} entries, one per "
                           f"factor, got {len(v)} and {len(sigma)}")
@@ -392,6 +374,16 @@ _DECODERS = {
 }
 
 
+def _build(kind: str, obj: dict, tol: float, path: str):
+    """The record of ``kind`` at ``path`` from the fields :func:`_read`
+    returned, by its decoder.  A constructor's ``ValueError`` (a shape across
+    fields) becomes :class:`SchemaError` here."""
+    try:
+        return _DECODERS[kind](obj, tol, path)
+    except ValueError as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
+
+
 # ---------------------------------------------------------------------------
 # bundle level
 # ---------------------------------------------------------------------------
@@ -429,11 +421,14 @@ def decode_text(text: str) -> InstanceBundle:
         ) from exc
     except (ValueError, RecursionError) as exc:  # past the int digit or nesting limit
         raise ParseError(f"invalid JSON: {exc}") from exc
-    _checked(obj, "bundle.schema.json", "$")
-    meta = obj.get("meta", {})
+    doc = _read(obj, _schema("bundle.schema.json"), "$")
+    meta = doc.get("meta", {})
     tol = float(meta.get("tol_verify", TOL_VERIFY))
-    payload = _DECODERS[obj["kind"]](obj["payload"], tol, "$.payload")
-    return InstanceBundle(kind=obj["kind"], payload=payload, meta=dict(meta))
+    payload = _build(doc["kind"], doc["payload"], tol, "$.payload")
+    for key, kind in (("algebra", "algebra"), ("channel", "cp_map")):
+        if key in meta:  # checked, and then kept as JSON
+            _build(kind, meta[key], tol, f"$.meta.{key}")
+    return InstanceBundle(kind=doc["kind"], payload=payload, meta=dict(obj.get("meta", {})))
 
 
 def decode(source) -> InstanceBundle:

@@ -239,10 +239,18 @@ CLI_CHAIN_CASES = [
 def cli_chain_instance(shape: dict, seed: int):
     """(generator, algebra decomposition) of one cli_chain instance."""
     from igkls import random_instance
-    from igkls.io import _decode_algebra
 
     bundle = random_instance("gkls", shape, seed=seed)
-    return bundle.payload, _decode_algebra(bundle.meta["algebra"], 1e-9, "meta.algebra")
+    return bundle.payload, meta_algebra(bundle)
+
+
+def meta_algebra(bundle):
+    """The algebra a random bundle records in ``meta.algebra``, read the way
+    the CLI reads it."""
+    from igkls.io import _build, _read, _schema
+
+    record = _read(bundle.meta["algebra"], _schema("algebra.schema.json"), "meta.algebra")
+    return _build("algebra", record, 1e-9, "meta.algebra")
 
 
 # ---------------------------------------------------------------------------

@@ -51,7 +51,6 @@ from igkls import (
     twirl_intertwiner,
     twirl_to_commutant,
 )
-from igkls.io import _decode_algebra
 from igkls.linalg import dag, eye, frob, kron
 
 from conftest import (
@@ -59,6 +58,7 @@ from conftest import (
     crandn,
     haar_isometry,
     haar_unitary,
+    meta_algebra,
     random_density,
     random_hermitian,
     rng_for,
@@ -161,7 +161,7 @@ def test_criterion_03_block_factorization_orthogonality_and_reassembly():
     for seed in range(100, 200):
         bundle = random_instance("cp_map", seed=seed)
         stine = bundle.payload.stine
-        dec = _decode_algebra(bundle.meta["algebra"], 1e-9, "meta.algebra")
+        dec = meta_algebra(bundle)
         bf = atomic_block_factorize(stine, dec, dec)
         for row in bf.u:
             for k, u_ik in enumerate(row):
@@ -294,7 +294,7 @@ def test_criterion_06_k_only_split_reassembly_and_memberships():
         bundle = random_instance("gkls", params={"k_only": True},
                                  seed=4600 + case)
         g = bundle.payload
-        dec = _decode_algebra(bundle.meta["algebra"], 1e-9, "meta.algebra")
+        dec = meta_algebra(bundle)
         assert frob(g.v) == 0.0
         split = k_only_split(g.k, dec)
         p0 = dec.p_null()

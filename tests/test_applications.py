@@ -46,7 +46,7 @@ from igkls import applications
 from igkls.algebra import algebra_pattern_basis, pattern_residual
 from igkls.applications import _hermitian_frame, _integer_ratio
 from igkls.errors import _recording
-from igkls.io import _decode_algebra, _decode_cp_map
+from igkls.io import _build, _read, _schema
 from igkls.linalg import dag, eye, frob, kron
 
 from conftest import (
@@ -58,6 +58,7 @@ from conftest import (
     crandn,
     haar_isometry,
     haar_unitary,
+    meta_algebra,
     random_density,
     random_hermitian,
     rng_for,
@@ -116,27 +117,42 @@ def test_semicausal_build_identity_a_gives_environment_side_action():
     assert rep.max_residual <= 1e-9 * 10 * max(1.0, frob(g.v) ** 2, frob(g.k))
 
 
-def test_semicausal_build_validates_inputs():
-    rng = rng_for(503)
+def _nan_at_0(m):
+    m = m.copy()
+    m[0, 0] = np.nan
+    return m
+
+
+# part of semicausal_build's (a, u, b, k_a, h_b) → its replacement, and the
+# ValueError it raises; every other part is valid, at dA = dB = 2 and dE = 1
+SEMICAUSAL_REJECTS = {
+    "u_not_isometry": ("u", lambda u: 2.0 * u, "u is not an isometry"),
+    "u_nan": ("u", _nan_at_0, "u is not an isometry"),
+    "h_b_not_self_adjoint": ("h_b", lambda _: np.array([[0.0, 1.0], [0.0, 0.0]]),
+                             "h_b is not self-adjoint"),
+    "h_b_nan": ("h_b", lambda _: np.diag([np.nan, 0.0]), "h_b is not self-adjoint"),
+    "k_a_not_square": ("k_a", lambda _: np.zeros((2, 3)), "k_a must be square"),
+    "h_b_not_square": ("h_b", lambda _: np.zeros((2, 3)), "h_b must be square"),
+    "no_a_system": ("k_a", lambda _: np.zeros((0, 0)), "nonempty"),
+    "no_b_system": ("h_b", lambda _: np.zeros((0, 0)), "nonempty"),
+    "b_rows": ("b", lambda _: np.zeros((3, 2)), "b must have shape"),
+    "u_cols": ("u", lambda u: u[:, :1], "u must have shape"),
+    "b_cols": ("b", lambda _: np.zeros((2, 3)), r"b\[0\] shape mismatch"),
+    "u_rows": ("u", lambda u: np.vstack([u, np.zeros((1, 2))]), r"u\[0\]\[0\] shape mismatch"),
+    "a_shape": ("a", lambda _: np.zeros((3, 2)), r"a\[0\]\[0\] shape mismatch"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SEMICAUSAL_REJECTS))
+def test_semicausal_build_validates_inputs(case):
     da, db, e = 2, 2, 1
-    good_u = haar_isometry(rng, db * e, db)
-    zero_a = np.zeros((da, da), dtype=np.complex128)
-    zero_b = np.zeros((db * e, db), dtype=np.complex128)
-    zero = np.zeros((db, db), dtype=np.complex128)
-    with pytest.raises(ValueError):
-        semicausal_build(zero_a, 2.0 * good_u, zero_b, zero_a, zero)
-    with pytest.raises(ValueError):
-        semicausal_build(zero_a, good_u, zero_b, zero_a,
-                         np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(ValueError):
-        semicausal_build(np.zeros((3, 2)), good_u, zero_b, zero_a, zero)
-    nan_u = good_u.copy()
-    nan_u[0, 0] = np.nan
-    with pytest.raises(ValueError):
-        semicausal_build(zero_a, nan_u, zero_b, zero_a, zero)
-    with pytest.raises(ValueError):
-        semicausal_build(zero_a, good_u, zero_b, zero_a,
-                         np.diag([np.nan, 0.0]))
+    parts = {"a": np.zeros((da, da)), "u": haar_isometry(rng_for(503), db * e, db),
+             "b": np.zeros((db * e, db)), "k_a": np.zeros((da, da)), "h_b": np.zeros((db, db))}
+    assert semicausal_build(**parts).d == da * db
+    key, change, message = SEMICAUSAL_REJECTS[case]
+    parts[key] = change(parts[key])
+    with pytest.raises(ValueError, match=message):
+        semicausal_build(**parts)
 
 
 def test_semicausal_check_passes_built_generators():
@@ -556,7 +572,8 @@ def _dual_svd_calls(calls, ops, q):
 
 def _ki_channel_ops(bundle):
     """Schrödinger Kraus ops of the channel stored in a koashi_imoto bundle."""
-    return stinespring_to_kraus(_decode_cp_map(bundle.meta["channel"], 1e-9, "channel").stine).ops
+    record = _read(bundle.meta["channel"], _schema("cp_map.schema.json"), "meta.channel")
+    return stinespring_to_kraus(_build("cp_map", record, 1e-9, "meta.channel").stine).ops
 
 
 def _random_ki_ops(seed):
@@ -872,7 +889,7 @@ def test_a_factor_block_of_rho_c_without_trace_raises_no_fixed_state(monkeypatch
 def test_probe_invariant_generator_passes():
     bundle = random_instance("gkls", seed=540)
     g = bundle.payload
-    dec = _decode_algebra(bundle.meta["algebra"], 1e-9, "meta.algebra")
+    dec = meta_algebra(bundle)
     rep = semigroup_invariance_probe(g, dec, [0.1, 1.0, 10.0])
     assert rep.passed
     assert all(res <= 1e-6 for res in rep.max_residuals)
@@ -881,7 +898,7 @@ def test_probe_invariant_generator_passes():
 def test_probe_time_zero_is_exact():
     bundle = random_instance("gkls", seed=541)
     g = bundle.payload
-    dec = _decode_algebra(bundle.meta["algebra"], 1e-9, "meta.algebra")
+    dec = meta_algebra(bundle)
     rep = semigroup_invariance_probe(g, dec, [0.0])
     assert rep.max_residuals[0] <= 1e-12
 
@@ -938,7 +955,7 @@ def test_probe_matches_dense_complex_expm_reference(shape):
     bundle = random_instance("gkls", shape, seed=550)
     g = bundle.payload
     d = g.d
-    dec = _decode_algebra(bundle.meta["algebra"], 1e-9, "meta.algebra")
+    dec = meta_algebra(bundle)
     rng = rng_for(551 + d)
     v_pert = g.v + 0.05 * crandn(rng, *g.v.shape)
     times = [0.1, 1.0, 10.0]
@@ -992,7 +1009,7 @@ def test_probe_survives_a_large_scalar_shift_of_k():
     bundle = random_instance(
         "gkls", {"factors": [[2, 2], [1, 3]], "d0": 1, "d_env": 2}, seed=7)
     g = bundle.payload
-    dec = _decode_algebra(bundle.meta["algebra"], 1e-9, "meta.algebra")
+    dec = meta_algebra(bundle)
     shifted = make_gkls(g.v, g.k - 100 * eye(g.d))
     rep = semigroup_invariance_probe(shifted, dec, [0.1, 1.0, 10.0])
     assert rep.passed
@@ -1001,7 +1018,7 @@ def test_probe_survives_a_large_scalar_shift_of_k():
 
 def test_probe_fails_on_a_nan_residual(monkeypatch):
     bundle = random_instance("gkls", seed=540)
-    dec = _decode_algebra(bundle.meta["algebra"], 1e-9, "meta.algebra")
+    dec = meta_algebra(bundle)
     monkeypatch.setattr(applications, "_pattern_residuals",
                         lambda xs, dec: np.full(len(xs), np.nan))
     rep = semigroup_invariance_probe(bundle.payload, dec, [0.1, 10.0])

@@ -27,7 +27,6 @@ from igkls import (
     stinespring_minimal_rank,
     stinespring_to_kraus,
 )
-from igkls.io import _decode_algebra
 from conftest import (
     PAULI,
     crandn,
@@ -35,6 +34,7 @@ from conftest import (
     haar_unitary,
     heisenberg_apply_oracle,
     kron_oracle,
+    meta_algebra,
     rng_for,
     superop_oracle,
 )
@@ -316,7 +316,7 @@ def test_atomic_block_factorize_round_trip_on_random_invariant_maps():
     for seed in range(6):
         bundle = random_instance("cp_map", {}, seed=seed + 50)
         rec = bundle.payload
-        dec = _decode_algebra(bundle.meta["algebra"], 1e-9, "meta.algebra")
+        dec = meta_algebra(bundle)
         bf = atomic_block_factorize(rec.stine, dec, dec)
         rep = orthogonality_check(bf)
         assert rep.passed, rep.max_residual
@@ -332,7 +332,7 @@ def test_atomic_block_factorize_zero_cross_blocks():
               "d_f": [[1, 0], [0, 1]]}
     bundle = random_instance("cp_map", params, seed=9)
     rec = bundle.payload
-    dec = _decode_algebra(bundle.meta["algebra"], 1e-9, "meta.algebra")
+    dec = meta_algebra(bundle)
     bf = atomic_block_factorize(rec.stine, dec, dec)
     assert bf.d_f[0][1] == 0 and bf.d_f[1][0] == 0
     assert bf.a[0][1].size == 0 and bf.u[1][0].size == 0
@@ -351,7 +351,7 @@ def test_orthogonality_check_flags_corrupted_isometries():
     bundle = random_instance("cp_map", {"factors": [[2, 2]], "d0": 0, "d_env": 2,
                                         "d_f": [[2]]}, seed=4)
     rec = bundle.payload
-    dec = _decode_algebra(bundle.meta["algebra"], 1e-9, "meta.algebra")
+    dec = meta_algebra(bundle)
     bf = atomic_block_factorize(rec.stine, dec, dec)
     assert orthogonality_check(bf).passed
     rng = rng_for(312)
@@ -365,7 +365,7 @@ def test_orthogonality_check_flags_corrupted_isometries():
 def test_orthogonality_check_fails_on_a_nan_entry():
     bundle = random_instance("cp_map", {"factors": [[2, 2], [1, 3]], "d0": 1, "d_env": 2,
                                         "d_f": [[2, 0], [1, 0]]}, seed=1)
-    dec = _decode_algebra(bundle.meta["algebra"], 1e-9, "meta.algebra")
+    dec = meta_algebra(bundle)
     bf = atomic_block_factorize(bundle.payload.stine, dec, dec)
     assert orthogonality_check(bf).passed
     bf.u[1][0][0, 0] = np.nan

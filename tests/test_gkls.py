@@ -44,8 +44,8 @@ from igkls import (
     twirl_to_commutant,
 )
 from igkls import algebra, linalg
+from igkls.errors import _recording
 from igkls.gkls import _commutator_env_family, _superop_distance
-from igkls.io import _decode_algebra
 from igkls.linalg import dag, eye, frob, kron
 
 from conftest import (
@@ -53,6 +53,7 @@ from conftest import (
     haar_isometry,
     haar_unitary,
     kron_oracle,
+    meta_algebra,
     random_hermitian,
     rng_for,
     superop_oracle,
@@ -551,7 +552,7 @@ def test_invariance_checks_fail_on_one_nan_residual(monkeypatch):
 def decode_instance(seed: int, params: dict | None = None):
     bundle = random_instance("gkls", params=params, seed=seed)
     g = bundle.payload
-    dec = _decode_algebra(bundle.meta["algebra"], 1e-9, "meta.algebra")
+    dec = meta_algebra(bundle)
     return g, dec
 
 
@@ -752,7 +753,7 @@ def test_normal_form_gauge_recovers_planted_data():
     for seed in (452, 453, 454, 455):
         bundle = random_instance("gkls", seed=seed)
         g = bundle.payload
-        dec = _decode_algebra(bundle.meta["algebra"], 1e-9, "meta.algebra")
+        dec = meta_algebra(bundle)
         nf1 = reduce_normal_form_minimal(atomic_normal_form(g, dec))
         rng = rng_for(1000 + seed)
         w_ii, psi_i, mu_i, w_pairs = planted_gauge_data(nf1, rng)
@@ -819,6 +820,29 @@ def test_normal_form_gauge_rejects_a_nan_entry(field):
         normal_form_gauge(nf1, nf2, mode="full")
 
 
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_normal_form_gauge_algebra_only(seed):
+    nf = random_instance("normal_form", seed=seed).payload
+    nf1 = reduce_normal_form_minimal(nf)
+    gauge = normal_form_gauge(nf1, nf1, mode="algebra-only")
+    for w, psi, mu in zip(gauge.w_ii, gauge.psi_i, gauge.mu_i):
+        assert frob(w - eye(w.shape[0])) <= 1e-8
+        assert np.linalg.norm(psi) <= 1e-8 and abs(mu) <= 1e-8
+    # K moved on the algebra: the generators differ there
+    moved = AtomicNormalForm(
+        dec=nf1.dec, v0=nf1.v0, k0=nf1.k0, k_a=[k + 1e-3 for k in nf1.k_a], h_b=nf1.h_b,
+        b=nf1.b, d_f=nf1.d_f, a=nf1.a, u=nf1.u, d_env=nf1.d_env,
+    )
+    checks = []
+    with _recording(lambda *check: checks.append(check)), pytest.raises(NotEquivalent):
+        normal_form_gauge(nf1, moved, mode="algebra-only")
+    name, residual, tol = checks[-1]
+    assert name == "same_on_algebra" and residual > tol
+    if seed == 0:  # the unreduced form is not minimal
+        with pytest.raises(NotMinimal):
+            normal_form_gauge(nf, nf, mode="algebra-only")
+
 # ---------------------------------------------------------------------------
 # the (system, environment) layout lives in linalg's slot helpers
 # ---------------------------------------------------------------------------
@@ -848,7 +872,7 @@ def test_normal_form_pipeline_makes_no_identity_factor_krons(monkeypatch):
     shape = {"factors": [[4, 4], [3, 3], [2, 3]], "d0": 1, "d_env": 2,
              "d_f": [[1, 1, 0], [0, 1, 1], [1, 0, 0]]}
     bundle = random_instance("gkls", shape, seed=1)
-    dec = _decode_algebra(bundle.meta["algebra"], 1e-9, "meta.algebra")
+    dec = meta_algebra(bundle)
     nf = reduce_normal_form_minimal(atomic_normal_form(bundle.payload, dec))
     normal_form_gauge(nf, nf)
     assert not sites, dict(sites)

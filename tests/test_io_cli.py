@@ -31,6 +31,7 @@ from igkls import (
     StinespringRep,
     kraus_to_stinespring,
     semicausal_build,
+    stinespring_to_kraus,
 )
 import igkls.cli as cli_mod
 from igkls.cli import main, run_report
@@ -42,6 +43,7 @@ from igkls.io import (
     decode,
     decode_text,
     encode_bundle,
+    encode_cmatrix,
     kraus_picture_adjoint,
     random_instance,
     write_bundle,
@@ -258,6 +260,79 @@ def test_minimal_valid_documents_decode():
     assert dec.d == 1 and dec.factors == [(1, 1)]
 
 
+
+def _scaled(cm: dict, c: float) -> dict:
+    return {**cm, "data": [[c * re, c * im] for re, im in cm["data"]]}
+
+
+# (kind, keys of the node, change, command, how the load fails): a bundle
+# from random_instance(kind, seed=1) with one node changed; every load-time
+# check of a meta record or a payload, and every shape a constructor rejects
+CORRUPTED = {
+    "meta_algebra_d0": ("gkls", ("meta", "algebra", "d0"), lambda _: "x", "gkls-normal-form",
+                        "SchemaError: $.meta.algebra.d0: expected integer, got 'x'"),
+    "meta_algebra_not_unitary": ("gkls", ("meta", "algebra", "u_alg"), lambda m: _scaled(m, 2),
+                                 "check-invariance",
+                                 "InvariantError: $.meta.algebra.u_alg: not unitary"),
+    "meta_observable_short": ("cp_map", ("meta", "observable"), lambda _: _cm(2, 2, 1.0),
+                              "abelian", "SchemaError: $.meta.observable.data: expected "
+                              "rows·cols = 4 entries, got 1"),
+    "meta_channel_d_env": ("koashi_imoto", ("meta", "channel", "d_env"), lambda e: e + 1,
+                           "koashi-imoto", "SchemaError: $.meta.channel: v has shape"),
+    "algebra_dims": ("algebra", ("payload", "d0"), lambda n: n + 1, "algebra-decompose",
+                     "SchemaError: $.payload: block dims sum to"),
+    "cp_map_d_env": ("cp_map", ("payload", "d_env"), lambda e: e + 1, "cp-factorize",
+                     "SchemaError: $.payload: v has shape"),
+    "gkls_d_env": ("gkls", ("payload", "d_env"), lambda e: e + 1, "check-invariance",
+                   "SchemaError: $.payload: v has shape"),
+    "gkls_k_shape": ("gkls", ("payload", "k"), lambda _: _cm(1, 1, 1.0), "check-invariance",
+                     "SchemaError: $.payload: k has shape"),
+    "normal_form_d_env": ("normal_form", ("payload", "d_env"), lambda e: e + 1,
+                          "gkls-reconstruct", "SchemaError: $.payload: b[0] shape mismatch"),
+    "normal_form_dec_dims": ("normal_form", ("payload", "dec", "d0"), lambda n: n + 1,
+                             "gkls-reconstruct", "SchemaError: $.payload.dec: block dims sum to"),
+    "h_b_not_self_adjoint": ("normal_form", ("payload", "h_b", 0, "data", 0, 1),
+                             lambda im: im + 1.0, "gkls-reconstruct",
+                             "InvariantError: $.payload.h_b[0]: not self-adjoint"),
+    "ki_q_shape": ("koashi_imoto", ("payload", "q"), lambda _: _cm(1, 1, 1.0), "algebra-decompose",
+                   "SchemaError: $.payload.q: expected shape (6, ≥6), got (1, 1)"),
+    "ki_v_sigma_count": ("koashi_imoto", ("payload", "sigma"), lambda _: [], "algebra-decompose",
+                         "SchemaError: $.payload: v and sigma need 1 entries, one per factor, "
+                         "got 1 and 0"),
+    "ki_q_not_coisometry": ("koashi_imoto", ("payload", "q"), lambda m: _scaled(m, 2),
+                            "algebra-decompose", "InvariantError: $.payload.q: not a coisometry"),
+    "ki_v_shape": ("koashi_imoto", ("payload", "v", 0), lambda _: _cm(1, 1, 1.0),
+                   "algebra-decompose", "SchemaError: $.payload.v[0]: expected shape (dB·dE, dB) "
+                   "= (0, 2), got (1, 1)"),
+    "ki_v_not_isometry": ("koashi_imoto", ("payload", "v", 0), lambda m: _scaled(m, 2),
+                          "algebra-decompose", "InvariantError: $.payload.v[0]: not an isometry"),
+    "ki_sigma_shape": ("koashi_imoto", ("payload", "sigma", 0), lambda _: _cm(1, 1, 1.0),
+                       "algebra-decompose", "SchemaError: $.payload.sigma[0]: expected shape "
+                       "(2, 2), got (1, 1)"),
+    "ki_sigma_not_density": ("koashi_imoto", ("payload", "sigma", 0), lambda m: _scaled(m, 2),
+                             "algebra-decompose",
+                             "InvariantError: $.payload.sigma[0]: not a density matrix"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CORRUPTED))
+def test_a_corrupted_bundle_exits_2_naming_its_path(case, tmp_path, capsys):
+    kind, keys, change, command, error = CORRUPTED[case]
+    bundle = random_instance(kind, seed=1)
+    if kind == "cp_map":  # an observable for abelian to read
+        bundle.meta["observable"] = encode_cmatrix(np.diag([1.0, 2.0, 3.0, 4.0, 5.0, 6.0]))
+    doc = bundle_to_dict(bundle)
+    decode_text(json.dumps(doc))  # loads before the change
+    node = doc
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = change(node[keys[-1]])
+    path = tmp_path / "corrupted.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(capsys, [command, "--in", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {error}") and err.count("\n") == 1, err
+
 def test_infeasible_multiplicity_table_is_rejected():
     params = {"factors": [[1, 2], [1, 2]], "d_f": [[2, 2], [1, 1]], "d_env": 1}
     with pytest.raises(ValueError) as info:
@@ -329,6 +404,23 @@ def test_cli_cp_factorize_rejects_swap(tmp_path, capsys):
     assert doc["ok"] is False
     assert doc["error"]["type"] == "NotInvariant"
 
+
+
+@pytest.mark.parametrize("command", ["check-invariance", "cp-factorize"])
+def test_cli_reads_a_schrodinger_cp_map_as_its_heisenberg_dual(command, tmp_path, capsys):
+    heis = random_instance("cp_map", seed=2)
+    kraus = kraus_picture_adjoint(stinespring_to_kraus(heis.payload.stine))
+    schr = CpMapRecord(stine=kraus_to_stinespring(kraus), picture="schrodinger")
+    assert frob(schr.v - heis.payload.v) > 1.0  # not self-adjoint Kraus operators
+    reports = []
+    for name, rec in (("heis", heis.payload), ("schr", schr)):
+        path = tmp_path / f"{name}.json"
+        write_bundle(InstanceBundle("cp_map", rec, heis.meta), path)
+        code, out, _ = run_cli(capsys, [command, "--in", str(path)])
+        doc = json.loads(out)
+        reports.append((code, doc["checks"], doc["result"]))
+    assert reports[0] == reports[1]
+    assert reports[0][0] == 0 and reports[0][1]
 
 def test_cli_usage_errors_exit_2(tmp_path, capsys):
     assert run_cli(capsys, ["random", "--bogus"])[0] == 2
@@ -609,9 +701,10 @@ def test_import_and_probe_load_no_scipy(tmp_path):
     script = textwrap.dedent("""
         import sys
         import igkls, igkls.cli
-        from igkls.io import _decode_algebra, random_instance
+        from igkls.io import _build, _read, _schema, random_instance
         bundle = random_instance("gkls", seed=540)
-        dec = _decode_algebra(bundle.meta["algebra"], 1e-9, "meta.algebra")
+        record = _read(bundle.meta["algebra"], _schema("algebra.schema.json"), "meta.algebra")
+        dec = _build("algebra", record, 1e-9, "meta.algebra")
         rep = igkls.semigroup_invariance_probe(bundle.payload, dec, [0.1, 1.0])
         assert rep.passed, rep.max_residuals
         loaded = sorted(m for m in sys.modules if m.startswith("scipy"))

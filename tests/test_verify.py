@@ -34,10 +34,11 @@ from igkls import (AtomicDecomposition, DecompositionFailed, GKLSRep, InvariantE
                    orthogonality_check, semicausal_check, semigroup_invariance_probe)
 from igkls.cli import run_report
 from igkls.errors import _SINK, _recording, verify
-from igkls.io import CpMapRecord, InstanceBundle, _decode_algebra, random_instance, write_bundle
+from igkls.io import CpMapRecord, InstanceBundle, random_instance, write_bundle
 from igkls.linalg import eye, frob
 from igkls.rng import CounterRng
 
+from conftest import meta_algebra
 from test_io_cli import BASE_FLAGS
 
 # cli_chain shape 0 of the benchmark
@@ -450,7 +451,7 @@ def test_probe_of_a_generator_scaled_by_ten_reports_under_warnings_as_errors(
 def test_each_report_dict_holds_every_field():
     cp = random_instance("cp_map", {"factors": [[2, 2]], "d0": 0, "d_env": 2, "d_f": [[2]]},
                          seed=4)
-    dec = _decode_algebra(cp.meta["algebra"], 1e-9, "meta.algebra")
+    dec = meta_algebra(cp)
     inv = cp_invariance_check(cp.payload.stine, dec, dec)
     assert inv.to_dict() == {"passed": inv.passed, "max_residual": inv.max_residual,
                              "tol": inv.tol, "residuals": inv.residuals,
@@ -467,7 +468,7 @@ def test_each_report_dict_holds_every_field():
                               "tol": semi.tol, "algebra_residuals": semi.algebra_residuals,
                               "direct_residuals": semi.direct_residuals}
     probe = semigroup_invariance_probe(
-        g.payload, _decode_algebra(g.meta["algebra"], 1e-9, "meta.algebra"), [0.1, 1.0])
+        g.payload, meta_algebra(g), [0.1, 1.0])
     assert probe.to_dict() == {"times": [0.1, 1.0], "max_residuals": probe.max_residuals,
                                "tol": probe.tol, "passed": probe.passed}
 
