@@ -55,24 +55,19 @@ from .io import (
     KINDS,
     CpMapRecord,
     InstanceBundle,
-    _TYPES,
-    _build,
-    _dump,
-    _read,
-    _schema,
     bundle_to_dict,
     decode,
     encode_cmatrix,
-    kraus_picture_adjoint,
     random_instance,
+    read_meta,
     write_bundle,
+    write_meta,
 )
 from .linalg import dag
 
 # cpmaps, gkls and applications are imported by the command bodies that run
 # them: an algebra command loads neither, a GKLS command no applications
 if TYPE_CHECKING:
-    from .cpmaps import StinespringRep
     from .gkls import GKLSRep
 
 __all__ = ["main", "run_report", "COMMANDS"]
@@ -135,34 +130,16 @@ def _pick_pair(bundles: list[InstanceBundle]) -> tuple[InstanceBundle, InstanceB
 
 def _algebra_for(bundles: list[InstanceBundle], primary: InstanceBundle,
                  tol: float) -> AtomicDecomposition:
-    """The acting algebra: an explicit algebra bundle, else the one recorded
-    in the primary bundle's meta (random instances carry it)."""
+    """The acting algebra: an explicit algebra bundle, else the primary
+    bundle's ``meta.algebra``, built again at ``tol`` (a failure exits 1)."""
     alg = _pick(bundles, "algebra", required=False)
     if alg is not None:
         return alg.payload
-    record = primary.meta.get("algebra")
-    if record is not None:
-        return _build("algebra", _read(record, _schema("algebra.schema.json"), "meta.algebra"),
-                      tol, "meta.algebra")
-    raise UsageError("no algebra given: pass an --in algebra bundle (or use a "
-                     "bundle whose meta records one)")
-
-
-def _heisenberg_stine(rec: CpMapRecord) -> StinespringRep:
-    from .cpmaps import kraus_to_stinespring, stinespring_to_kraus
-
-    if rec.picture == "heisenberg":
-        return rec.stine
-    return kraus_to_stinespring(kraus_picture_adjoint(stinespring_to_kraus(rec.stine)))
-
-
-def _schrodinger_kraus(rec: CpMapRecord):
-    from .cpmaps import stinespring_to_kraus
-
-    ks = stinespring_to_kraus(rec.stine)
-    if rec.picture == "schrodinger":
-        return ks
-    return kraus_picture_adjoint(ks)
+    dec = read_meta(primary.meta, "algebra", tol)
+    if dec is None:
+        raise UsageError("no algebra given: pass an --in algebra bundle (or use a "
+                         "bundle whose meta records one)")
+    return dec
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +201,7 @@ def _cmd_check_invariance(bundles, flags, rep: _Report):
         from .cpmaps import _cp_invariance
 
         dec = _algebra_for(bundles, mb, tol)
-        report = _cp_invariance(_heisenberg_stine(mb.payload), dec, dec, tol)
+        report = _cp_invariance(mb.payload.heisenberg_stine(), dec, dec, tol)
         rep.info("per_element_residuals", report.residuals)
         return None
     raise UsageError("check-invariance needs a gkls or cp_map bundle")
@@ -235,7 +212,7 @@ def _cmd_cp_factorize(bundles, flags, rep: _Report):
 
     mb = _pick(bundles, "cp_map")
     dec = _algebra_for(bundles, mb, flags["tol_verify"])
-    bf = atomic_block_factorize(_heisenberg_stine(mb.payload), dec, dec, tol=flags["tol_rank"])
+    bf = atomic_block_factorize(mb.payload.heisenberg_stine(), dec, dec, tol=flags["tol_rank"])
     rep.info("d_env", bf.d_env)
     rep.info("d_f", [list(r) for r in bf.d_f])
     return None
@@ -251,8 +228,7 @@ def _cmd_gkls_normal_form(bundles, flags, rep: _Report):
     nf = atomic_normal_form(g, dec, tol=tol)  # raises NotInvariant → exit 1
     rep.info("d_env", nf.d_env)
     rep.info("d_f", [list(r) for r in nf.d_f])
-    meta = {"algebra": _dump(dec, _schema("algebra.schema.json")),
-            "tol_rank": flags["tol_rank"], "tol_verify": tol}
+    meta = {**write_meta(algebra=dec), "tol_rank": flags["tol_rank"], "tol_verify": tol}
     return InstanceBundle("normal_form", nf, meta)
 
 
@@ -266,9 +242,8 @@ def _cmd_gkls_reconstruct(bundles, flags, rep: _Report):
     invariant_split(g, nf.dec, tol=tol)
     rep.info("d", g.d)
     rep.info("d_env", g.d_env)
-    return InstanceBundle("gkls", g, {"algebra": _dump(nf.dec, _schema("algebra.schema.json")),
-                                      "tol_rank": flags["tol_rank"],
-                                      "tol_verify": tol})
+    return InstanceBundle("gkls", g, {**write_meta(algebra=nf.dec),
+                                      "tol_rank": flags["tol_rank"], "tol_verify": tol})
 
 
 def _cmd_minimalize(bundles, flags, rep: _Report):
@@ -311,8 +286,8 @@ def _cmd_gauge_compare(bundles, flags, rep: _Report):
     if b1.kind == "cp_map":
         from .cpmaps import minimal_stinespring, stinespring_gauge
 
-        s1 = _heisenberg_stine(b1.payload)
-        s2 = _heisenberg_stine(b2.payload)
+        s1 = b1.payload.heisenberg_stine()
+        s2 = b2.payload.heisenberg_stine()
         s1_min, _ = minimal_stinespring(s1, tol=flags["tol_rank"])
         w = stinespring_gauge(s1_min, s2, tol=flags["tol_rank"])
         rep.info("w", encode_cmatrix(w))
@@ -348,7 +323,7 @@ def _cmd_semicausal(bundles, flags, rep: _Report):
     if split is None:
         raise UsageError("semicausal needs the bipartition: pass --split dA,dB "
                          "(or store d_a/d_b in the bundle's meta.params)")
-    if not all(_TYPES["integer"](x) and x >= 1 for x in split):
+    if not all(type(x) is int and x >= 1 for x in split):  # JSON integers: not true, not 2.0
         raise UsageError(f"the bipartition must be two positive integers, got {split!r}")
     d_a, d_b = split
     if d_a * d_b != g.d:
@@ -384,12 +359,10 @@ def _cmd_abelian(bundles, flags, rep: _Report):
     tol = flags["tol_verify"]
     mb = _pick(bundles, "cp_map")
     recm: CpMapRecord = mb.payload
-    kraus = stinespring_to_kraus(_heisenberg_stine(recm))
+    kraus = stinespring_to_kraus(recm.heisenberg_stine())
     dec = _algebra_for(bundles, mb, tol)
-    obs = mb.meta.get("observable")
-    if obs is not None:
-        c = _read(obs, {"$ref": "cmatrix.schema.json"}, "meta.observable")
-    else:
+    c = read_meta(mb.meta, "observable")
+    if c is None:
         c = dec.u_alg @ np.diag(np.arange(dec.d, dtype=np.complex128)) @ dag(dec.u_alg)
         rep.info("observable", "default: Σ i·|p_i⟩⟨p_i| over the minimal projections")
     coeffs = maximal_abelian_coefficients(kraus, dec, c, tol=tol)
@@ -402,7 +375,7 @@ def _cmd_koashi_imoto(bundles, flags, rep: _Report):
 
     tol = flags["tol_verify"]
     mb = _pick(bundles, "cp_map")
-    kraus = _schrodinger_kraus(mb.payload)
+    kraus = mb.payload.schrodinger_kraus()
     result = koashi_imoto_decompose(kraus, tol=tol, seed=flags["seed"])
     for name, value in result.report.items():
         rep.info(name, value)

@@ -22,9 +22,14 @@ one payload schema the payload is read against (:func:`_read`):
    invariants at ``meta.tol_verify``, such as a unitary ``u_alg``
    (:class:`InvariantError`).
 
-The meta records ``meta.algebra`` and ``meta.channel`` are read and checked
-the same way, and ``meta.observable`` is read; the decoded bundle keeps
-``meta`` as JSON.
+The meta records are stated once, in ``_META_RECORDS``: ``meta.algebra`` holds
+an algebra record, ``meta.channel`` a cp_map record and ``meta.observable`` a
+CMatrix, each under its entry in ``bundle.schema.json``.  The load check
+reads all three in its one walk and builds the first two.  The decoded
+bundle keeps ``meta`` as JSON: :func:`read_meta` builds a record from it at
+a given tolerance, and :func:`write_meta` writes records into it.  A
+:class:`CpMapRecord` gives its map in the Heisenberg and the Schrödinger
+picture.
 
 Malformed JSON raises :class:`ParseError` with its position.  The invariant
 checks are written ``not residual <= limit``, so finite entries whose
@@ -79,6 +84,8 @@ __all__ = [
     "decode",
     "decode_text",
     "kraus_picture_adjoint",
+    "read_meta",
+    "write_meta",
     "random_instance",
 ]
 
@@ -89,28 +96,33 @@ _DIM_CAP = 32  # desk-scale cap on the total system dimension
 
 @dataclass
 class CpMapRecord:
-    """A Stinespring matrix plus the picture its Kraus slices live in; its
-    ``d_in``, ``d_out``, ``d_env`` and ``v`` are the matrix's, as in the
-    cp_map schema."""
+    """A Stinespring matrix plus the picture its Kraus slices live in.  Its
+    ``d_in``, ``d_out``, ``d_env`` and ``v`` are the matrix's, as in the cp_map
+    schema; :meth:`heisenberg_stine` and :meth:`schrodinger_kraus` give the
+    map in either picture, adjointing the Kraus operators where it differs."""
 
     stine: StinespringRep
     picture: str = "heisenberg"
 
-    @property
-    def d_in(self) -> int:
-        return self.stine.d_in
+    d_in = property(lambda self: self.stine.d_in)
+    d_out = property(lambda self: self.stine.d_out)
+    d_env = property(lambda self: self.stine.d_env)
+    v = property(lambda self: self.stine.v)
 
-    @property
-    def d_out(self) -> int:
-        return self.stine.d_out
+    def heisenberg_stine(self) -> StinespringRep:
+        """The map's Stinespring matrix in the Heisenberg picture."""
+        from .cpmaps import kraus_to_stinespring, stinespring_to_kraus
 
-    @property
-    def d_env(self) -> int:
-        return self.stine.d_env
+        if self.picture == "heisenberg":
+            return self.stine
+        return kraus_to_stinespring(kraus_picture_adjoint(stinespring_to_kraus(self.stine)))
 
-    @property
-    def v(self) -> np.ndarray:
-        return self.stine.v
+    def schrodinger_kraus(self) -> KrausSet:
+        """The map's Kraus operators in the Schrödinger picture."""
+        from .cpmaps import stinespring_to_kraus
+
+        ks = stinespring_to_kraus(self.stine)
+        return ks if self.picture == "schrodinger" else kraus_picture_adjoint(ks)
 
 
 @dataclass
@@ -388,6 +400,31 @@ def _build(kind: str, obj: dict, tol: float, path: str):
 # bundle level
 # ---------------------------------------------------------------------------
 
+# the meta records by key, each under its entry in bundle.schema.json: the
+# kind whose decoder builds it, or None for a CMatrix, which is kept as read
+_META_RECORDS = {"algebra": "algebra", "channel": "cp_map", "observable": None}
+
+
+def _meta_entry(key: str) -> dict:
+    return _schema("bundle.schema.json")["properties"]["meta"]["properties"][key]
+
+
+def read_meta(meta: dict, key: str, tol: float = TOL_VERIFY):
+    """The record ``meta[key]`` holds, read against its schema entry and
+    built at ``tol``, or None if there is none.  A breach raises
+    :class:`SchemaError` or :class:`InvariantError` naming ``meta.key``."""
+    if meta.get(key) is None:
+        return None
+    value = _read(meta[key], _meta_entry(key), f"meta.{key}")
+    kind = _META_RECORDS[key]
+    return value if kind is None else _build(kind, value, tol, f"meta.{key}")
+
+
+def write_meta(**records) -> dict:
+    """The meta JSON of records by key, e.g. ``write_meta(algebra=dec)``."""
+    return {key: _dump(record, _meta_entry(key)) for key, record in records.items()}
+
+
 def bundle_to_dict(bundle: InstanceBundle) -> dict:
     if bundle.kind not in KINDS:
         raise ValueError(f"unknown bundle kind {bundle.kind!r}")
@@ -425,8 +462,8 @@ def decode_text(text: str) -> InstanceBundle:
     meta = doc.get("meta", {})
     tol = float(meta.get("tol_verify", TOL_VERIFY))
     payload = _build(doc["kind"], doc["payload"], tol, "$.payload")
-    for key, kind in (("algebra", "algebra"), ("channel", "cp_map")):
-        if key in meta:  # checked, and then kept as JSON
+    for key, kind in _META_RECORDS.items():
+        if kind and key in meta:  # checked, and then kept as JSON
             _build(kind, meta[key], tol, f"$.meta.{key}")
     return InstanceBundle(kind=doc["kind"], payload=payload, meta=dict(obj.get("meta", {})))
 
@@ -581,16 +618,9 @@ def _sample_normal_form(
     )
 
 
-def _meta(seed: int, params: dict, extra: dict | None = None) -> dict:
-    meta = {
-        "seed": int(seed),
-        "tol_rank": TOL_RANK,
-        "tol_verify": TOL_VERIFY,
-        "params": params,
-    }
-    if extra:
-        meta.update(extra)
-    return meta
+def _meta(seed: int, params: dict, **records) -> dict:
+    return {"seed": int(seed), "tol_rank": TOL_RANK, "tol_verify": TOL_VERIFY,
+            "params": params, **write_meta(**records)}
 
 
 def random_instance(kind: str, params: dict | None = None, seed: int = 0) -> InstanceBundle:
@@ -649,9 +679,7 @@ def random_instance(kind: str, params: dict | None = None, seed: int = 0) -> Ins
 
         g = reconstruct_from_normal_form(nf)
         _generator_invariance(g, dec, TOL_VERIFY)
-        return InstanceBundle(
-            "gkls", g, _meta(seed, used, {"algebra": _dump(dec, _schema("algebra.schema.json"))})
-        )
+        return InstanceBundle("gkls", g, _meta(seed, used, algebra=dec))
 
     if kind == "cp_map":
         from .cpmaps import (BlockFactorization, StinespringRep, _cp_invariance,
@@ -671,9 +699,7 @@ def random_instance(kind: str, params: dict | None = None, seed: int = 0) -> Ins
         _cp_invariance(rec.stine, dec, dec, TOL_VERIFY)
         used.setdefault("d_env", e)
         used.setdefault("d_f_max", d_f_max)
-        return InstanceBundle(
-            "cp_map", rec, _meta(seed, used, {"algebra": _dump(dec, _schema("algebra.schema.json"))})
-        )
+        return InstanceBundle("cp_map", rec, _meta(seed, used, algebra=dec))
 
     # koashi_imoto: a trace-preserving channel with a planted block structure,
     # run through the decomposition pipeline so the payload is self-verified.
@@ -691,8 +717,4 @@ def random_instance(kind: str, params: dict | None = None, seed: int = 0) -> Ins
     result = koashi_imoto_decompose(channel, tol=TOL_VERIFY, seed=seed)
     used.setdefault("d_env", e)
     chan_rec = CpMapRecord(stine=kraus_to_stinespring(channel), picture="schrodinger")
-    return InstanceBundle(
-        "koashi_imoto",
-        result,
-        _meta(seed, used, {"channel": _dump(chan_rec, _schema("cp_map.schema.json"))}),
-    )
+    return InstanceBundle("koashi_imoto", result, _meta(seed, used, channel=chan_rec))

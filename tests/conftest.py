@@ -245,12 +245,11 @@ def cli_chain_instance(shape: dict, seed: int):
 
 
 def meta_algebra(bundle):
-    """The algebra a random bundle records in ``meta.algebra``, read the way
-    the CLI reads it."""
-    from igkls.io import _build, _read, _schema
+    """The algebra a random bundle records in ``meta.algebra``, read by io's
+    meta reader as the CLI reads it."""
+    from igkls.io import read_meta
 
-    record = _read(bundle.meta["algebra"], _schema("algebra.schema.json"), "meta.algebra")
-    return _build("algebra", record, 1e-9, "meta.algebra")
+    return read_meta(bundle.meta, "algebra", 1e-9)
 
 
 # ---------------------------------------------------------------------------

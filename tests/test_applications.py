@@ -39,14 +39,13 @@ from igkls import (
     semicausal_build,
     semicausal_check,
     semigroup_invariance_probe,
-    stinespring_to_kraus,
 )
 import igkls.cpmaps as cpmaps_mod
 from igkls import applications
 from igkls.algebra import algebra_pattern_basis, pattern_residual
 from igkls.applications import _hermitian_frame, _integer_ratio
 from igkls.errors import _recording
-from igkls.io import _build, _read, _schema
+from igkls.io import read_meta
 from igkls.linalg import dag, eye, frob, kron
 
 from conftest import (
@@ -407,6 +406,29 @@ def test_fixed_point_rejects_non_trace_preserving():
         fixed_point_state(k)
 
 
+# Fix((1−ε)·id + ε·Φ) = Fix(Φ) for every ε > 0.  At ε = 1e-8 the nonzero
+# singular values of the transfer matrix minus 1 are ε times Φ's: 7.06e-9 on
+# seed 7 and 1.35e-9 on seed 9, above a null floor of 4e-16 but under
+# _fixed_space's cutoff tol·max(σ_max, scale) of 9e-9 and 1e-8.  So the
+# fixed space gets spurious directions (27 for 18, 61 for 10), and the
+# candidate state moves by 1.02e-9 and 1.61e-9 > the fixed_state limit of
+# 1e-9.  Built from the true fixed space it moves by 7e-17: the rank
+# decision fails, not the absolute limit.
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="_fixed_space's rank cutoff lies above the σ gap of a near-identity "
+                          "channel and counts ε·σ as null")
+@pytest.mark.parametrize("seed", [7, 9])
+def test_fixed_point_state_of_a_near_identity_channel(seed):
+    phi = read_meta(random_instance("koashi_imoto", seed=seed).meta, "channel").schrodinger_kraus()
+    d, eps = phi.d_in, 1e-8
+    ops = [np.sqrt(1 - eps) * eye(d)] + [np.sqrt(eps) * op for op in phi.ops]
+    s = np.linalg.svd(superop_oracle(lambda x: schrodinger(phi.ops, x), d) - np.eye(d * d),
+                      compute_uv=False)
+    assert len(applications._fixed_space(ops, d, 1e-9)) == np.count_nonzero(s <= 1e-12)
+    rho = fixed_point_state(KrausSet(d, d, ops))
+    assert frob(schrodinger(ops, rho) - rho) <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # Koashi–Imoto split
 # ---------------------------------------------------------------------------
@@ -572,8 +594,7 @@ def _dual_svd_calls(calls, ops, q):
 
 def _ki_channel_ops(bundle):
     """Schrödinger Kraus ops of the channel stored in a koashi_imoto bundle."""
-    record = _read(bundle.meta["channel"], _schema("cp_map.schema.json"), "meta.channel")
-    return stinespring_to_kraus(_build("cp_map", record, 1e-9, "meta.channel").stine).ops
+    return read_meta(bundle.meta, "channel", 1e-9).schrodinger_kraus().ops
 
 
 def _random_ki_ops(seed):

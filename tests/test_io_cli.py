@@ -50,8 +50,9 @@ from igkls.io import (
 )
 from igkls.linalg import dag, eye, frob, kron
 
-from conftest import (NOT_CLOSED_SPANS, PAULI, count_exact_closure, crandn, random_hermitian,
-                      rng_for)
+from conftest import (NOT_CLOSED_SPANS, PAULI, count_exact_closure, crandn,
+                      heisenberg_apply_oracle, kron_oracle, random_hermitian, rng_for,
+                      schrodinger_apply_oracle)
 
 BASE_FLAGS = {
     "seed": 0,
@@ -349,6 +350,25 @@ def test_kraus_picture_adjoint_is_an_involution():
     assert twice.d_in == 2 and twice.d_out == 3
     for a, b in zip(twice.ops, ops):
         assert frob(a - b) == 0.0
+
+
+def test_cp_map_record_gives_its_map_in_either_picture():
+    # X ↦ Σ K†XK of a Heisenberg record with Kraus operators K is X ↦ Σ SXS† of
+    # its Schrödinger twin, S = K†.  cp_map seed 2 has Kraus operators that are
+    # not self-adjoint, so a conversion that drops the adjoint changes the map
+    heis = random_instance("cp_map", seed=2).payload
+    d, e = heis.d_in, heis.d_env
+    ks = [heis.v.reshape(d, e, d)[:, n, :] for n in range(e)]
+    assert min(frob(k - dag(k)) for k in ks) > 0.1
+    schr = CpMapRecord(kraus_to_stinespring(KrausSet(d, d, [dag(k) for k in ks])), "schrodinger")
+    x = crandn(rng_for(31), d, d)
+    want = heisenberg_apply_oracle(ks, x)
+    for rec in (heis, schr):
+        v = rec.heisenberg_stine().v
+        assert frob(dag(v) @ kron_oracle(x, eye(e)) @ v - want) <= 1e-12 * frob(want)
+        ops = rec.schrodinger_kraus().ops
+        assert frob(schrodinger_apply_oracle(ops, x) - want) <= 1e-12 * frob(want)
+    assert heis.heisenberg_stine() is heis.stine
 
 
 # ---------------------------------------------------------------------------
@@ -701,10 +721,9 @@ def test_import_and_probe_load_no_scipy(tmp_path):
     script = textwrap.dedent("""
         import sys
         import igkls, igkls.cli
-        from igkls.io import _build, _read, _schema, random_instance
+        from igkls.io import random_instance, read_meta
         bundle = random_instance("gkls", seed=540)
-        record = _read(bundle.meta["algebra"], _schema("algebra.schema.json"), "meta.algebra")
-        dec = _build("algebra", record, 1e-9, "meta.algebra")
+        dec = read_meta(bundle.meta, "algebra", 1e-9)
         rep = igkls.semigroup_invariance_probe(bundle.payload, dec, [0.1, 1.0])
         assert rep.passed, rep.max_residuals
         loaded = sorted(m for m in sys.modules if m.startswith("scipy"))

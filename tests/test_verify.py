@@ -542,3 +542,22 @@ def test_the_cli_computes_no_check_of_its_own():
     assert "_recording(rep.record)" in cli_src
     assert [path.name for path in package.glob("*.py")
             if re.search(r"\b_commutant\b", path.read_text(encoding="utf-8"))] == []
+
+
+# ---------------------------------------------------------------------------
+# one statement of the format: io alone reads and writes bundles
+# ---------------------------------------------------------------------------
+
+def test_io_alone_knows_the_bundle_format():
+    package = Path(__file__).resolve().parents[1] / "src" / "igkls"
+    cli_src = (package / "cli.py").read_text(encoding="utf-8")
+    from_io = [alias.name for node in ast.walk(ast.parse(cli_src))
+               if isinstance(node, ast.ImportFrom) and node.module == "io"
+               for alias in node.names]
+    assert "read_meta" in from_io and [n for n in from_io if n.startswith("_")] == []
+    # the Kraus picture is converted by CpMapRecord, next to its picture field
+    assert "kraus_picture_adjoint" not in cli_src and "kraus_to_stinespring" not in cli_src
+    # a meta record's schema is named in its bundle.schema.json entry alone
+    sources = {path.name: path.read_text(encoding="utf-8") for path in package.glob("*.py")}
+    assert [name for name, src in sources.items() if ".schema.json" in src] == ["io.py"]
+    assert re.findall(r"(?:algebra|cp_map)\.schema\.json|\{\"\$ref\"", sources["io.py"]) == []
