@@ -7,8 +7,9 @@ Four independent consumers of the block structure:
    (:func:`semicausal_build`, :func:`semicausal_check`);
 2. **decoherence-free certification** — given a generator and a candidate
    unital atomic algebra on which the induced semigroup should act by
-   *-automorphisms, verify the dissipation form vanishes and extract the
-   per-factor environment couplings (:func:`dfs_verify_normal_form`);
+   *-automorphisms, verify that the dissipation form and the CP part of the
+   invariant split vanish, and read the per-factor environment couplings off
+   its intertwiner part (:func:`dfs_verify_normal_form`);
 3. **maximal abelian invariance coefficients** — for a CP map fixing a
    maximal abelian algebra, build the commutation coefficients c_mn with
    [c, φ_m] = Σ_n c_mn φ_n (:func:`maximal_abelian_coefficients`);
@@ -44,6 +45,7 @@ from .algebra import (
     _pattern_residuals,
     _to_frame,
     _trace_a,
+    _trace_b,
     _unit_images,
     _worst,
     algebra_pattern_basis,
@@ -66,8 +68,8 @@ from .errors import (
     limit,
     verify,
 )
-from .gkls import AtomicNormalForm, GKLSRep, _generator_scale, _split, _split_normal_form, generator_superoperator, gkls_apply, reconstruct_from_normal_form, reduce_normal_form_minimal
-from .linalg import TOL_RANK, _isometry_defect, _linear_scale, _on_system, _rank, asmatrix, dag, expm, eye, frob, herm, im_part, kron, null_space, vec
+from .gkls import AtomicNormalForm, GKLSRep, _generator_scale, _split, generator_superoperator, gkls_apply, reconstruct_from_normal_form
+from .linalg import TOL_RANK, _isometry_defect, _linear_scale, _rank, asmatrix, dag, expm, eye, frob, herm, im_part, kron, null_space, vec
 
 __all__ = [
     "SemicausalReport",
@@ -103,10 +105,11 @@ class SemicausalReport:
 class DfsCertificate:
     """Per-factor data certifying automorphic action on the algebra.
 
-    ``beta[i][n]`` couples factor i to environment direction n; ``kappa_a``/
-    ``kappa_b`` split the skew part of K; ``h_tilde`` generates the rotation
-    the semigroup performs on the algebra; ``psi[i]`` is the (0- or 1-dim)
-    diagonal multiplier vector.
+    ``beta[i][n]`` couples factor i to environment direction n (a block of
+    the intertwiner part B); ``kappa_a``/``kappa_b`` split the skew part of K;
+    ``h_tilde`` generates the rotation the semigroup performs on the algebra;
+    ``psi[i]`` is an empty array for every factor: a certified generator has
+    no CP part, so no diagonal multiplier 1⊗|ψ_i⟩.
     """
 
     beta: list[list[np.ndarray]]
@@ -263,62 +266,32 @@ def dfs_verify_normal_form(
 ) -> DfsCertificate:
     """Certify that the semigroup acts on the (unital) algebra by automorphisms.
 
-    The dissipation form must vanish on an algebra basis; equivalently the
-    minimality-reduced normal form has no cross blocks and each diagonal
-    multiplicity space collapses to at most one dimension, A_ii = 1⊗|ψ_i⟩.
-    From that form the per-factor couplings β_{n;i}, the skew split of K, and
-    the effective rotation generator are read off and re-verified against the
-    input.
+    The dissipation form must vanish on an algebra basis; equivalently the CP
+    part A of the invariant split V = A + B is zero, so V = B intertwines the
+    algebra (``dfs_cp_part``).  The per-factor couplings β_{n;i} are the
+    blocks of B, κ_a and κ_b are the factor blocks of K_𝒜 and H_{𝒜′}, and the
+    effective rotation generator is the lift of κ_a; all are re-verified
+    against the input.
     """
     if dec.d0:
         raise ValueError("the algebra must be unital (no null block) here")
-    tol_nf = max(tol, TOL_VERIFY)
-    split, inv = _split(g, dec, tol_nf)  # the one generator_invariance check
+    split, inv = _split(g, dec, tol)  # the one generator_invariance check
 
     basis = algebra_pattern_basis(dec)
     l_one = gkls_apply(g, eye(g.d))
     diss = _worst([frob(_dissipation_form(g, x, y, l_one)) for x in basis for y in basis])
     verify("dfs_dissipation", diss, limit(tol, _generator_scale(g)), NotDecoherenceFree,
            "dissipation form does not vanish on the algebra")
-
-    nf = reduce_normal_form_minimal(_split_normal_form(g, dec, split, tol_nf),
-                                    tol=max(tol, TOL_RANK))
-    e = nf.d_env
-    n = len(dec.factors)
-    for i in range(n):
-        for j in range(n):
-            if i != j and nf.d_f[i][j] != 0:
-                raise NotDecoherenceFree(
-                    f"cross block ({i},{j}) is genuinely dissipative",
-                    residual=frob(nf.a[i][j]),
-                )
-    psi: list[np.ndarray] = []
     v_scale = _linear_scale(g.v)
-    for i, (da, db) in enumerate(dec.factors):
-        dfii = nf.d_f[i][i]
-        if dfii > 1:
-            raise NotDecoherenceFree(
-                f"diagonal block {i} needs {dfii} > 1 multiplicity dimensions"
-            )
-        if dfii == 0:
-            psi.append(np.zeros(0, dtype=np.complex128))
-            continue
-        c = complex(np.trace(nf.a[i][i]) / da)
-        verify("dfs_diagonal_block", frob(nf.a[i][i] - c * eye(da)), limit(tol_nf, v_scale),
-               NotDecoherenceFree, f"diagonal block {i} is not a multiple of the identity")
-        psi.append(np.array([c], dtype=np.complex128))
+    verify("dfs_cp_part", frob(split.a), limit(tol, v_scale), NotDecoherenceFree,
+           "the CP part of the invariant split does not vanish")
 
-    beta: list[list[np.ndarray]] = []
-    couplings: list[np.ndarray] = []
-    kappa_a: list[np.ndarray] = []
-    kappa_b: list[np.ndarray] = []
-    for i, (da, db) in enumerate(dec.factors):
-        coupling = _on_system(psi[i][None, :], nf.u[i][i].T, db).T  # u·(ψ⊗1_B), (db·e) × db
-        m_i = coupling + nf.b[i]
-        couplings.append(m_i)
-        beta.append([m_i.reshape(db, e, db)[:, idx, :] for idx in range(e)])
-        kappa_a.append(im_part(nf.k_a[i]))
-        kappa_b.append(nf.h_b[i] + im_part(dag(nf.b[i]) @ coupling))
+    e = g.d_env
+    couplings = _factor_traces(_to_frame(split.b, dec, e), dec, _trace_a)  # B_i, (db·e) × db
+    beta = [[m.reshape(db, e, db)[:, n, :] for n in range(e)]
+            for m, (_, db) in zip(couplings, dec.factors)]
+    kappa_a = [im_part(k) for k in _factor_traces(_to_frame(split.k_alg, dec), dec, _trace_b)]
+    kappa_b = [herm(h) for h in _factor_traces(_to_frame(split.h_comm, dec), dec, _trace_a)]
     h_tilde = _lift(dec, kappa_a, _embed_b)
 
     # re-verify the extracted data against the input representation
@@ -334,7 +307,7 @@ def dfs_verify_normal_form(
         kappa_a=kappa_a,
         kappa_b=kappa_b,
         h_tilde=h_tilde,
-        psi=psi,
+        psi=[np.zeros(0, dtype=np.complex128) for _ in dec.factors],
         residuals={
             "invariance": _worst(inv),
             "dissipation": diss,

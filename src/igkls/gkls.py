@@ -528,12 +528,7 @@ def atomic_normal_form(
     factorized without a second invariance check, and B's null block is zero
     by construction, so its blocks B_i are read off directly.
     """
-    return _split_normal_form(g, dec, invariant_split(g, dec, tol=tol), tol)
-
-
-def _split_normal_form(g: GKLSRep, dec: AtomicDecomposition, split: InvariantSplit,
-                       tol: float) -> AtomicNormalForm:
-    """:func:`atomic_normal_form` of g, given its checked split."""
+    split = invariant_split(g, dec, tol=tol)
     e = g.d_env
     d0 = dec.d0
     s_a = StinespringRep(d_in=dec.d, d_out=dec.d, d_env=e, v=split.a)

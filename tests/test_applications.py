@@ -42,11 +42,12 @@ from igkls import (
 )
 import igkls.cpmaps as cpmaps_mod
 from igkls import applications
-from igkls.algebra import algebra_pattern_basis, pattern_residual
+from igkls.algebra import _embed_a, _embed_b, _lift, algebra_pattern_basis, pattern_residual
 from igkls.applications import _hermitian_frame, _integer_ratio
 from igkls.errors import _recording
 from igkls.io import read_meta
 from igkls.linalg import dag, eye, frob, kron
+from igkls.rng import CounterRng
 
 from conftest import (
     CLI_CHAIN_CASES,
@@ -258,6 +259,32 @@ def test_dfs_scalar_block_plus_drift_recovered():
     slices = total.reshape(db, e, db)
     for idx in range(e):
         assert frob(cert.beta[0][idx] - slices[:, idx, :]) <= 1e-8
+
+
+def test_dfs_recovers_planted_couplings_in_a_rotated_two_factor_frame():
+    # V = Σ_i 1_{A_i}⊗B_i and K = ½V†V + i(Σ_i H_{A_i}⊗1 + 1⊗H_{B_i}) in the
+    # frame U: the trace of H_{A_i} is a multiple of the identity, so it moves
+    # from κ_a to κ_b
+    rng = CounterRng(514)
+    factors, e = [(2, 2), (1, 3)], 2
+    d = sum(da * db for da, db in factors)
+    dec = AtomicDecomposition(d=d, u_alg=rng.derive(1).unitary(d), d0=0, factors=factors)
+    b = [rng.derive(10 + i).complex_matrix(db * e, db) for i, (_, db) in enumerate(factors)]
+    h_a = [rng.derive(20 + i).hermitian(da) for i, (da, _) in enumerate(factors)]
+    h_b = [rng.derive(30 + i).hermitian(db) for i, (_, db) in enumerate(factors)]
+    v = _lift(dec, b, _embed_a, e)
+    k = 0.5 * dag(v) @ v + 1j * (_lift(dec, h_a, _embed_b) + _lift(dec, h_b, _embed_a))
+    cert = dfs_verify_normal_form(make_gkls(v, k), dec)
+    kappa_a = []
+    for i, (da, db) in enumerate(factors):
+        shift = np.trace(h_a[i]).real / da
+        kappa_a.append(h_a[i] - shift * eye(da))
+        for n in range(e):
+            assert frob(cert.beta[i][n] - b[i].reshape(db, e, db)[:, n, :]) <= 1e-10
+        assert frob(cert.kappa_a[i] - kappa_a[i]) <= 1e-10
+        assert frob(cert.kappa_b[i] - (h_b[i] + shift * eye(db))) <= 1e-10
+        assert cert.psi[i].shape == (0,)
+    assert frob(cert.h_tilde - _lift(dec, kappa_a, _embed_b)) <= 1e-10
 
 
 def test_dfs_rejects_cross_factor_jump():

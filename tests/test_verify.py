@@ -31,10 +31,11 @@ import igkls.cli as cli_mod
 from igkls import (AtomicDecomposition, DecompositionFailed, GKLSRep, InvariantError, KrausSet,
                    NotInvariant, NotSameGenerator, NotSameMap, StinespringRep,
                    atomic_block_factorize, cp_invariance_check, kraus_to_stinespring,
-                   orthogonality_check, semicausal_check, semigroup_invariance_probe)
+                   orthogonality_check, reconstruct_from_normal_form, semicausal_check,
+                   semigroup_invariance_probe)
 from igkls.cli import run_report
 from igkls.errors import _SINK, _recording, verify
-from igkls.io import CpMapRecord, InstanceBundle, random_instance, write_bundle
+from igkls.io import CpMapRecord, InstanceBundle, random_instance, write_bundle, write_meta
 from igkls.linalg import eye, frob
 from igkls.rng import CounterRng
 
@@ -420,11 +421,29 @@ def test_dfs_certifies_a_scaled_k_only_generator_and_rejects_k_perturbed(scale):
 
 
 def test_dfs_lists_the_generator_invariance_check_once():
+    # the invariant split's checks, then the two that certify A = 0 and the
+    # two that re-verify the couplings read off B, K_𝒜 and H_𝒜′
     code, doc = run_report("dfs", [random_instance("gkls", params=K_ONLY, seed=4)],
                            dict(BASE_FLAGS))
-    names = [c["name"] for c in doc["checks"]]
-    assert code == 0 and names.count("generator_invariance") == 1
-    assert "dfs_invariance" not in names
+    assert code == 0 and [c["name"] for c in doc["checks"]] == [
+        "split_v_reassembly", "split_k_reassembly", "generator_invariance",
+        "split_a_invariance", "split_b_intertwining", "k_alg_membership",
+        "dfs_dissipation", "dfs_cp_part", "dfs_kraus_pattern", "dfs_im_k_pattern"]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_dfs_cp_part_fails_for_a_nearly_decoherence_free_generator(seed):
+    # A scaled by 1e-6: the dissipation form, quadratic in A, stays within
+    # its limit, while ‖A‖_F, linear in A, does not
+    nf = random_instance("normal_form", {"factors": [[2, 2]], "d0": 0, "d_env": 2,
+                                         "d_f": [[1]]}, seed=seed).payload
+    nf.a[0][0] = 1e-6 * nf.a[0][0]
+    g = reconstruct_from_normal_form(nf)
+    code, doc = run_report("dfs", [InstanceBundle("gkls", g, write_meta(algebra=nf.dec))],
+                           dict(BASE_FLAGS))
+    assert code == 1 and doc["error"]["type"] == "NotDecoherenceFree"
+    assert _check(doc, "dfs_dissipation")["passed"]
+    assert [c["name"] for c in doc["checks"] if not c["passed"]] == ["dfs_cp_part"]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
