@@ -23,6 +23,7 @@ which is exact in finite dimension.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -670,10 +671,12 @@ def _decompose(mats: np.ndarray, d: int, tol: float,
     # support / null split (shared by all attempts): the null part is the
     # common kernel of the basis, the support its orthogonal complement
     e_null = null_space(mats.reshape(-1, d), tol, 0.0).T
-    e_supp = null_space(dag(e_null), tol, 1.0).T
-    if not e_supp.shape[1]:  # also for an empty basis
-        return AtomicDecomposition(d, eye(d), d, []), np.zeros((len(mats), d * d))
-    restricted = dag(e_supp) @ mats @ e_supp
+    e_supp, restricted = None, mats  # no common kernel: the support is C^d
+    if e_null.shape[1]:
+        e_supp = null_space(dag(e_null), tol, 1.0).T
+        if not e_supp.shape[1]:  # also for an empty basis
+            return AtomicDecomposition(d, eye(d), d, []), np.zeros((len(mats), d * d))
+        restricted = dag(e_supp) @ mats @ e_supp
     return _retry_generic(
         lambda rng: _attempt_decompose(mats, restricted, e_null, e_supp, tol, rng), seed, "split")
 
@@ -681,7 +684,8 @@ def _decompose(mats: np.ndarray, d: int, tol: float,
 def _attempt_decompose(mats, restricted, e_null, e_supp, tol,
                        rng) -> tuple[AtomicDecomposition, np.ndarray]:
     """One split of the support algebra span(``restricted``) from a generic
-    self-adjoint h = (x + x†)/2 and a generic y (Murota et al.).
+    self-adjoint h = (x + x†)/2 and a generic y (Murota et al.); ``e_supp``
+    embeds the support in C^d, None for C^d itself.
 
     In the algebra's frame h = ⊕ h_i⊗1_{B_i} and y = ⊕ Y_i⊗1_{B_i}, so each
     eigenvalue cluster of h lies in one factor and y links clusters of one
@@ -715,7 +719,7 @@ def _attempt_decompose(mats, restricted, e_null, e_supp, tol,
     z = ((np.conj(rows) @ ((vh * (label + 1)) @ dag(vh)).reshape(-1)) @ rows).reshape(h.shape)
     vz = np.linalg.eigh(0.5 * (z + dag(z)))[1]
 
-    keyed = []  # ((d_A, d_B), fingerprint, factor columns) per factor
+    factors = []  # ((d_A, d_B), factor columns) per factor
     for f in np.split(vz, np.cumsum(np.bincount(label))[:-1], axis=1):
         hf, yf = dag(f) @ np.stack([h, y]) @ f
         vx, sub = _eigenspaces(hf)
@@ -728,17 +732,20 @@ def _attempt_decompose(mats, restricted, e_null, e_supp, tol,
             if sv[-1] < _ALIGN_FLOOR * frob(yf):
                 raise _GenericityFailure()
             frames[a] = frames[a] @ (u_m @ vh_m)
-        cols = e_supp @ f @ np.concatenate(frames, axis=1)  # order (a, b) row-major
-        # deterministic factor order: (d_A, d_B), then the spectral fingerprint
-        # of the first input basis element compressed to the factor subspace
-        keyed.append(((da, db), _fingerprint(dag(cols) @ mats[0] @ cols), cols))
-    keyed.sort(key=lambda t: t[:2])
+        cols = f if e_supp is None else e_supp @ f
+        factors.append(((da, db), cols @ np.concatenate(frames, axis=1)))  # order (a, b) row-major
+    # deterministic factor order: (d_A, d_B), then, between factors of equal
+    # shape only, the spectral fingerprint of the first input basis element
+    # compressed to the factor subspace
+    shapes = Counter(dims for dims, _ in factors)
+    factors.sort(key=lambda t: (t[0], _fingerprint(dag(t[1]) @ mats[0] @ t[1])
+                                if shapes[t[0]] > 1 else ()))
 
     d0 = e_null.shape[1]
     u_alg = np.concatenate([_phase_fix_factor(e_null, 1, d0)]
-                           + [_phase_fix_factor(cols, *dims) for dims, _, cols in keyed], axis=1)
+                           + [_phase_fix_factor(cols, *dims) for dims, cols in factors], axis=1)
     dec = AtomicDecomposition(d=len(u_alg), u_alg=u_alg, d0=d0,
-                              factors=[dims for dims, _, _ in keyed])
+                              factors=[dims for dims, _ in factors])
     defects = _pattern_defects(mats, dec)
     res = _worst(np.linalg.norm(defects, axis=1))
     if not res <= limit(tol) or sum(da * da for da, _ in dec.factors) != len(mats):

@@ -1,6 +1,6 @@
 """Pipelines built on the normal-form machinery.
 
-Four independent consumers of the block structure:
+Five independent consumers of the block structure:
 
 1. **semicausal generators** on a bipartite system C^dA ⊗ C^dB — build one
    from its parts and test an arbitrary generator for semicausality
@@ -16,7 +16,10 @@ Four independent consumers of the block structure:
 4. **fixed-point (Koashi–Imoto) decomposition** of a trace-preserving
    channel: the preserved/acted tensor split of the channel restricted to
    the support of a maximal-rank fixed state
-   (:func:`koashi_imoto_decompose`, :func:`fixed_point_state`).
+   (:func:`koashi_imoto_decompose`, :func:`fixed_point_state`);
+5. **finite-time invariance probe** — the residual of e^{tL}(X) against the
+   algebra at a few times t, from the generator's superoperator in an
+   orthonormal Hermitian frame (:func:`semigroup_invariance_probe`).
 
 Picture conventions — a :class:`~igkls.cpmaps.KrausSet` is a bag of matrices;
 what they mean is declared per operation.  ``cp_apply`` and everything in the
@@ -69,7 +72,7 @@ from .errors import (
     verify,
 )
 from .gkls import AtomicNormalForm, GKLSRep, _generator_scale, _split, generator_superoperator, gkls_apply, reconstruct_from_normal_form
-from .linalg import TOL_RANK, _isometry_defect, _linear_scale, _rank, asmatrix, dag, expm, eye, frob, herm, im_part, kron, null_space, vec
+from .linalg import TOL_RANK, _expm_scaled, _isometry_defect, _linear_scale, _rank, _scaled_power, asmatrix, dag, eye, frob, herm, im_part, kron, null_space, vec
 
 __all__ = [
     "SemicausalReport",
@@ -255,10 +258,26 @@ def semicausal_check(
 # decoherence-free subalgebra certification
 # ---------------------------------------------------------------------------
 
-def _dissipation_form(g: GKLSRep, x: np.ndarray, y: np.ndarray, l_one: np.ndarray) -> np.ndarray:
-    """Ψ(X,Y) = L(X†Y) − X†L(Y) − L(X†)Y + X†L(1)Y (zero iff (X⊗1)V = VX)."""
-    xd = dag(x)
-    return gkls_apply(g, xd @ y) - xd @ gkls_apply(g, y) - gkls_apply(g, xd) @ y + xd @ l_one @ y
+def _dissipation_forms(g: GKLSRep, dec: AtomicDecomposition):
+    """Ψ(X̂,Ŷ) = L(X̂†Ŷ) − X̂†L(Ŷ) − L(X̂†)Ŷ + X̂†L(1)Ŷ (zero on 𝒜 iff
+    (X⊗1)V = VX there) for the pattern basis (:func:`algebra_pattern_basis`):
+    per X̂, in basis order, the (m, d, d) stack over Ŷ.  L is applied once
+    to each unit and once to 1: for the unit X̂ = U(E_ac⊗1_B)U†/√d_B of a
+    factor, X̂† is the unit (c, a), and X̂†Ŷ is the unit (c, e)/√d_B for the
+    unit Ŷ = (a, e) of the same factor and zero for every other Ŷ."""
+    basis = np.asarray(algebra_pattern_basis(dec))
+    images = np.asarray([gkls_apply(g, x) for x in basis])
+    l_one = gkls_apply(g, eye(g.d))
+    off = 0  # basis index of the factor's unit (0, 0)
+    for da, db in dec.factors:
+        for a in range(da):
+            for c in range(da):
+                adj = off + c * da + a  # the unit X̂†
+                psi = (basis[adj] @ l_one) @ basis - basis[adj] @ images - images[adj] @ basis
+                row = slice(off + a * da, off + (a + 1) * da)  # the units Ŷ = (a, e)
+                psi[row] += images[off + c * da:off + (c + 1) * da] / np.sqrt(db)
+                yield psi
+        off += da * da
 
 
 def dfs_verify_normal_form(
@@ -277,9 +296,7 @@ def dfs_verify_normal_form(
         raise ValueError("the algebra must be unital (no null block) here")
     split, inv = _split(g, dec, tol)  # the one generator_invariance check
 
-    basis = algebra_pattern_basis(dec)
-    l_one = gkls_apply(g, eye(g.d))
-    diss = _worst([frob(_dissipation_form(g, x, y, l_one)) for x in basis for y in basis])
+    diss = _worst([_worst(np.linalg.norm(psi, axis=(1, 2))) for psi in _dissipation_forms(g, dec)])
     verify("dfs_dissipation", diss, limit(tol, _generator_scale(g)), NotDecoherenceFree,
            "dissipation form does not vanish on the algebra")
     v_scale = _linear_scale(g.v)
@@ -590,17 +607,24 @@ def _hermitian_frame(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _real_superoperator(s: np.ndarray, d: int) -> np.ndarray:
-    """T†sT, real, for the T of :func:`_hermitian_frame` and a superoperator
-    s (on row-major vec) that preserves Hermiticity; overwrites s.  With
-    T = diag(w1) + Π·diag(w̄1) and s·Π = Π·s̄ (Hermiticity preserved),
-    T†sT = 2·Re[(diag(w̄1)·s + diag(w1)·Π·s)·diag(w1)]."""
+    """T†sT, real and contiguous, for the T of :func:`_hermitian_frame` and a
+    superoperator s (on row-major vec) that preserves Hermiticity;
+    overwrites s.  With T = diag(w1) + Π·diag(w̄1) and s·Π = Π·s̄,
+    T†sT = 2·Re[(s' + diag(w1/w̄1_Π)·Π·s')·diag(w1)] for s' = diag(w̄1)·s,
+    where w1_r/w̄1_{perm r} is i off the diagonal rows and 1 on them.  Column
+    c contributes Re of the bracket for real w1_c and −Im for imaginary
+    w1_c, so after multiplying those columns by i (exact) every entry is
+    Re s'_r − Im s'_{perm r}, 2·Re s'_r on a diagonal row r, times 2|w1_c|:
+    one real gather, rounded as the complex product."""
     w1, _, perm = _hermitian_frame(d)
-    gathered = s[perm]
-    gathered *= w1[:, None]
     s *= np.conj(w1)[:, None]
-    s += gathered
-    s *= 2 * w1
-    return s.real
+    s *= np.where(w1.imag != 0, 1j, 1)
+    out = s.imag[perm]
+    diag = np.arange(0, d * d, d + 1)
+    out[diag] = -s.real[diag]
+    np.subtract(s.real, out, out=out)
+    out *= 2 * np.abs(w1)
+    return out
 
 
 def _centred_real_generator(g: GKLSRep) -> np.ndarray:
@@ -637,12 +661,12 @@ def semigroup_invariance_probe(
     (:func:`_hermitian_frame`) it is a real matrix L_r.  The probe
     exponentiates the trace-centred t·(L_r − μ), μ = tr(L_r)/d²
     (:func:`_centred_real_generator`), with the numpy scaling-and-squaring
-    Padé kernel :func:`~igkls.linalg.expm`.  A time that is an integer
-    multiple k ≥ 2 of the time before it (to 1e-12 relative, k ≤ 128)
-    reuses that propagator as E(t) = E(t₀)^k by repeated squaring
-    (:func:`_integer_ratio`), so the times 0.1, 1, 10 cost one Padé
-    evaluation and eight matrix products, and at most two propagators are
-    held at once.
+    Padé kernel :func:`~igkls.linalg._expm_scaled`.  A time that is an
+    integer multiple k ≥ 2 of the time before it (to 1e-12 relative,
+    k ≤ 128) reuses that propagator as E(t) = E(t₀)^k by repeated squaring
+    (:func:`_integer_ratio`, :func:`~igkls.linalg._scaled_power`), so the
+    times 0.1, 1, 10 cost one Padé evaluation and eight matrix products,
+    and at most two propagators are held at once.
 
     The propagator E = e^{t(L_r − μ)} is applied to the algebra's
     orthonormal pattern basis, and the reported residual at time t is
@@ -650,13 +674,18 @@ def semigroup_invariance_probe(
     e^{tL} cancels from this ratio, and ‖E‖_F = ‖e^{t(L − μ)}‖_F in any
     orthonormal basis, so the ratio is the leak of e^{tL} relative to the
     size of e^{tL} itself: it stays at rounding level for invariant
-    generators and does not vanish for damped ones that leak.  ‖E‖_F lies
+    generators and does not vanish for damped ones that leak.  The ratio
+    does not depend on the scale of E either, so E is held as E·2^-j, with
+    j chosen after every squaring and product so that its largest entry
+    lies in [1/2, 1): scaling by a power of two is exact, so the residuals
+    are those of the unscaled E wherever it stays within the doubles, and
+    rescaling time (V → cV, K → c²K) cannot make E overflow.  ‖E‖_F lies
     between ‖E‖₂ and d·‖E‖₂ and equals d at t = 0, so near t = 0 the same
     ``tol`` is up to d times weaker than against ‖E‖₂, and weaker at
     larger d.  Each residual is compared against ``limit(tol, factor=1)``;
-    a NaN residual fails the probe.  Warnings are off (``np.errstate``), so
-    a propagator that overflows is the NaN residual of a failed time, not a
-    ``RuntimeWarning`` (an error under ``-W error``).
+    a NaN residual (from a non-finite generator) fails the probe, and
+    warnings are off (``np.errstate``), so it is not a ``RuntimeWarning``
+    (an error under ``-W error``).
     """
     if dec.d != g.d:
         raise ValueError("decomposition dimension does not match the generator")
@@ -668,11 +697,11 @@ def semigroup_invariance_probe(
     for k, xhat in enumerate(basis):
         x[:, k] = vec(xhat)
     coords = np.conj(w1)[:, None] * x + np.conj(w2)[:, None] * x[perm]  # T†·x
-    prev = None  # (t₀, E(t₀)) of the previous time
+    prev = None  # (t₀, E(t₀)·2^-j) of the previous time
     max_res = []
     for t in map(float, times):
         k = _integer_ratio(t, prev[0]) if prev else None
-        propagator = np.linalg.matrix_power(prev[1], k) if k else expm(t * l_r)
+        propagator = _scaled_power(prev[1], k) if k else _expm_scaled(t * l_r)[0]
         prev = (t, propagator)
         yc = propagator @ coords.real + 1j * (propagator @ coords.imag)
         y = w1[:, None] * yc + (w2[:, None] * yc)[perm]  # T·yc

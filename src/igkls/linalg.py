@@ -13,7 +13,8 @@ Conventions used throughout the package:
   :func:`null_space`, which reads the rank off one Hermitian eigensolve of
   aᴴa where an a-posteriori certificate shows that the SVD would decide the
   same, and takes the SVD everywhere else;
-* the one matrix exponential is :func:`expm`, numpy only.
+* the one matrix exponential is :func:`_expm_scaled`, numpy only, which
+  returns e^a as r·2^k; :func:`expm` multiplies the two.
 """
 
 from __future__ import annotations
@@ -228,8 +229,39 @@ _PADE_B13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
              16380.0, 182.0, 1.0)
 
 
+# |k| beyond which r·2^k is inf or 0 in every nonzero entry for an r whose
+# largest entry is below 2^8 and whose smallest is at least 2^-1074
+_POW2_CLIP = 2200
+
+
+def _times_pow2(r: np.ndarray, k: int) -> np.ndarray:
+    """r·2^k in place, real or complex, exact unless an entry leaves the
+    normal doubles."""
+    x = r.view(np.float64)
+    np.ldexp(x, min(max(k, -_POW2_CLIP), _POW2_CLIP), out=x)
+    return r
+
+
+def _normalized(r: np.ndarray) -> tuple[np.ndarray, int]:
+    """(r·2^-e, e), in place, with the largest modulus of a real or an
+    imaginary part of r·2^-e in [1/2, 1); e = 0 for r = 0 or a non-finite r."""
+    x = r.view(np.float64)
+    e = int(np.frexp(max(x.max(initial=0.0), -x.min(initial=0.0)))[1])
+    return _times_pow2(r, -e), e
+
+
 def expm(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential e^a by scaling and squaring, real or complex.
+    """Matrix exponential e^a, real or complex: r·2^k for (r, k) of
+    :func:`_expm_scaled`, so a result beyond the doubles is inf (with
+    numpy's overflow warning), not an exception.  A real input gives a real
+    result.  A non-finite input gives all NaN, so that checks written
+    ``not r <= limit`` fail on it."""
+    r, k = _expm_scaled(a)
+    return _times_pow2(r, k)
+
+
+def _expm_scaled(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """(r, k) with e^a = 2^k·r, by scaling and squaring.
 
     Higham, "The scaling and squaring method for the matrix exponential
     revisited" (SIAM J. Matrix Anal. Appl. 26, 2005): the degree-13 Padé
@@ -237,8 +269,9 @@ def expm(a: np.ndarray) -> np.ndarray:
     ‖a/2^s‖₁ ≤ θ_13, and squared s times.  Its backward-error bound holds
     for every norm up to θ_13, so the lower degrees of Higham's
     Algorithm 2.3, which only save products on small norms, are left out.
-    A real input gives a real result.  A non-finite input gives all NaN, so
-    that checks written ``not r <= limit`` fail on it.
+    After each squaring r is rescaled by a power of two (:func:`_normalized`),
+    which is exact, so no squaring overflows and r·2^k is bit for bit the
+    unscaled result wherever that stays within the normal doubles.
     """
     a = np.asarray(a)
     a = a.astype(np.result_type(a.dtype, np.float64), copy=False)
@@ -246,10 +279,10 @@ def expm(a: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     norm = np.linalg.norm(a, 1) if a.size else 0.0
     if not np.isfinite(norm):
-        return np.full_like(a, np.nan)
+        return np.full(a.shape, np.nan, dtype=a.dtype), 0
     ident = np.eye(a.shape[0], dtype=a.dtype)
     if norm == 0:
-        return ident  # exactly; the solve below rounds b_0/b_0
+        return ident, 0  # exactly; the solve below rounds b_0/b_0
     s = math.ceil(math.log2(norm / _THETA_13)) if norm > _THETA_13 else 0
     a = a * 2.0**-s
     a2 = a @ a
@@ -261,9 +294,24 @@ def expm(a: np.ndarray) -> np.ndarray:
     v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
          + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
     r = np.linalg.solve(v - u, v + u)
+    k = 0
     for _ in range(s):
-        r = r @ r
-    return r
+        r, e = _normalized(r @ r)
+        k = 2 * k + e
+    return r, k
+
+
+def _scaled_power(a: np.ndarray, n: int) -> np.ndarray:
+    """a^n·2^-j for some integer j (n ≥ 1): numpy's binary powering, each
+    product rescaled by a power of two (:func:`_normalized`), so that none
+    overflows."""
+    z = result = None
+    while n > 0:
+        z = a if z is None else _normalized(z @ z)[0]
+        n, bit = divmod(n, 2)
+        if bit:
+            result = z if result is None else _normalized(result @ z)[0]
+    return result
 
 
 def orthonormalize_span(vectors, tol: float = TOL_RANK, ambient_dim: int | None = None) -> SubspaceBasis:

@@ -27,6 +27,7 @@ from igkls import (
     kron,
     membership_residual,
     pattern_residual,
+    random_instance,
     twirl_intertwiner,
     twirl_to_commutant,
 )
@@ -361,6 +362,22 @@ def test_atomic_decompose_recovers_conjugated_block_structures():
         assert pattern_residual(x, dec) == pytest.approx(
             frob(x - proj(x)), abs=1e-10
         )
+
+
+@pytest.mark.parametrize("factors, d0", [([(2, 2), (2, 2), (1, 3)], 1), ([(2, 2), (1, 3)], 0)])
+def test_atomic_decompose_orders_the_factors_alike_at_every_seed(factors, d0):
+    # factors of one shape are ordered by the spectrum of the first basis
+    # element compressed to each, so no draw of the generic elements can
+    # reorder them; factors of distinct shapes by the shape alone
+    planted = random_instance("algebra", {"factors": factors, "d0": d0}, seed=5).payload
+    alg = algebra_from_decomposition(planted)
+    first = None
+    for seed in range(10):
+        dec = atomic_decompose(alg, seed=seed)
+        assert dec.factors == sorted(factors)
+        projectors = [dec.u_alg[:, s] @ dag(dec.u_alg[:, s]) for _, _, s in algebra_mod._blocks(dec)]
+        first = projectors if first is None else first
+        assert max(frob(p - q) for p, q in zip(projectors, first)) <= 1e-8
 
 
 def test_atomic_decompose_rejects_non_algebra_subspace():

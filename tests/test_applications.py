@@ -287,6 +287,28 @@ def test_dfs_recovers_planted_couplings_in_a_rotated_two_factor_frame():
     assert frob(cert.h_tilde - _lift(dec, kappa_a, _embed_b)) <= 1e-10
 
 
+def test_dissipation_forms_match_the_four_application_formula_on_every_pair():
+    # two factors, d_B = 2 and 3, in a rotated frame: X̂†Ŷ is zero across the
+    # factors and across rows, a unit divided by √d_B otherwise.  The
+    # generator is invariant but not decoherence free, so Ψ does not vanish
+    bundle = random_instance("gkls", {"factors": [[2, 2], [1, 3]], "d0": 0, "d_env": 2},
+                             seed=3)
+    g, dec = bundle.payload, meta_algebra(bundle)
+    basis = algebra_pattern_basis(dec)
+    l_one = gkls_apply(g, eye(g.d))
+    forms = list(applications._dissipation_forms(g, dec))
+    assert len(forms) == len(basis) == 5
+    worst = 0.0
+    for x, psi in zip(basis, forms):
+        xd = dag(x)
+        for y, got in zip(basis, psi):
+            want = (gkls_apply(g, xd @ y) - xd @ gkls_apply(g, y) - gkls_apply(g, xd) @ y
+                    + xd @ l_one @ y)
+            assert frob(got - want) <= 1e-12 * max(1.0, frob(g.k))
+            worst = max(worst, frob(want))
+    assert worst > 0.1
+
+
 def test_dfs_rejects_cross_factor_jump():
     dec = AtomicDecomposition(d=2, u_alg=eye(2), d0=0, factors=[(1, 1), (1, 1)])
     v = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=np.complex128)  # |1><2| jump
@@ -1020,13 +1042,12 @@ def test_probe_matches_dense_complex_expm_reference(shape):
 
 
 @pytest.mark.parametrize("shape, seed", CLI_CHAIN_CASES)
-def test_probe_on_cli_chain_instances_fails_when_perturbed_and_matches_scipy(
-        shape, seed, monkeypatch):
+def test_probe_on_cli_chain_instances_fails_when_perturbed_and_matches_scipy(shape, seed):
     # invariant: rounding level at every t.  K + 1e-2·‖K‖·G/‖G‖ (G complex
     # Gaussian) leaks, so the probe must fail at t = 0.1 and t = 1; with power
-    # reuse it must match one scipy expm per time under the same normaliser.
-    import scipy.linalg
-
+    # reuse and rescaled propagators it must match one dense scipy expm per
+    # time of the same generator shifted to tr L = 0 (K + μ/2·1 subtracts μ
+    # from L, which leaves the residual ratio unchanged)
     g, dec = cli_chain_instance(shape, seed)
     times = [0.1, 1.0, 10.0]
     assert max(semigroup_invariance_probe(g, dec, times).max_residuals) <= 1e-13
@@ -1035,10 +1056,9 @@ def test_probe_on_cli_chain_instances_fails_when_perturbed_and_matches_scipy(
     rep = semigroup_invariance_probe(leaky, dec, times)
     assert not rep.passed
     assert min(rep.max_residuals[:2]) > rep.tol
-    monkeypatch.setattr(applications, "expm", scipy.linalg.expm)
-    monkeypatch.setattr(applications, "_integer_ratio", lambda t, t0: None)
-    ref = semigroup_invariance_probe(leaky, dec, times)
-    np.testing.assert_allclose(rep.max_residuals, ref.max_residuals, rtol=1e-12, atol=0)
+    mu = np.trace(superop_oracle(lambda x: gkls_apply(leaky, x), g.d)).real / g.d**2
+    want, _ = dense_probe_reference(make_gkls(leaky.v, leaky.k + 0.5 * mu * eye(g.d)), dec, times)
+    np.testing.assert_allclose(rep.max_residuals, want, rtol=1e-12, atol=0)
 
 
 def test_probe_reuses_a_propagator_only_for_an_integer_multiple_of_its_time():

@@ -1,5 +1,7 @@
 """Dense linear-algebra primitives, checked against loop-level oracles."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,7 +27,8 @@ from igkls import (
     vec,
 )
 from igkls.applications import _centred_real_generator
-from igkls.linalg import _THETA_13, _isometry_lstsq, _on_env, _on_system, expm, null_space
+from igkls.linalg import (_THETA_13, _expm_scaled, _isometry_lstsq, _on_env, _on_system, expm,
+                          null_space)
 from conftest import (
     CLI_CHAIN_CASES,
     cli_chain_instance,
@@ -505,8 +508,23 @@ def test_expm_gives_nan_on_non_finite_input_and_rejects_non_square():
     a = np.eye(3)
     a[1, 2] = np.inf
     assert np.isnan(expm(a)).all()
+    assert np.isnan(expm(np.asfortranarray(a.astype(complex)))).all()  # not C-ordered
     with pytest.raises(ValueError):
         expm(np.zeros((2, 3)))
+
+
+def test_expm_beyond_the_doubles_is_inf_and_its_scaled_form_is_finite():
+    # e^{±800} is 2^{±1154.2}: beyond the doubles either way, but r·2^k holds it
+    for z in (800.0, -800.0, 800.0 + 3j):
+        r, k = _expm_scaled(np.array([[z]]))
+        assert 0.5 <= max(abs(r[0, 0].real), abs(r[0, 0].imag)) < 1
+        assert math.isclose(math.log(abs(r[0, 0])) + k * math.log(2), z.real, rel_tol=1e-13)
+        assert np.isclose(r[0, 0] / abs(r[0, 0]), np.exp(1j * np.imag(z)), rtol=1e-12)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert np.isinf(expm(np.array([[800.0]]))).all()
+    assert np.array_equal(expm(np.array([[-800.0]])), [[0.0]])
+    r, k = _expm_scaled(np.diag([1e300, -1e300]))  # no squaring overflows
+    assert k > 2**900 and 0.5 <= r[0, 0] < 1 and np.count_nonzero(r) == 1
 
 
 @pytest.mark.parametrize("shape, seed", CLI_CHAIN_CASES)
