@@ -596,8 +596,8 @@ def atomic_decompose(
 
     Pipeline: restrict to the joint support, draw two generic elements x, y
     of the span, group the eigenspaces of h = (x + x†)/2 into factors by the
-    blocks of y that link them, split each factor along h (d_A distinct
-    eigenvalues of multiplicity d_B), align the degenerate eigenframes with
+    blocks of y that link them (d_A of multiplicity d_B each), refine all
+    their frames by one more eigensolve, align each factor's frames with
     y's blocks (:func:`_attempt_decompose`), and verify the block pattern on
     every input basis element, which also certifies closure
     (:func:`_closure_bound`).  Retries with a fresh derived seed on any
@@ -688,17 +688,18 @@ def _attempt_decompose(mats, restricted, e_null, e_supp, tol,
     embeds the support in C^d, None for C^d itself.
 
     In the algebra's frame h = ⊕ h_i⊗1_{B_i} and y = ⊕ Y_i⊗1_{B_i}, so each
-    eigenvalue cluster of h lies in one factor and y links clusters of one
-    factor only: the factors are the connected components of the cluster
-    graph whose edges are y's frame blocks above ``_GAP_FRACTION``·‖y‖_F.
-    The error of a factor's eigenprojector P_g maps the factor to the
-    others, where every algebra element vanishes, so its projection Π_S(P_g)
-    onto the span is the factor's central projector up to second order;
-    z = Σ_g (g+1)·Π_S(P_g) then has eigenvalue gaps of 1 and the factor
-    subspaces as eigenspaces.  Within each factor the compressed h has d_A
-    clusters of size d_B, aligned by the SVDs of y's d_B × d_B blocks.  An
-    attempt is kept only if its pattern check passes and Σ d_A² = m, so a
-    false split or merge of factors is retried, never returned.
+    eigenvalue cluster of h is e_a⊗C^{d_B} in one factor and y links
+    clusters of one factor only: the factors are the connected components of
+    the cluster graph whose edges are y's frame blocks above
+    ``_GAP_FRACTION``·‖y‖_F.  The support algebra is unital and holds h, so it
+    holds each cluster's eigenprojector P_c, and Π_S(P_c), the projection onto
+    the span, is an algebra element up to second order: one eigensolve of
+    z = Σ_c w_c·Π_S(P_c) gives every cluster's frame, in h's order, with gaps
+    of 1.  The weights w_c = c − (n_clusters − 1)/2 are centred, as an
+    identity part of z would carry the span's noise into the frames.  SVDs of
+    y's d_B × d_B blocks align a factor's frames.  An attempt is kept only if
+    its pattern check passes and Σ d_A² = m, so a false split or merge of
+    factors is retried, never returned.
     """
     x, y = _generic_elements(restricted, rng, 2)
     h = 0.5 * (x + dag(x))
@@ -706,39 +707,41 @@ def _attempt_decompose(mats, restricted, e_null, e_supp, tol,
     if clusters is None:
         raise _GenericityFailure()
     starts = [c.start for c in clusters]
+    y_scale = frob(y)
     power = np.abs(dag(vh) @ y @ vh) ** 2
     linked = np.add.reduceat(np.add.reduceat(power, starts, axis=0), starts, axis=1) \
-        > (_GAP_FRACTION * frob(y)) ** 2
+        > (_GAP_FRACTION * y_scale) ** 2
     reach = linked | linked.T | np.eye(len(clusters), dtype=bool)
     for _ in range(len(clusters).bit_length()):  # paths of doubling length
         reach = reach @ reach
-    # factor index of each eigenvector, the factors ordered by first cluster
-    label = np.repeat(np.unique(reach.argmax(axis=1), return_inverse=True)[1],
-                      [c.stop - c.start for c in clusters])
+    # factor index of each cluster, the factors ordered by first cluster
+    label = np.unique(reach.argmax(axis=1), return_inverse=True)[1]
+    weights = np.repeat(np.arange(len(clusters)) - (len(clusters) - 1) / 2,
+                        [c.stop - c.start for c in clusters])
     rows = restricted.reshape(len(restricted), -1)
-    z = ((np.conj(rows) @ ((vh * (label + 1)) @ dag(vh)).reshape(-1)) @ rows).reshape(h.shape)
-    vz = np.linalg.eigh(0.5 * (z + dag(z)))[1]
+    z = ((np.conj(rows) @ ((vh * weights) @ dag(vh)).reshape(-1)) @ rows).reshape(h.shape)
+    vz = np.linalg.eigh(0.5 * (z + dag(z)))[1]  # h's clusters in order, gaps of 1
 
     factors = []  # ((d_A, d_B), factor columns) per factor
-    for f in np.split(vz, np.cumsum(np.bincount(label))[:-1], axis=1):
-        hf, yf = dag(f) @ np.stack([h, y]) @ f
-        vx, sub = _eigenspaces(hf)
-        if sub is None or len({s.stop - s.start for s in sub}) != 1:
+    for k in range(label.max() + 1):
+        frames = [vz[:, clusters[c]] for c in np.flatnonzero(label == k)]  # each n × d_B
+        if len({f.shape[1] for f in frames}) != 1:
             raise _GenericityFailure()
-        da, db = len(sub), sub[0].stop
-        frames = [vx[:, s] for s in sub]  # each n_g × d_B
+        da, db = len(frames), frames[0].shape[1]
         for a in range(1, da):
-            u_m, sv, vh_m = np.linalg.svd(dag(frames[a]) @ yf @ frames[0])
-            if sv[-1] < _ALIGN_FLOOR * frob(yf):
+            u_m, sv, vh_m = np.linalg.svd(dag(frames[a]) @ y @ frames[0])
+            if sv[-1] < _ALIGN_FLOOR * y_scale:
                 raise _GenericityFailure()
             frames[a] = frames[a] @ (u_m @ vh_m)
-        cols = f if e_supp is None else e_supp @ f
-        factors.append(((da, db), cols @ np.concatenate(frames, axis=1)))  # order (a, b) row-major
+        cols = np.concatenate(frames, axis=1)  # order (a, b) row-major
+        factors.append(((da, db), cols if e_supp is None else e_supp @ cols))
     # deterministic factor order: (d_A, d_B), then, between factors of equal
-    # shape only, the spectral fingerprint of the first input basis element
-    # compressed to the factor subspace
+    # shape only, the spectral fingerprint of the fixed element Σ_k (k+1)·b_k
+    # compressed to each (b_0 alone can vanish on several and leave it to the draw)
     shapes = Counter(dims for dims, _ in factors)
-    factors.sort(key=lambda t: (t[0], _fingerprint(dag(t[1]) @ mats[0] @ t[1])
+    if len(shapes) < len(factors):  # two factors share a shape
+        probe = np.tensordot(np.arange(1.0, len(mats) + 1), mats, axes=1)
+    factors.sort(key=lambda t: (t[0], _fingerprint(dag(t[1]) @ probe @ t[1])
                                 if shapes[t[0]] > 1 else ()))
 
     d0 = e_null.shape[1]

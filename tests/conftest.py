@@ -215,6 +215,19 @@ def count_svd(monkeypatch) -> list:
     return calls
 
 
+def count_eigh(monkeypatch) -> list:
+    """The input shape of each ``numpy.linalg.eigh`` call from then on."""
+    calls = []
+    real = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
+
+
 # ---------------------------------------------------------------------------
 # the probed GKLS instances of the benchmark's cli_chain workload
 # ---------------------------------------------------------------------------

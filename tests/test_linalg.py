@@ -32,6 +32,7 @@ from igkls.linalg import (_THETA_13, _expm_scaled, _isometry_lstsq, _on_env, _on
 from conftest import (
     CLI_CHAIN_CASES,
     cli_chain_instance,
+    count_eigh,
     count_svd,
     crandn,
     haar_isometry,
@@ -364,14 +365,7 @@ def test_null_space_of_pure_rounding_noise_runs_no_factorization(monkeypatch):
     assert 0.0 < frob(stacked) <= 1e-9 / 2
     _, want = _null_space_reference(stacked, 1e-9, 1.0)
     svds = count_svd(monkeypatch)
-    eighs = []
-    real_eigh = np.linalg.eigh
-
-    def counted_eigh(a, *args, **kwargs):
-        eighs.append(np.shape(a))
-        return real_eigh(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    eighs = count_eigh(monkeypatch)
     got = null_space(stacked, 1e-9, 1.0)
     assert svds == [] and eighs == []
     monkeypatch.undo()
