@@ -39,7 +39,7 @@ from .linalg import (
     eye,
     frob,
     null_space,
-    orthonormalize_span,
+    row_space,
     vec,
 )
 from .rng import CounterRng
@@ -262,10 +262,6 @@ def _retry_generic(attempt, seed: int, what: str):
                               residual=last_residual)
 
 
-def _orthonormal_rows(mats, d: int, tol: float) -> np.ndarray:
-    return orthonormalize_span([vec(m) for m in mats], tol=tol, ambient_dim=d * d).vectors
-
-
 def close_star_algebra(generators, unital: bool, tol: float = TOL_RANK,
                        dim: int | None = None) -> AlgebraBasis:
     """Smallest *-closed, product-closed subspace containing the generators.
@@ -274,9 +270,10 @@ def close_star_algebra(generators, unital: bool, tol: float = TOL_RANK,
     *-closed: each sweep multiplies the directions the previous sweep added
     by an orthonormal basis of G from the left and keeps what is new, until
     nothing is (one sweep per word length, so a single diagonal generator
-    with d distinct eigenvalues takes d sweeps).  A sweep whose candidate
-    block, projected off the basis, has ‖cand‖_F ≤ tol/2 ends the closure
-    without an SVD: σ_max ≤ ‖cand‖_F, so the rank rule would keep nothing.
+    with d distinct eigenvalues takes d sweeps).  Each sweep keeps the
+    :func:`~igkls.linalg.row_space` of its candidate block, projected off
+    the basis, at scale 1; a block with ‖cand‖_F ≤ tol/2 has none and ends
+    the closure without a factorization.
     With ``unital=True`` the identity is included up front; otherwise the
     letters' orthonormal rows are the starting basis.  With no generators at
     all, ``dim`` fixes the ambient space (the scalars on C¹ when omitted).
@@ -297,19 +294,16 @@ def close_star_algebra(generators, unital: bool, tol: float = TOL_RANK,
         raise NotClosed("generators hold a non-finite entry", residual=size)
     d = gens[0].shape[0] if gens else (1 if dim is None else int(dim))
     letters = gens + [dag(g) for g in gens]
-    rows = _orthonormal_rows(letters, d, tol)
+    rows = row_space(_stacked(letters, d).reshape(-1, d * d), tol, 0.0)
     left = _stacked(rows, d)[:, None]
-    basis = _orthonormal_rows(letters + [eye(d)], d, tol) if unital else rows
+    basis = row_space(_stacked(letters + [eye(d)], d).reshape(-1, d * d), tol, 0.0) if unital else rows
     new = basis
     while len(new) and len(left):
         cand = (left @ _stacked(new, d)).reshape(-1, d * d)
         for _ in range(2):  # the second pass restores orthogonality to ~eps
             cand -= (cand @ np.conj(basis.T)) @ basis
-        if frob(cand) <= tol / 2:  # σ_max ≤ ‖cand‖_F: the rule below keeps nothing
-            break
-        _, s, vh = np.linalg.svd(cand, full_matrices=False)
         # the candidates are products of HS-unit matrices: norm at most 1
-        new = vh[: _rank(s, tol, 1.0)]
+        new = row_space(cand, tol, 1.0)
         basis = np.concatenate([basis, new])
     ident = _span_residuals(vec(eye(d))[None], basis)[0]
     return AlgebraBasis(d, list(_stacked(basis, d)),
@@ -669,11 +663,17 @@ def _decompose(mats: np.ndarray, d: int, tol: float,
     basis element's residual from its pattern algebra as the rows of
     :func:`_pattern_defects`."""
     # support / null split (shared by all attempts): the null part is the
-    # common kernel of the basis, the support its orthogonal complement
-    e_null = null_space(mats.reshape(-1, d), tol, 0.0).T
+    # common kernel of the stack a = [b_1; …; b_m], the support its
+    # orthogonal complement.  With 1 = Σ c_k·b_k + r, c_k = conj(tr b_k), every
+    # unit v has ‖a·v‖ ≥ (1 − ‖r‖_F)/‖c‖: where the rank rule puts that
+    # above its cutoff (‖a‖_F ≥ σ_max as the scale), a has no kernel
+    c = np.conj(np.einsum("kii->k", mats))
+    rest = frob(eye(d) - np.tensordot(c, mats, axes=1))
+    full = frob(c) > 0 and _rank([(1 - rest) / frob(c)], tol, frob(mats))
+    e_null = np.zeros((d, 0), complex) if full else null_space(mats.reshape(-1, d), tol, 0.0).T
     e_supp, restricted = None, mats  # no common kernel: the support is C^d
-    if e_null.shape[1]:
-        e_supp = null_space(dag(e_null), tol, 1.0).T
+    if e_null.shape[1]:  # the complement of orthonormal columns: no rank to decide
+        e_supp = np.linalg.qr(e_null, mode="complete")[0][:, e_null.shape[1]:]
         if not e_supp.shape[1]:  # also for an empty basis
             return AtomicDecomposition(d, eye(d), d, []), np.zeros((len(mats), d * d))
         restricted = dag(e_supp) @ mats @ e_supp

@@ -72,7 +72,7 @@ from .errors import (
     verify,
 )
 from .gkls import AtomicNormalForm, GKLSRep, _generator_scale, _split, generator_superoperator, gkls_apply, reconstruct_from_normal_form
-from .linalg import TOL_RANK, _expm_scaled, _isometry_defect, _linear_scale, _rank, _scaled_power, asmatrix, dag, eye, frob, herm, im_part, kron, null_space, vec
+from .linalg import TOL_RANK, _expm_scaled, _isometry_defect, _linear_scale, _rank, _scaled_power, asmatrix, dag, eye, frob, herm, im_part, kron, null_space, row_space, vec
 
 __all__ = [
     "SemicausalReport",
@@ -426,10 +426,13 @@ def _fixed_space(ops: list[np.ndarray], d: int, tol: float) -> np.ndarray:
     """HS-orthonormal Hermitian basis, an (m, d, d) stack, of the fixed
     points of X ↦ Σ op·X·op† (of the dual map for the adjointed ops, the
     Koashi–Imoto fallback): the real null rows r of the transfer matrix minus
-    1 in the frame of :func:`_hermitian_frame`, by a real SVD, as T·r.  T is
-    unitary, so the singular values and cutoff are the complex matrix's."""
+    1 in the frame of :func:`_hermitian_frame`, as T·r; T is unitary, so the
+    singular values and cutoff are the complex matrix's.  Σ_k K_k⊗K̄_k is one
+    batched matmul, K[:, i, :]ᵀ·K̄[:, j, :] for each (i, j), which writes its
+    row-major layout with no realignment copy."""
     ops = np.asarray(ops)
-    s_r = _real_superoperator(np.einsum("kia,kjb->ijab", ops, np.conj(ops)).reshape(d * d, -1), d)
+    s_r = _real_superoperator(
+        (ops.transpose(1, 2, 0)[:, None] @ np.conj(ops).transpose(1, 0, 2)[None]).reshape(d * d, -1), d)
     s_r[np.diag_indices(d * d)] -= 1.0
     # noise floor: when the channel fixes everything, the whole matrix is
     # rounding noise and σ_max itself is ~eps
@@ -440,11 +443,11 @@ def _fixed_space(ops: list[np.ndarray], d: int, tol: float) -> np.ndarray:
 
 def _hermitian_span(xs: np.ndarray, tol: float) -> np.ndarray:
     """HS-orthonormal Hermitian basis of the span of the Hermitian (m, d, d)
-    stack xs, by a real SVD of their (re, im) entries (their Gram matrix is
-    real), of the rank :func:`linalg._rank` counts relative to σ_max."""
+    stack xs, the real :func:`row_space` of their (re, im) entries (their
+    Gram matrix is real), with the rank relative to σ_max."""
     m, d, _ = xs.shape
-    _, s, vh = np.linalg.svd(np.ascontiguousarray(xs).reshape(m, -1).view(float), False)
-    return np.ascontiguousarray(vh[:_rank(s, tol, 0.0)]).view(complex).reshape(-1, d, d)
+    rows = row_space(np.ascontiguousarray(xs).reshape(m, -1).view(float), tol, 0.0)
+    return np.ascontiguousarray(rows).view(complex).reshape(-1, d, d)
 
 
 def _dual_fixed_residual(ops: list[np.ndarray], ys: np.ndarray) -> float:
@@ -456,8 +459,10 @@ def _dual_fixed_residual(ops: list[np.ndarray], ys: np.ndarray) -> float:
 def _fixed_states(k: KrausSet, tol: float, tp_name: str) -> tuple[float, np.ndarray, np.ndarray]:
     """(tp, hs, ρ) of the Schrödinger channel T: the trace-preservation
     residual, verified as ``tp_name``; an HS-orthonormal Hermitian basis hs
-    of Fix(T) (:func:`_fixed_space`); and Σ_k |h_k|, a PSD fixed point of
-    maximal rank, since Fix(T) is *-closed (not normalized)."""
+    of Fix(T) (:func:`_fixed_space`); and ρ = Π_Fix(1) = Σ_k tr(h_k)·h_k (not
+    normalized), the same for every such basis.  Fix(T) = q†(0 ⊕ ⊕_i
+    M_{A_i}⊗σ_i)q with σ_i > 0 (Blume-Kohout, Ng, Poulin & Viola 2010), so
+    ρ = q†(0 ⊕ ⊕_i (tr σ_i/tr σ_i²)·1_{A_i}⊗σ_i)q, PSD of maximal rank."""
     if k.d_in != k.d_out:
         raise ValueError("channel must be an endomorphism")
     tp = _tp_residual(k.ops, k.d_in)
@@ -466,16 +471,15 @@ def _fixed_states(k: KrausSet, tol: float, tp_name: str) -> tuple[float, np.ndar
     hs = _fixed_space(k.ops, k.d_in, tol)
     if not len(hs):
         raise NoFixedState("transfer matrix shows no unit-eigenvalue space")
-    w, u = np.linalg.eigh(hs)  # |h| = h₊ + h₋
-    return tp, hs, ((u * np.abs(w)[:, None]) @ np.conj(u.transpose(0, 2, 1))).sum(axis=0)
+    return tp, hs, np.tensordot(np.einsum("kii->k", hs).real, hs, axes=1)
 
 
 def fixed_point_state(k: KrausSet, tol: float = TOL_VERIFY) -> np.ndarray:
     """A density matrix ρ with T(ρ) = ρ for the Schrödinger channel T.
 
-    The unit-eigenvalue space of the transfer matrix is *-closed, so the
-    absolute values of a Hermitian spanning set sum to a PSD fixed point;
-    it is normalized and verified, else :class:`NoFixedState`.
+    ρ = Π_Fix(1)/tr, the HS projection of the identity onto the fixed
+    points normalized, a fixed state of maximal rank and the unique fixed
+    state when there is one; it is verified, else :class:`NoFixedState`.
     """
     _, _, rho = _fixed_states(k, tol, "tp")
     rho = rho / float(np.real(np.trace(rho)))

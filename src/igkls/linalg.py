@@ -9,10 +9,11 @@ Conventions used throughout the package:
   applies p⊗1_E and :func:`_on_env` applies 1_d⊗w, both by reshape, in
   place of a ``kron`` with an identity factor;
 * ``vec``/``unvec`` are row-major (C order), so ``vec(A X B) = (A ⊗ B^T) vec(X)``;
-* every rank decision is :func:`_rank`, and all null spaces go through
-  :func:`null_space`, which reads the rank off one Hermitian eigensolve of
-  aᴴa where an a-posteriori certificate shows that the SVD would decide the
-  same, and takes the SVD everywhere else;
+* every rank decision is :func:`_rank`; all null spaces go through
+  :func:`null_space` and all spans through :func:`row_space`, which read
+  the rank off one Hermitian eigensolve of a Gram matrix (aᴴa and a·aᴴ)
+  where an a-posteriori certificate shows that the SVD would decide the
+  same, and take the SVD everywhere else;
 * the one matrix exponential is :func:`_expm_scaled`, numpy only, which
   returns e^a as r·2^k; :func:`expm` multiplies the two.
 """
@@ -157,6 +158,7 @@ def svd_rank(m: np.ndarray, tol: float = TOL_RANK) -> int:
 # rows are kept when ‖a·V_k‖_F ≤ _NULL_RESIDUAL·n·ε·max(σ̂, scale)
 _GRAM_ROUNDING = 2.0
 _NULL_RESIDUAL = 64.0
+_EPS = float(np.finfo(np.float64).eps)
 
 
 def null_space(a: np.ndarray, tol: float, scale: float) -> np.ndarray:
@@ -166,57 +168,79 @@ def null_space(a: np.ndarray, tol: float, scale: float) -> np.ndarray:
     pure rounding noise, where a cutoff relative to σ_max alone would keep
     noise.  With ‖a‖_F ≤ max(tol, RANK_FLOOR)·scale/2 all n unit rows are
     null (σ_max ≤ ‖a‖_F; the half absorbs the rounding of the norm) and no
-    factorization runs.  Otherwise the rank is first read off one Hermitian
-    eigensolve of G = aᴴa and kept only under the certificate of
-    :func:`_gram_null_rows`, which shows that the SVD rule gives the same
-    rank and that the rows are null to a fixed multiple of machine
-    precision.  Otherwise (a singular value between the cutoff and G's
-    resolution √(2δ), a small gap, a non-finite entry) the SVD decides: a
-    tall input is first reduced to its R factor, which has the same singular
-    values and right singular vectors, so the tall U is never formed.  The
-    two routes give different orthonormal bases of the same null space.  A
-    real input gives real rows.
+    factorization runs.  Otherwise the rows come from one Hermitian
+    eigensolve of aᴴa where :func:`_gram_split` certifies them, and from
+    the SVD everywhere else (a singular value between the cutoff and the
+    Gram's resolution √(2δ), a small gap, a non-finite entry): a tall input
+    is first reduced to its R factor, which has the same singular values and
+    right singular vectors, so the tall U is never formed.  The two routes
+    give different orthonormal bases of the same null space.  A real input
+    gives real rows.
     """
     a = np.asarray(a)
-    a = a.astype(np.result_type(a.dtype, np.float64), copy=False)
-    tol = max(tol, RANK_FLOOR)
+    a, tol = a.astype(np.result_type(a.dtype, np.float64), copy=False), max(tol, RANK_FLOOR)
     if frob(a) <= tol * scale / 2:  # σ_max ≤ ‖a‖_F: pure rounding noise
         return np.eye(a.shape[1], dtype=a.dtype)
-    rows = _gram_null_rows(a, tol, scale)
-    if rows is not None:
-        return rows
+    split = _gram_split(a, tol, scale)
+    if split is not None:
+        return np.ascontiguousarray(split[1][:, :split[2]].T)
     if a.shape[0] > a.shape[1]:
         a = np.linalg.qr(a, mode="r")
     _, s, vh = np.linalg.svd(a)
     return np.conj(vh[_rank(s, tol, scale):])
 
 
-def _gram_null_rows(a: np.ndarray, tol: float, scale: float) -> np.ndarray | None:
-    """The null rows of the m × n matrix a from G = aᴴa = V·diag(w)·Vᴴ (w
-    ascending), or None unless certified.
+def row_space(a: np.ndarray, tol: float, scale: float) -> np.ndarray:
+    """Orthonormal basis of the row space of the m × n matrix a, one basis
+    vector per row, of the rank and with the noise floor of :func:`null_space`.
+
+    Where :func:`_gram_split` certifies the rank from one eigensolve of
+    a·aᴴ = U·diag(w)·Uᴴ, the Gram matrix of aᴴ, the rows are
+    R = diag(w)^{-1/2}·Uᴴ·a over the kept w, combinations of a's rows, so
+    they span its row space once ‖RRᴴ − 1‖_F ≤ _NULL_RESIDUAL·m·ε.
+    Otherwise (also where 1/√w amplifies rounding past that) the SVD
+    decides.  The two routes give different orthonormal bases of the same
+    span.  A real input gives real rows.
+    """
+    a = np.asarray(a)
+    a, tol = a.astype(np.result_type(a.dtype, np.float64), copy=False), max(tol, RANK_FLOOR)
+    if frob(a) <= tol * scale / 2:  # σ_max ≤ ‖a‖_F: pure rounding noise
+        return a[:0]
+    split = _gram_split(dag(a), tol, scale)
+    if split is not None:
+        w, u, k = split
+        rows = (dag(u[:, k:]) @ a) / np.sqrt(w[k:])[:, None]
+        if frob(rows @ dag(rows) - np.eye(len(rows))) <= _NULL_RESIDUAL * len(a) * _EPS:
+            return rows
+    _, s, vh = np.linalg.svd(a, full_matrices=False)
+    return vh[:_rank(s, tol, scale)]
+
+
+def _gram_split(a: np.ndarray, tol: float,
+                scale: float) -> tuple[np.ndarray, np.ndarray, int] | None:
+    """(w, V, k) for G = aᴴa = V·diag(w)·Vᴴ (w ascending) of the m × n
+    matrix a and its null count k, or None unless certified.
 
     With σ̂ = √max(w_max, 0), the cutoff c = tol·max(σ̂, scale) and
-    k = #{w_i ≤ 2δ}, the rows V[:, :k]ᵀ are kept iff (i) k = n or
+    k = #{w_i ≤ 2δ}, the rows V[:, :k]ᵀ are a's null rows iff (i) k = n or
     w_k − δ > c², so by Weyl's inequality the other n − k singular values
     exceed c, and (ii) ‖a·V[:, :k]‖_F ≤ min(c, _NULL_RESIDUAL·n·ε·max(σ̂,
     scale)), so by Courant–Fischer the k smallest are at most c.
     """
     m, n = a.shape
     size = frob(a)
-    eps = np.finfo(np.float64).eps
-    delta = _GRAM_ROUNDING * (m + n) * eps * (size * size)
+    delta = _GRAM_ROUNDING * (m + n) * _EPS * (size * size)
     if not (a.size and math.isfinite(delta)):  # NaN, inf, or G would overflow
         return None
-    w, v = np.linalg.eigh(dag(a) @ a)
+    w, v = np.linalg.eigh(a.T.conj() @ a)  # conj() of a real array is a view
     top = max(math.sqrt(max(w[-1], 0.0)), scale)
     cut = tol * top
     k = int(np.count_nonzero(w <= 2 * delta))
     if k < n and not w[k] - delta > cut * cut:
         return None
-    null = v[:, :k]
-    if not frob(a @ null) <= min(cut, _NULL_RESIDUAL * n * eps * top):
+    if not frob(a @ v[:, :k]) <= min(cut, _NULL_RESIDUAL * n * _EPS * top):
         return None
-    return np.ascontiguousarray(null.T)
+    return w, v, k
 
 
 # Higham (2005): the largest ‖A‖₁ for which the degree-13 Padé approximant
@@ -315,10 +339,9 @@ def _scaled_power(a: np.ndarray, n: int) -> np.ndarray:
 
 
 def orthonormalize_span(vectors, tol: float = TOL_RANK, ambient_dim: int | None = None) -> SubspaceBasis:
-    """Orthonormal basis of the span of the given vectors.
-
-    The rank is :func:`_rank`'s relative to σ_max.  An empty input is legal
-    but then ``ambient_dim`` must be supplied.
+    """Orthonormal basis of the span of the given vectors: the
+    :func:`row_space` of their stack, with the rank relative to σ_max.  An
+    empty input is legal but then ``ambient_dim`` must be supplied.
     """
     vecs = [np.asarray(v, dtype=np.complex128).reshape(-1) for v in vectors]
     if not vecs:
@@ -331,9 +354,7 @@ def orthonormalize_span(vectors, tol: float = TOL_RANK, ambient_dim: int | None 
     dim = dims.pop()
     if ambient_dim is not None and ambient_dim != dim:
         raise ValueError("ambient_dim does not match the vectors")
-    a = np.stack(vecs, axis=1)  # columns are the vectors
-    u, s, _ = np.linalg.svd(a, full_matrices=False)
-    return SubspaceBasis(dim, u[:, :_rank(s, tol, 0.0)].T)
+    return SubspaceBasis(dim, row_space(np.stack(vecs), tol, 0.0))
 
 
 def subspace_residual(basis: SubspaceBasis, v) -> float:

@@ -385,16 +385,58 @@ def test_atomic_decompose_orders_the_factors_alike_at_every_seed(factors, d0):
         assert max(frob(p - q) for p, q in zip(projectors, first)) <= 1e-8
 
 
-@pytest.mark.parametrize("factors", [[(1, 1)] * 12, [(2, 2)] * 3])
-def test_atomic_decompose_takes_three_eigensolves_whatever_the_factor_count(factors, monkeypatch):
-    # the support Gram, h and z: every cluster's frame comes out of z's one
-    # eigensolve, none from h compressed to a factor
-    planted = random_instance("algebra", {"factors": factors, "d0": 0}, seed=1).payload
+@pytest.mark.parametrize("factors, d0, count", [
+    ([(1, 1)] * 12, 0, 2), ([(2, 2)] * 3, 0, 2), ([(2, 2)] * 3, 2, 3)])
+def test_atomic_decompose_eigensolves_do_not_grow_with_the_factor_count(
+        factors, d0, count, monkeypatch):
+    # h and z: every cluster's frame comes out of z's one eigensolve, none
+    # from h compressed to a factor; a span that holds 1 has no kernel to
+    # solve for, while a null block takes the support Gram's eigensolve
+    planted = random_instance("algebra", {"factors": factors, "d0": d0}, seed=1).payload
     alg = algebra_from_decomposition(planted)
     eighs = count_eigh(monkeypatch)
+    svds = count_svd(monkeypatch)
     dec = atomic_decompose(alg, seed=0)
-    assert dec.factors == sorted(factors)
-    assert len(eighs) == 3, eighs
+    assert (dec.d0, dec.factors) == (d0, sorted(factors))
+    assert len(eighs) == count, eighs
+    assert all(shape[0] <= 2 for shape in svds), svds  # the d_B × d_B frame alignments only
+
+
+def _spy_null_space(monkeypatch):
+    """The input shape of every algebra.null_space call."""
+    calls = []
+    real = algebra_mod.null_space
+    monkeypatch.setattr(algebra_mod, "null_space",
+                        lambda a, *args: calls.append(np.shape(a)) or real(a, *args))
+    return calls
+
+
+@pytest.mark.parametrize("factors", [[(2, 2), (1, 3)], [(1, 1)] * 6, [(3, 1), (1, 2)]])
+def test_a_span_that_holds_one_skips_the_support_solve_bit_for_bit(factors, monkeypatch):
+    planted = random_instance("algebra", {"factors": factors, "d0": 0}, seed=2).payload
+    alg = algebra_from_decomposition(planted)
+    calls = _spy_null_space(monkeypatch)
+    skipped = atomic_decompose(alg, seed=3)
+    assert calls == []
+    monkeypatch.setattr(algebra_mod, "_rank", lambda *args: 0)  # the skip off
+    solved = atomic_decompose(alg, seed=3)
+    assert calls == [(len(alg.basis) * planted.d, planted.d)]
+    assert np.array_equal(skipped.u_alg, solved.u_alg)
+    assert (skipped.d0, skipped.factors) == (solved.d0, solved.factors) == (0, sorted(factors))
+
+
+def test_the_support_solve_runs_where_the_bound_cannot_show_a_trivial_kernel(monkeypatch):
+    calls = _spy_null_space(monkeypatch)
+    # a null block: 1 is not in the span, 1 − Π(1) has norm √d0 ≥ 1
+    planted = random_instance("algebra", {"factors": [(2, 2), (1, 3)], "d0": 1}, seed=2).payload
+    dec = atomic_decompose(algebra_from_decomposition(planted), seed=3)
+    assert (dec.d0, calls) == (1, [(5 * 8, 8)])
+    # 1 in the span, but σ_min ≥ 1/‖c‖ = 1/√d = 1/2 does not clear the cutoff
+    # tol·‖a‖_F = 0.3·√5: null_space decides, and finds no kernel
+    calls.clear()
+    planted = random_instance("algebra", {"factors": [(2, 1), (1, 2)], "d0": 0}, seed=2).payload
+    dec = atomic_decompose(algebra_from_decomposition(planted), tol=0.3, seed=3)
+    assert (dec.d0, calls) == (0, [(5 * 4, 4)])
 
 
 def test_atomic_decompose_rejects_non_algebra_subspace():
@@ -920,9 +962,11 @@ def test_close_star_algebra_factorizes_once_per_sweep_that_finds_something(monke
     planted = algebra_from_decomposition(_planted(rng_for(236), 0, [(2, 2)] * 3))
     g = crandn(rng_for(237), 2, planted.dim)
     gens = [sum(c * b for c, b in zip(row, planted.basis)) for row in g]
-    calls = count_svd(monkeypatch)
+    svds = count_svd(monkeypatch)
+    eighs = count_eigh(monkeypatch)
     alg = close_star_algebra(gens, unital=False)
-    assert calls == [(144, 4), (16, 144)]
+    # one Gram eigensolve each: the 4 letters, the 16 × 144 candidate block
+    assert (svds, eighs) == ([], [(4, 4), (16, 16)])
     monkeypatch.undo()
     assert alg.dim == 12
     assert alg.contains_identity

@@ -53,6 +53,7 @@ from conftest import (
     CLI_CHAIN_CASES,
     PAULI,
     cli_chain_instance,
+    count_eigh,
     count_exact_closure,
     count_svd,
     crandn,
@@ -551,8 +552,9 @@ def test_koashi_imoto_rejects_non_trace_preserving():
         koashi_imoto_decompose(KrausSet(d_in=2, d_out=2, ops=[crandn(rng, 2, 2)]))
 
 
-def _planted_ki_ops(rng, factors, e=2):
-    """Schrödinger Kraus ops u(⊕ 1_A ⊗ N_i)u†, a random channel N_i on each B."""
+def _planted_ki_channel(rng, factors, e=2):
+    """(ops, u, sigmas): Schrödinger Kraus ops u(⊕ 1_A ⊗ N_i)u†, a random
+    channel N_i on each B, and the fixed state σ_i of each N_i."""
     d = sum(a * b for a, b in factors)
     u = haar_unitary(rng, d)
     isos = [haar_isometry(rng, db * e, db) for _, db in factors]
@@ -564,7 +566,18 @@ def _planted_ki_ops(rng, factors, e=2):
             z[off:off + da * db, off:off + da * db] = np.kron(np.eye(da), w.reshape(db, e, db)[:, n, :])
             off += da * db
         ops.append(u @ z @ dag(u))
-    return ops
+    sigmas = []
+    for (_, db), w in zip(factors, isos):
+        kraus = w.reshape(db, e, db).transpose(1, 0, 2)
+        transfer = sum(np.kron(k, np.conj(k)) for k in kraus)
+        sigma = np.conj(np.linalg.svd(transfer - np.eye(db * db))[2][-1]).reshape(db, db)
+        sigmas.append(sigma / np.trace(sigma))
+    return ops, u, sigmas
+
+
+def _planted_ki_ops(rng, factors, e=2):
+    """Schrödinger Kraus ops u(⊕ 1_A ⊗ N_i)u†, a random channel N_i on each B."""
+    return _planted_ki_channel(rng, factors, e)[0]
 
 
 def _trace_and_replace_ops(rng, d):
@@ -613,6 +626,74 @@ def test_real_frame_fixed_spaces_match_the_complex_transfer_matrix(name):
         assert frob(got - np.conj(got.transpose(0, 2, 1))) <= 1e-12  # Hermitian
         assert frob(np.conj(rows) @ rows.T - eye(len(got))) <= 1e-12  # HS-orthonormal
         assert frob(rows.T @ np.conj(rows) - want.T @ np.conj(want)) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# the maximal fixed state Π_Fix(1)
+# ---------------------------------------------------------------------------
+
+def _with_transient(ops, k, gamma=0.5, seed=548):
+    """The channel of ``ops`` on S plus k transient levels E that decay into
+    S: Kraus ops op ⊕ 0, √(1−γ)·(0 ⊕ 1_E) and √γ·|s_j⟩⟨e_j| for unit vectors
+    s_j ∈ S, so every fixed point lives on S."""
+    if not k:
+        return ops
+    d = ops[0].shape[0]
+    out = [np.pad(op, (0, k)) for op in ops] + [np.sqrt(1 - gamma) * np.diag([0.0] * d + [1.0] * k)]
+    targets = haar_isometry(rng_for(seed), d, k)
+    for j in range(k):
+        c = np.zeros((d + k, d + k), dtype=np.complex128)
+        c[:d, d + j] = np.sqrt(gamma) * targets[:, j]
+        out.append(c)
+    return out
+
+
+@pytest.mark.parametrize("factors, transient", [
+    ([(3, 2), (2, 3)], 0), ([(2, 2), (1, 2)], 0), ([(1, 3), (2, 1)], 0), ([(3, 2), (2, 3)], 2)])
+def test_maximal_fixed_state_is_the_projection_of_one(factors, transient):
+    # Fix(T) = u(⊕ M_{A_i}⊗σ_i)u† ⊕ 0, so Π_Fix(1) = u(⊕ (tr σ_i/tr σ_i²)·1_{A_i}⊗σ_i)u† ⊕ 0
+    ops, u, sigmas = _planted_ki_channel(rng_for(546), factors)
+    r = ops[0].shape[0]
+    ops = _with_transient(ops, transient)
+    d = r + transient
+    assert frob(sum(dag(op) @ op for op in ops) - eye(d)) <= 1e-12
+    _, _, rho = applications._fixed_states(KrausSet(d, d, ops), 1e-9, "tp")
+    want = np.zeros((r, r), dtype=np.complex128)
+    off = 0
+    for (da, db), sigma in zip(factors, sigmas):
+        blk = slice(off, off + da * db)
+        want[blk, blk] = np.trace(sigma) / np.trace(sigma @ sigma) * np.kron(np.eye(da), sigma)
+        off += da * db
+    assert frob(rho - np.pad(u @ want @ dag(u), (0, transient))) <= 1e-10
+    w = np.linalg.eigvalsh(rho)  # the rank of the support, r
+    assert np.count_nonzero(w > 1e-9 * w[-1]) == r and w[transient] > 1e-3
+
+
+def _abs_sum(hs):
+    """Σ_k |h_k|, a maximal-rank fixed point that depends on the basis."""
+    w, v = np.linalg.eigh(hs)
+    return ((v * np.abs(w)[:, None]) @ np.conj(v.transpose(0, 2, 1))).sum(axis=0)
+
+
+def test_maximal_fixed_state_does_not_depend_on_the_fixed_point_basis(monkeypatch):
+    ops = _planted_ki_ops(rng_for(540), [(3, 2), (2, 3)])
+    kraus = KrausSet(12, 12, ops)
+    _, hs, rho = applications._fixed_states(kraus, 1e-9, "tp")
+    rot = np.linalg.qr(np.random.default_rng(547).standard_normal((len(hs), len(hs))))[0]
+    rotated = np.tensordot(rot, hs, axes=1)  # another HS-orthonormal Hermitian basis
+    _spy(monkeypatch, "_fixed_space", lambda args, out: np.tensordot(rot, out, axes=1))
+    _, hs_rot, rho_rot = applications._fixed_states(kraus, 1e-9, "tp")
+    assert frob(hs_rot - rotated) <= 1e-12
+    assert frob(rho_rot - rho) <= 1e-12
+    assert frob(_abs_sum(rotated) - _abs_sum(hs)) > 1e-2  # Σ_k |h_k| moves
+
+
+def test_koashi_imoto_at_d12_runs_no_stacked_eigensolve(monkeypatch):
+    ops = _planted_ki_ops(rng_for(540), [(3, 2), (2, 3)])
+    eighs = count_eigh(monkeypatch)
+    res = koashi_imoto_decompose(KrausSet(12, 12, ops))
+    assert eighs and all(len(shape) == 2 for shape in eighs), eighs
+    assert _structure(res) == (13, 13, 12, 0, [(2, 3), (3, 2)])
 
 
 # ---------------------------------------------------------------------------

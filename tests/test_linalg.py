@@ -6,10 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import igkls.algebra as algebra_mod
+import igkls.applications as applications
 from igkls import (
     AlgebraBasis,
     AtomicDecomposition,
     algebra_from_decomposition,
+    close_star_algebra,
     commutant,
     dag,
     embed_support,
@@ -17,18 +20,21 @@ from igkls import (
     frob,
     herm,
     im_part,
+    koashi_imoto_decompose,
     kron,
     nearest_isometry,
     orthonormalize_span,
     partial_trace,
+    random_instance,
     subspace_residual,
     svd_rank,
     unvec,
     vec,
 )
 from igkls.applications import _centred_real_generator
+from igkls.io import read_meta
 from igkls.linalg import (_THETA_13, _expm_scaled, _isometry_lstsq, _on_env, _on_system, expm,
-                          null_space)
+                          null_space, row_space)
 from conftest import (
     CLI_CHAIN_CASES,
     cli_chain_instance,
@@ -453,6 +459,120 @@ def test_null_space_certificate_hands_unresolved_ranks_to_the_svd(
     _assert_null_space_matches_reference(a, tol, 0.0, 1e-10 if rank == 3 else 1e-7)
     assert got.shape == (n - rank, n)
     assert got.dtype == (np.float64 if real else np.complex128)
+
+
+# ---------------------------------------------------------------------------
+# row_space: spans from one certified eigensolve of a·aᴴ
+# ---------------------------------------------------------------------------
+
+def _assert_row_space_matches_svd(a, tol, scale, proj_tol=1e-12):
+    """row_space(a) against an inlined thin SVD with the cutoff
+    tol·max(σ_max, scale): the same rank, orthonormal rows, the same
+    projector onto the row space."""
+    _, s, vh = np.linalg.svd(a, full_matrices=False)
+    top = max(s[0], scale) if s.size else scale
+    want = vh[:int(np.count_nonzero(s > tol * top))]
+    got = row_space(a, tol, scale)
+    assert got.shape == want.shape
+    assert got.dtype == np.result_type(a.dtype, np.float64)
+    assert frob(got @ dag(got) - np.eye(len(got))) <= proj_tol
+    assert frob(dag(got) @ got - dag(want) @ want) <= proj_tol
+    return got
+
+
+def _spy_row_space(monkeypatch, module):
+    """(a, tol, scale) of every row_space call that ``module`` makes."""
+    calls = []
+    real = module.row_space
+    monkeypatch.setattr(module, "row_space",
+                        lambda a, tol, scale: calls.append((np.array(a), tol, scale)) or real(a, tol, scale))
+    return calls
+
+
+@pytest.mark.parametrize("factors", [
+    [(2, 2), (1, 2), (2, 1)],            # d = 8
+    [(2, 2)] * 3,                        # d = 12
+    [(2, 4), (2, 4), (1, 8)],            # d = 24
+])
+def test_row_space_matches_the_svd_on_closure_candidate_blocks(factors, monkeypatch):
+    planted = _planted_algebra(rng_for(119), 0, factors)
+    g = crandn(rng_for(120), 2, planted.dim)
+    gens = [sum(c * b for c, b in zip(row, planted.basis)) for row in g]
+    calls = _spy_row_space(monkeypatch, algebra_mod)
+    close_star_algebra(gens, unital=False)
+    monkeypatch.undo()
+    blocks = [a for a, _, scale in calls if scale == 1.0]
+    svds = count_svd(monkeypatch)
+    kept = [len(_assert_row_space_matches_svd(a, 1e-9, 1.0)) for a in blocks]
+    assert len(svds) == len(blocks)  # the reference's own, none in row_space
+    letters = row_space(*calls[0])  # the generators and their adjoints, at scale 0
+    assert calls[0][2] == 0.0 and sum(kept) == planted.dim - len(letters)
+
+
+def test_row_space_matches_the_svd_on_the_koashi_imoto_dual_span(monkeypatch):
+    for seed in (1, 2, 3):
+        bundle = random_instance("koashi_imoto", seed=seed)
+        kraus = read_meta(bundle.meta, "channel", 1e-9).schrodinger_kraus()
+        calls = _spy_row_space(monkeypatch, applications)
+        koashi_imoto_decompose(kraus)
+        monkeypatch.undo()
+        assert len(calls) == 1
+        a, tol, scale = calls[0]
+        assert a.dtype == np.float64 and scale == 0.0
+        assert len(_assert_row_space_matches_svd(a, tol, scale)) == len(a)
+
+
+def test_row_space_of_wide_tall_and_noise_inputs(monkeypatch):
+    rng = rng_for(121)
+    wide = crandn(rng, 5, 3) @ crandn(rng, 3, 20)
+    assert len(_assert_row_space_matches_svd(wide, 1e-9, 0.0)) == 3
+    tall = crandn(rng, 20, 3) @ crandn(rng, 3, 6)
+    assert len(_assert_row_space_matches_svd(tall, 1e-9, 0.0)) == 3
+    real = rng.standard_normal((9, 4)) @ rng.standard_normal((4, 7))
+    assert len(_assert_row_space_matches_svd(real, 1e-9, 0.0)) == 4
+    assert row_space(np.zeros((3, 5)), 1e-9, 0.0).shape == (0, 5)
+    # pure rounding noise against a unit scale: no rows, and no factorization
+    noise = 1e-17 * crandn(rng, 16, 144)
+    svds, eighs = count_svd(monkeypatch), count_eigh(monkeypatch)
+    assert row_space(noise, 1e-9, 1.0).shape == (0, 144)
+    assert (svds, eighs) == ([], [])
+    monkeypatch.undo()
+    # a relative cutoff keeps all of it
+    assert len(_assert_row_space_matches_svd(noise, 1e-9, 0.0)) == 16
+
+
+# (tol, planted singular values, rank, whether the SVD answers); δ = 2·(m+n)·ε·‖a‖_F²
+# is at most 3e-14 here, so a·aᴴ resolves singular values down to √(2δ) ≈ 2.5e-7
+_ROW_SPACE_CASES = [
+    # rounding level: certified, three rows
+    (1e-9, [1.0, 0.6, 0.3, 1e-14], 3, False),
+    # well conditioned: certified, four rows
+    (1e-9, [1.0, 0.6, 0.3, 0.1], 4, False),
+    # above the cutoff 1e-9, below the Gram's resolution: the "null" direction
+    # of aᴴ has ‖aᴴ·u‖ ≈ 1e-8 > c, condition (ii)
+    (1e-9, [1.0, 0.6, 0.3, 1e-8], 4, True),
+    # below a loose cutoff 0.5 but resolved: w − δ ≈ 0.16 ≤ c², condition (i)
+    (0.5, [1.0, 0.9, 0.8, 0.4], 3, True),
+    # certified rank, but 1/√w amplifies the Gram's rounding to
+    # ‖RRᴴ − 1‖_F ≈ 80–280 times 64·m·ε: the orthonormality check
+    (1e-9, [1.0, 0.6, 0.3, 1e-3], 4, True),
+]
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+@pytest.mark.parametrize("shape", [(16, 12), (7, 12), (12, 12)], ids=["tall", "wide", "square"])
+@pytest.mark.parametrize("tol, planted, rank, by_svd", _ROW_SPACE_CASES)
+def test_row_space_certificate_hands_unresolved_spans_to_the_svd(
+        monkeypatch, shape, real, tol, planted, rank, by_svd):
+    m, n = shape
+    a = _planted_singular_values(rng_for(122), m, n, planted, real)
+    calls = count_svd(monkeypatch)
+    got = row_space(a, tol, 0.0)
+    assert len(calls) == by_svd
+    monkeypatch.undo()
+    assert got.shape == (rank, n)
+    want = _assert_row_space_matches_svd(a, tol, 0.0)
+    assert frob(dag(got) @ got - dag(want) @ want) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
