@@ -27,6 +27,7 @@ from .algebra import (
 from .errors import TOL_VERIFY, FactorizationResidual, NotInvariant, NotMinimal, NotSameMap, limit, verify
 from .linalg import (
     TOL_RANK,
+    _finite_svd,
     _isometry_defect,
     _isometry_lstsq,
     _linear_scale,
@@ -216,7 +217,7 @@ def stinespring_minimal_rank(s: StinespringRep, tol: float = TOL_RANK) -> int:
 
     Equals d_env exactly when the representation is minimal.
     """
-    return _rank(np.linalg.svd(_env_slice_matrix(s), compute_uv=False), tol, _linear_scale(s.v))
+    return _rank(_finite_svd(_env_slice_matrix(s), NotMinimal, compute_uv=False), tol, _linear_scale(s.v))
 
 
 def minimal_stinespring(
@@ -228,7 +229,7 @@ def minimal_stinespring(
     into the original one such that ``(1 ⊗ w)·v_min = v``; the rank is
     :func:`stinespring_minimal_rank`'s.
     """
-    u, sv, _ = np.linalg.svd(_env_slice_matrix(s), full_matrices=False)
+    u, sv, _ = _finite_svd(_env_slice_matrix(s), FactorizationResidual, full_matrices=False)
     rank = _rank(sv, tol, _linear_scale(s.v))
     w = u[:, :rank]  # d_env × rank, isometry onto the reached span
     return StinespringRep(s.d_in, s.d_out, rank, _on_env(dag(w), s.v, s.d_in)), w

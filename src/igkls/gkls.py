@@ -13,6 +13,12 @@ The central objects are
   reduction of a normal form and the residual gauge freedom between two
   minimal forms of the same generator.
 
+Minimality, reduction and gauge of a normal form each make one pass of its
+block walk: block (i, i) is the little generator (A_ii, K_𝒜i), block (i, j)
+the Stinespring map A_ij.  A_ii → A_ii + 1⊗|x⟩ keeps (V, K) fixed with the
+ψ-shift B_i → B_i − s, H_{B_i} → H_{B_i} + ½i(g − g†), s = U_ii·(|x⟩⊗1_B),
+g = B_i†s: the reduction shifts by x = −φ̃, the gauge by x = W_ii†ψ_i.
+
 Reconstruction deliberately evaluates K through the exact identity
 ``K = B†A + ½B†B + K_𝒜 + iH_{𝒜′} + P₀†K₀`` (with A, B reassembled from their
 blocks): the B†A term carries cross-factor blocks (1⊗B_i†)V_ij^sc with i≠j
@@ -21,7 +27,7 @@ which are generically nonzero and must not be dropped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -63,6 +69,7 @@ from .errors import (
 )
 from .linalg import (
     TOL_RANK,
+    _finite_svd,
     _isometry_defect,
     _isometry_lstsq,
     _linear_scale,
@@ -332,7 +339,7 @@ def gkls_minimal_rank(s: StinespringRep, tol: float = TOL_RANK) -> int:
     the residuals checked after it.
     """
     fam = _commutator_env_family(s.v, s.d_in, s.d_env)
-    return s.d_in * _rank(np.linalg.svd(fam, compute_uv=False), tol, _linear_scale(s.v))
+    return s.d_in * _rank(_finite_svd(fam, NotMinimal, compute_uv=False), tol, _linear_scale(s.v))
 
 
 def _env_constant(resid: np.ndarray, d: int) -> tuple[np.ndarray, float]:
@@ -352,7 +359,7 @@ def gkls_minimalize(g: GKLSRep, tol: float = TOL_RANK) -> MinimalizeResult:
     K_min = K − (1⊗⟨φ̃|)V + ½‖φ̃‖².
     """
     d = g.d
-    u, sv, _ = np.linalg.svd(_commutator_env_family(g.v, d, g.d_env), full_matrices=False)
+    u, sv, _ = _finite_svd(_commutator_env_family(g.v, d, g.d_env), FactorizationResidual, full_matrices=False)
     rank = _rank(sv, tol, _linear_scale(g.v))
     p = dag(u[:, :rank])  # rank × e, rows orthonormal: the projection H_E → H_E'
     v_min = _on_env(p, g.v, d)
@@ -575,13 +582,28 @@ def normal_form_residuals(nf: AtomicNormalForm) -> dict:
 # minimality reduction and gauge of normal forms
 # ---------------------------------------------------------------------------
 
-def _little_generator(nf: AtomicNormalForm, i: int) -> GKLSRep:
-    da = nf.dec.factors[i][0]
-    return GKLSRep(
-        d=da,
-        stine=StinespringRep(da, da, nf.d_f[i][i], nf.a[i][i]),
-        k=nf.k_a[i],
-    )
+def _block_walk(nf: AtomicNormalForm):
+    """Yield (i, j, block) row by row, each row's diagonal block first: the
+    little generator (A_ii, K_𝒜i) on C^{d_Ai} at i = j, and the Stinespring
+    map A_ij from C^{d_Ai} to C^{d_Aj} off the diagonal."""
+    factors = nf.dec.factors
+    for i, (dai, _) in enumerate(factors):
+        yield i, i, GKLSRep(dai, StinespringRep(dai, dai, nf.d_f[i][i], nf.a[i][i]), nf.k_a[i])
+        for j, (daj, _) in enumerate(factors):
+            if j != i:
+                yield i, j, StinespringRep(dai, daj, nf.d_f[i][j], nf.a[i][j])
+
+
+def _u_times(u: np.ndarray, w: np.ndarray, d_b: int) -> np.ndarray:
+    """u·(w⊗1_B)."""
+    return _on_system(w.T, u.T, d_b).T
+
+
+def _psi_shift(nf: AtomicNormalForm, i: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ψ-shift (B_i − s, H_{B_i} + ½i(g − g†)) by x, s = U_ii·(|x⟩⊗1_B)."""
+    s = _u_times(nf.u[i][i], x[:, None], nf.dec.factors[i][1])
+    g = dag(nf.b[i]) @ s
+    return nf.b[i] - s, nf.h_b[i] + 0.5j * (g - dag(g))
 
 
 def normal_form_minimality(nf: AtomicNormalForm, tol: float = TOL_RANK) -> dict:
@@ -590,24 +612,15 @@ def normal_form_minimality(nf: AtomicNormalForm, tol: float = TOL_RANK) -> dict:
     The form is minimal iff every diagonal rank equals d_{A_i}·d_F_ii and
     every off-diagonal rank equals d_F_ij.
     """
-    diag = []
-    offdiag = {}
-    minimal = True
-    for i, (da, _) in enumerate(nf.dec.factors):
-        rank = gkls_minimal_rank(
-            StinespringRep(da, da, nf.d_f[i][i], nf.a[i][i]), tol=tol
-        )
-        diag.append(rank)
-        minimal &= rank == da * nf.d_f[i][i]
-        for j, (daj, _) in enumerate(nf.dec.factors):
-            if i == j:
-                continue
-            r = stinespring_minimal_rank(
-                StinespringRep(da, daj, nf.d_f[i][j], nf.a[i][j]), tol=tol
-            )
-            offdiag[(i, j)] = r
-            minimal &= r == nf.d_f[i][j]
-    return {"diagonal_ranks": diag, "pair_ranks": offdiag, "minimal": bool(minimal)}
+    diag, pairs, minimal = [], {}, True
+    for i, j, blk in _block_walk(nf):
+        if i == j:
+            diag.append(gkls_minimal_rank(blk.stine, tol))
+            minimal &= diag[-1] == blk.d * blk.d_env
+        else:
+            pairs[(i, j)] = stinespring_minimal_rank(blk, tol)
+            minimal &= pairs[(i, j)] == blk.d_env
+    return {"diagonal_ranks": diag, "pair_ranks": pairs, "minimal": minimal}
 
 
 def reduce_normal_form_minimal(
@@ -616,49 +629,27 @@ def reduce_normal_form_minimal(
     """Shrink every H_F_ij to its minimal dimension, compensating exactly.
 
     Diagonal factors are reduced as little generators (the stripped 1⊗|φ̃⟩
-    part of A_ii moves into B_i and twists H_{B_i}); off-diagonal blocks are
-    reduced as plain Stinespring matrices.  The reconstructed (V, K) is
-    unchanged.
+    part of A_ii moves into B_i and twists H_{B_i}: the ψ-shift at x = −φ̃);
+    off-diagonal blocks are reduced as plain Stinespring matrices.  The
+    reconstructed (V, K) is unchanged.
     """
-    dec = nf.dec
-    e = nf.d_env
-    n = len(dec.factors)
-    k_a = list(nf.k_a)
-    h_b = list(nf.h_b)
-    b = list(nf.b)
-    d_f = [list(row) for row in nf.d_f]
-    a = [list(row) for row in nf.a]
-    u = [list(row) for row in nf.u]
-    for i, (dai, dbi) in enumerate(dec.factors):
-        res = gkls_minimalize(_little_generator(nf, i), tol=tol)
-        p = res.p
-        phi = res.phi_vec
-        a[i][i] = res.g_min.v
-        k_a[i] = res.g_min.k
-        d_f[i][i] = res.g_min.d_env
-        # u·(w⊗1_B) is _on_system(w.T, u.T, d_B).T
-        delta = _on_system(phi[None, :], nf.u[i][i].T, dbi).T
-        u[i][i] = _on_system(np.conj(p), nf.u[i][i].T, dbi).T
-        g_mat = dag(nf.b[i]) @ delta
-        b[i] = nf.b[i] + delta
-        h_b[i] = nf.h_b[i] - 0.5j * (g_mat - dag(g_mat))
-        for j, (daj, dbj) in enumerate(dec.factors):
-            if j == i:
-                continue
-            s_ij = StinespringRep(dai, daj, nf.d_f[i][j], nf.a[i][j])
-            s_min, w = minimal_stinespring(s_ij, tol=tol)
-            a[i][j] = s_min.v
-            d_f[i][j] = s_min.d_env
-            u[i][j] = _on_system(w.T, nf.u[i][j].T, dbj).T
-    out = AtomicNormalForm(
-        dec=dec, v0=nf.v0, k0=nf.k0, k_a=k_a, h_b=h_b, b=b,
-        d_f=d_f, a=a, u=u, d_env=e,
-    )
+    k_a, h_b, b = list(nf.k_a), list(nf.h_b), list(nf.b)
+    d_f, a, u = ([list(row) for row in t] for t in (nf.d_f, nf.a, nf.u))
+    for i, j, blk in _block_walk(nf):
+        if i == j:
+            res = gkls_minimalize(blk, tol=tol)
+            s_min, w = res.g_min.stine, dag(res.p)
+            k_a[i] = res.g_min.k
+            b[i], h_b[i] = _psi_shift(nf, i, -res.phi_vec)
+        else:
+            s_min, w = minimal_stinespring(blk, tol=tol)
+        a[i][j], d_f[i][j] = s_min.v, s_min.d_env
+        u[i][j] = _u_times(nf.u[i][j], w, nf.dec.factors[j][1])
+    out = replace(nf, k_a=k_a, h_b=h_b, b=b, d_f=d_f, a=a, u=u)
     verify("reduction_reconstruction",
            _generator_gap(reconstruct_from_normal_form(nf), reconstruct_from_normal_form(out)),
            limit(tol), FactorizationResidual, "minimality reduction changed the generator")
-    cert = normal_form_minimality(out, tol=tol)
-    if not cert["minimal"]:
+    if not normal_form_minimality(out, tol=tol)["minimal"]:
         raise FactorizationResidual("reduced form fails its minimality certificate")
     return out
 
@@ -688,15 +679,13 @@ def normal_form_gauge(
     if mode not in ("algebra-only", "full"):
         raise ValueError("mode must be 'algebra-only' or 'full'")
     _require_same_decomposition(nf1, nf2, tol)
-    for nf in (nf1, nf2):
-        cert = normal_form_minimality(nf, tol=max(tol, TOL_RANK))
-        if not cert["minimal"]:
-            raise NotMinimal("both normal forms must satisfy the minimality "
-                             "certificates; reduce first")
+    if not all(normal_form_minimality(nf, tol=max(tol, TOL_RANK))["minimal"] for nf in (nf1, nf2)):
+        raise NotMinimal("both normal forms must satisfy the minimality certificates; reduce first")
     g1 = reconstruct_from_normal_form(nf1)
     g2 = reconstruct_from_normal_form(nf2)
     v_scale, l_scale = _linear_scale(g1.v, g2.v), _generator_scale(g1, g2)
-    if mode == "full":
+    full = mode == "full"
+    if full:
         verify("same_reconstruction", _generator_gap(g1, g2), limit(tol), NotEquivalent,
                "normal forms reconstruct different (V, K)")
     else:
@@ -704,63 +693,40 @@ def normal_form_gauge(
                                           for xhat in algebra_pattern_basis(nf1.dec)]),
                limit(tol, l_scale), NotEquivalent, "generators differ on the algebra")
 
-    w_ii: list[np.ndarray] = []
-    psi_i: list[np.ndarray] = []
-    mu_i: list[float] = []
-    w_pairs: dict[tuple[int, int], np.ndarray] = {}
-    for i, (dai, dbi) in enumerate(nf1.dec.factors):
+    out = GaugeData(w_ii=[], psi_i=[], mu_i=[])
+    # each block's gauge, then the gaps of its substitutions, each relative
+    # to the scale of its block: V-like, K-like or an isometry
+    res = [frob(nf1.v0 - nf2.v0) / v_scale, frob(nf1.k0 - nf2.k0) / l_scale] if full else []
+    for (i, j, blk1), (_, _, blk2) in zip(_block_walk(nf1), _block_walk(nf2)):
+        dai, dbj = nf1.dec.factors[i][0], nf1.dec.factors[j][1]
         try:
-            gauge = gkls_gauge(_little_generator(nf1, i), _little_generator(nf2, i),
-                               tol=max(tol, TOL_RANK))
-        except NotSameGenerator as exc:
+            if i == j:
+                gauge = gkls_gauge(blk1, blk2, tol=max(tol, TOL_RANK))
+                w, psi, mu = gauge.w, gauge.psi, gauge.mu
+                out.w_ii.append(w)
+                out.psi_i.append(psi)
+                out.mu_i.append(mu)
+            else:
+                w = out.w_pairs[(i, j)] = stinespring_gauge(blk1, blk2, tol=max(tol, TOL_RANK))
+        except (NotSameGenerator, NotSameMap) as exc:
             raise NotEquivalent(
-                f"factor {i}: diagonal data generate different little generators",
+                f"factor {i}: diagonal data generate different little generators" if i == j
+                else f"pair ({i},{j}): blocks represent different reduced maps",
                 residual=exc.residual,
             ) from exc
-        w_ii.append(gauge.w)
-        psi_i.append(gauge.psi)
-        mu_i.append(gauge.mu)
-        for j, (daj, dbj) in enumerate(nf1.dec.factors):
-            if j == i:
-                continue
-            s1 = StinespringRep(dai, daj, nf1.d_f[i][j], nf1.a[i][j])
-            s2 = StinespringRep(dai, daj, nf2.d_f[i][j], nf2.a[i][j])
-            try:
-                w_pairs[(i, j)] = stinespring_gauge(s1, s2, tol=max(tol, TOL_RANK))
-            except NotSameMap as exc:
-                raise NotEquivalent(
-                    f"pair ({i},{j}): blocks represent different reduced maps",
-                    residual=exc.residual,
-                ) from exc
-
-    # verify the substitutions reproduce nf2; each gap relative to the scale
-    # of its block: V-like, K-like or an isometry
-    res = []
-    for i, (dai, dbi) in enumerate(nf1.dec.factors):
-        w = w_ii[i]
-        psi = psi_i[i]
-        a2_pred = _on_env(w, nf1.a[i][i], dai) + _on_env(psi[:, None], eye(dai), dai)
-        res.append(frob(a2_pred - nf2.a[i][i]) / v_scale)
-        k2_pred = (
-            nf1.k_a[i]
-            + _on_env(np.conj(psi)[None, :] @ w, nf1.a[i][i], dai)
-            + (0.5 * float(np.vdot(psi, psi).real) + 1j * mu_i[i]) * eye(dai)
-        )
-        res.append(frob(k2_pred - nf2.k_a[i]) / l_scale)
-        res += [frob(_on_env(w_pairs[(i, j)], nf1.a[i][j], dai) - nf2.a[i][j]) / v_scale
-                for j in range(len(nf1.dec.factors)) if j != i]
-    if mode == "full":
-        res += [frob(nf1.v0 - nf2.v0) / v_scale, frob(nf1.k0 - nf2.k0) / l_scale]
-        for i, (dai, dbi) in enumerate(nf1.dec.factors):
-            shift = _on_system((dag(w_ii[i]) @ psi_i[i])[None, :], nf1.u[i][i].T, dbi).T
-            res.append(frob(nf2.b[i] - (nf1.b[i] - shift)) / v_scale)
-            g_mat = dag(nf1.b[i]) @ shift
-            h_pred = nf1.h_b[i] + 0.5j * (g_mat - dag(g_mat)) - mu_i[i] * eye(dbi)
-            res.append(frob(h_pred - nf2.h_b[i]) / l_scale)
-            for j, (_, dbj) in enumerate(nf1.dec.factors):
-                w_ij = w_ii[i] if j == i else w_pairs[(i, j)]
-                u_pred = _on_system(np.conj(w_ij), nf1.u[i][j].T, dbj).T
-                res.append(frob(u_pred - nf2.u[i][j]))
+        v_pred = _on_env(w, blk1.v, dai)
+        if i == j:
+            v_pred = v_pred + _on_env(psi[:, None], eye(dai), dai)
+            k_pred = (blk1.k + _on_env(np.conj(psi)[None, :] @ w, blk1.v, dai)
+                      + (0.5 * float(np.vdot(psi, psi).real) + 1j * mu) * eye(dai))
+            res.append(frob(k_pred - blk2.k) / l_scale)
+            if full:
+                b_pred, h_pred = _psi_shift(nf1, i, dag(w) @ psi)
+                res += [frob(nf2.b[i] - b_pred) / v_scale,
+                        frob(h_pred - mu * eye(dbj) - nf2.h_b[i]) / l_scale]
+        res.append(frob(v_pred - blk2.v) / v_scale)
+        if full:
+            res.append(frob(_u_times(nf1.u[i][j], dag(w), dbj) - nf2.u[i][j]))
     verify("gauge_substitution", _worst(res), limit(tol, factor=100), NotEquivalent,
            "gauge substitutions do not reproduce the second form")
-    return GaugeData(w_ii=w_ii, psi_i=psi_i, mu_i=mu_i, w_pairs=w_pairs)
+    return out

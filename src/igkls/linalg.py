@@ -147,6 +147,14 @@ def _rank(s, tol: float, scale: float) -> int:
     return int(np.count_nonzero(s > max(tol, RANK_FLOOR) * top))
 
 
+def _finite_svd(m: np.ndarray, error: type, **kwargs):
+    """``np.linalg.svd(m, **kwargs)``, or ``error`` with a NaN residual where m
+    holds a NaN or an infinity, on which LAPACK stops with "SVD did not converge"."""
+    if not np.isfinite(m).all():
+        raise error("a Stinespring matrix holds a non-finite entry", residual=math.nan)
+    return np.linalg.svd(m, **kwargs)
+
+
 def svd_rank(m: np.ndarray, tol: float = TOL_RANK) -> int:
     """:func:`_rank` of m relative to its largest singular value."""
     return _rank(np.linalg.svd(asmatrix(m), compute_uv=False), tol, 0.0)

@@ -9,6 +9,8 @@ forward-constructed pairs whose gauge data is known by construction.
 from __future__ import annotations
 
 import collections
+import contextlib
+import dataclasses
 import sys
 
 import numpy as np
@@ -19,6 +21,7 @@ from igkls import (
     AtomicNormalForm,
     FactorizationResidual,
     GKLSRep,
+    IgklsError,
     NotEquivalent,
     NotInvariant,
     NotMinimal,
@@ -33,6 +36,7 @@ from igkls import (
     gkls_minimalize,
     invariant_split,
     k_only_split,
+    minimal_stinespring,
     normal_form_gauge,
     normal_form_minimality,
     normal_form_residuals,
@@ -40,10 +44,12 @@ from igkls import (
     random_instance,
     reconstruct_from_normal_form,
     reduce_normal_form_minimal,
+    stinespring_gauge,
+    stinespring_minimal_rank,
     svd_rank,
     twirl_to_commutant,
 )
-from igkls import algebra, linalg
+from igkls import algebra, gkls, linalg
 from igkls.errors import _recording
 from igkls.gkls import _commutator_env_family, _superop_distance
 from igkls.linalg import dag, eye, frob, kron
@@ -594,6 +600,34 @@ def test_normal_form_checks_fail_on_one_nan():
     with pytest.raises(FactorizationResidual):
         reduce_normal_form_minimal(bad)
 
+    def raises_with_nan(error, fn, *args):
+        with pytest.raises(error) as info:
+            fn(*args)
+        assert np.isnan(info.value.residual)
+
+    # one NaN in a diagonal, then in an off-diagonal A block, and one in V:
+    # never numpy's "SVD did not converge", always an igkls error at NaN
+    two = {"factors": [[2, 2], [1, 3]], "d0": 1, "d_env": 2}
+    three = {"factors": [[2, 2], [1, 3], [1, 1]], "d0": 1, "d_env": 3,
+             "d_f": [[1, 1, 0], [0, 1, 1], [1, 0, 1]]}
+    for params, (i, j) in ((two, (0, 0)), (three, (0, 1))):
+        nf = random_instance("normal_form", params=params, seed=3).payload
+        a = [list(row) for row in nf.a]
+        assert a[i][j].size
+        a[i][j] = a[i][j].copy()
+        a[i][j][0, 0] = np.nan
+        bad = dataclasses.replace(nf, a=a)
+        raises_with_nan(FactorizationResidual, reduce_normal_form_minimal, bad)
+        raises_with_nan(NotMinimal, normal_form_gauge, bad, bad)
+        raises_with_nan(IgklsError, normal_form_minimality, bad)
+
+    g = random_instance("gkls", seed=1).payload
+    g.v[0, 0] = np.nan
+    for fn, args in ((gkls_minimal_rank, [g.stine]), (gkls_minimalize, [g]),
+                     (stinespring_minimal_rank, [g.stine]), (minimal_stinespring, [g.stine]),
+                     (stinespring_gauge, [g.stine, g.stine])):
+        raises_with_nan(IgklsError, fn, *args)
+
 
 def test_reconstruct_with_corrupted_block_isometry_is_not_invariant():
     # find an instance whose leading diagonal block has at least two columns
@@ -625,7 +659,9 @@ def test_reconstruct_with_corrupted_block_isometry_is_not_invariant():
 # minimality reduction of normal forms
 # ---------------------------------------------------------------------------
 
-def test_reduce_moves_pure_block_part_into_intertwiner():
+def _form_with_pure_block_part() -> AtomicNormalForm:
+    """One factor (2, 2) whose A_00 is a minimal block on one environment mode
+    plus a pure part 1⊗|φ̃⟩, φ̃ ≠ 0, on a second mode."""
     rng = rng_for(450)
     da, db, e = 2, 2, 3
     d = da * db
@@ -636,7 +672,7 @@ def test_reduce_moves_pure_block_part_into_intertwiner():
     phi_pad = crandn(rng, 2, 1)
     a00 = kron(eye(da), emb) @ a_small + kron(eye(da), phi_pad)
     u00 = haar_isometry(rng, db * e, 2 * db)
-    nf = AtomicNormalForm(
+    return AtomicNormalForm(
         dec=dec,
         v0=np.zeros((0, d), dtype=np.complex128),
         k0=np.zeros((0, d), dtype=np.complex128),
@@ -648,6 +684,27 @@ def test_reduce_moves_pure_block_part_into_intertwiner():
         u=[[u00]],
         d_env=e,
     )
+
+
+def _last_check(fn, error=None) -> tuple:
+    """(name, residual, limit) of the last check a call of fn records; the
+    call must raise ``error``, or nothing when it is None."""
+    checks = []
+    with _recording(lambda *check: checks.append(check)), \
+            (pytest.raises(error) if error else contextlib.nullcontext()):
+        fn()
+    return checks[-1]
+
+
+def _flip_psi_shift(monkeypatch):
+    """Make gkls._psi_shift shift by −x: the compensation with the wrong sign."""
+    shift = gkls._psi_shift
+    monkeypatch.setattr(gkls, "_psi_shift", lambda nf, i, x: shift(nf, i, -x))
+
+
+def test_reduce_moves_pure_block_part_into_intertwiner():
+    nf = _form_with_pure_block_part()
+    (da, db), a00, u00 = nf.dec.factors[0], nf.a[0][0], nf.u[0][0]
     red = reduce_normal_form_minimal(nf)
     assert red.d_f[0][0] == 1
     # oracle: rerun the little-generator compression and apply the documented
@@ -667,6 +724,15 @@ def test_reduce_moves_pure_block_part_into_intertwiner():
     assert frob(g_old.v - g_new.v) <= 1e-10 * scale
     assert frob(g_old.k - g_new.k) <= 1e-10 * scale
     assert normal_form_minimality(red)["minimal"]
+
+
+def test_reduction_reconstruction_fails_on_a_wrong_sign_psi_shift(monkeypatch):
+    nf = _form_with_pure_block_part()
+    name, residual, lim = _last_check(lambda: reduce_normal_form_minimal(nf))
+    assert name == "reduction_reconstruction" and residual <= lim
+    _flip_psi_shift(monkeypatch)
+    name, residual, lim = _last_check(lambda: reduce_normal_form_minimal(nf), FactorizationResidual)
+    assert name == "reduction_reconstruction" and residual > lim
 
 
 def test_reduce_drops_dead_pair_block():
@@ -748,18 +814,28 @@ def planted_gauge_data(nf: AtomicNormalForm, rng):
     return w_ii, psi_i, mu_i, w_pairs
 
 
+def _reduced_gkls_form(seed: int) -> AtomicNormalForm:
+    bundle = random_instance("gkls", seed=seed)
+    return reduce_normal_form_minimal(atomic_normal_form(bundle.payload, meta_algebra(bundle)))
+
+
+# three factors, d0 = 1, with empty pair blocks next to live ones
+THREE_FACTORS = {"factors": [[4, 4], [3, 3], [2, 3]], "d0": 1, "d_env": 2,
+                 "d_f": [[1, 1, 0], [0, 1, 1], [1, 0, 0]]}
+
+
 def test_normal_form_gauge_recovers_planted_data():
     hits = 0
-    for seed in (452, 453, 454, 455):
-        bundle = random_instance("gkls", seed=seed)
-        g = bundle.payload
-        dec = meta_algebra(bundle)
-        nf1 = reduce_normal_form_minimal(atomic_normal_form(g, dec))
+    three = reduce_normal_form_minimal(
+        random_instance("normal_form", params=THREE_FACTORS, seed=456).payload)
+    assert three.d_f[0] == [1, 1, 0]  # an empty pair block next to live ones
+    forms = [(seed, _reduced_gkls_form(seed)) for seed in (452, 453, 454, 455)] + [(456, three)]
+    for seed, nf1 in forms:
         rng = rng_for(1000 + seed)
         w_ii, psi_i, mu_i, w_pairs = planted_gauge_data(nf1, rng)
         nf2 = apply_normal_form_gauge(nf1, w_ii, psi_i, mu_i, w_pairs)
         gauge = normal_form_gauge(nf1, nf2, mode="full")
-        for i in range(len(dec.factors)):
+        for i in range(len(nf1.dec.factors)):
             assert frob(gauge.w_ii[i] - w_ii[i]) <= 1e-7
             assert np.linalg.norm(gauge.psi_i[i] - psi_i[i]) <= 1e-7
             assert abs(gauge.mu_i[i] - mu_i[i]) <= 1e-7
@@ -767,6 +843,35 @@ def test_normal_form_gauge_recovers_planted_data():
         for key, w in w_pairs.items():
             assert frob(gauge.w_pairs[key] - w) <= 1e-7
     assert hits > 0  # at least one nontrivial diagonal gauge was exercised
+
+
+def test_normal_form_gauge_names_the_block_whose_gauge_fails():
+    # A_ij → (1⊗T)A_ij with U_ij → U_ij(T⁻¹⊗1) keeps (V, K) but changes the
+    # block's own map, so only that block's gauge fails
+    nf = reduce_normal_form_minimal(
+        random_instance("normal_form", params=THREE_FACTORS, seed=456).payload)
+    for (i, j), want in (((0, 0), r"factor 0: diagonal data"), ((0, 1), r"pair \(0,1\): blocks")):
+        (dai, _), (_, dbj) = nf.dec.factors[i], nf.dec.factors[j]
+        t = np.diag([1.5] + [1.0] * (nf.d_f[i][j] - 1)).astype(np.complex128)
+        a, u = [list(row) for row in nf.a], [list(row) for row in nf.u]
+        a[i][j] = kron(eye(dai), t) @ a[i][j]
+        u[i][j] = u[i][j] @ kron(np.linalg.inv(t), eye(dbj))
+        for mode in ("full", "algebra-only"):
+            with pytest.raises(NotEquivalent, match=want):
+                normal_form_gauge(nf, dataclasses.replace(nf, a=a, u=u), mode=mode)
+
+
+def test_gauge_substitution_fails_on_a_wrong_sign_psi_shift(monkeypatch):
+    nf1 = _reduced_gkls_form(454)  # one factor, d_F = 2
+    data = planted_gauge_data(nf1, rng_for(1454))
+    assert max(np.linalg.norm(psi) for psi in data[1]) > 0.1
+    nf2 = apply_normal_form_gauge(nf1, *data)
+    name, residual, lim = _last_check(lambda: normal_form_gauge(nf1, nf2, mode="full"))
+    assert name == "gauge_substitution" and residual <= lim
+    _flip_psi_shift(monkeypatch)
+    name, residual, lim = _last_check(lambda: normal_form_gauge(nf1, nf2, mode="full"),
+                                      NotEquivalent)
+    assert name == "gauge_substitution" and residual > lim
 
 
 def test_normal_form_gauge_identity_and_scalar_shift():
