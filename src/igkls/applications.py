@@ -7,9 +7,9 @@ Five independent consumers of the block structure:
    (:func:`semicausal_build`, :func:`semicausal_check`);
 2. **decoherence-free certification** — given a generator and a candidate
    unital atomic algebra on which the induced semigroup should act by
-   *-automorphisms, verify that the dissipation form and the CP part of the
-   invariant split vanish, and read the per-factor environment couplings off
-   its intertwiner part (:func:`dfs_verify_normal_form`);
+   *-automorphisms, verify that the dissipation form's diagonal traces and
+   the invariant split's CP part vanish, and read the per-factor environment
+   couplings off the split's intertwiner part (:func:`dfs_verify_normal_form`);
 3. **maximal abelian invariance coefficients** — for a CP map fixing a
    maximal abelian algebra, build the commutation coefficients c_mn with
    [c, φ_m] = Σ_n c_mn φ_n (:func:`maximal_abelian_coefficients`);
@@ -258,26 +258,23 @@ def semicausal_check(
 # decoherence-free subalgebra certification
 # ---------------------------------------------------------------------------
 
-def _dissipation_forms(g: GKLSRep, dec: AtomicDecomposition):
-    """Ψ(X̂,Ŷ) = L(X̂†Ŷ) − X̂†L(Ŷ) − L(X̂†)Ŷ + X̂†L(1)Ŷ (zero on 𝒜 iff
-    (X⊗1)V = VX there) for the pattern basis (:func:`algebra_pattern_basis`):
-    per X̂, in basis order, the (m, d, d) stack over Ŷ.  L is applied once
-    to each unit and once to 1: for the unit X̂ = U(E_ac⊗1_B)U†/√d_B of a
-    factor, X̂† is the unit (c, a), and X̂†Ŷ is the unit (c, e)/√d_B for the
-    unit Ŷ = (a, e) of the same factor and zero for every other Ŷ."""
+def _dissipation_traces(g: GKLSRep, dec: AtomicDecomposition) -> np.ndarray:
+    """tr Ψ(X̂,X̂) = ‖C(X̂)‖_F² per X̂ of the pattern basis, in basis order, for the
+    dissipation form Ψ(X,Y) = L(X†Y) − X†L(Y) − L(X†)Y + X†L(1)Y = C(X)†C(Y),
+    C(X) = (X⊗1)V − VX.  It is tr L(X̂†X̂) − 2·Re⟨X̂, L(X̂)⟩ + ⟨X̂X̂†, L(1)⟩, and for
+    the unit X̂ = (a, c) of a factor, X̂†X̂ and X̂X̂† are the units (c, c) and
+    (a, a) over √d_B: L is applied once to each unit and once to 1."""
     basis = np.asarray(algebra_pattern_basis(dec))
     images = np.asarray([gkls_apply(g, x) for x in basis])
-    l_one = gkls_apply(g, eye(g.d))
+    traces = np.einsum("kii->k", images).real
+    at_one = np.einsum("kij,ij->k", basis.conj(), gkls_apply(g, eye(g.d))).real
+    out = -2 * np.einsum("kij,kij->k", basis.conj(), images).real
     off = 0  # basis index of the factor's unit (0, 0)
     for da, db in dec.factors:
-        for a in range(da):
-            for c in range(da):
-                adj = off + c * da + a  # the unit X̂†
-                psi = (basis[adj] @ l_one) @ basis - basis[adj] @ images - images[adj] @ basis
-                row = slice(off + a * da, off + (a + 1) * da)  # the units Ŷ = (a, e)
-                psi[row] += images[off + c * da:off + (c + 1) * da] / np.sqrt(db)
-                yield psi
+        a, c = np.divmod(np.arange(da * da), da)
+        out[off:off + da * da] += (traces[off + c * (da + 1)] + at_one[off + a * (da + 1)]) / np.sqrt(db)
         off += da * da
+    return out
 
 
 def dfs_verify_normal_form(
@@ -285,18 +282,19 @@ def dfs_verify_normal_form(
 ) -> DfsCertificate:
     """Certify that the semigroup acts on the (unital) algebra by automorphisms.
 
-    The dissipation form must vanish on an algebra basis; equivalently the CP
-    part A of the invariant split V = A + B is zero, so V = B intertwines the
-    algebra (``dfs_cp_part``).  The per-factor couplings β_{n;i} are the
-    blocks of B, κ_a and κ_b are the factor blocks of K_𝒜 and H_{𝒜′}, and the
-    effective rotation generator is the lift of κ_a; all are re-verified
-    against the input.
+    The dissipation form Ψ must vanish on the algebra: ``dfs_dissipation``
+    checks max_X̂ |tr Ψ(X̂,X̂)|, which bounds every ‖Ψ(X̂,Ŷ)‖_F by Cauchy–Schwarz
+    (:func:`_dissipation_traces`).  Equivalently the CP part A of the invariant
+    split V = A + B is zero, so V = B intertwines the algebra (``dfs_cp_part``).
+    The per-factor couplings β_{n;i} are the blocks of B, κ_a and κ_b are the
+    factor blocks of K_𝒜 and H_{𝒜′}, and the effective rotation generator is
+    the lift of κ_a; all are re-verified against the input.
     """
     if dec.d0:
         raise ValueError("the algebra must be unital (no null block) here")
     split, inv = _split(g, dec, tol)  # the one generator_invariance check
 
-    diss = _worst([_worst(np.linalg.norm(psi, axis=(1, 2))) for psi in _dissipation_forms(g, dec)])
+    diss = _worst(np.abs(_dissipation_traces(g, dec)))
     verify("dfs_dissipation", diss, limit(tol, _generator_scale(g)), NotDecoherenceFree,
            "dissipation form does not vanish on the algebra")
     v_scale = _linear_scale(g.v)

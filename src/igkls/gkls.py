@@ -339,7 +339,7 @@ def gkls_minimal_rank(s: StinespringRep, tol: float = TOL_RANK) -> int:
     the residuals checked after it.
     """
     fam = _commutator_env_family(s.v, s.d_in, s.d_env)
-    return s.d_in * _rank(_finite_svd(fam, NotMinimal, compute_uv=False), tol, _linear_scale(s.v))
+    return s.d_in * _rank(_finite_svd(fam, NotMinimal, s.v, compute_uv=False), tol, _linear_scale(s.v))
 
 
 def _env_constant(resid: np.ndarray, d: int) -> tuple[np.ndarray, float]:
@@ -359,7 +359,8 @@ def gkls_minimalize(g: GKLSRep, tol: float = TOL_RANK) -> MinimalizeResult:
     K_min = K − (1⊗⟨φ̃|)V + ½‖φ̃‖².
     """
     d = g.d
-    u, sv, _ = _finite_svd(_commutator_env_family(g.v, d, g.d_env), FactorizationResidual, full_matrices=False)
+    u, sv, _ = _finite_svd(_commutator_env_family(g.v, d, g.d_env), FactorizationResidual, g.v,
+                           full_matrices=False)
     rank = _rank(sv, tol, _linear_scale(g.v))
     p = dag(u[:, :rank])  # rank × e, rows orthonormal: the projection H_E → H_E'
     v_min = _on_env(p, g.v, d)

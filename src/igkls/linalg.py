@@ -147,10 +147,10 @@ def _rank(s, tol: float, scale: float) -> int:
     return int(np.count_nonzero(s > max(tol, RANK_FLOOR) * top))
 
 
-def _finite_svd(m: np.ndarray, error: type, **kwargs):
-    """``np.linalg.svd(m, **kwargs)``, or ``error`` with a NaN residual where m
-    holds a NaN or an infinity, on which LAPACK stops with "SVD did not converge"."""
-    if not np.isfinite(m).all():
+def _finite_svd(m: np.ndarray, error: type, v: np.ndarray | None = None, **kwargs):
+    """``np.linalg.svd(m, **kwargs)``, or ``error`` with a NaN residual where m or the
+    matrix v it is built from holds a NaN or an infinity (LAPACK: "SVD did not converge")."""
+    if not (np.isfinite(m).all() and (v is None or np.isfinite(v).all())):
         raise error("a Stinespring matrix holds a non-finite entry", residual=math.nan)
     return np.linalg.svd(m, **kwargs)
 

@@ -10,6 +10,7 @@ before being compared to the library output.
 from __future__ import annotations
 
 import warnings
+from math import comb
 
 import numpy as np
 import pytest
@@ -29,6 +30,9 @@ from igkls import (
     NotTracePreserving,
     StinespringRep,
     atomic_block_factorize,
+    atomic_decompose,
+    close_star_algebra,
+    commutant,
     dfs_verify_normal_form,
     fixed_point_state,
     gkls_apply,
@@ -288,26 +292,30 @@ def test_dfs_recovers_planted_couplings_in_a_rotated_two_factor_frame():
     assert frob(cert.h_tilde - _lift(dec, kappa_a, _embed_b)) <= 1e-10
 
 
-def test_dissipation_forms_match_the_four_application_formula_on_every_pair():
-    # two factors, d_B = 2 and 3, in a rotated frame: X̂†Ŷ is zero across the
-    # factors and across rows, a unit divided by √d_B otherwise.  The
-    # generator is invariant but not decoherence free, so Ψ does not vanish
+def test_dissipation_traces_are_the_intertwining_defects_and_bound_every_pair():
+    # two factors, d_B = 2 and 3, in a rotated frame.  The generator is
+    # invariant but not decoherence free, so Ψ does not vanish.  Each trace
+    # tr Ψ(X̂,X̂) is ‖(X̂⊗1)V − VX̂‖_F², and Ψ(X,Y) = C(X)†C(Y) puts every
+    # pairwise form of the four-application formula below the largest trace
     bundle = random_instance("gkls", {"factors": [[2, 2], [1, 3]], "d0": 0, "d_env": 2},
                              seed=3)
     g, dec = bundle.payload, meta_algebra(bundle)
     basis = algebra_pattern_basis(dec)
+    traces = applications._dissipation_traces(g, dec)
+    assert traces.shape == (len(basis),) == (5,)
+    for x, got in zip(basis, traces):
+        defect = np.kron(x, np.eye(g.d_env)) @ g.v - g.v @ x
+        assert abs(got - frob(defect) ** 2) <= 1e-12 * max(1.0, frob(g.v) ** 2)
+    residual = np.max(np.abs(traces))
     l_one = gkls_apply(g, eye(g.d))
-    forms = list(applications._dissipation_forms(g, dec))
-    assert len(forms) == len(basis) == 5
     worst = 0.0
-    for x, psi in zip(basis, forms):
+    for x in basis:
         xd = dag(x)
-        for y, got in zip(basis, psi):
-            want = (gkls_apply(g, xd @ y) - xd @ gkls_apply(g, y) - gkls_apply(g, xd) @ y
-                    + xd @ l_one @ y)
-            assert frob(got - want) <= 1e-12 * max(1.0, frob(g.k))
-            worst = max(worst, frob(want))
-    assert worst > 0.1
+        for y in basis:
+            psi = (gkls_apply(g, xd @ y) - xd @ gkls_apply(g, y) - gkls_apply(g, xd) @ y
+                   + xd @ l_one @ y)
+            worst = max(worst, frob(psi))
+    assert 0.1 < worst <= residual
 
 
 def test_dfs_rejects_cross_factor_jump():
@@ -333,6 +341,63 @@ def test_dfs_requires_unital_algebra():
                   np.zeros((2, 2), dtype=np.complex128))
     with pytest.raises(ValueError):
         dfs_verify_normal_form(g, dec)
+
+
+# Collective decoherence on n qubits (Zanardi–Rasetti 1997; Lidar–Chuang–Whaley
+# 1998), built with numpy's kron alone: the collective spin algebra is
+# ⊕_j M_{2j+1}⊗1_{m_j} with m_j = C(n, n/2−j) − C(n, n/2−j−1), and its
+# commutant, ⊕_j 1_{2j+1}⊗M_{m_j}, is decoherence free for jumps and a
+# Hamiltonian in the collective spins.
+
+
+def _collective_spins(n: int) -> list[np.ndarray]:
+    """S_x, S_y, S_z = Σ_i σ_α^(i)/2 on n qubits."""
+    def on(i, op):
+        out = np.eye(1)
+        for q in range(n):
+            out = np.kron(out, op if q == i else np.eye(2))
+        return out
+    return [sum(on(i, PAULI[a]) for i in range(n)) / 2 for a in "XYZ"]
+
+
+def _collective_generator(n: int, extra: list[np.ndarray] = ()) -> GKLSRep:
+    """Jumps 0.3·S_x, 0.5·S_y, 0.7·S_z and the ``extra`` ones, H = 0.7·S_z."""
+    s = _collective_spins(n)
+    jumps = [0.3 * s[0], 0.5 * s[1], 0.7 * s[2], *extra]
+    v = np.stack(jumps, axis=1).reshape(-1, 2 ** n)  # rows (system, environment)
+    k = 0.5 * sum(dag(j) @ j for j in jumps) + 0.7j * s[2]
+    return make_gkls(v, k)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_collective_decoherence_certifies_the_commutant_of_the_collective_spins(n):
+    spins = _collective_spins(n)
+    table = [(n - 2 * k + 1, comb(n, k) - (comb(n, k - 1) if k else 0))
+             for k in range(n // 2 + 1)]  # (2j+1, m_j) for j = n/2 − k
+    collective = close_star_algebra(spins, unital=True)
+    dec = atomic_decompose(collective)
+    com = atomic_decompose(commutant(collective))
+    assert dec.d0 == com.d0 == 0
+    assert sorted(dec.factors) == sorted(table)
+    assert sorted(com.factors) == sorted((m, a) for a, m in table)
+
+    g = _collective_generator(n)
+    cert = dfs_verify_normal_form(g, com)
+    assert cert.residuals["dissipation"] <= 1.3e-15
+    with pytest.raises(NotDecoherenceFree):
+        dfs_verify_normal_form(g, dec)
+
+    # a swap of qubits 1 and 2 lies in the commutant and leaves it invariant,
+    # but is not central in it: the dissipation form is the check that fails
+    swap = np.eye(2 ** n).reshape([2] * (2 * n)).swapaxes(0, 1).reshape(2 ** n, 2 ** n)
+    checks = []
+    with pytest.raises(NotDecoherenceFree), _recording(lambda *c: checks.append(c)):
+        dfs_verify_normal_form(_collective_generator(n, [0.4 * swap]), com)
+    assert [c[0] for c in checks if not c[1] <= c[2]] == ["dfs_dissipation"] == [checks[-1][0]]
+    # σ_z on qubit 1 breaks the collective symmetry
+    z1 = np.kron(PAULI["Z"], np.eye(2 ** (n - 1)))
+    with pytest.raises(NotInvariant):
+        dfs_verify_normal_form(_collective_generator(n, [0.4 * z1]), com)
 
 
 # ---------------------------------------------------------------------------

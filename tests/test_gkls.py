@@ -610,7 +610,9 @@ def test_normal_form_checks_fail_on_one_nan():
     two = {"factors": [[2, 2], [1, 3]], "d0": 1, "d_env": 2}
     three = {"factors": [[2, 2], [1, 3], [1, 1]], "d0": 1, "d_env": 3,
              "d_f": [[1, 1, 0], [0, 1, 1], [1, 0, 1]]}
-    for params, (i, j) in ((two, (0, 0)), (three, (0, 1))):
+    # A_11 is the diagonal block of the d_A = 1 factor, whose commutator
+    # family is empty: the guard reads the Stinespring matrix itself
+    for params, (i, j) in ((two, (0, 0)), (two, (1, 1)), (three, (0, 1))):
         nf = random_instance("normal_form", params=params, seed=3).payload
         a = [list(row) for row in nf.a]
         assert a[i][j].size

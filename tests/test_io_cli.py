@@ -917,6 +917,50 @@ def test_cli_algebra_decompose_at_the_dimension_cap(tmp_path, capsys):
     assert sorted(recovered["factors"]) == sorted(factors)
 
 
+# The d = 32 corner of the envelope: each command on its d = 32 shape, in
+# process.  On a 2-CPU x86-64 host with one BLAS thread the times were 0.11 s
+# (check-invariance), 0.24 (gkls-normal-form), 0.23 (gkls-reconstruct), 0.01
+# (minimalize, gauge-compare, abelian, semicausal, dfs on 8 × (2, 2)), 1.10
+# (probe), 0.11 (cp-factorize) and 0.31 (dfs on (32, 1), which took 45 s when
+# it built all m² dissipation forms); each bound is at least 3× that.
+CORNER_STEPS = [  # (command, inputs, output, extra flags, exit code, bound in s)
+    ("check-invariance", ["g"], None, {}, 0, 1.0),
+    ("gkls-normal-form", ["g"], "nf", {}, 0, 1.5),
+    ("gkls-reconstruct", ["nf"], None, {}, 0, 1.5),
+    ("minimalize", ["g"], "gm", {}, 0, 0.5),
+    ("gauge-compare", ["gm", "g"], None, {}, 0, 0.5),
+    ("probe", ["g"], None, {}, 0, 5.0),
+    ("cp-factorize", ["m"], None, {}, 0, 1.0),
+    ("abelian", ["ab"], None, {}, 0, 0.5),
+    ("semicausal", ["g"], None, {"split": (4, 8)}, 1, 0.5),
+    ("dfs", ["g8"], None, {}, 0, 0.5),
+    ("dfs", ["g"], None, {}, 0, 2.0),
+]
+
+
+def test_every_command_at_the_d32_corner_within_its_wall_bound():
+    bundles = {
+        "g": random_instance("gkls", {"factors": [[32, 1]], "d0": 0, "d_env": 2,
+                                      "k_only": True}, seed=0),
+        "g8": random_instance("gkls", {"factors": [[2, 2]] * 8, "d0": 0, "d_env": 2,
+                                       "k_only": True}, seed=0),
+        "m": random_instance("cp_map", {"factors": [[32, 1]], "d0": 0, "d_env": 2}, seed=0),
+        "ab": random_instance("cp_map", {"factors": [[1, 1]] * 32, "d0": 0, "d_env": 2},
+                              seed=0),
+    }
+    slow = {}
+    for command, inputs, output, extra, want, bound in CORNER_STEPS:
+        start = time.perf_counter()
+        code, doc = run_report(command, [bundles[n] for n in inputs], dict(BASE_FLAGS, **extra))
+        elapsed = time.perf_counter() - start
+        assert code == want, (command, inputs, doc.get("error"))
+        if output:
+            bundles[output] = doc["_bundle"]
+        if elapsed > bound:
+            slow[" ".join([command, *inputs])] = elapsed
+    assert not slow, slow
+
+
 def test_cli_commutant_at_d24(tmp_path, capsys):
     factors = [[3, 3], [2, 4], [2, 3]]
     path = _random_algebra(capsys, tmp_path, {"factors": factors, "d0": 1})
