@@ -13,8 +13,10 @@ environment slots, the last tensor slot), take factor block i
 (``_trace_a``/``_trace_b``) or write 1_A⊗Y or X⊗1_B into it
 (``_embed_a``/``_embed_b``, through the trace's index string read as a
 writable diagonal view), and conjugate back (``_lift``).  All modules share
-these private helpers, the pattern-basis loop :func:`invariance_residuals`
-and the batched pattern check ``_pattern_residuals`` behind it.
+these private helpers and the one pass over a pattern basis,
+``_over_basis``: a map (Φ, L, or a defect of it) applied to one stacked
+slice of basis elements at a time, with the images checked by the batched
+pattern check ``_pattern_residuals`` (``_image_residuals``).
 
 The two exact averaging operations (`twirl_to_commutant`,
 `twirl_intertwiner`) replace group integrals by closed-form partial traces,
@@ -404,7 +406,7 @@ def _unit_images(dec: AtomicDecomposition, mids) -> list[np.ndarray]:
     out = []
     for (da, db, s), m in zip(_blocks(dec), mids):
         w = dec.u_alg[:, s].reshape(dec.d, da, db)
-        units = np.einsum("xab,ycb->acxy", w @ m, np.conj(w))
+        units = np.einsum("xab,ycb->acxy", w @ m, np.conj(w), order="C")  # reshaped as a view
         out.extend(units.reshape(da * da, dec.d, dec.d))
     return out
 
@@ -462,19 +464,29 @@ def _pattern_defects(xs, dec: AtomicDecomposition) -> np.ndarray:
     return t.reshape(len(t), d * d)
 
 
-def invariance_residuals(apply, dec_in: AtomicDecomposition,
-                         dec_out: AtomicDecomposition | None = None) -> list[float]:
-    """pattern_residual(apply(X̂), dec_out) for each X̂ of
-    ``algebra_pattern_basis(dec_in)``, in that order (``dec_out`` defaults
-    to ``dec_in``); the images are checked as one stack."""
-    dec_out = dec_in if dec_out is None else dec_out
-    return _image_residuals(apply, algebra_pattern_basis(dec_in), dec_out).tolist()
+def _over_basis(fn, dec: AtomicDecomposition, basis=None) -> np.ndarray:
+    """``fn`` of the pattern basis of ``dec`` (or of ``basis``, d × d matrices
+    for d = dec.d), applied to one (n, d, d) stack of _STACK_BYTES at a time
+    and joined along the first axis: a value or row per element, in order."""
+    basis = algebra_pattern_basis(dec) if basis is None else basis
+    d = dec.d
+    parts = [fn(_stacked(basis[s], d)) for s in _chunks(len(basis), 16 * d * d)]
+    return np.concatenate(parts) if parts else fn(_stacked(basis, d))
 
 
-def _image_residuals(apply, basis, dec: AtomicDecomposition) -> np.ndarray:
-    """pattern_residual(apply(X), dec) for each X of ``basis``, as one stack
-    (for callers that reuse one pattern basis)."""
-    return _pattern_residuals([apply(x) for x in basis], dec)
+def _image_residuals(images, dec: AtomicDecomposition, dec_out: AtomicDecomposition,
+                     basis=None) -> np.ndarray:
+    """pattern_residual(images(X̂), dec_out) for each X̂ of the pattern basis of
+    ``dec`` (or ``basis``), ``images`` mapping an (n, d, d) stack to its images."""
+    return _over_basis(lambda xs: _pattern_residuals(images(xs), dec_out), dec, basis)
+
+
+def _intertwining_defects(b: np.ndarray, dec: AtomicDecomposition, e_out: int, e_in: int = 1,
+                          basis=None) -> np.ndarray:
+    """‖(X̂⊗1_{E_out})·b − b·(X̂⊗1_{E_in})‖_F for each X̂ of the pattern basis
+    of ``dec`` (or ``basis``); b·(X⊗1) is ((Xᵀ⊗1)·bᵀ)ᵀ."""
+    return _over_basis(lambda xs: np.linalg.norm(_on_system(xs, b, e_out) - _on_system(
+        xs.transpose(0, 2, 1), b.T, e_in).transpose(0, 2, 1), axis=(1, 2)), dec, basis)
 
 
 def _worst(residuals) -> float:
@@ -540,12 +552,8 @@ def intertwiner_decompose(
     if b.shape != (d * e_out, d * e_in):
         raise ValueError(f"expected shape {(d * e_out, d * e_in)}, got {b.shape}")
     scale = _linear_scale(b)
-    worst = _worst([
-        frob(_on_system(xhat, b, e_out) - _on_system(xhat.T, b.T, e_in).T)
-        for xhat in algebra_pattern_basis(dec)
-    ])
-    verify("intertwiner", worst, limit(tol, scale), NotIntertwiner,
-           "input does not intertwine the algebra action")
+    verify("intertwiner", _worst(_intertwining_defects(b, dec, e_out, e_in)), limit(tol, scale),
+           NotIntertwiner, "input does not intertwine the algebra action")
 
     t = _to_frame(b, dec, e_out, e_in)
     null = t[: dec.d0, :, : dec.d0, :]

@@ -44,15 +44,15 @@ from .algebra import (
     _embed_a,
     _embed_b,
     _factor_traces,
+    _image_residuals,
     _lift,
+    _over_basis,
     _pattern_residuals,
     _to_frame,
     _trace_a,
     _trace_b,
     _unit_images,
     _worst,
-    algebra_pattern_basis,
-    invariance_residuals,
 )
 from .cpmaps import KrausSet, _cp_invariance, _map_scale, kraus_to_stinespring
 from .errors import (
@@ -71,8 +71,8 @@ from .errors import (
     limit,
     verify,
 )
-from .gkls import AtomicNormalForm, GKLSRep, _generator_scale, _split, generator_superoperator, gkls_apply, reconstruct_from_normal_form
-from .linalg import TOL_RANK, _expm_scaled, _isometry_defect, _linear_scale, _rank, _scaled_power, asmatrix, dag, eye, frob, herm, im_part, kron, null_space, row_space, vec
+from .gkls import AtomicNormalForm, GKLSRep, _generator_images, _generator_scale, _split, generator_superoperator, reconstruct_from_normal_form
+from .linalg import TOL_RANK, _expm_scaled, _isometry_defect, _linear_scale, _rank, _scaled_power, asmatrix, dag, eye, frob, herm, im_part, null_space, row_space
 
 __all__ = [
     "SemicausalReport",
@@ -231,17 +231,14 @@ def semicausal_check(
     if d_a * d_b != g.d:
         raise ValueError(f"d_a·d_b = {d_a * d_b} does not match d = {g.d}")
     dec_sc = AtomicDecomposition(d=g.d, u_alg=eye(g.d), d0=0, factors=[(d_a, d_b)])
-    alg_res = invariance_residuals(lambda x: gkls_apply(g, x), dec_sc)
+    alg_res = _image_residuals(lambda xs: _generator_images(g, xs), dec_sc, dec_sc).tolist()
 
-    direct_res = []
-    unit = np.zeros((d_a, d_a), dtype=np.complex128)
-    for p in range(d_a):
-        for q in range(d_a):
-            unit[p, q] = 1.0
-            z = gkls_apply(g, kron(unit, eye(d_b)))
-            y = np.einsum("abcb->ac", z.reshape(d_a, d_b, d_a, d_b)) / d_b
-            direct_res.append(float(frob(z - kron(y, eye(d_b)))))
-            unit[p, q] = 0.0
+    def direct(xs):  # ‖Z − Y⊗1‖_F for Z = L(X), Y = Tr_B(Z)/d_B
+        z = _generator_images(g, xs)
+        y = np.einsum("nabcb->nac", z.reshape(-1, d_a, d_b, d_a, d_b)) / d_b
+        return np.linalg.norm(z - np.kron(y, eye(d_b)), axis=(1, 2))
+    units = np.kron(eye(d_a * d_a).reshape(-1, d_a, d_a), eye(d_b))  # E_pq⊗1_B, row-major
+    direct_res = _over_basis(direct, dec_sc, units).tolist()
 
     bound = limit(tol, _generator_scale(g))
     worst = _worst(alg_res + direct_res)
@@ -264,11 +261,14 @@ def _dissipation_traces(g: GKLSRep, dec: AtomicDecomposition) -> np.ndarray:
     C(X) = (X⊗1)V − VX.  It is tr L(X̂†X̂) − 2·Re⟨X̂, L(X̂)⟩ + ⟨X̂X̂†, L(1)⟩, and for
     the unit X̂ = (a, c) of a factor, X̂†X̂ and X̂X̂† are the units (c, c) and
     (a, a) over √d_B: L is applied once to each unit and once to 1."""
-    basis = np.asarray(algebra_pattern_basis(dec))
-    images = np.asarray([gkls_apply(g, x) for x in basis])
-    traces = np.einsum("kii->k", images).real
-    at_one = np.einsum("kij,ij->k", basis.conj(), gkls_apply(g, eye(g.d))).real
-    out = -2 * np.einsum("kij,kij->k", basis.conj(), images).real
+    l_one = _generator_images(g, eye(g.d))
+
+    def terms(xs):  # tr L(X̂), ⟨X̂, L(X̂)⟩ and ⟨X̂, L(1)⟩, real parts
+        images = _generator_images(g, xs)
+        return np.stack([np.einsum("kii->k", images), np.einsum("kij,kij->k", xs.conj(), images),
+                         np.einsum("kij,ij->k", xs.conj(), l_one)], axis=1).real
+    traces, overlaps, at_one = _over_basis(terms, dec).T
+    out = -2 * overlaps
     off = 0  # basis index of the factor's unit (0, 0)
     for da, db in dec.factors:
         a, c = np.divmod(np.arange(da * da), da)
@@ -694,11 +694,10 @@ def semigroup_invariance_probe(
     d = g.d
     w1, w2, perm = _hermitian_frame(d)
     l_r = _centred_real_generator(g)
-    basis = algebra_pattern_basis(dec)
-    x = np.zeros((d * d, len(basis)), dtype=np.complex128)
-    for k, xhat in enumerate(basis):
-        x[:, k] = vec(xhat)
-    coords = np.conj(w1)[:, None] * x + np.conj(w2)[:, None] * x[perm]  # T†·x
+    def to_frame(xs):  # T†·vec(X̂), one row per element
+        rows = xs.reshape(len(xs), d * d)
+        return np.conj(w1) * rows + np.conj(w2) * rows[:, perm]
+    coords = np.ascontiguousarray(_over_basis(to_frame, dec).T)
     prev = None  # (t₀, E(t₀)·2^-j) of the previous time
     max_res = []
     for t in map(float, times):

@@ -31,11 +31,11 @@ import numpy as np
 
 from .algebra import (
     AtomicDecomposition,
+    _image_residuals,
     _worst,
     algebra_from_decomposition,
     atomic_decompose,
     commutant,
-    invariance_residuals,
 )
 from .errors import (
     TOL_PROBE,
@@ -161,7 +161,7 @@ def _cmd_algebra_decompose(bundles, flags, rep: _Report):
                             seed=flags["seed"])
     _expect_structure(dec2, dec.d0, dec.factors, "recovered algebra")
     verify("declared_basis_in_recovered_algebra",
-           _worst(invariance_residuals(lambda x: x, dec, dec2)),
+           _worst(_image_residuals(lambda xs: xs, dec, dec2)),
            limit(flags["tol_verify"], factor=100), DecompositionFailed,
            "the declared algebra is not inside the recovered one")
     rep.info("d", dec.d)
@@ -503,16 +503,6 @@ def _render_text(doc: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    raise TypeError(f"not JSON-serializable: {type(obj).__name__}")
-
-
 def _positive_tolerance(text: str) -> float:
     """argparse type for tolerance flags: a finite float > 0."""
     try:
@@ -608,8 +598,7 @@ def main(argv=None) -> int:
     bundle = doc.pop("_bundle", None)
     if bundle is not None and not args.out and not args.text:
         doc["bundle"] = bundle_to_dict(bundle)
-    text = _render_text(doc) if args.text else json.dumps(
-        doc, indent=2, sort_keys=True, default=_json_default) + "\n"
+    text = _render_text(doc) if args.text else json.dumps(doc, indent=2, sort_keys=True) + "\n"
     sys.stdout.write(text)
     if args.out:
         try:

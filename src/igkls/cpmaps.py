@@ -20,9 +20,9 @@ from .algebra import (
     _blocks,
     _embed_b,
     _from_frame,
+    _image_residuals,
     _to_frame,
     _worst,
-    invariance_residuals,
 )
 from .errors import TOL_VERIFY, FactorizationResidual, NotInvariant, NotMinimal, NotSameMap, limit, verify
 from .linalg import (
@@ -153,11 +153,19 @@ def kraus_to_stinespring(k: KrausSet) -> StinespringRep:
     """Stack Kraus operators along a standard environment basis."""
     if not k.ops:
         raise ValueError("need at least one Kraus operator")
-    n = len(k.ops)
-    v = np.zeros((k.d_in, n, k.d_out), dtype=np.complex128)
-    for idx, op in enumerate(k.ops):
-        v[:, idx, :] = op
-    return StinespringRep(d_in=k.d_in, d_out=k.d_out, d_env=n, v=v.reshape(k.d_in * n, k.d_out))
+    return _stinespring(k)
+
+
+def _stinespring(rep) -> StinespringRep:
+    """``rep`` as a Stinespring representation (a KrausSet with no operators
+    as d_env = 0): the one place that tells the two representations apart."""
+    if isinstance(rep, StinespringRep):
+        return rep
+    if not isinstance(rep, KrausSet):
+        raise TypeError(f"unsupported representation: {type(rep).__name__}")
+    ops = np.asarray(rep.ops, dtype=np.complex128).reshape(len(rep.ops), rep.d_in, rep.d_out)
+    return StinespringRep(rep.d_in, rep.d_out, len(rep.ops),
+                          ops.transpose(1, 0, 2).reshape(rep.d_in * len(rep.ops), rep.d_out))
 
 
 def stinespring_to_kraus(s: StinespringRep) -> KrausSet:
@@ -168,31 +176,23 @@ def stinespring_to_kraus(s: StinespringRep) -> KrausSet:
 
 def cp_apply(rep, x: np.ndarray) -> np.ndarray:
     """Evaluate Φ(x)."""
+    s = _stinespring(rep)
     x = asmatrix(x)
-    if isinstance(rep, KrausSet):
-        if x.shape != (rep.d_in, rep.d_in):
-            raise ValueError("input dimension mismatch")
-        out = np.zeros((rep.d_out, rep.d_out), dtype=np.complex128)
-        for op in rep.ops:
-            out += dag(op) @ x @ op
-        return out
-    if isinstance(rep, StinespringRep):
-        if x.shape != (rep.d_in, rep.d_in):
-            raise ValueError("input dimension mismatch")
-        return dag(rep.v) @ _on_system(x, rep.v, rep.d_env)
-    raise TypeError(f"unsupported representation: {type(rep).__name__}")
+    if x.shape != (s.d_in, s.d_in):
+        raise ValueError("input dimension mismatch")
+    return _images(s.v, s.d_env, x)
+
+
+def _images(v: np.ndarray, e: int, xs: np.ndarray) -> np.ndarray:
+    """v†(X⊗1_E)v for each matrix X of the (n, d_in, d_in) stack ``xs``, or
+    for one matrix: the one evaluation of a CP map or a generator's CP part."""
+    return dag(v) @ _on_system(xs, v, e)
 
 
 def _unit_image_tensor(rep) -> np.ndarray:
     """Φ(E_kl)[p, q] = Σ_n φ_n[k, p]^* φ_n[l, q] for all matrix units E_kl,
     as an array indexed (k, l, p, q)."""
-    if isinstance(rep, KrausSet):
-        ops = np.asarray(rep.ops, dtype=np.complex128).reshape(
-            len(rep.ops), rep.d_in, rep.d_out)
-    elif isinstance(rep, StinespringRep):
-        ops = rep.env_slices().transpose(1, 0, 2)
-    else:
-        raise TypeError(f"unsupported representation: {type(rep).__name__}")
+    ops = _stinespring(rep).env_slices().transpose(1, 0, 2)
     return np.einsum("nkp,nlq->klpq", np.conj(ops), ops)
 
 
@@ -286,16 +286,13 @@ def cp_invariance_check(
     Evaluates Φ on an HS-orthonormal basis of the input algebra and measures
     the Frobenius distance of each image from the output algebra.
     """
-    d_in = rep.d_in
-    d_out = rep.d_out
-    if dec_a.d != d_in or dec_c.d != d_out:
+    s = _stinespring(rep)
+    if dec_a.d != s.d_in or dec_c.d != s.d_out:
         raise ValueError("decomposition dimensions do not match the map")
-    residuals = invariance_residuals(lambda x: cp_apply(rep, x), dec_a, dec_c)
-    if not residuals:
-        return InvarianceReport(True, 0.0, tol, [], -1)
-    worst = int(np.argmax(residuals))
-    max_res = float(residuals[worst])
-    return InvarianceReport(max_res <= tol, max_res, tol, residuals, worst)
+    res = _image_residuals(lambda xs: _images(s.v, s.d_env, xs), dec_a, dec_c)
+    max_res = _worst(res)
+    return InvarianceReport(max_res <= tol, max_res, tol, res.tolist(),
+                            int(np.argmax(res)) if res.size else -1)
 
 
 def _cp_invariance(s: StinespringRep, dec_a: AtomicDecomposition, dec_c: AtomicDecomposition,

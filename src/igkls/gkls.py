@@ -37,7 +37,9 @@ from .algebra import (
     _embed_b,
     _factor_traces,
     _image_residuals,
+    _intertwining_defects,
     _lift,
+    _over_basis,
     _to_frame,
     _trace_a,
     _trace_b,
@@ -51,6 +53,7 @@ from .cpmaps import (
     BlockFactorization,
     StinespringRep,
     _block_factorize,
+    _images,
     minimal_stinespring,
     reassemble_factorization,
     stinespring_gauge,
@@ -243,7 +246,12 @@ def gkls_apply(g: GKLSRep, x: np.ndarray) -> np.ndarray:
     x = asmatrix(x)
     if x.shape != (g.d, g.d):
         raise ValueError("input dimension mismatch")
-    return dag(g.v) @ _on_system(x, g.v, g.d_env) - dag(g.k) @ x - x @ g.k
+    return _generator_images(g, x)
+
+
+def _generator_images(g: GKLSRep, xs: np.ndarray) -> np.ndarray:
+    """L(X) for each matrix X of the (n, d, d) stack ``xs``, or for one matrix."""
+    return _images(g.v, g.d_env, xs) - dag(g.k) @ xs - xs @ g.k
 
 
 def _generator_scale(*gs: GKLSRep) -> float:
@@ -264,8 +272,9 @@ def _generator_invariance(g: GKLSRep, dec: AtomicDecomposition, tol: float,
     """dist(L(X̂), 𝒜) for each X̂ of ``basis`` (default the pattern basis of
     ``dec``), verified as ``generator_invariance`` against
     ``limit(tol, _generator_scale(g))``."""
-    basis = algebra_pattern_basis(dec) if basis is None else basis
-    res = _image_residuals(lambda x: gkls_apply(g, x), basis, dec)
+    if dec.d != g.d:
+        raise ValueError("decomposition dimension does not match the generator")
+    res = _image_residuals(lambda xs: _generator_images(g, xs), dec, dec, basis)
     worst_at = int(np.argmax(res)) if res.size else -1
     verify("generator_invariance", _worst(res), limit(tol, _generator_scale(g)), NotInvariant,
            f"generator moves algebra basis element {worst_at} out of the algebra")
@@ -465,10 +474,10 @@ def _split(g: GKLSRep, dec: AtomicDecomposition,
     basis = algebra_pattern_basis(dec)
     res = _generator_invariance(g, dec, tol, basis)
     verify("split_a_invariance",
-           _worst(_image_residuals(lambda x: dag(a) @ _on_system(x, a, e), basis, dec)),
+           _worst(_image_residuals(lambda xs: _images(a, e, xs), dec, dec, basis)),
            limit(tol, l_scale), NotInvariant,
            "CP part of the split does not leave the algebra invariant")
-    verify("split_b_intertwining", _worst([frob(_on_system(x, b, e) - b @ x) for x in basis]),
+    verify("split_b_intertwining", _worst(_intertwining_defects(b, dec, e, basis=basis)),
            limit(tol, v_scale), NotInvariant,
            "intertwiner part of the split does not intertwine the algebra")
     verify("k_alg_membership", pattern_residual(k_alg, dec), limit(tol, l_scale), NotInvariant,
@@ -690,9 +699,10 @@ def normal_form_gauge(
         verify("same_reconstruction", _generator_gap(g1, g2), limit(tol), NotEquivalent,
                "normal forms reconstruct different (V, K)")
     else:
-        verify("same_on_algebra", _worst([frob(gkls_apply(g1, xhat) - gkls_apply(g2, xhat))
-                                          for xhat in algebra_pattern_basis(nf1.dec)]),
-               limit(tol, l_scale), NotEquivalent, "generators differ on the algebra")
+        gap = _over_basis(lambda xs: np.linalg.norm(
+            _generator_images(g1, xs) - _generator_images(g2, xs), axis=(1, 2)), nf1.dec)
+        verify("same_on_algebra", _worst(gap), limit(tol, l_scale), NotEquivalent,
+               "generators differ on the algebra")
 
     out = GaugeData(w_ii=[], psi_i=[], mu_i=[])
     # each block's gauge, then the gaps of its substitutions, each relative

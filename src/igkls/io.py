@@ -53,7 +53,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -610,12 +610,7 @@ def _sample_normal_form(
     # finite-time maps e^{tL} contract instead of blowing up
     g0 = reconstruct_from_normal_form(nf)
     c = 0.5 * frob(g0.v) ** 2 + frob(g0.k)
-    k_a = [m + c * eye(m.shape[0]) for m in nf.k_a]
-    k0 = nf.k0 + c * dec.p_null()
-    return AtomicNormalForm(
-        dec=dec, v0=v0, k0=k0, k_a=k_a, h_b=h_b, b=b,
-        d_f=d_f, a=a, u=u, d_env=e,
-    )
+    return replace(nf, k_a=[m + c * eye(m.shape[0]) for m in nf.k_a], k0=nf.k0 + c * dec.p_null())
 
 
 def _meta(seed: int, params: dict, **records) -> dict:

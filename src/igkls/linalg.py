@@ -76,12 +76,13 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _on_system(p: np.ndarray, x: np.ndarray, e: int = 1) -> np.ndarray:
-    """(p ⊗ 1_E)·x for x whose rows are indexed (system, environment).
+    """(p ⊗ 1_E)·x for x whose rows are indexed (system, environment); for a
+    stack p of shape (…, r, d), one product per matrix of the stack.
 
     x·(w⊗1_E) is ``_on_system(w.T, x.T, E).T``.
     """
     m = x.shape[1]
-    return (p @ x.reshape(p.shape[1], e * m)).reshape(p.shape[0] * e, m)
+    return (p @ x.reshape(p.shape[-1], e * m)).reshape(*p.shape[:-2], p.shape[-2] * e, m)
 
 
 def _on_env(w: np.ndarray, x: np.ndarray, d: int) -> np.ndarray:

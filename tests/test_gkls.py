@@ -551,6 +551,28 @@ def test_invariance_checks_fail_on_one_nan_residual(monkeypatch):
         k_only_split(1j * eye(dec.d), dec)
 
 
+def test_split_a_invariance_fails_when_the_twirl_drops_the_intertwiner(monkeypatch):
+    # B = 0 leaves B's part in A = V − (P₀†⊗1)V₀, and Φ_A gains the terms
+    # B†(X⊗1)A + A†(X⊗1)B + B†B·X, which leave the algebra; L itself is
+    # unchanged, so generator_invariance passes and this check fails first
+    g, dec = decode_instance(427, {"factors": [[2, 2], [1, 3]], "d0": 1, "d_env": 2})
+    invariant_split(g, dec)
+    monkeypatch.setattr(gkls, "twirl_intertwiner", lambda v, dec, e: np.zeros_like(v))
+    name, residual, lim = _last_check(lambda: invariant_split(g, dec), NotInvariant)
+    assert name == "split_a_invariance" and residual > lim
+
+
+def test_split_b_intertwining_fails_when_the_twirl_keeps_all_of_v(monkeypatch):
+    # B = V leaves A = −(P₀†⊗1)V₀, whose map vanishes on the algebra and so
+    # passes split_a_invariance; B then carries V's CP part, which does not
+    # intertwine the algebra
+    g, dec = decode_instance(427, {"factors": [[2, 2], [1, 3]], "d0": 1, "d_env": 2})
+    invariant_split(g, dec)
+    monkeypatch.setattr(gkls, "twirl_intertwiner", lambda v, dec, e: v)
+    name, residual, lim = _last_check(lambda: invariant_split(g, dec), NotInvariant)
+    assert name == "split_b_intertwining" and residual > lim
+
+
 # ---------------------------------------------------------------------------
 # atomic normal form: round trips and negative control
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import subprocess
 import sys
 import textwrap
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -959,6 +960,32 @@ def test_every_command_at_the_d32_corner_within_its_wall_bound():
         if elapsed > bound:
             slow[" ".join([command, *inputs])] = elapsed
     assert not slow, slow
+
+
+# Each of these commands applies L or Φ to the whole pattern basis of the
+# corner's algebra (m = 1024 elements of 16 KiB) and checks the images.  Held
+# as one stack with its frame copy, they took the traced heap to 96 MiB; made
+# and checked one small slice at a time, it peaks at 17 MiB, most of it the
+# basis itself.
+CORNER_HEAP_MIB = 48
+
+
+def test_pattern_basis_checks_at_the_d32_corner_hold_one_slice_of_images():
+    params = {"factors": [[32, 1]], "d0": 0, "d_env": 2}
+    g = random_instance("gkls", params, seed=0)
+    m = random_instance("cp_map", params, seed=0)
+    nf = run_report("gkls-normal-form", [g], dict(BASE_FLAGS))[1]["_bundle"]
+    peaks = {}
+    for command, bundle in [("check-invariance", g), ("gkls-normal-form", g),
+                            ("gkls-reconstruct", nf), ("cp-factorize", m)]:
+        tracemalloc.start()
+        try:
+            code, doc = run_report(command, [bundle], dict(BASE_FLAGS))
+            peaks[command] = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+        assert code == 0, (command, doc.get("error"))
+    assert max(peaks.values()) <= CORNER_HEAP_MIB, peaks
 
 
 def test_cli_commutant_at_d24(tmp_path, capsys):

@@ -6,7 +6,8 @@ Each run must end in exit 0, 1 or 2 without raising, and each report must be
 made of ``errors.verify`` records only: a float residual and limit per check,
 ``passed == (residual <= tolerance)``, and ``ok`` exactly when no check
 failed and no error was raised.  The exit codes of each command over the
-seeds are pinned.
+seeds are pinned, and every report the chains make through ``run_report``
+must encode with a bare ``json.dumps``, as the CLI writes it.
 """
 
 from __future__ import annotations
@@ -19,7 +20,9 @@ from collections import Counter
 
 import pytest
 
-from igkls.cli import main
+from igkls.cli import UsageError, main, run_report
+from igkls.errors import TOL_PROBE, TOL_RANK, TOL_VERIFY
+from igkls.io import bundle_to_dict
 
 SEEDS = range(10)
 WALL_BOUND_S = 30.0  # per kind; the slowest (gkls) takes about 1 s on one BLAS thread
@@ -111,3 +114,31 @@ def test_every_pipeline_over_ten_seeds_ends_in_a_verified_report(kind, tmp_path)
             for command, inputs, _ in CHAINS[kind]}
     assert {key: dict(c) for key, c in codes.items()} == want
     assert time.perf_counter() - start < WALL_BOUND_S
+
+
+def _dumped(doc: dict):
+    """json.dumps a report as the CLI writes it, without a ``default``; the
+    bundle it produced, if any."""
+    bundle = doc.pop("_bundle", None)
+    if bundle is not None:
+        doc["bundle"] = bundle_to_dict(bundle)
+    json.dumps(doc, indent=2, sort_keys=True)
+    return bundle
+
+
+def test_every_report_of_the_chains_is_plain_json():
+    # the CLI writes a report with a bare json.dumps, so a numpy scalar
+    # anywhere in it would end the command in a traceback
+    flags = {"tol_rank": TOL_RANK, "tol_verify": TOL_VERIFY, "tol_probe": TOL_PROBE, "seed": 0}
+    for kind, chain in CHAINS.items():
+        for seed in SEEDS:
+            doc = run_report("random", [], dict(flags, kind=kind, params=None, seed=seed))[1]
+            bundles = {"b": _dumped(doc)}
+            for command, inputs, output in chain:
+                try:
+                    doc = run_report(command, [bundles[n] for n in inputs], flags)[1]
+                except (UsageError, ValueError):  # exit 2: the CLI writes no report
+                    continue
+                bundle = _dumped(doc)
+                if output:
+                    bundles[output] = bundle
