@@ -14,9 +14,9 @@ environment slots, the last tensor slot), take factor block i
 (``_embed_a``/``_embed_b``, through the trace's index string read as a
 writable diagonal view), and conjugate back (``_lift``).  All modules share
 these private helpers and the one pass over a pattern basis,
-``_over_basis``: a map (Φ, L, or a defect of it) applied to one stacked
-slice of basis elements at a time, with the images checked by the batched
-pattern check ``_pattern_residuals`` (``_image_residuals``).
+``_over_basis``: a map (Φ, L, or a defect of it) applied to each slice of
+units that ``_unit_slices`` makes from one factor's columns of ``u_alg``,
+the images checked by ``_pattern_residuals`` (``_image_residuals``).
 
 The two exact averaging operations (`twirl_to_commutant`,
 `twirl_intertwiner`) replace group integrals by closed-form partial traces,
@@ -81,9 +81,12 @@ class AtomicDecomposition:
     def __post_init__(self):
         self.u_alg = asmatrix(self.u_alg)
         self.factors = [(int(a), int(b)) for a, b in self.factors]
+        if self.d0 < 0 or any(a < 1 or b < 1 for a, b in self.factors):
+            raise ValueError(f"d0 must be ≥ 0 and each (d_A, d_B) ≥ 1: {self.d0}, {self.factors}")
         total = self.d0 + sum(a * b for a, b in self.factors)
-        if total != self.d:
-            raise ValueError(f"block dims sum to {total}, ambient is {self.d}")
+        if total != self.d or self.u_alg.shape != (self.d, self.d):
+            raise ValueError(f"block dims sum to {total} and u_alg is {self.u_alg.shape}, "
+                             f"ambient is {self.d}")
 
     def offsets(self) -> list[int]:
         """Start offset of each factor block (after the d0 null block)."""
@@ -400,15 +403,21 @@ def closure_residuals(alg: AlgebraBasis) -> tuple[float, float]:
 # pattern helpers for a known decomposition
 # ---------------------------------------------------------------------------
 
-def _unit_images(dec: AtomicDecomposition, mids) -> list[np.ndarray]:
-    """U(0 ⊕ … E_ac⊗M_i …)U† for each factor i (M_i = ``mids[i]``) and each
-    matrix unit E_ac on A_i, in factor order and (a, c) row-major."""
-    out = []
+def _unit_slices(dec: AtomicDecomposition, mids):
+    """U(0 ⊕ … E_ac⊗M_i …)U† for each factor i (M_i = ``mids[i]``) and unit E_ac
+    on A_i, in factor order and (a, c) row-major: (n, d, d) stacks of at most
+    _STACK_BYTES within one factor, made from its columns of ``u_alg``."""
     for (da, db, s), m in zip(_blocks(dec), mids):
         w = dec.u_alg[:, s].reshape(dec.d, da, db)
-        units = np.einsum("xab,ycb->acxy", w @ m, np.conj(w), order="C")  # reshaped as a view
-        out.extend(units.reshape(da * da, dec.d, dec.d))
-    return out
+        wm = w @ m
+        for part in _chunks(da * da, 16 * dec.d * dec.d):
+            a, c = np.divmod(np.arange(da * da)[part], da)
+            yield np.einsum("xnb,ynb->nxy", wm[:, a], np.conj(w[:, c]), order="C")
+
+
+def _unit_images(dec: AtomicDecomposition, mids) -> np.ndarray:
+    """The units of :func:`_unit_slices` as one (m, d, d) stack."""
+    return np.concatenate([np.zeros((0, dec.d, dec.d), complex), *_unit_slices(dec, mids)])
 
 
 def algebra_pattern_basis(dec: AtomicDecomposition, normalized: bool = True) -> list[np.ndarray]:
@@ -416,8 +425,8 @@ def algebra_pattern_basis(dec: AtomicDecomposition, normalized: bool = True) -> 
 
     One element per matrix unit on each A-factor: U(0 ⊕ … E_ab⊗1_B …)U†/√d_B.
     """
-    return _unit_images(dec, [eye(db) / np.sqrt(db) if normalized else eye(db)
-                              for _, db in dec.factors])
+    return list(_unit_images(dec, [eye(db) / np.sqrt(db) if normalized else eye(db)
+                                   for _, db in dec.factors]))
 
 
 def algebra_project(x: np.ndarray, dec: AtomicDecomposition) -> np.ndarray:
@@ -464,29 +473,25 @@ def _pattern_defects(xs, dec: AtomicDecomposition) -> np.ndarray:
     return t.reshape(len(t), d * d)
 
 
-def _over_basis(fn, dec: AtomicDecomposition, basis=None) -> np.ndarray:
-    """``fn`` of the pattern basis of ``dec`` (or of ``basis``, d × d matrices
-    for d = dec.d), applied to one (n, d, d) stack of _STACK_BYTES at a time
-    and joined along the first axis: a value or row per element, in order."""
-    basis = algebra_pattern_basis(dec) if basis is None else basis
-    d = dec.d
-    parts = [fn(_stacked(basis[s], d)) for s in _chunks(len(basis), 16 * d * d)]
-    return np.concatenate(parts) if parts else fn(_stacked(basis, d))
+def _over_basis(fn, dec: AtomicDecomposition) -> np.ndarray:
+    """``fn`` of the pattern basis of ``dec``, applied to each stack of
+    :func:`_unit_slices` and joined along the first axis: a value or row per unit."""
+    parts = [fn(xs) for xs in _unit_slices(dec, [eye(db) / np.sqrt(db) for _, db in dec.factors])]
+    return np.concatenate(parts or [fn(np.zeros((0, dec.d, dec.d), complex))])
 
 
-def _image_residuals(images, dec: AtomicDecomposition, dec_out: AtomicDecomposition,
-                     basis=None) -> np.ndarray:
+def _image_residuals(images, dec: AtomicDecomposition, dec_out: AtomicDecomposition) -> np.ndarray:
     """pattern_residual(images(X̂), dec_out) for each X̂ of the pattern basis of
-    ``dec`` (or ``basis``), ``images`` mapping an (n, d, d) stack to its images."""
-    return _over_basis(lambda xs: _pattern_residuals(images(xs), dec_out), dec, basis)
+    ``dec``, ``images`` mapping an (n, d, d) stack to its images."""
+    return _over_basis(lambda xs: _pattern_residuals(images(xs), dec_out), dec)
 
 
-def _intertwining_defects(b: np.ndarray, dec: AtomicDecomposition, e_out: int, e_in: int = 1,
-                          basis=None) -> np.ndarray:
+def _intertwining_defects(b: np.ndarray, dec: AtomicDecomposition, e_out: int,
+                          e_in: int = 1) -> np.ndarray:
     """‖(X̂⊗1_{E_out})·b − b·(X̂⊗1_{E_in})‖_F for each X̂ of the pattern basis
-    of ``dec`` (or ``basis``); b·(X⊗1) is ((Xᵀ⊗1)·bᵀ)ᵀ."""
+    of ``dec``; b·(X⊗1) is ((Xᵀ⊗1)·bᵀ)ᵀ."""
     return _over_basis(lambda xs: np.linalg.norm(_on_system(xs, b, e_out) - _on_system(
-        xs.transpose(0, 2, 1), b.T, e_in).transpose(0, 2, 1), axis=(1, 2)), dec, basis)
+        xs.transpose(0, 2, 1), b.T, e_in).transpose(0, 2, 1), axis=(1, 2)), dec)
 
 
 def _worst(residuals) -> float:

@@ -40,6 +40,7 @@ import numpy as np
 from .algebra import (
     AlgebraBasis,
     AtomicDecomposition,
+    _chunks,
     _decompose_closed,
     _embed_a,
     _embed_b,
@@ -223,22 +224,21 @@ def semicausal_check(
     """Does L leave L(C^dA)⊗1_B invariant?  Two independent measurements.
 
     Route one runs the generic algebra-invariance residuals for the one-factor
-    decomposition (dA, dB); route two applies L to each matrix unit of the A
-    system, extracts the unique Y with L(X⊗1) ≈ Y⊗1 by a partial trace, and
-    measures what is left over.  Both must stay below ``tol`` times the
-    generator's scale.
+    decomposition (dA, dB); route two extracts the unique Y with L(X⊗1) ≈ Y⊗1
+    by a partial trace for each matrix unit X of the A system and measures what
+    is left over.  It runs on the pattern basis X̂ = X⊗1/√d_B, scaled by √d_B
+    (L is linear).  Both must stay below ``tol`` times the generator's scale.
     """
     if d_a * d_b != g.d:
         raise ValueError(f"d_a·d_b = {d_a * d_b} does not match d = {g.d}")
     dec_sc = AtomicDecomposition(d=g.d, u_alg=eye(g.d), d0=0, factors=[(d_a, d_b)])
     alg_res = _image_residuals(lambda xs: _generator_images(g, xs), dec_sc, dec_sc).tolist()
 
-    def direct(xs):  # ‖Z − Y⊗1‖_F for Z = L(X), Y = Tr_B(Z)/d_B
+    def direct(xs):  # ‖Z − Y⊗1‖_F·√d_B for Z = L(X̂), Y = Tr_B(Z)/d_B
         z = _generator_images(g, xs)
         y = np.einsum("nabcb->nac", z.reshape(-1, d_a, d_b, d_a, d_b)) / d_b
-        return np.linalg.norm(z - np.kron(y, eye(d_b)), axis=(1, 2))
-    units = np.kron(eye(d_a * d_a).reshape(-1, d_a, d_a), eye(d_b))  # E_pq⊗1_B, row-major
-    direct_res = _over_basis(direct, dec_sc, units).tolist()
+        return np.linalg.norm(z - np.kron(y, eye(d_b)), axis=(1, 2)) * np.sqrt(d_b)
+    direct_res = _over_basis(direct, dec_sc).tolist()
 
     bound = limit(tol, _generator_scale(g))
     worst = _worst(alg_res + direct_res)
@@ -566,7 +566,7 @@ def koashi_imoto_decompose(
         raise NoFixedState("a factor block of the compressed fixed state has no trace")
     sigma = [s / tr for s, tr in zip(sigma, traces)]
 
-    fam = dag(q) @ np.asarray(_unit_images(dec, sigma)) @ q
+    fam = dag(q) @ _unit_images(dec, sigma) @ q
     fam_res = _worst(np.linalg.norm(_schrodinger_apply(ops, fam) - fam, axis=(1, 2)))
     verify("ki_fixed_family", fam_res, limit(tol, factor=100), FactorizationResidual,
            "claimed fixed-point family is not fixed by the channel")
@@ -697,16 +697,19 @@ def semigroup_invariance_probe(
     def to_frame(xs):  # T†·vec(X̂), one row per element
         rows = xs.reshape(len(xs), d * d)
         return np.conj(w1) * rows + np.conj(w2) * rows[:, perm]
-    coords = np.ascontiguousarray(_over_basis(to_frame, dec).T)
-    prev = None  # (t₀, E(t₀)·2^-j) of the previous time
+    def from_frame(yc):  # T·yc, one matrix per column
+        return (w1[:, None] * yc + (w2[:, None] * yc)[perm]).T.reshape(-1, d, d)
+    prev = coords = None  # (t₀, E(t₀)·2^-j) of the previous time
     max_res = []
     for t in map(float, times):
         k = _integer_ratio(t, prev[0]) if prev else None
         propagator = _scaled_power(prev[1], k) if k else _expm_scaled(t * l_r)[0]
         prev = (t, propagator)
+        if coords is None:  # made after the first exponential, not held through it
+            coords = np.ascontiguousarray(_over_basis(to_frame, dec).T)
         yc = propagator @ coords.real + 1j * (propagator @ coords.imag)
-        y = w1[:, None] * yc + (w2[:, None] * yc)[perm]  # T·yc
-        worst = _worst(_pattern_residuals(y.T.reshape(-1, d, d), dec))
+        worst = _worst([_worst(_pattern_residuals(from_frame(yc[:, s]), dec))
+                        for s in _chunks(yc.shape[1], 16 * d * d)])
         max_res.append(worst / frob(propagator))
     bound = limit(tol, factor=1)
     return ProbeReport(times=[float(t) for t in times], max_residuals=max_res,

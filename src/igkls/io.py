@@ -286,12 +286,9 @@ def _decode_cmatrix(obj: dict, path: str) -> np.ndarray:
 
 @np.errstate(all="ignore")
 def _decode_algebra(obj: dict, tol: float, path: str) -> AtomicDecomposition:
-    d, u_alg = obj["d"], obj["u_alg"]
-    if u_alg.shape != (d, d):
-        raise SchemaError(f"{path}.u_alg: expected shape {(d, d)}, got {u_alg.shape}")
-    dec = AtomicDecomposition(d=d, u_alg=u_alg, d0=obj["d0"], factors=obj["factors"])
-    res = _isometry_defect(u_alg)
-    if not res <= _isometry_limit(tol, d):
+    dec = AtomicDecomposition(d=obj["d"], u_alg=obj["u_alg"], d0=obj["d0"], factors=obj["factors"])
+    res = _isometry_defect(dec.u_alg)
+    if not res <= _isometry_limit(tol, dec.d):
         raise InvariantError(f"{path}.u_alg: not unitary (‖U†U−1‖ = {res:.3e})")
     return dec
 

@@ -568,6 +568,18 @@ def test_algebra_pattern_basis_order_is_factor_then_row_major_units():
             assert frob_oracle(x - y) <= 1e-13
 
 
+# each passes the old sum test d0 + Σ d_A·d_B = d = 4 and then failed inside numpy
+@pytest.mark.parametrize("u_alg, d0, factors, error", [
+    (eye(4), 0, [(-2, -2)], "each \\(d_A, d_B\\) ≥ 1"),
+    (eye(4), -1, [(1, 5)], "d0 must be ≥ 0"),
+    (eye(4), 4, [(0, 5)], "each \\(d_A, d_B\\) ≥ 1"),
+    (eye(3), 0, [(2, 2)], "block dims sum to 4 and u_alg is \\(3, 3\\), ambient is 4"),
+], ids=["negative_factor", "negative_d0", "zero_width_factor", "u_alg_3x3"])
+def test_atomic_decomposition_rejects_what_the_schema_forbids(u_alg, d0, factors, error):
+    with pytest.raises(ValueError, match=error):
+        AtomicDecomposition(d=4, u_alg=u_alg, d0=d0, factors=factors)
+
+
 def test_commutant_project_is_the_orthogonal_projection_onto_the_commutant():
     # reference: the commutant from the null-space route, which shares no
     # code with the block frame

@@ -160,6 +160,13 @@ def test_semicausal_build_validates_inputs(case):
         semicausal_build(**parts)
 
 
+def test_semicausal_check_rejects_a_negative_split_whose_product_is_d():
+    g = random_instance("gkls", params={"factors": [[2, 2], [1, 3]], "d0": 1, "d_env": 2},
+                        seed=1).payload
+    with pytest.raises(ValueError, match="≥ 1"):
+        semicausal_check(g, -2, -4)
+
+
 def test_semicausal_check_passes_built_generators():
     for seed in range(504, 510):
         rng = rng_for(seed)

@@ -23,6 +23,7 @@ from igkls import (
     GKLSRep,
     IgklsError,
     NotEquivalent,
+    NotIntertwiner,
     NotInvariant,
     NotMinimal,
     NotSameGenerator,
@@ -34,6 +35,7 @@ from igkls import (
     gkls_gauge,
     gkls_minimal_rank,
     gkls_minimalize,
+    intertwiner_decompose,
     invariant_split,
     k_only_split,
     minimal_stinespring,
@@ -47,6 +49,7 @@ from igkls import (
     stinespring_gauge,
     stinespring_minimal_rank,
     svd_rank,
+    twirl_intertwiner,
     twirl_to_commutant,
 )
 from igkls import algebra, gkls, linalg
@@ -571,6 +574,28 @@ def test_split_b_intertwining_fails_when_the_twirl_keeps_all_of_v(monkeypatch):
     monkeypatch.setattr(gkls, "twirl_intertwiner", lambda v, dec, e: v)
     name, residual, lim = _last_check(lambda: invariant_split(g, dec), NotInvariant)
     assert name == "split_b_intertwining" and residual > lim
+
+
+def test_k_alg_membership_fails_when_the_commutant_twirl_is_zero(monkeypatch):
+    # H_𝒜′ = 0 leaves κ's commutant part in K_𝒜; K still reassembles
+    g, dec = decode_instance(1, {"factors": [[2, 2], [1, 3]], "d0": 1, "d_env": 2})
+    invariant_split(g, dec)
+    monkeypatch.setattr(gkls, "twirl_to_commutant", lambda x, dec: np.zeros_like(x))
+    name, residual, lim = _last_check(lambda: invariant_split(g, dec), NotInvariant)
+    assert name == "k_alg_membership" and residual > lim
+
+
+def test_intertwiner_reassembly_fails_when_the_factor_traces_are_zero(monkeypatch):
+    # the intertwiner check passes; zero parts lift to the null block of B alone
+    g, dec = decode_instance(1, {"factors": [[2, 2], [1, 3]], "d0": 1, "d_env": 2})
+    b = twirl_intertwiner(g.v, dec, g.d_env)
+    intertwiner_decompose(b, dec, g.d_env, 1)
+    real = algebra._factor_traces
+    monkeypatch.setattr(algebra, "_factor_traces",
+                        lambda t, dec, trace: [np.zeros_like(p) for p in real(t, dec, trace)])
+    name, residual, lim = _last_check(lambda: intertwiner_decompose(b, dec, g.d_env, 1),
+                                      NotIntertwiner)
+    assert name == "intertwiner_reassembly" and residual > lim
 
 
 # ---------------------------------------------------------------------------

@@ -283,6 +283,9 @@ CORRUPTED = {
                            "koashi-imoto", "SchemaError: $.meta.channel: v has shape"),
     "algebra_dims": ("algebra", ("payload", "d0"), lambda n: n + 1, "algebra-decompose",
                      "SchemaError: $.payload: block dims sum to"),
+    "algebra_u_alg_shape": ("algebra", ("payload", "u_alg"), lambda _: _cm(1, 1, 1.0),
+                            "algebra-decompose",
+                            "SchemaError: $.payload: block dims sum to 6 and u_alg is (1, 1)"),
     "cp_map_d_env": ("cp_map", ("payload", "d_env"), lambda e: e + 1, "cp-factorize",
                      "SchemaError: $.payload: v has shape"),
     "gkls_d_env": ("gkls", ("payload", "d_env"), lambda e: e + 1, "check-invariance",
@@ -965,22 +968,24 @@ def test_every_command_at_the_d32_corner_within_its_wall_bound():
 # Each of these commands applies L or Φ to the whole pattern basis of the
 # corner's algebra (m = 1024 elements of 16 KiB) and checks the images.  Held
 # as one stack with its frame copy, they took the traced heap to 96 MiB; made
-# and checked one small slice at a time, it peaks at 17 MiB, most of it the
-# basis itself.
-CORNER_HEAP_MIB = 48
+# as one list and checked in slices, to 16.5–32 MiB, most of it the list; with
+# each slice of units made from columns of u_alg as it is needed, to under 1 MiB.
+CORNER_HEAP_MIB = 4
 
 
 def test_pattern_basis_checks_at_the_d32_corner_hold_one_slice_of_images():
     params = {"factors": [[32, 1]], "d0": 0, "d_env": 2}
     g = random_instance("gkls", params, seed=0)
     m = random_instance("cp_map", params, seed=0)
+    k = random_instance("gkls", dict(params, k_only=True), seed=0)
     nf = run_report("gkls-normal-form", [g], dict(BASE_FLAGS))[1]["_bundle"]
     peaks = {}
-    for command, bundle in [("check-invariance", g), ("gkls-normal-form", g),
-                            ("gkls-reconstruct", nf), ("cp-factorize", m)]:
+    for command, bundle, extra in [("check-invariance", g, {}), ("gkls-normal-form", g, {}),
+                                   ("gkls-reconstruct", nf, {}), ("cp-factorize", m, {}),
+                                   ("dfs", k, {}), ("semicausal", g, {"split": (32, 1)})]:
         tracemalloc.start()
         try:
-            code, doc = run_report(command, [bundle], dict(BASE_FLAGS))
+            code, doc = run_report(command, [bundle], dict(BASE_FLAGS, **extra))
             peaks[command] = tracemalloc.get_traced_memory()[1] / 2**20
         finally:
             tracemalloc.stop()

@@ -36,10 +36,11 @@ from igkls import (AtomicDecomposition, DecompositionFailed, GKLSRep, InvariantE
 from igkls.cli import run_report
 from igkls.errors import _SINK, _recording, verify
 from igkls.io import CpMapRecord, InstanceBundle, random_instance, write_bundle, write_meta
+from igkls.applications import semicausal_build
 from igkls.linalg import eye, frob
 from igkls.rng import CounterRng
 
-from conftest import meta_algebra
+from conftest import crandn, meta_algebra, random_hermitian, rng_for
 from test_io_cli import BASE_FLAGS
 
 # cli_chain shape 0 of the benchmark
@@ -157,17 +158,29 @@ def test_cp_factorize_checks_invariance_orthogonality_and_reassembly_once(monkey
         assert names.count(name) == 1
 
 
-def test_gkls_normal_form_reconstructs_once_and_builds_one_pattern_basis(monkeypatch):
+def test_gkls_normal_form_reconstructs_once_and_never_lists_the_pattern_basis(monkeypatch):
+    # every pass over the pattern basis makes its own slices of units
+    # (algebra._unit_slices), so no command builds the basis as a list
     bundle = random_instance("gkls", params=SHAPE, seed=1)
     recon = _count(monkeypatch, gkls_mod, "reconstruct_from_normal_form")
     basis = _count(monkeypatch, algebra_mod, "algebra_pattern_basis")
     split = _count(monkeypatch, gkls_mod, "invariant_split")
     doc = _ok("gkls-normal-form", [bundle])
-    assert len(recon) == 1
-    assert len(basis) == len(split) == 1
+    assert len(recon) == len(split) == 1
     names = [c["name"] for c in doc["checks"]]
     assert names.count("generator_invariance") == 1
     assert names.count("normal_form_reconstruction") == 1
+    rng = rng_for(34)
+    semi = semicausal_build(a=crandn(rng, 2, 2), u=np.linalg.qr(crandn(rng, 4, 4))[0][:, :2],
+                            b=crandn(rng, 4, 2), k_a=crandn(rng, 2, 2), h_b=random_hermitian(rng, 2))
+    for command, inputs, extra in [
+            ("check-invariance", [bundle], {}), ("gkls-reconstruct", [doc["_bundle"]], {}),
+            ("cp-factorize", [random_instance("cp_map", params=SHAPE, seed=1)], {}),
+            ("dfs", [random_instance("gkls", params=K_ONLY, seed=4)], {}),
+            ("semicausal", [InstanceBundle("gkls", semi, {})], {"split": (2, 2)})]:
+        code, out = run_report(command, inputs, dict(BASE_FLAGS, **extra))
+        assert code == 0, (command, out.get("error"))
+    assert basis == []
 
 
 def _normal_form_pair():
