@@ -45,7 +45,6 @@ from .algebra import (
     _embed_a,
     _embed_b,
     _factor_traces,
-    _image_residuals,
     _lift,
     _over_basis,
     _pattern_residuals,
@@ -73,7 +72,7 @@ from .errors import (
     verify,
 )
 from .gkls import AtomicNormalForm, GKLSRep, _generator_images, _generator_scale, _split, generator_superoperator, reconstruct_from_normal_form
-from .linalg import TOL_RANK, _expm_scaled, _isometry_defect, _linear_scale, _rank, _scaled_power, asmatrix, dag, eye, frob, herm, im_part, null_space, row_space
+from .linalg import TOL_RANK, _expm_scaled, _isometry_defect, _kron_sum, _linear_scale, _rank, _scaled_power, asmatrix, dag, eye, frob, herm, im_part, null_space, row_space
 
 __all__ = [
     "SemicausalReport",
@@ -93,7 +92,7 @@ __all__ = [
 
 @dataclass
 class SemicausalReport:
-    """Two independent semicausality measurements of one generator."""
+    """Two codes for one semicausality residual of a generator, from the same images."""
 
     passed: bool
     max_residual: float
@@ -221,34 +220,29 @@ def semicausal_build(
 def semicausal_check(
     g: GKLSRep, d_a: int, d_b: int, tol: float = TOL_VERIFY
 ) -> SemicausalReport:
-    """Does L leave L(C^dA)⊗1_B invariant?  Two independent measurements.
+    """Does L leave L(C^dA)⊗1_B invariant?  Two codes for one residual.
 
-    Route one runs the generic algebra-invariance residuals for the one-factor
-    decomposition (dA, dB); route two extracts the unique Y with L(X⊗1) ≈ Y⊗1
-    by a partial trace for each matrix unit X of the A system and measures what
-    is left over.  It runs on the pattern basis X̂ = X⊗1/√d_B, scaled by √d_B
-    (L is linear).  Both must stay below ``tol`` times the generator's scale.
+    L is applied once per slice of the pattern basis X̂ = X⊗1/√d_B of the
+    one-factor decomposition (dA, dB), and each image Z = L(X̂) is measured by
+    route one, the generic algebra-invariance residual, and by route two,
+    ‖Z − Y⊗1‖_F·√d_B for Y = Tr_B(Z)/d_B: the same distance times √d_B, the
+    residual of the unit X⊗1.  Both must stay below ``tol`` times the generator's scale.
     """
     if d_a * d_b != g.d:
         raise ValueError(f"d_a·d_b = {d_a * d_b} does not match d = {g.d}")
     dec_sc = AtomicDecomposition(d=g.d, u_alg=eye(g.d), d0=0, factors=[(d_a, d_b)])
-    alg_res = _image_residuals(lambda xs: _generator_images(g, xs), dec_sc, dec_sc).tolist()
 
-    def direct(xs):  # ‖Z − Y⊗1‖_F·√d_B for Z = L(X̂), Y = Tr_B(Z)/d_B
+    def both(xs):  # the two routes' residuals of the images Z = L(X̂)
         z = _generator_images(g, xs)
         y = np.einsum("nabcb->nac", z.reshape(-1, d_a, d_b, d_a, d_b)) / d_b
-        return np.linalg.norm(z - np.kron(y, eye(d_b)), axis=(1, 2)) * np.sqrt(d_b)
-    direct_res = _over_basis(direct, dec_sc).tolist()
+        return np.stack([_pattern_residuals(z, dec_sc), np.linalg.norm(
+            z - np.kron(y, eye(d_b)), axis=(1, 2)) * np.sqrt(d_b)], axis=1)
+    alg_res, direct_res = (col.tolist() for col in _over_basis(both, dec_sc).T)
 
     bound = limit(tol, _generator_scale(g))
     worst = _worst(alg_res + direct_res)
-    return SemicausalReport(
-        passed=bool(worst <= bound),
-        max_residual=float(worst),
-        tol=float(bound),
-        algebra_residuals=alg_res,
-        direct_residuals=direct_res,
-    )
+    return SemicausalReport(passed=bool(worst <= bound), max_residual=float(worst), tol=float(bound),
+                            algebra_residuals=alg_res, direct_residuals=direct_res)
 
 
 # ---------------------------------------------------------------------------
@@ -425,18 +419,14 @@ def _fixed_space(ops: list[np.ndarray], d: int, tol: float) -> np.ndarray:
     points of X ↦ Σ op·X·op† (of the dual map for the adjointed ops, the
     Koashi–Imoto fallback): the real null rows r of the transfer matrix minus
     1 in the frame of :func:`_hermitian_frame`, as T·r; T is unitary, so the
-    singular values and cutoff are the complex matrix's.  Σ_k K_k⊗K̄_k is one
-    batched matmul, K[:, i, :]ᵀ·K̄[:, j, :] for each (i, j), which writes its
-    row-major layout with no realignment copy."""
+    singular values and cutoff are the complex matrix's.  The transfer matrix
+    Σ_k K_k⊗K̄_k is :func:`~igkls.linalg._kron_sum`."""
     ops = np.asarray(ops)
-    s_r = _real_superoperator(
-        (ops.transpose(1, 2, 0)[:, None] @ np.conj(ops).transpose(1, 0, 2)[None]).reshape(d * d, -1), d)
+    s_r = _real_superoperator(_kron_sum(ops, np.conj(ops)).reshape(d * d, -1), d)
     s_r[np.diag_indices(d * d)] -= 1.0
     # noise floor: when the channel fixes everything, the whole matrix is
     # rounding noise and σ_max itself is ~eps
-    rows = null_space(s_r, tol, _map_scale(ops))
-    w1, w2, perm = _hermitian_frame(d)
-    return (rows * w1 + (rows * w2)[:, perm]).reshape(-1, d, d)
+    return _from_hermitian_frame(null_space(s_r, tol, _map_scale(ops)), d)
 
 
 def _hermitian_span(xs: np.ndarray, tol: float) -> np.ndarray:
@@ -592,20 +582,25 @@ def koashi_imoto_decompose(
 # semigroup probe
 # ---------------------------------------------------------------------------
 
-def _hermitian_frame(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _hermitian_frame(d: int) -> tuple[np.ndarray, np.ndarray]:
     """An orthonormal Hermitian basis of L(C^d) as gathers on row-major vec.
 
     Element r = (a, b) is E_aa for a = b, (E_ab + E_ba)/√2 for a < b and
-    i(E_ab − E_ba)/√2 for a > b, so vec H_r = w1[r]·e_r + w2[r]·e_{perm[r]}
-    with w2 = w̄1 and perm the transpose of the index.  The unitary
-    T = [vec H_r] is diag(w1) + Π·diag(w2), Π the permutation matrix of
-    perm, and T†MT costs O(d⁴) gathers instead of a dense product.
+    i(E_ab − E_ba)/√2 for a > b, so vec H_r = w1[r]·e_r + w̄1[r]·e_{perm[r]}
+    with perm the transpose of the index.  The unitary T = [vec H_r] is
+    diag(w1) + Π·diag(w̄1), Π the permutation matrix of perm, and T†MT
+    costs O(d⁴) gathers instead of a dense product.
     """
     row, col = np.divmod(np.arange(d * d), d)
-    perm = col * d + row
     h = 1 / np.sqrt(2)
-    w1 = np.where(row < col, h, np.where(row > col, 1j * h, 0.5))
-    return w1, np.conj(w1), perm
+    return np.where(row < col, h, np.where(row > col, 1j * h, 0.5)), col * d + row
+
+
+def _from_hermitian_frame(rows: np.ndarray, d: int) -> np.ndarray:
+    """T·r for each row r of ``rows`` (T of :func:`_hermitian_frame`): the
+    matrices Σ_r' r[r']·H_r', as an (m, d, d) stack."""
+    w1, perm = _hermitian_frame(d)
+    return (rows * w1 + (rows * np.conj(w1))[:, perm]).reshape(-1, d, d)
 
 
 def _real_superoperator(s: np.ndarray, d: int) -> np.ndarray:
@@ -618,7 +613,7 @@ def _real_superoperator(s: np.ndarray, d: int) -> np.ndarray:
     w1_c, so after multiplying those columns by i (exact) every entry is
     Re s'_r − Im s'_{perm r}, 2·Re s'_r on a diagonal row r, times 2|w1_c|:
     one real gather, rounded as the complex product."""
-    w1, _, perm = _hermitian_frame(d)
+    w1, perm = _hermitian_frame(d)
     s *= np.conj(w1)[:, None]
     s *= np.where(w1.imag != 0, 1j, 1)
     out = s.imag[perm]
@@ -692,13 +687,11 @@ def semigroup_invariance_probe(
     if dec.d != g.d:
         raise ValueError("decomposition dimension does not match the generator")
     d = g.d
-    w1, w2, perm = _hermitian_frame(d)
+    w1, perm = _hermitian_frame(d)
     l_r = _centred_real_generator(g)
     def to_frame(xs):  # T†·vec(X̂), one row per element
         rows = xs.reshape(len(xs), d * d)
-        return np.conj(w1) * rows + np.conj(w2) * rows[:, perm]
-    def from_frame(yc):  # T·yc, one matrix per column
-        return (w1[:, None] * yc + (w2[:, None] * yc)[perm]).T.reshape(-1, d, d)
+        return np.conj(w1) * rows + w1 * rows[:, perm]
     prev = coords = None  # (t₀, E(t₀)·2^-j) of the previous time
     max_res = []
     for t in map(float, times):
@@ -708,7 +701,7 @@ def semigroup_invariance_probe(
         if coords is None:  # made after the first exponential, not held through it
             coords = np.ascontiguousarray(_over_basis(to_frame, dec).T)
         yc = propagator @ coords.real + 1j * (propagator @ coords.imag)
-        worst = _worst([_worst(_pattern_residuals(from_frame(yc[:, s]), dec))
+        worst = _worst([_worst(_pattern_residuals(_from_hermitian_frame(yc[:, s].T, d), dec))
                         for s in _chunks(yc.shape[1], 16 * d * d)])
         max_res.append(worst / frob(propagator))
     bound = limit(tol, factor=1)

@@ -30,6 +30,7 @@ from .linalg import (
     _finite_svd,
     _isometry_defect,
     _isometry_lstsq,
+    _kron_sum,
     _linear_scale,
     _on_env,
     _on_system,
@@ -189,17 +190,12 @@ def _images(v: np.ndarray, e: int, xs: np.ndarray) -> np.ndarray:
     return dag(v) @ _on_system(xs, v, e)
 
 
-def _unit_image_tensor(rep) -> np.ndarray:
-    """Φ(E_kl)[p, q] = Σ_n φ_n[k, p]^* φ_n[l, q] for all matrix units E_kl,
-    as an array indexed (k, l, p, q)."""
-    ops = _stinespring(rep).env_slices().transpose(1, 0, 2)
-    return np.einsum("nkp,nlq->klpq", np.conj(ops), ops)
-
-
 def choi(rep) -> np.ndarray:
-    """Choi matrix Σ_kl E_kl ⊗ Φ(E_kl); PSD exactly when Φ is CP."""
+    """Choi matrix Σ_kl E_kl ⊗ Φ(E_kl); PSD exactly when Φ is CP.  Φ(E_kl)[p, q] =
+    Σ_n φ̄_n[k, p]·φ_n[l, q] is the :func:`~igkls.linalg._kron_sum` of φ̄ and φ."""
+    ops = _stinespring(rep).env_slices().transpose(1, 0, 2)
     n = rep.d_in * rep.d_out
-    return _unit_image_tensor(rep).transpose(0, 2, 1, 3).reshape(n, n)
+    return _kron_sum(np.conj(ops), ops).transpose(0, 2, 1, 3).reshape(n, n)
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +237,10 @@ def _map_scale(*vs) -> float:
 
 
 def _same_map_residual(s1: StinespringRep, s2: StinespringRep) -> float:
-    """max_kl ‖Φ₁(E_kl) − Φ₂(E_kl)‖_F, NaN if either map holds a NaN."""
-    diff = _unit_image_tensor(s1) - _unit_image_tensor(s2)
+    """max_kl ‖Φ₁(E_kl) − Φ₂(E_kl)‖_F, NaN if either map holds a NaN: the unit images of
+    Φ₁ − Φ₂ are one :func:`~igkls.linalg._kron_sum` of conj [φ¹; −φ²] and [φ¹; φ²]."""
+    k1, k2 = (s.env_slices().transpose(1, 0, 2) for s in (s1, s2))
+    diff = _kron_sum(np.conj(np.concatenate([k1, -k2])), np.concatenate([k1, k2]))
     return _worst(np.linalg.norm(diff.reshape(s1.d_in**2, s1.d_out**2), axis=1))
 
 

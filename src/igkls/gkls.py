@@ -74,6 +74,7 @@ from .linalg import (
     _finite_svd,
     _isometry_defect,
     _isometry_lstsq,
+    _kron_sum,
     _linear_scale,
     _on_env,
     _on_system,
@@ -307,14 +308,12 @@ def generator_superoperator(g: GKLSRep) -> np.ndarray:
 
 
 def _superop_distance(g1: GKLSRep, g2: GKLSRep) -> float:
-    """‖L₁ − L₂‖_F without building either superoperator.
-
-    Realignment only permutes entries, so the norm equals that of
-    [A₁; A₂]ᵀ[B₁; −B₂], one d² × d² matmul of rank at most 4 + e₁ + e₂.
-    """
-    a1, b1 = _superop_factors(g1)
-    a2, b2 = _superop_factors(g2)
-    return frob(np.concatenate([a1, a2]).T @ np.concatenate([b1, -b2]))
+    """‖L₁ − L₂‖_F: L₁ − L₂ = Σ_k A_k ⊗ B_k is one :func:`~igkls.linalg._kron_sum` of the
+    stacked factors [A₁; A₂] and [B₁; −B₂] of :func:`_superop_factors`, 4 + e₁ + e₂ terms."""
+    d = g1.d
+    (a1, b1), (a2, b2) = _superop_factors(g1), _superop_factors(g2)
+    a, b = np.concatenate([a1, a2]), np.concatenate([b1, -b2])
+    return frob(_kron_sum(a.reshape(-1, d, d), b.reshape(-1, d, d)))
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,8 @@ Conventions used throughout the package:
   applies p⊗1_E and :func:`_on_env` applies 1_d⊗w, both by reshape, in
   place of a ``kron`` with an identity factor;
 * ``vec``/``unvec`` are row-major (C order), so ``vec(A X B) = (A ⊗ B^T) vec(X)``;
+* Σ_n a_n⊗b_n over two stacks (Choi, transfer matrix, map distances) is
+  :func:`_kron_sum`, one batched matmul that writes the ``kron`` order;
 * every rank decision is :func:`_rank`; all null spaces go through
   :func:`null_space` and all spans through :func:`row_space`, which read
   the rank off one Hermitian eigensolve of a Gram matrix (aᴴa and a·aᴴ)
@@ -73,6 +75,13 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     results, which keeps block-reconstruction code uniform.
     """
     return np.kron(asmatrix(a), asmatrix(b))
+
+
+def _kron_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Σ_n a_n ⊗ b_n of the stacks a (n, r_a, c_a) and b (n, r_b, c_b) as the array
+    [i, j, p, q] = Σ_n a_n[i, p]·b_n[j, q], whose (r_a·r_b) × (c_a·c_b) reshape is the
+    :func:`kron` sum: one matmul a[:, i, :]ᵀ·b[:, j, :] per (i, j); no terms give zeros."""
+    return a.transpose(1, 2, 0)[:, None] @ b.transpose(1, 0, 2)[None]
 
 
 def _on_system(p: np.ndarray, x: np.ndarray, e: int = 1) -> np.ndarray:

@@ -47,7 +47,7 @@ from igkls import (
 import igkls.cpmaps as cpmaps_mod
 from igkls import applications
 from igkls.algebra import _embed_a, _embed_b, _lift, algebra_pattern_basis, pattern_residual
-from igkls.applications import _hermitian_frame, _integer_ratio
+from igkls.applications import _from_hermitian_frame, _hermitian_frame, _integer_ratio
 from igkls.errors import _recording
 from igkls.io import read_meta
 from igkls.linalg import dag, eye, frob, kron
@@ -520,6 +520,40 @@ def test_fixed_point_unitary_and_identity_channels():
     rho3 = fixed_point_state(KrausSet(d_in=3, d_out=3, ops=[eye(3)]))
     assert frob(rho3 - schrodinger([eye(3)], rho3)) <= 1e-12
     assert abs(np.trace(rho3) - 1.0) <= 1e-12
+
+
+def _damping_ops(gamma=0.3):
+    """Amplitude damping towards |0⟩ (Schrödinger Kraus); it fixes E₀₀ alone."""
+    return [np.diag([1.0, np.sqrt(1 - gamma)]).astype(np.complex128),
+            np.sqrt(gamma) * np.outer(eye(2)[0], eye(2)[1])]
+
+
+def _fixed_space_failure(monkeypatch, fixed, run, error):
+    """The checks ``run`` of amplitude damping records, with _fixed_space
+    returning the stack ``fixed``; ``run`` must raise ``error``."""
+    monkeypatch.setattr(applications, "_fixed_space", lambda ops, d, tol: fixed)
+    checks = []
+    with pytest.raises(error), _recording(lambda *check: checks.append(check)):
+        run(KrausSet(2, 2, _damping_ops()))
+    return checks
+
+
+def test_fixed_state_fails_on_another_channels_fixed_point(monkeypatch):
+    # E₁₁ is the fixed point of damping towards |1⟩, which this channel moves
+    checks = _fixed_space_failure(monkeypatch, np.diag([0.0, 1.0])[None].astype(complex),
+                                  fixed_point_state, NoFixedState)
+    assert [name for name, _, _ in checks] == ["tp", "fixed_state"]
+    assert checks[0][1] <= checks[0][2] and not checks[1][1] <= checks[1][2]
+
+
+def test_ki_support_fails_on_a_fixed_point_off_its_support(monkeypatch):
+    # E₀₀ + ε(E₀₁ + E₁₀), normalized: the traceless ε part leaves the support
+    # of ρ_max by ~ε², above the limit at ε = 1e-3
+    x = np.array([[1.0, 1e-3], [1e-3, 0.0]], dtype=np.complex128)
+    checks = _fixed_space_failure(monkeypatch, (x / frob(x))[None], koashi_imoto_decompose,
+                                  NoFixedState)
+    assert [name for name, _, _ in checks] == ["ki_tp", "ki_support"]
+    assert checks[0][1] <= checks[0][2] and not checks[1][1] <= checks[1][2]
 
 
 def test_fixed_point_rejects_non_trace_preserving():
@@ -1154,12 +1188,14 @@ def dense_probe_reference(g, dec, times, tol=1e-6):
 
 def test_hermitian_frame_is_a_unitary_change_to_hermitian_matrices():
     for d in (1, 2, 5):
-        w1, w2, perm = _hermitian_frame(d)
-        t = np.diag(w1) + np.eye(d * d)[:, perm] @ np.diag(w2)
+        w1, perm = _hermitian_frame(d)
+        t = np.diag(w1) + np.eye(d * d)[:, perm] @ np.diag(np.conj(w1))
         assert frob(dag(t) @ t - eye(d * d)) <= 1e-14
         for r in range(d * d):
             h = t[:, r].reshape(d, d)
             assert frob(h - dag(h)) == 0.0
+        rows = crandn(rng_for(d), 3, d * d)
+        assert frob(_from_hermitian_frame(rows, d) - (rows @ t.T).reshape(3, d, d)) <= 1e-14
 
 
 _PROBE_SHAPES = [

@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+import igkls.cpmaps as cpmaps
+from igkls.cpmaps import _same_map_residual
+from igkls.errors import _recording
 from igkls import (
     AtomicDecomposition,
     KrausSet,
@@ -180,7 +183,7 @@ def test_minimal_stinespring_keeps_a_small_genuine_environment(factor):
 
 @pytest.mark.parametrize("stinespring", [False, True], ids=["kraus", "stinespring"])
 def test_choi_of_rectangular_map_matches_unit_loop_oracle(stinespring):
-    # d_in ≠ d_out pins the (k, p), (l, q) index order of the unit-image tensor
+    # d_in ≠ d_out pins the (k, p), (l, q) index order of the Choi matrix
     rng = rng_for(315)
     d_in, d_out = 2, 3
     k = KrausSet(d_in=d_in, d_out=d_out, ops=[crandn(rng, d_in, d_out) for _ in range(3)])
@@ -192,6 +195,35 @@ def test_choi_of_rectangular_map_matches_unit_loop_oracle(stinespring):
             want += kron_oracle(unit, heisenberg_apply_oracle(k.ops, unit))
     rep = kraus_to_stinespring(k) if stinespring else k
     assert frob(choi(rep) - want) <= 1e-12
+
+
+def _unit_loop_distance(s1, s2):
+    """max_kl ‖Φ₁(E_kl) − Φ₂(E_kl)‖_F, one matrix unit at a time."""
+    ops1, ops2 = stinespring_to_kraus(s1).ops, stinespring_to_kraus(s2).ops
+    worst = 0.0
+    for k in range(s1.d_in):
+        for l in range(s1.d_in):
+            unit = np.zeros((s1.d_in, s1.d_in), dtype=np.complex128)
+            unit[k, l] = 1.0
+            diff = heisenberg_apply_oracle(ops1, unit) - heisenberg_apply_oracle(ops2, unit)
+            worst = max(worst, frob(diff))
+    return worst
+
+
+def test_same_map_residual_matches_the_unit_loop_on_a_rectangular_pair():
+    rng = rng_for(316)
+    d_in, d_out = 3, 2
+    ops = [crandn(rng, d_in, d_out) for _ in range(2)]
+    s1 = kraus_to_stinespring(KrausSet(d_in, d_out, ops))
+    # the same map with a larger environment: only rounding is left
+    s2 = StinespringRep(d_in, d_out, 3, kron(eye(d_in), haar_isometry(rng, 3, 2)) @ s1.v)
+    assert _same_map_residual(s1, s2) <= 1e-13
+    # one operator changed by 1e-6 in norm: the residual reaches the change
+    delta = crandn(rng, d_in, d_out)
+    s3 = kraus_to_stinespring(KrausSet(d_in, d_out, [ops[0], ops[1] + 1e-6 * delta / frob(delta)]))
+    got = _same_map_residual(s1, s3)
+    assert got > 1e-7 and got == pytest.approx(_unit_loop_distance(s1, s3), rel=1e-6)
+    assert _same_map_residual(s3, s2) == pytest.approx(got, rel=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +273,20 @@ def test_stinespring_gauge_rejects_different_maps():
     s2 = kraus_to_stinespring(_random_kraus(rng, 2, 2))
     with pytest.raises(NotSameMap):
         stinespring_gauge(s1, s2)
+
+
+def test_gauge_transport_fails_on_an_isometry_that_is_not_the_gauge(monkeypatch):
+    # −w is an isometry, so gauge_isometry passes, and it carries v1 to −v2
+    rng = rng_for(305)
+    s1 = kraus_to_stinespring(_random_kraus(rng, 3, 2))
+    s2 = StinespringRep(3, 3, 2, kron(eye(3), haar_unitary(rng, 2)) @ s1.v)
+    real = cpmaps._isometry_lstsq
+    monkeypatch.setattr(cpmaps, "_isometry_lstsq", lambda m1, m2, lim: -real(m1, m2, lim))
+    checks = []
+    with pytest.raises(NotSameMap), _recording(lambda *check: checks.append(check)):
+        stinespring_gauge(s1, s2)
+    assert [name for name, _, _ in checks] == ["same_map", "gauge_isometry", "gauge_transport"]
+    assert all(res <= lim for _, res, lim in checks[:-1]) and not checks[-1][1] <= checks[-1][2]
 
 
 def test_stinespring_gauge_rejects_a_nan_entry():

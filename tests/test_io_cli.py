@@ -924,9 +924,10 @@ def test_cli_algebra_decompose_at_the_dimension_cap(tmp_path, capsys):
 # The d = 32 corner of the envelope: each command on its d = 32 shape, in
 # process.  On a 2-CPU x86-64 host with one BLAS thread the times were 0.11 s
 # (check-invariance), 0.24 (gkls-normal-form), 0.23 (gkls-reconstruct), 0.01
-# (minimalize, gauge-compare, abelian, semicausal, dfs on 8 × (2, 2)), 1.10
-# (probe), 0.11 (cp-factorize) and 0.31 (dfs on (32, 1), which took 45 s when
-# it built all m² dissipation forms); each bound is at least 3× that.
+# (minimalize and gauge-compare of the generator and of the map, abelian,
+# semicausal, dfs on 8 × (2, 2)), 1.10 (probe), 0.11 (cp-factorize) and 0.31
+# (dfs on (32, 1), which took 45 s when it built all m² dissipation forms);
+# each bound is at least 3× that.
 CORNER_STEPS = [  # (command, inputs, output, extra flags, exit code, bound in s)
     ("check-invariance", ["g"], None, {}, 0, 1.0),
     ("gkls-normal-form", ["g"], "nf", {}, 0, 1.5),
@@ -935,6 +936,8 @@ CORNER_STEPS = [  # (command, inputs, output, extra flags, exit code, bound in s
     ("gauge-compare", ["gm", "g"], None, {}, 0, 0.5),
     ("probe", ["g"], None, {}, 0, 5.0),
     ("cp-factorize", ["m"], None, {}, 0, 1.0),
+    ("minimalize", ["m"], "mm", {}, 0, 0.5),
+    ("gauge-compare", ["mm", "m"], None, {}, 0, 0.5),
     ("abelian", ["ab"], None, {}, 0, 0.5),
     ("semicausal", ["g"], None, {"split": (4, 8)}, 1, 0.5),
     ("dfs", ["g8"], None, {}, 0, 0.5),

@@ -33,8 +33,8 @@ from igkls import (
 )
 from igkls.applications import _centred_real_generator
 from igkls.io import read_meta
-from igkls.linalg import (_THETA_13, _expm_scaled, _isometry_lstsq, _on_env, _on_system, expm,
-                          null_space, row_space)
+from igkls.linalg import (_THETA_13, _expm_scaled, _isometry_lstsq, _kron_sum, _on_env, _on_system,
+                          expm, null_space, row_space)
 from conftest import (
     CLI_CHAIN_CASES,
     cli_chain_instance,
@@ -113,6 +113,19 @@ def test_on_env_matches_kron_with_system_identity(e):
         got = _on_env(w, x, d)
         assert got.shape == want.shape == (d * rows, 4)
         assert frob(got - want) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_kron_sum_matches_a_sum_of_krons_on_rectangular_stacks(n):
+    # four different sizes pin the [i, j, p, q] order; no terms give zeros
+    rng = rng_for(121 + n)
+    a = crandn(rng, n * 2, 3).reshape(n, 2, 3)
+    b = crandn(rng, n * 4, 5).reshape(n, 4, 5)
+    want = sum((kron_oracle(x, y) for x, y in zip(a, b)), np.zeros((8, 15), dtype=np.complex128))
+    got = _kron_sum(a, b)
+    assert got.shape == (2, 4, 3, 5) and got.dtype == np.complex128
+    assert frob(got.reshape(8, 15) - want) <= 1e-13
+    assert n or not got.any()
 
 
 def test_isometry_lstsq_solves_and_snaps_near_isometries():
